@@ -27,18 +27,17 @@ def route(patterns, instances):
     return groups
 
 
-def sweep(workdir: Path, grid: list[float]) -> list[dict]:
+def sweep(workdir: Path, cfg: training.TrainConfig) -> list[dict]:
     patterns = mining.patterns_from_json((workdir / "patterns.json").read_text("utf-8"))
     train_set = ingest.instances_from_jsonl((workdir / "train_set.jsonl").read_text("utf-8"))
     test_set = ingest.instances_from_jsonl((workdir / "test_set.jsonl").read_text("utf-8"))
     train_groups = route(patterns, train_set)
     test_groups = route(patterns, test_set)
 
+    sweeps = [training.sweep(pattern, train_groups[pattern.name], cfg) for pattern in patterns]
     rows = []
-    for alpha in grid:
-        for pattern in patterns:
-            table = training.score_table(pattern, train_groups[pattern.name], alpha)
-            lo, hi, train_acc = training.best_interval(table)
+    for grid_point in zip(*sweeps):  # one weight, every pattern
+        for pattern, (alpha, lo, hi, train_acc) in zip(patterns, grid_point):
             model = training.ScoreModel(
                 activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=train_acc
             )
@@ -102,12 +101,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"building pipeline artifacts under {workdir}", file=sys.stderr)
         run_pipeline(RunConfig(seed=args.seed, workdir=str(workdir)))
 
-    grid = training.alpha_grid(
-        training.TrainConfig(
-            alpha_min=args.alpha_min, alpha_max=args.alpha_max, alpha_step=args.alpha_step
-        )
+    cfg = training.TrainConfig(
+        alpha_min=args.alpha_min, alpha_max=args.alpha_max, alpha_step=args.alpha_step
     )
-    rows = sweep(workdir, grid)
+    rows = sweep(workdir, cfg)
     out = Path(args.out) if args.out else workdir / "alpha_sweep.csv"
     write_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)

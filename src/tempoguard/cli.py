@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import random
 import sys
 from dataclasses import dataclass, fields, replace
@@ -19,6 +20,11 @@ from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
 from tempoguard.events import ActivityInstance, LABEL_NORMAL, with_label
+
+logger = logging.getLogger(__name__)
+
+# Config-file JSON types each RunConfig field type accepts; bool never counts.
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 class UsageError(Exception):
@@ -56,10 +62,15 @@ class RunConfig:
             data = json.loads(_read_text(config_path))
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
-            known = {f.name for f in fields(cls)}
-            unknown = sorted(set(data) - known)
+            known = {f.name: f.type for f in fields(cls)}
+            unknown = sorted(set(data) - set(known))
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+            for name, value in data.items():
+                if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[known[name]]):
+                    raise ValueError(
+                        f"config key {name!r} must be {known[name]}, not {json.dumps(value)}"
+                    )
             cfg = replace(cfg, **data)
         supplied = {k: v for k, v in overrides.items() if v is not None}
         return replace(cfg, **supplied)
@@ -173,7 +184,7 @@ def train_models(
     for pattern in patterns:
         group = groups[pattern.name]
         if not group:
-            print(f"warning: no training instances routed to {pattern.name!r}", file=sys.stderr)
+            logger.warning("no training instances routed to %r", pattern.name)
             continue
         models.append(training.train(pattern, group, cfg))
     return models

@@ -148,6 +148,8 @@ def parse_log_jsonl(text: str) -> list[Event]:
 
 def _event_from_obj(obj: dict) -> Event:
     ts = obj["timestamp"]
+    if isinstance(ts, bool):  # bool is an int subclass: true would read as 1 ms
+        raise ValueError(f"timestamp must be a number or a string, not {json.dumps(ts)}")
     ts_ms = int(ts) if isinstance(ts, int) else parse_timestamp(str(ts))
     value = str(obj["value"])
     return Event(

@@ -1,9 +1,9 @@
 """Threshold training: sweep the timing weight and pick the accepted interval.
 
-For each weight on a grid, every labeled training instance is scored against
-the activity's pattern; the closed score interval that best separates normal
-from anomalous rows becomes that activity's acceptance band. The weight with
-the highest training accuracy wins.
+Every labeled training instance is scored once against the activity's
+pattern. For each weight on a grid, the closed interval of blended scores
+that best separates normal from anomalous rows becomes that activity's
+acceptance band. The weight with the highest training accuracy wins.
 """
 
 from __future__ import annotations
@@ -84,6 +84,14 @@ def best_interval(
     Candidate boundaries are the sorted distinct scores nudged by ±epsilon.
     Accuracy counts normals inside plus anomalies outside. Ties prefer the
     widest interval, then the smallest lo. Returns (lo, hi, accuracy).
+
+    Costs O(m log m) for m rows: a sort, then one pass over the interval's
+    last score j (Kadane's maximum-sum run, +1 per normal, -1 per anomaly).
+    For a fixed j the accuracy is best at the start i with the smallest
+    (normals - anomalies) count below it, and lo_including grows strictly
+    with i, so the earliest such i also has the widest interval and the
+    smallest lo. Scanning j upward with a strict update keeps the first of
+    any tied candidates, as a scan of every (i, j) pair would.
     """
     if not rows:
         raise ValueError("rows must be non-empty")
@@ -122,15 +130,17 @@ def best_interval(
     # Maximize (accuracy, width, -lo); every achievable selection is a
     # contiguous run of distinct scores, or no scores at all.
     best: tuple[float, float, float, float, float] | None = None
-    for i in range(m):
-        for j in range(i, m):
-            inside_norm = norm_upto[j + 1] - norm_upto[i]
-            inside_anom = anom_upto[j + 1] - anom_upto[i]
-            acc = (inside_norm + total_anomalies - inside_anom) / total
-            lo, hi = lo_including(i), hi_including(j)
-            cand = (acc, hi - lo, -lo, lo, hi)
-            if best is None or cand[:3] > best[:3]:
-                best = cand
+    i = 0  # earliest start with the smallest norm_upto - anom_upto so far
+    for j in range(m):
+        if norm_upto[j] - anom_upto[j] < norm_upto[i] - anom_upto[i]:
+            i = j
+        inside_norm = norm_upto[j + 1] - norm_upto[i]
+        inside_anom = anom_upto[j + 1] - anom_upto[i]
+        acc = (inside_norm + total_anomalies - inside_anom) / total
+        lo, hi = lo_including(i), hi_including(j)
+        cand = (acc, hi - lo, -lo, lo, hi)
+        if best is None or cand[:3] > best[:3]:
+            best = cand
     empty_candidates = [
         (scores[0] - epsilon, scores[0] - epsilon),
         (scores[-1] + epsilon, scores[-1] + epsilon),
@@ -147,26 +157,34 @@ def best_interval(
     return best[3], best[4], best[0]
 
 
+def sweep(
+    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: TrainConfig | None = None
+) -> list[tuple[float, float, float, float]]:
+    """One (alpha, lo, hi, accuracy) row per weight on the grid, ascending.
+
+    Each instance is scored once; the totals at every weight are blended from
+    that one breakdown with the same expression as scoring.score.
+    """
+    cfg = cfg or TrainConfig()
+    _require_labeled(labeled)
+    parts = [(inst.label, score(pattern, inst, 0.0)) for inst in labeled]
+    rows = []
+    for alpha in alpha_grid(cfg):
+        table = [(label, b.completeness + alpha * b.timing_similarity) for label, b in parts]
+        rows.append((alpha, *best_interval(table, cfg.boundary_epsilon)))
+    return rows
+
+
 def train(
     pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: TrainConfig | None = None
 ) -> ScoreModel:
     """Pick the sweep weight (and its interval) with the best training accuracy.
 
-    Sweeps ascending, keeping a new weight only on strictly better accuracy,
-    so ties resolve to the smallest weight.
+    Ties resolve to the smallest weight: the first sweep row with the highest
+    accuracy wins.
     """
-    cfg = cfg or TrainConfig()
-    _require_labeled(labeled)
-    parts = [(inst.label, score(pattern, inst, 0.0)) for inst in labeled]
-    best: ScoreModel | None = None
-    for alpha in alpha_grid(cfg):
-        rows = [(label, b.completeness + alpha * b.timing_similarity) for label, b in parts]
-        lo, hi, acc = best_interval(rows, cfg.boundary_epsilon)
-        if best is None or acc > best.training_accuracy:
-            best = ScoreModel(
-                activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=acc
-            )
-    return best
+    alpha, lo, hi, acc = max(sweep(pattern, labeled, cfg), key=lambda row: row[3])
+    return ScoreModel(activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=acc)
 
 
 def model_to_json(model: ScoreModel) -> str:

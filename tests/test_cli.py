@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
-from tempoguard.cli import RunConfig, run, run_pipeline
+from conftest import make_instance, make_pattern
+from tempoguard.cli import RunConfig, run, run_pipeline, train_models
+from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
-from tempoguard.training import models_from_json
+from tempoguard.training import TrainConfig, models_from_json
 
 
 def run_cli(*argv: str) -> int:
@@ -212,6 +215,46 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config.write_text(json.dumps({"not_a_knob": 1}))
     assert run_cli("pipeline", "--config", str(config)) == 1
     assert "not_a_knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"seed": "42"},
+        {"seed": True},
+        {"seed": 4.5},
+        {"noise_sigma": False},
+        {"gap_seconds": "120"},
+        {"workdir": 7},
+        {"min_support": None},
+    ],
+)
+def test_config_file_value_of_the_wrong_type_is_a_data_error(tmp_path, capsys, data):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--config", str(config), "--workdir", str(workdir)) == 2
+    err = capsys.readouterr().err
+    assert repr(next(iter(data))) in err
+    assert "Traceback" not in err
+    assert not workdir.exists()
+
+
+def test_config_file_float_fields_accept_integers(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gap_seconds": 300, "seed": 7, "workdir": "w"}))
+    cfg = RunConfig.from_sources(str(config), {})
+    assert (cfg.gap_seconds, cfg.seed, cfg.workdir) == (300, 7, "w")
+
+
+def test_train_models_logs_a_pattern_without_training_instances(caplog):
+    patterns = [make_pattern("AB", [1000], name="ab"), make_pattern("XY", [1000], name="xy")]
+    labeled = [make_instance("AB", [1000], label=LABEL_NORMAL) for _ in range(3)]
+    labeled.append(make_instance("A", [], label=LABEL_ANOMALY_SEQ))
+    with caplog.at_level(logging.WARNING, logger="tempoguard.cli"):
+        models = train_models(patterns, labeled, TrainConfig())
+    assert [m.activity for m in models] == ["ab"]
+    assert "no training instances routed to 'xy'" in caplog.text
 
 
 def test_run_config_merges_defaults_and_overrides():

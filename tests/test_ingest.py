@@ -194,6 +194,17 @@ def test_instances_from_jsonl_names_bad_line():
         instances_from_jsonl("not json\n")
 
 
+def test_jsonl_boolean_timestamp_is_rejected_not_read_as_one_ms():
+    line = '{"timestamp": true, "device": "M1", "attribute": "motion", "value": "active"}\n'
+    with pytest.raises(ValueError, match="line 1: timestamp"):
+        parse_log_jsonl(line)
+
+
+def test_jsonl_integer_timestamp_is_still_epoch_milliseconds():
+    line = '{"timestamp": 1633093201000, "device": "M1", "attribute": "motion", "value": "on"}\n'
+    assert parse_log_jsonl(line)[0].timestamp_ms == EPOCH_13_00_01
+
+
 @given(
     gaps=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=6),
     t0=st.integers(min_value=0, max_value=10**12),

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
+from tempoguard import training as training_module
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.training import (
     ScoreModel,
@@ -17,6 +19,7 @@ from tempoguard.training import (
     models_from_json,
     models_to_json,
     score_table,
+    sweep,
     train,
 )
 
@@ -169,6 +172,105 @@ def test_best_interval_accuracy_is_reproducible_from_its_endpoints(rows):
     assert interval_accuracy(rows, lo, hi) == accuracy
 
 
+# The all-pairs O(m^2) search that best_interval replaced, kept unchanged as an
+# exact reference: models.json depends on the endpoints, not just the accuracy.
+def _quadratic_best_interval(
+    rows: list[tuple[str, float]], epsilon: float = 1e-9
+) -> tuple[float, float, float]:
+    """Closed score interval [lo, hi] that best separates normal from anomaly.
+
+    Candidate boundaries are the sorted distinct scores nudged by ±epsilon.
+    Accuracy counts normals inside plus anomalies outside. Ties prefer the
+    widest interval, then the smallest lo. Returns (lo, hi, accuracy).
+    """
+    if not rows:
+        raise ValueError("rows must be non-empty")
+    norm_at: Counter[float] = Counter()
+    anom_at: Counter[float] = Counter()
+    for label, s in rows:
+        (norm_at if label == LABEL_NORMAL else anom_at)[s] += 1
+    scores = sorted(set(norm_at) | set(anom_at))
+    total = len(rows)
+    total_anomalies = sum(anom_at.values())
+    m = len(scores)
+    norm_upto = [0] * (m + 1)  # normals with score among scores[:k]
+    anom_upto = [0] * (m + 1)
+    for k, s in enumerate(scores):
+        norm_upto[k + 1] = norm_upto[k] + norm_at[s]
+        anom_upto[k + 1] = anom_upto[k] + anom_at[s]
+
+    def lo_including(i: int) -> float:
+        """Smallest candidate boundary that admits scores[i] but not scores[i-1]."""
+        if i == 0:
+            return scores[0] - epsilon
+        prev, cur = scores[i - 1], scores[i]
+        if prev + epsilon <= cur:
+            return prev + epsilon
+        return cur - epsilon if cur - epsilon > prev else cur
+
+    def hi_including(j: int) -> float:
+        """Largest candidate boundary that admits scores[j] but not scores[j+1]."""
+        if j == m - 1:
+            return scores[m - 1] + epsilon
+        cur, nxt = scores[j], scores[j + 1]
+        if nxt - epsilon >= cur:
+            return nxt - epsilon
+        return cur + epsilon if cur + epsilon < nxt else cur
+
+    # Maximize (accuracy, width, -lo); every achievable selection is a
+    # contiguous run of distinct scores, or no scores at all.
+    best: tuple[float, float, float, float, float] | None = None
+    for i in range(m):
+        for j in range(i, m):
+            inside_norm = norm_upto[j + 1] - norm_upto[i]
+            inside_anom = anom_upto[j + 1] - anom_upto[i]
+            acc = (inside_norm + total_anomalies - inside_anom) / total
+            lo, hi = lo_including(i), hi_including(j)
+            cand = (acc, hi - lo, -lo, lo, hi)
+            if best is None or cand[:3] > best[:3]:
+                best = cand
+    empty_candidates = [
+        (scores[0] - epsilon, scores[0] - epsilon),
+        (scores[-1] + epsilon, scores[-1] + epsilon),
+    ]
+    for k in range(m - 1):
+        lo, hi = scores[k] + epsilon, scores[k + 1] - epsilon
+        if lo <= hi:
+            empty_candidates.append((lo, hi))
+    acc_empty = total_anomalies / total
+    for lo, hi in empty_candidates:
+        cand = (acc_empty, hi - lo, -lo, lo, hi)
+        if cand[:3] > best[:3]:
+            best = cand
+    return best[3], best[4], best[0]
+
+
+# Scores drawn from here repeat often and sit within 1e-9 of each other, so the
+# boundary nudges, the width tie-break and the lo tie-break all come into play.
+_CLOSE_SCORES = [
+    0.0, 2e-10, 1e-9, 1.5e-9, 3e-9,
+    1.0, 1.0 + 5e-10, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 - 1e-9,
+    2.5, 2.5 + math.ulp(2.5), 3.0, 3.0 + 1e-9, 5.9,
+]
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([N, S, T]),
+            st.one_of(
+                st.sampled_from(_CLOSE_SCORES),
+                st.floats(min_value=0, max_value=6, allow_nan=False),
+            ),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_best_interval_equals_the_quadratic_reference(rows):
+    assert best_interval(rows) == _quadratic_best_interval(rows)
+
+
 def _separable_training_set():
     normals = [make_instance("ABC", [10_000 + d, 20_000 - d], label=N) for d in (0, 50, -50)]
     fast = [make_instance("ABC", [500_000, 20_000], label=T) for _ in range(2)]
@@ -201,6 +303,40 @@ def test_trained_accuracy_matches_a_recount_on_the_training_set():
 def test_train_picks_a_grid_alpha():
     model = train(make_pattern("ABC", [10_000, 20_000]), _separable_training_set())
     assert any(math.isclose(model.alpha, a) for a in alpha_grid(TrainConfig()))
+
+
+def test_sweep_has_one_row_per_grid_weight_refit_from_a_score_table():
+    pattern = make_pattern("ABC", [10_000, 20_000])
+    labeled = _separable_training_set()
+    cfg = TrainConfig(alpha_max=2.0, alpha_step=0.25, boundary_epsilon=1e-6)
+    expected = [
+        (alpha, *best_interval(score_table(pattern, labeled, alpha), cfg.boundary_epsilon))
+        for alpha in alpha_grid(cfg)
+    ]
+    assert sweep(pattern, labeled, cfg) == expected
+
+
+def test_sweep_scores_each_instance_once(monkeypatch):
+    calls = Counter()
+    original = training_module.score
+
+    def counting_score(pattern, instance, alpha):
+        calls[alpha] += 1
+        return original(pattern, instance, alpha)
+
+    monkeypatch.setattr(training_module, "score", counting_score)
+    labeled = _separable_training_set()
+    sweep(make_pattern("ABC", [10_000, 20_000]), labeled)
+    assert calls == {0.0: len(labeled)}
+
+
+def test_train_takes_the_first_sweep_row_with_the_best_accuracy():
+    pattern = make_pattern("ABC", [10_000, 20_000])
+    labeled = _separable_training_set()
+    rows = sweep(pattern, labeled)
+    best = max(acc for _, _, _, acc in rows)
+    alpha, lo, hi, acc = next(row for row in rows if row[3] == best)
+    assert train(pattern, labeled) == ScoreModel("p", alpha, lo, hi, acc)
 
 
 def test_score_model_validates_interval_order():
