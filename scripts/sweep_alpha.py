@@ -4,6 +4,8 @@
 Runs the full pipeline into a working directory (or reuses one that already
 has its artifacts), then, for every weight on the grid, refits the score
 interval on the training split and measures accuracy on the test split.
+Settings come from the same `--config` file `tempoguard pipeline` takes,
+overridden by the flags, so the refit uses the workdir's training settings.
 Results land in a CSV; pass --plot for a PNG when matplotlib is available.
 """
 
@@ -15,24 +17,17 @@ import sys
 from pathlib import Path
 
 from tempoguard import evaluation, ingest, mining, training
-from tempoguard.cli import RunConfig, run_pipeline
+from tempoguard.cli import RunConfig, UsageError, run_pipeline
 
 ARTIFACTS = ("patterns.json", "train_set.jsonl", "test_set.jsonl")
-
-
-def route(patterns, instances):
-    groups = {p.name: [] for p in patterns}
-    for inst in instances:
-        groups[evaluation.select_pattern(patterns, inst).name].append(inst)
-    return groups
 
 
 def sweep(workdir: Path, cfg: training.TrainConfig) -> list[dict]:
     patterns = mining.patterns_from_json((workdir / "patterns.json").read_text("utf-8"))
     train_set = ingest.instances_from_jsonl((workdir / "train_set.jsonl").read_text("utf-8"))
     test_set = ingest.instances_from_jsonl((workdir / "test_set.jsonl").read_text("utf-8"))
-    train_groups = route(patterns, train_set)
-    test_groups = route(patterns, test_set)
+    train_groups = evaluation.route(patterns, train_set)
+    test_groups = evaluation.route(patterns, test_set)
 
     sweeps = [training.sweep(pattern, train_groups[pattern.name], cfg) for pattern in patterns]
     rows = []
@@ -87,24 +82,33 @@ def maybe_plot(rows: list[dict], path: Path) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workdir", default="tempoguard_run")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--alpha-min", type=float, default=0.0)
-    parser.add_argument("--alpha-max", type=float, default=5.0)
-    parser.add_argument("--alpha-step", type=float, default=0.1)
+    parser.add_argument("--config", help="pipeline JSON config file (flags override it)")
+    parser.add_argument("--workdir", help="artifact directory (default: tempoguard_run)")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--alpha-min", type=float)
+    parser.add_argument("--alpha-max", type=float)
+    parser.add_argument("--alpha-step", type=float)
     parser.add_argument("--out", default=None, help="CSV path (default <workdir>/alpha_sweep.csv)")
     parser.add_argument("--plot", default=None, help="optional PNG path (needs matplotlib)")
     args = parser.parse_args(argv)
 
-    workdir = Path(args.workdir)
+    overrides = {
+        "workdir": args.workdir,
+        "seed": args.seed,
+        "alpha_min": args.alpha_min,
+        "alpha_max": args.alpha_max,
+        "alpha_step": args.alpha_step,
+    }
+    try:
+        cfg = RunConfig.from_sources(args.config, overrides)
+    except (UsageError, OSError, ValueError) as exc:
+        parser.error(str(exc))
+    workdir = Path(cfg.workdir)
     if not all((workdir / name).exists() for name in ARTIFACTS):
         print(f"building pipeline artifacts under {workdir}", file=sys.stderr)
-        run_pipeline(RunConfig(seed=args.seed, workdir=str(workdir)))
+        run_pipeline(cfg)
 
-    cfg = training.TrainConfig(
-        alpha_min=args.alpha_min, alpha_max=args.alpha_max, alpha_step=args.alpha_step
-    )
-    rows = sweep(workdir, cfg)
+    rows = sweep(workdir, cfg.train_config())
     out = Path(args.out) if args.out else workdir / "alpha_sweep.csv"
     write_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)

@@ -75,6 +75,15 @@ class RunConfig:
         supplied = {k: v for k, v in overrides.items() if v is not None}
         return replace(cfg, **supplied)
 
+    def train_config(self) -> training.TrainConfig:
+        """The training knobs of this run: the alpha grid and the boundary epsilon."""
+        return training.TrainConfig(
+            alpha_min=self.alpha_min,
+            alpha_max=self.alpha_max,
+            alpha_step=self.alpha_step,
+            boundary_epsilon=self.boundary_epsilon,
+        )
+
 
 def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -166,20 +175,11 @@ def _cmd_forge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _route_groups(
-    patterns: list, instances: list[ActivityInstance], models: dict | None = None
-) -> dict[str, list[ActivityInstance]]:
-    groups: dict[str, list[ActivityInstance]] = {p.name: [] for p in patterns}
-    for inst in instances:
-        groups[evaluation.select_pattern(patterns, inst, models).name].append(inst)
-    return groups
-
-
 def train_models(
     patterns: list, labeled: list[ActivityInstance], cfg: training.TrainConfig
 ) -> list[training.ScoreModel]:
     """Route labeled instances to their best pattern and train each activity."""
-    groups = _route_groups(patterns, labeled)
+    groups = evaluation.route(patterns, labeled)
     models = []
     for pattern in patterns:
         group = groups[pattern.name]
@@ -345,13 +345,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     )
     (workdir / "test_set.jsonl").write_text(ingest.instances_to_jsonl(test_set), encoding="utf-8")
 
-    train_cfg = training.TrainConfig(
-        alpha_min=cfg.alpha_min,
-        alpha_max=cfg.alpha_max,
-        alpha_step=cfg.alpha_step,
-        boundary_epsilon=cfg.boundary_epsilon,
-    )
-    models = train_models(patterns, train_set, train_cfg)
+    models = train_models(patterns, train_set, cfg.train_config())
     (workdir / "models.json").write_text(training.models_to_json(models), encoding="utf-8")
 
     report = evaluation.build_report(patterns, {m.activity: m for m in models}, test_set)

@@ -114,6 +114,22 @@ def select_pattern(
     return min(patterns, key=rank)
 
 
+def route(
+    patterns: list[ActivityPattern],
+    instances: list[ActivityInstance],
+    models: dict[str, ScoreModel] | None = None,
+) -> dict[str, list[ActivityInstance]]:
+    """Group instances by the pattern select_pattern picks, keyed by pattern name.
+
+    Every pattern has a list, empty when nothing routes to it; each list keeps
+    input order.
+    """
+    groups: dict[str, list[ActivityInstance]] = {p.name: [] for p in patterns}
+    for inst in instances:
+        groups[select_pattern(patterns, inst, models).name].append(inst)
+    return groups
+
+
 def evaluate(
     model: ScoreModel, pattern: ActivityPattern, labeled: list[ActivityInstance]
 ) -> tuple[ConfusionMatrix, float, list[ClassRow]]:
@@ -209,11 +225,9 @@ def build_report(
     """Route, classify, and tabulate a labeled set across all activities.
 
     Returns {"activities": [per-activity report dicts], "overall": {...}};
-    every instance lands in exactly one activity's table via select_pattern.
+    every instance lands in exactly one activity's table via route.
     """
-    routed: dict[str, list[ActivityInstance]] = {p.name: [] for p in patterns}
-    for inst in labeled:
-        routed[select_pattern(patterns, inst, models).name].append(inst)
+    routed = route(patterns, labeled, models)
     activities = []
     tp = fn = fp = tn = 0
     for pattern in patterns:

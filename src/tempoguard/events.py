@@ -9,6 +9,7 @@ by 1000 on ingest (avoids float drift in log arithmetic).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALY_SEQ = "anomaly_seq"
@@ -103,6 +104,24 @@ class ActivityPattern:
             raise ValueError("ActivityPattern.support must be >= 1")
         if any(v < 0 for v in self.mean_intervals_ms):
             raise ValueError("mean intervals must be non-negative")
+
+    @cached_property
+    def key_numbering(self) -> dict[tuple[str, str, str], int]:
+        """Each distinct key's (device, attribute, state), numbered 0..k-1 by first occurrence.
+
+        Built once per pattern. Plain string triples hash and compare in C,
+        where EventKey's generated __hash__ and __eq__ run in Python.
+        """
+        numbering: dict[tuple[str, str, str], int] = {}
+        for k in self.keys:
+            numbering.setdefault((k.device, k.attribute, k.state), len(numbering))
+        return numbering
+
+    @cached_property
+    def key_codes(self) -> tuple[int, ...]:
+        """The keys as their numbers: equal codes exactly when the keys are equal."""
+        numbering = self.key_numbering
+        return tuple(numbering[(k.device, k.attribute, k.state)] for k in self.keys)
 
 
 def intervals(instance: ActivityInstance) -> tuple[int, ...]:

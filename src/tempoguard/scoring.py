@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from tempoguard.events import ActivityInstance, ActivityPattern, EventKey
+from tempoguard.events import ActivityInstance, ActivityPattern
 
 
 @dataclass(frozen=True)
@@ -46,27 +47,58 @@ class ScoreBreakdown:
 def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:
     """Longest in-order match between a pattern's keys and an instance's keys.
 
-    Deterministic among maximum matchings: the walk below always takes an
-    equal-key pair when one is available (doing so never shortens the best
-    completion) and otherwise advances the instance side on ties, which keeps
-    matches at the earliest possible pattern positions.
+    Deterministic among maximum matchings: the walk in `_align_codes` always
+    takes an equal-key pair when one is available (doing so never shortens the
+    best completion) and otherwise advances the instance side on ties, which
+    keeps matches at the earliest possible pattern positions.
+
+    The table runs on small ints, not on keys. The pattern's keys are numbered
+    once per pattern (`ActivityPattern.key_codes`), and the instance is
+    projected onto that numbering: events whose key is not in the pattern are
+    dropped and the original indices of the rest are kept. This leaves the
+    alignment unchanged. A foreign key never matches, so its table column
+    equals the next one and the walk's tie rule always steps past it. The
+    projected pair of code tuples is memoized (at most `ALIGN_CACHE_SIZE`
+    entries), so a repeated key sequence costs one O(n) projection and a
+    cache lookup instead of the O(m·n) table; a new one costs the table on the
+    projected length.
     """
-    pattern_keys: tuple[EventKey, ...] = pattern.keys
-    instance_keys = instance.key_sequence()
-    m, n = len(pattern_keys), len(instance_keys)
-    # dp[i][j] = longest match of pattern_keys[i:] vs instance_keys[j:]
+    numbering = pattern.key_numbering
+    positions: list[int] = []
+    codes: list[int] = []
+    for j, event in enumerate(instance.events):
+        k = event.key
+        code = numbering.get((k.device, k.attribute, k.state))
+        if code is not None:
+            positions.append(j)
+            codes.append(code)
+    pairs = _align_codes(pattern.key_codes, tuple(codes))
+    return Alignment(pairs=tuple((i, positions[j]) for i, j in pairs))
+
+
+# Distinct (pattern codes, projected instance codes) inputs kept by _align_codes.
+ALIGN_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ALIGN_CACHE_SIZE)
+def _align_codes(
+    pattern_codes: tuple[int, ...], instance_codes: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """Longest in-order match of two code sequences as (pattern, instance) index pairs."""
+    m, n = len(pattern_codes), len(instance_codes)
+    # dp[i][j] = longest match of pattern_codes[i:] vs instance_codes[j:]
     dp = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(m - 1, -1, -1):
         row, below = dp[i], dp[i + 1]
         for j in range(n - 1, -1, -1):
-            if pattern_keys[i] == instance_keys[j]:
+            if pattern_codes[i] == instance_codes[j]:
                 row[j] = below[j + 1] + 1
             else:
                 row[j] = max(below[j], row[j + 1])
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < m and j < n:
-        if pattern_keys[i] == instance_keys[j]:
+        if pattern_codes[i] == instance_codes[j]:
             pairs.append((i, j))
             i += 1
             j += 1
@@ -74,7 +106,7 @@ def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:
             j += 1
         else:
             i += 1
-    return Alignment(pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 def merged_intervals(

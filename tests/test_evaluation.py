@@ -16,6 +16,7 @@ from tempoguard.evaluation import (
     render_report,
     render_table,
     report_to_dict,
+    route,
     select_pattern,
 )
 from tempoguard.training import ScoreModel
@@ -103,6 +104,15 @@ def test_select_pattern_uses_trained_weights_for_ties():
     }
     chosen = select_pattern([fast, slow], make_instance("AB", [1000]), models)
     assert chosen.name == "slow"
+
+
+def test_route_groups_every_instance_under_its_selected_pattern():
+    patterns = [make_pattern(letters, name=letters.lower()) for letters in ("AB", "CD", "EF")]
+    cd, ab, abx, c = (make_instance(letters) for letters in ("CD", "AB", "ABX", "C"))
+    groups = route(patterns, [cd, ab, abx, c])
+    assert groups == {"ab": [ab, abx], "cd": [cd, c], "ef": []}
+    for name, group in groups.items():
+        assert all(select_pattern(patterns, inst).name == name for inst in group)
 
 
 def test_select_pattern_rejects_empty_pattern_list():

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_force_longest_match, make_instance, make_pattern
-from tempoguard.scoring import align, angle, merged_intervals, score
+from tempoguard import scoring
+from tempoguard.scoring import Alignment, align, angle, merged_intervals, score
 
 # ------------------------------------------------------------------ alignment
 
@@ -52,6 +53,78 @@ def test_align_pairs_increase_and_keys_agree(pattern, instance):
         assert p0 < p1 and t0 < t1
     for p, t in a.pairs:
         assert pattern[p] == instance[t]
+
+
+def _reference_align(pattern, instance) -> Alignment:
+    """The table over EventKey objects that align replaced, kept verbatim as its oracle."""
+    pattern_keys = pattern.keys
+    instance_keys = instance.key_sequence()
+    m, n = len(pattern_keys), len(instance_keys)
+    # dp[i][j] = longest match of pattern_keys[i:] vs instance_keys[j:]
+    dp = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        row, below = dp[i], dp[i + 1]
+        for j in range(n - 1, -1, -1):
+            if pattern_keys[i] == instance_keys[j]:
+                row[j] = below[j + 1] + 1
+            else:
+                row[j] = max(below[j], row[j + 1])
+    pairs: list[tuple[int, int]] = []
+    i = j = 0
+    while i < m and j < n:
+        if pattern_keys[i] == instance_keys[j]:
+            pairs.append((i, j))
+            i += 1
+            j += 1
+        elif dp[i][j + 1] >= dp[i + 1][j]:
+            j += 1
+        else:
+            i += 1
+    return Alignment(pairs=tuple(pairs))
+
+
+# Pattern letters repeat; X, Y and Z never occur in a pattern.
+_PATTERN_TEXT = st.text(alphabet="ABC", min_size=1, max_size=8)
+_FOREIGN_TEXT = st.text(alphabet="XYZ", min_size=1, max_size=6)
+
+
+@given(
+    pattern=_PATTERN_TEXT,
+    instance=st.one_of(st.text(alphabet="ABCXYZ", min_size=1, max_size=12), _FOREIGN_TEXT),
+)
+def test_align_equals_the_reference_table(pattern, instance):
+    p, inst = make_pattern(pattern), make_instance(instance)
+    assert align(p, inst) == _reference_align(p, inst)
+
+
+@given(clean=st.text(alphabet="ABC", min_size=1, max_size=8), data=st.data())
+def test_foreign_keys_only_shift_instance_indices(clean, data):
+    p = make_pattern(data.draw(_PATTERN_TEXT))
+    noisy, kept = "", []
+    for letter in clean:
+        noisy += data.draw(st.text(alphabet="XYZ", max_size=2))
+        kept.append(len(noisy))
+        noisy += letter
+    noisy += data.draw(st.text(alphabet="XYZ", max_size=2))
+    expected = tuple((i, kept[j]) for i, j in align(p, make_instance(clean)).pairs)
+    assert align(p, make_instance(noisy)).pairs == expected
+
+
+def test_align_cache_stays_within_its_bound():
+    pattern = make_pattern("ABC")
+    scoring._align_codes.cache_clear()
+    extra = scoring.ALIGN_CACHE_SIZE + 50
+    for n in range(extra):
+        letters = ""
+        while True:  # n in base 3 over A, B, C: a distinct instance each time
+            n, digit = divmod(n, 3)
+            letters += "ABC"[digit]
+            if n == 0:
+                break
+        align(pattern, make_instance(letters))
+    info = scoring._align_codes.cache_info()
+    assert info.misses == extra
+    assert info.currsize == info.maxsize == scoring.ALIGN_CACHE_SIZE
 
 
 # ----------------------------------------------------------- merged intervals
