@@ -164,7 +164,7 @@ def _cmd_forge(args: argparse.Namespace) -> int:
     if not pool:
         raise ValueError(f"no instances in {args.instances}")
     rng = random.Random(args.seed)
-    cfg = forge.ForgeConfig(seed=args.seed, ti_multiplier=args.ti_multiplier)
+    cfg = forge.ForgeConfig(ti_multiplier=args.ti_multiplier)
     out: list[ActivityInstance] = []
     for src in _pick_sources(pool, args.count, rng):
         if args.kind == "seq":
@@ -305,7 +305,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     rng_augment = random.Random(cfg.seed + 1)
     rng_forge = random.Random(cfg.seed + 2)
     rng_split = random.Random(cfg.seed + 3)
-    forge_cfg = forge.ForgeConfig(seed=cfg.seed + 2, ti_multiplier=cfg.ti_multiplier)
+    forge_cfg = forge.ForgeConfig(ti_multiplier=cfg.ti_multiplier)
     normal_target = cfg.train_normal + cfg.test_normal
     anomalies_per_type = cfg.train_anomaly + cfg.test_anomaly
     train_set: list[ActivityInstance] = []

@@ -25,7 +25,6 @@ from tempoguard.events import (
 class ForgeConfig:
     """Knobs for synthetic data generation."""
 
-    seed: int = 42
     ti_multiplier: float = 50.0
 
     def __post_init__(self) -> None:

@@ -4,6 +4,11 @@ The canonical log format is CSV with header ``timestamp,device,attribute,value``
 A three-column legacy form ``timestamp,device,value`` is accepted too; its
 attribute is inferred from well-known state values (falling back to "state").
 A JSON-lines twin carries the same four fields, one object per line.
+
+Each parse call builds one EventKey per distinct (device, attribute, state)
+and hands that same object to every event that carries it, so a large log
+holds a few dozen keys, not one per row. Timestamps become epoch
+milliseconds by exact integer arithmetic, never through a float.
 """
 
 from __future__ import annotations
@@ -12,12 +17,15 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from tempoguard.events import ActivityInstance, Event, EventKey, LABEL_UNLABELED
 
 LOG_HEADER = ("timestamp", "device", "attribute", "value")
 LEGACY_HEADER = ("timestamp", "device", "value")
+
+EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_ONE_MS = timedelta(milliseconds=1)
 
 # Attribute inferred for the 3-column legacy form, keyed by the state value.
 ATTRIBUTE_FOR_VALUE = {
@@ -49,6 +57,8 @@ def parse_timestamp(token: str) -> int:
 
     Accepted forms: integer epoch milliseconds, ISO-8601 (naive assumed UTC,
     trailing Z accepted), and "M/D/YYYY HH:MM:SS" interpreted as UTC.
+    Sub-millisecond digits are floored. A time before 1970-01-01T00:00:00Z
+    is rejected.
     """
     token = token.strip()
     if token.isdigit():
@@ -64,9 +74,10 @@ def parse_timestamp(token: str) -> int:
             raise ValueError(f"unparseable timestamp {token!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    dt = dt.astimezone(timezone.utc)
-    epoch_s = int(dt.timestamp())
-    return epoch_s * 1000 + dt.microsecond // 1000
+    ms = (dt - EPOCH_UTC) // _ONE_MS
+    if ms < 0:
+        raise ValueError(f"timestamp {token!r} is before 1970-01-01T00:00:00Z")
+    return ms
 
 
 def format_timestamp(ms: int) -> str:
@@ -79,21 +90,29 @@ def format_timestamp(ms: int) -> str:
     return text + "Z"
 
 
-def _row_to_event(fields: list[str], legacy: bool, lineno: int) -> Event:
-    fields = [f.strip() for f in fields]
+def _interned(keys: dict, device: str, attribute: str, state: str) -> EventKey:
+    """The parse's one EventKey for (device, attribute, state), built on first sight."""
+    ident = (device, attribute, state)
+    key = keys.get(ident)
+    if key is None:
+        key = keys[ident] = EventKey(device, attribute, state)
+    return key
+
+
+def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> Event:
     expected = 3 if legacy else 4
-    if len(fields) != expected or any(not f for f in fields):
+    if len(fields) != expected or "" in fields:
         raise ValueError(f"line {lineno}: expected {expected} non-empty columns, got {fields!r}")
     try:
         ts = parse_timestamp(fields[0])
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     if legacy:
-        device, value = fields[1], fields[2]
+        _, device, value = fields
         attribute = ATTRIBUTE_FOR_VALUE.get(value, "state")
     else:
-        device, attribute, value = fields[1], fields[2], fields[3]
-    return Event(timestamp_ms=ts, key=EventKey(device, attribute, value), raw_value=value)
+        _, device, attribute, value = fields
+    return Event(ts, _interned(keys, device, attribute, value), value)
 
 
 def parse_log(text: str) -> list[Event]:
@@ -104,24 +123,29 @@ def parse_log(text: str) -> list[Event]:
     """
     reader = csv.reader(io.StringIO(text))
     events: list[Event] = []
+    keys: dict[tuple[str, str, str], EventKey] = {}
     header: tuple[str, ...] | None = None
     legacy = False
-    for lineno, fields in enumerate(reader, start=1):
-        if not fields or all(not f.strip() for f in fields):
-            continue
-        if header is None:
-            header = tuple(f.strip().lower() for f in fields)
-            if header == LOG_HEADER:
-                legacy = False
-            elif header == LEGACY_HEADER:
-                legacy = True
-            else:
-                raise ValueError(
-                    f"line {lineno}: expected header {','.join(LOG_HEADER)} "
-                    f"(or legacy {','.join(LEGACY_HEADER)}), got {','.join(header)}"
-                )
-            continue
-        events.append(_row_to_event(fields, legacy, lineno))
+    try:
+        for lineno, fields in enumerate(reader, start=1):
+            fields = [f.strip() for f in fields]
+            if not any(fields):
+                continue
+            if header is None:
+                header = tuple(f.lower() for f in fields)
+                if header == LOG_HEADER:
+                    legacy = False
+                elif header == LEGACY_HEADER:
+                    legacy = True
+                else:
+                    raise ValueError(
+                        f"line {lineno}: expected header {','.join(LOG_HEADER)} "
+                        f"(or legacy {','.join(LEGACY_HEADER)}), got {','.join(header)}"
+                    )
+                continue
+            events.append(_row_to_event(fields, legacy, lineno, keys))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if header is None:
         raise ValueError("empty log: header row required")
     events.sort(key=lambda e: e.timestamp_ms)  # stable: ties keep file order
@@ -131,6 +155,7 @@ def parse_log(text: str) -> list[Event]:
 def parse_log_jsonl(text: str) -> list[Event]:
     """Parse the JSON-lines twin of the CSV log format."""
     events: list[Event] = []
+    keys: dict[tuple[str, str, str], EventKey] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -139,24 +164,20 @@ def parse_log_jsonl(text: str) -> list[Event]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON ({exc})") from None
         try:
-            events.append(_event_from_obj(obj))
+            events.append(_event_from_obj(obj, keys))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     events.sort(key=lambda e: e.timestamp_ms)
     return events
 
 
-def _event_from_obj(obj: dict) -> Event:
+def _event_from_obj(obj: dict, keys: dict) -> Event:
     ts = obj["timestamp"]
     if isinstance(ts, bool):  # bool is an int subclass: true would read as 1 ms
         raise ValueError(f"timestamp must be a number or a string, not {json.dumps(ts)}")
     ts_ms = int(ts) if isinstance(ts, int) else parse_timestamp(str(ts))
     value = str(obj["value"])
-    return Event(
-        timestamp_ms=ts_ms,
-        key=EventKey(str(obj["device"]), str(obj["attribute"]), value),
-        raw_value=value,
-    )
+    return Event(ts_ms, _interned(keys, str(obj["device"]), str(obj["attribute"]), value), value)
 
 
 def _event_to_obj(event: Event) -> dict:
@@ -235,6 +256,7 @@ def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
 
 def instances_from_jsonl(text: str) -> list[ActivityInstance]:
     instances: list[ActivityInstance] = []
+    keys: dict[tuple[str, str, str], EventKey] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -242,7 +264,7 @@ def instances_from_jsonl(text: str) -> list[ActivityInstance]:
             obj = json.loads(line)
             instances.append(
                 ActivityInstance(
-                    events=tuple(_event_from_obj(e) for e in obj["events"]),
+                    events=tuple(_event_from_obj(e, keys) for e in obj["events"]),
                     label=obj.get("label", LABEL_UNLABELED),
                     source_id=obj.get("source_id", ""),
                 )

@@ -42,6 +42,20 @@ def test_malformed_log_is_a_data_error(tmp_path, capsys):
     assert "not-a-time" in capsys.readouterr().err
 
 
+def test_pre_epoch_log_row_is_a_data_error_naming_its_line(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,device,attribute,value\n1969-12-31T23:59:59.500Z,M1,motion,active\n")
+    assert run_cli("ingest", str(log)) == 2
+    assert "line 2: timestamp '1969-12-31T23:59:59.500Z' is before 1970" in capsys.readouterr().err
+
+
+def test_oversized_csv_field_is_a_data_error_not_a_traceback(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,device,attribute,value\n1000," + "x" * 140_000 + ",motion,active\n")
+    assert run_cli("ingest", str(log)) == 2
+    assert "line 2: field larger than field limit" in capsys.readouterr().err
+
+
 def test_output_clobbering_an_input_is_a_usage_error(tmp_path, capsys):
     log = tmp_path / "log.csv"
     log.write_text("timestamp,device,attribute,value\n1000,M1,motion,active\n2000,L1,switch,on\n")

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import calendar
+from datetime import datetime
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import key, make_instance
@@ -56,6 +59,44 @@ def test_timestamp_format_parse_round_trip(ms):
     assert parse_timestamp(format_timestamp(ms)) == ms
 
 
+@given(
+    local=st.datetimes(
+        min_value=datetime(1970, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999_999)
+    ),
+    offset_min=st.one_of(st.none(), st.integers(min_value=-(23 * 60 + 59), max_value=23 * 60 + 59)),
+)
+# Edges a float epoch gets wrong: the last microsecond of 9999 (a float
+# rounds it up a second), a UTC time past 9999-12-31, and -1 ms.
+@example(local=datetime(9999, 12, 31, 23, 59, 59, 999_999), offset_min=None)
+@example(local=datetime(9999, 12, 31, 23, 30), offset_min=-90)
+@example(local=datetime(1970, 1, 1, 0, 59, 59, 999_000), offset_min=60)
+def test_parse_timestamp_equals_the_exact_integer_reference(local, offset_min):
+    # None: naive (UTC); 0: the Z suffix; otherwise an explicit +HH:MM / -HH:MM offset.
+    token = local.isoformat()
+    if offset_min == 0:
+        token += "Z"
+    elif offset_min is not None:
+        sign = "+" if offset_min > 0 else "-"
+        token += f"{sign}{abs(offset_min) // 60:02d}:{abs(offset_min) % 60:02d}"
+    seconds = calendar.timegm(local.timetuple()) - 60 * (offset_min or 0)
+    expected = seconds * 1000 + local.microsecond // 1000
+    if expected < 0:
+        with pytest.raises(ValueError, match="before 1970"):
+            parse_timestamp(token)
+    else:
+        assert parse_timestamp(token) == expected
+
+
+def test_parse_timestamp_rejects_a_fraction_before_the_epoch():
+    # -500 ms: truncating a float epoch toward zero would give +500.
+    with pytest.raises(ValueError, match=r"1969-12-31T23:59:59\.500Z.*before 1970"):
+        parse_timestamp("1969-12-31T23:59:59.500Z")
+
+
+def test_parse_timestamp_accepts_the_epoch_itself():
+    assert parse_timestamp("1970-01-01T01:00:00+01:00") == 0
+
+
 SAMPLE_LOG = """timestamp,device,attribute,value
 2021-10-01T13:00:01Z,M1,motion,active
 2021-10-01T13:00:02Z,L1,switch,on
@@ -105,6 +146,24 @@ def test_parse_log_names_line_and_token_of_bad_timestamp():
         parse_log(text)
 
 
+def test_parse_log_names_line_of_pre_epoch_row():
+    text = "timestamp,device,attribute,value\n1969-12-31T23:59:59Z,M1,motion,active\n"
+    with pytest.raises(ValueError, match=r"line 2: .*1969-12-31T23:59:59Z.*before 1970"):
+        parse_log(text)
+
+
+def test_parse_log_jsonl_names_line_of_pre_epoch_row():
+    line = '{"timestamp": "1969-12-31T23:59:59.500Z", "device": "M1", "attribute": "a", "value": 1}'
+    with pytest.raises(ValueError, match=r"line 2: .*before 1970"):
+        parse_log_jsonl("\n" + line + "\n")
+
+
+def test_parse_log_names_line_of_oversized_field():
+    text = SAMPLE_LOG + "2021-10-01T13:02:00Z," + "x" * 140_000 + ",motion,active\n"
+    with pytest.raises(ValueError, match="line 5: field larger than field limit"):
+        parse_log(text)
+
+
 def test_parse_log_sorts_rows_by_timestamp():
     text = (
         "timestamp,device,attribute,value\n"
@@ -127,6 +186,70 @@ def test_serialize_log_round_trips_csv():
 def test_serialize_log_round_trips_jsonl():
     events = parse_log(SAMPLE_LOG)
     assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
+
+
+# Names with commas, quotes and non-ASCII characters; no control characters
+# and no surrounding whitespace, which the CSV reader strips.
+_NAMES = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(',"\' é漢ü'), st.characters(blacklist_categories=("Cc", "Cs"))
+    ),
+    min_size=1,
+    max_size=10,
+).filter(lambda name: name == name.strip())
+
+_LOGS = st.lists(
+    st.builds(
+        lambda ts, device, attribute, value: Event(ts, EventKey(device, attribute, value), value),
+        st.integers(min_value=0, max_value=4 * 10**12),
+        _NAMES,
+        _NAMES,
+        _NAMES,
+    ),
+    max_size=8,
+).map(lambda events: sorted(events, key=lambda e: e.timestamp_ms))
+
+
+@given(events=_LOGS)
+def test_csv_round_trip_keeps_awkward_names(events):
+    assert parse_log(serialize_log(events, "csv")) == events
+
+
+@given(events=_LOGS)
+def test_jsonl_round_trip_keeps_awkward_names(events):
+    assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
+
+
+REPEATED_KEYS_LOG = (
+    SAMPLE_LOG + "2021-10-01T13:02:00Z,M1,motion,active\n2021-10-01T13:03:00Z,L1,switch,on\n"
+)
+
+
+def _assert_one_object_per_key(events: list[Event]) -> None:
+    by_value: dict[EventKey, EventKey] = {}
+    for e in events:
+        assert by_value.setdefault(e.key, e.key) is e.key
+    assert len(by_value) == 3
+
+
+def test_parse_log_shares_one_key_object_per_distinct_key():
+    _assert_one_object_per_key(parse_log(REPEATED_KEYS_LOG))
+
+
+def test_parse_log_jsonl_shares_one_key_object_per_distinct_key():
+    jsonl = serialize_log(parse_log(REPEATED_KEYS_LOG), "jsonl")
+    _assert_one_object_per_key(parse_log_jsonl(jsonl))
+
+
+def test_instances_from_jsonl_shares_key_objects_across_instances():
+    text = instances_to_jsonl([make_instance("ABA"), make_instance("BAB")])
+    first, second = (inst.key_sequence() for inst in instances_from_jsonl(text))
+    assert first[0] is first[2] is second[1]
+    assert first[1] is second[0] is second[2]
+
+
+def test_separate_parses_share_no_key_objects():
+    assert parse_log(SAMPLE_LOG)[0].key is not parse_log(SAMPLE_LOG)[0].key
 
 
 def test_serialize_log_rejects_unknown_format():
