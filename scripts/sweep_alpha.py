@@ -4,8 +4,8 @@
 Runs the full pipeline into a working directory (or reuses one that already
 has its artifacts), then, for every weight on the grid, refits the score
 interval on the training split and measures accuracy on the test split.
-Settings come from the same `--config` file `tempoguard pipeline` takes,
-overridden by the flags, so the refit uses the workdir's training settings.
+Settings come from the `--config` file and the flags `tempoguard pipeline`
+takes, flags over the file, so the refit uses the workdir's training settings.
 Results land in a CSV; pass --plot for a PNG when matplotlib is available.
 """
 
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from tempoguard import evaluation, ingest, mining, training
-from tempoguard.cli import RunConfig, UsageError, run_pipeline
+from tempoguard.cli import RunConfig, UsageError, add_config_flags, run_pipeline
 
 ARTIFACTS = ("patterns.json", "train_set.jsonl", "test_set.jsonl")
 
@@ -83,24 +83,13 @@ def maybe_plot(rows: list[dict], path: Path) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", help="pipeline JSON config file (flags override it)")
-    parser.add_argument("--workdir", help="artifact directory (default: tempoguard_run)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--alpha-min", type=float)
-    parser.add_argument("--alpha-max", type=float)
-    parser.add_argument("--alpha-step", type=float)
+    add_config_flags(parser)
     parser.add_argument("--out", default=None, help="CSV path (default <workdir>/alpha_sweep.csv)")
     parser.add_argument("--plot", default=None, help="optional PNG path (needs matplotlib)")
     args = parser.parse_args(argv)
 
-    overrides = {
-        "workdir": args.workdir,
-        "seed": args.seed,
-        "alpha_min": args.alpha_min,
-        "alpha_max": args.alpha_max,
-        "alpha_step": args.alpha_step,
-    }
     try:
-        cfg = RunConfig.from_sources(args.config, overrides)
+        cfg = RunConfig.from_sources(args.config, vars(args))
     except (UsageError, OSError, ValueError) as exc:
         parser.error(str(exc))
     workdir = Path(cfg.workdir)

@@ -15,65 +15,78 @@ import json
 import logging
 import random
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
-from tempoguard.events import ActivityInstance, LABEL_NORMAL, with_label
+from tempoguard.events import ActivityInstance, LABEL_NORMAL, json_value, with_label
 
 logger = logging.getLogger(__name__)
 
-# Config-file JSON types each RunConfig field type accepts; bool never counts.
-_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# The type of each RunConfig field, by annotation: it reads both flags and config-file values.
+_CONFIG_TYPES = {"int": int, "float": float, "str": str}
 
 
 class UsageError(Exception):
     """Bad invocation (not bad data): reported with exit code 1."""
 
 
+def _with_help(default, text: str):
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Every pipeline knob in one place; JSON config files mirror this."""
+    """Every pipeline setting in one place; config files and CLI flags mirror it."""
 
-    seed: int = 42
-    instances_per_activity: int = 50
-    noise_sigma: float = 0.10
-    inter_instance_gap_ms: int = 600_000
-    gap_seconds: float = 120.0
-    min_segment_len: int = 2
-    min_support: int = 5
-    min_len: int = 2
-    alpha_min: float = 0.0
-    alpha_max: float = 5.0
-    alpha_step: float = 0.1
-    boundary_epsilon: float = 1e-9
-    ti_multiplier: float = 50.0
+    seed: int = simulate.SimConfig.seed
+    instances_per_activity: int = _with_help(
+        simulate.SimConfig.instances_per_activity, "instances per activity"
+    )
+    noise_sigma: float = _with_help(
+        simulate.ActivitySpec.noise_sigma_frac, "relative std-dev of interval jitter"
+    )
+    inter_instance_gap_ms: int = simulate.SimConfig.inter_instance_gap_ms
+    gap_seconds: float = _with_help(
+        ingest.IngestConfig.gap_ms / 1000, "idle gap that separates activity instances"
+    )
+    min_segment_len: int = _with_help(
+        ingest.IngestConfig.min_segment_len, "drop segments shorter than this"
+    )
+    min_support: int = mining.MinerConfig.min_support
+    min_len: int = mining.MinerConfig.min_len
+    alpha_min: float = training.TrainConfig.alpha_min
+    alpha_max: float = training.TrainConfig.alpha_max
+    alpha_step: float = training.TrainConfig.alpha_step
+    boundary_epsilon: float = training.TrainConfig.boundary_epsilon
+    ti_multiplier: float = forge.ForgeConfig.ti_multiplier
     train_normal: int = 40
     test_normal: int = 60
     train_anomaly: int = 10
     test_anomaly: int = 20
-    workdir: str = "tempoguard_run"
+    workdir: str = _with_help("tempoguard_run", "artifact directory")
 
     @classmethod
     def from_sources(cls, config_path: str | None, overrides: dict) -> RunConfig:
-        """Defaults, then config-file values, then non-None CLI flags."""
+        """Defaults, then config-file values, then the non-None overrides that name a field."""
         cfg = cls()
+        known = {f.name: f.type for f in fields(cls)}
         if config_path is not None:
-            data = json.loads(_read_text(config_path))
-            if not isinstance(data, dict):
-                raise ValueError("config file must hold a JSON object")
-            known = {f.name: f.type for f in fields(cls)}
+            data = json_value(json.loads(_read_text(config_path)), dict, "config file")
             unknown = sorted(set(data) - set(known))
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
             for name, value in data.items():
-                if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[known[name]]):
-                    raise ValueError(
-                        f"config key {name!r} must be {known[name]}, not {json.dumps(value)}"
-                    )
+                json_value(value, _CONFIG_TYPES[known[name]], f"config key {name!r}")
             cfg = replace(cfg, **data)
-        supplied = {k: v for k, v in overrides.items() if v is not None}
+        supplied = {k: v for k, v in overrides.items() if k in known and v is not None}
         return replace(cfg, **supplied)
+
+    def ingest_config(self) -> ingest.IngestConfig:
+        """The segmentation settings of this run, with the idle gap in milliseconds."""
+        return ingest.IngestConfig(
+            gap_ms=int(round(self.gap_seconds * 1000)), min_segment_len=self.min_segment_len
+        )
 
     def train_config(self) -> training.TrainConfig:
         """The training knobs of this run: the alpha grid and the boundary epsilon."""
@@ -82,6 +95,22 @@ class RunConfig:
             alpha_max=self.alpha_max,
             alpha_step=self.alpha_step,
             boundary_epsilon=self.boundary_epsilon,
+        )
+
+
+def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add --<field-name> for each named RunConfig field (every field when none are named).
+
+    Flags default to None, so only those given override the config file.
+    """
+    settings = {f.name: f for f in fields(RunConfig)}
+    for name in names or settings:
+        setting = settings[name]
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=_CONFIG_TYPES[setting.type],
+            metavar=setting.type.upper(),
+            help=f"{setting.metadata.get('help', '')} (default: {setting.default})".lstrip(),
         )
 
 
@@ -122,55 +151,52 @@ def _pick_sources(
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([], [args.out])
-    specs = simulate.builtin_specs(args.noise_sigma)
-    cfg = simulate.SimConfig(seed=args.seed, instances_per_activity=args.instances)
-    events = simulate.generate(specs, cfg)
+    specs = simulate.builtin_specs(cfg.noise_sigma)
+    sim_cfg = simulate.SimConfig(seed=cfg.seed, instances_per_activity=cfg.instances_per_activity)
+    events = simulate.generate(specs, sim_cfg)
     _write_or_print(ingest.serialize_log(events, args.format), args.out)
     return 0
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
+def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.log], [args.out])
-    events = _load_log(args.log)
-    cfg = ingest.IngestConfig(
-        gap_ms=int(round(args.gap_seconds * 1000)), min_segment_len=args.min_segment_len
-    )
-    _write_or_print(ingest.instances_to_jsonl(ingest.segment(events, cfg)), args.out)
+    instances = ingest.segment(_load_log(args.log), cfg.ingest_config())
+    _write_or_print(ingest.instances_to_jsonl(instances), args.out)
     return 0
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
+def _cmd_mine(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
     instances = ingest.instances_from_jsonl(_read_text(args.instances))
-    cfg = mining.MinerConfig(min_support=args.min_support, min_len=args.min_len)
-    _write_or_print(mining.patterns_to_json(mining.mine_patterns(instances, cfg)), args.out)
+    miner_cfg = mining.MinerConfig(min_support=cfg.min_support, min_len=cfg.min_len)
+    _write_or_print(mining.patterns_to_json(mining.mine_patterns(instances, miner_cfg)), args.out)
     return 0
 
 
-def _cmd_augment(args: argparse.Namespace) -> int:
+def _cmd_augment(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
     pool = ingest.instances_from_jsonl(_read_text(args.instances))
-    rng = random.Random(args.seed)
+    rng = random.Random(cfg.seed)
     synthetic = forge.augment_normals(pool, args.count, rng)
     _write_or_print(ingest.instances_to_jsonl(synthetic), args.out)
     return 0
 
 
-def _cmd_forge(args: argparse.Namespace) -> int:
+def _cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
     pool = ingest.instances_from_jsonl(_read_text(args.instances))
     if not pool:
         raise ValueError(f"no instances in {args.instances}")
-    rng = random.Random(args.seed)
-    cfg = forge.ForgeConfig(ti_multiplier=args.ti_multiplier)
+    rng = random.Random(cfg.seed)
+    forge_cfg = forge.ForgeConfig(ti_multiplier=cfg.ti_multiplier)
     out: list[ActivityInstance] = []
     for src in _pick_sources(pool, args.count, rng):
         if args.kind == "seq":
             out.append(forge.make_anomaly_seq(src, rng))
         else:
-            out.append(forge.make_anomaly_ti(src, cfg, rng))
+            out.append(forge.make_anomaly_ti(src, forge_cfg, rng))
     _write_or_print(ingest.instances_to_jsonl(out), args.out)
     return 0
 
@@ -190,17 +216,11 @@ def train_models(
     return models
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.patterns, args.train_set], [args.out])
     patterns = mining.patterns_from_json(_read_text(args.patterns))
     labeled = ingest.instances_from_jsonl(_read_text(args.train_set))
-    cfg = training.TrainConfig(
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        alpha_step=args.alpha_step,
-        boundary_epsilon=args.boundary_epsilon,
-    )
-    models = train_models(patterns, labeled, cfg)
+    models = train_models(patterns, labeled, cfg.train_config())
     if not models:
         raise ValueError("no models trained (no instances routed to any pattern)")
     if len(models) == 1:
@@ -210,29 +230,23 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     patterns = mining.patterns_from_json(_read_text(args.pattern))
     events = _load_log(args.log)
-    cfg = ingest.IngestConfig(
-        gap_ms=int(round(args.gap_seconds * 1000)), min_segment_len=args.min_segment_len
-    )
-    for inst in ingest.segment(events, cfg):
+    for inst in ingest.segment(events, cfg.ingest_config()):
         pattern = evaluation.select_pattern(patterns, inst)
         breakdown = scoring.score(pattern, inst, args.alpha)
         print(breakdown.total)
     return 0
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
+def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.models, args.patterns, args.log], [args.out])
     patterns = mining.patterns_from_json(_read_text(args.patterns))
     models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
     events = _load_log(args.log)
-    cfg = ingest.IngestConfig(
-        gap_ms=int(round(args.gap_seconds * 1000)), min_segment_len=args.min_segment_len
-    )
     lines = []
-    for inst in ingest.segment(events, cfg):
+    for inst in ingest.segment(events, cfg.ingest_config()):
         pattern = evaluation.select_pattern(patterns, inst, models)
         model = models.get(pattern.name)
         if model is None:
@@ -257,7 +271,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.models, args.patterns, args.test_set], [args.out])
     patterns = mining.patterns_from_json(_read_text(args.patterns))
     models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
@@ -288,10 +302,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     events = simulate.generate(specs, sim_cfg)
     (workdir / "sim_log.csv").write_text(ingest.serialize_log(events, "csv"), encoding="utf-8")
 
-    ingest_cfg = ingest.IngestConfig(
-        gap_ms=int(round(cfg.gap_seconds * 1000)), min_segment_len=cfg.min_segment_len
-    )
-    instances = ingest.segment(events, ingest_cfg)
+    instances = ingest.segment(events, cfg.ingest_config())
     (workdir / "instances.jsonl").write_text(
         ingest.instances_to_jsonl(instances), encoding="utf-8"
     )
@@ -354,23 +365,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return report
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    overrides = {
-        "seed": args.seed,
-        "instances_per_activity": args.instances,
-        "noise_sigma": args.noise_sigma,
-        "gap_seconds": args.gap_seconds,
-        "min_segment_len": args.min_segment_len,
-        "min_support": args.min_support,
-        "min_len": args.min_len,
-        "alpha_min": args.alpha_min,
-        "alpha_max": args.alpha_max,
-        "alpha_step": args.alpha_step,
-        "boundary_epsilon": args.boundary_epsilon,
-        "ti_multiplier": args.ti_multiplier,
-        "workdir": args.workdir,
-    }
-    cfg = RunConfig.from_sources(args.config, overrides)
+def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.config], [args.out])
     report = run_pipeline(cfg)
     sys.stdout.write(evaluation.render_report(report))
@@ -382,13 +377,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- parser
 
 
-def _add_segmentation_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gap-seconds", type=float, default=120.0,
-                     help="idle gap that separates activity instances")
-    sub.add_argument("--min-segment-len", type=int, default=2,
-                     help="drop segments shorter than this")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tempoguard",
@@ -397,31 +385,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic device log")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--instances", type=int, default=50, help="instances per activity")
-    p.add_argument("--noise-sigma", type=float, default=0.10,
-                   help="relative std-dev of interval jitter")
+    add_config_flags(p, "seed", "instances_per_activity", "noise_sigma")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("ingest", help="segment a log into activity instances")
     p.add_argument("log", help="CSV or JSONL device log")
-    _add_segmentation_flags(p)
+    add_config_flags(p, "gap_seconds", "min_segment_len")
     p.add_argument("--out", help="instances JSONL path (default: stdout)")
     p.set_defaults(handler=_cmd_ingest)
 
     p = sub.add_parser("mine", help="mine frequent sequences into patterns")
     p.add_argument("instances", help="instances JSONL")
-    p.add_argument("--min-support", type=int, default=5)
-    p.add_argument("--min-len", type=int, default=2)
+    add_config_flags(p, "min_support", "min_len")
     p.add_argument("--out", help="patterns JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_mine)
 
     p = sub.add_parser("augment", help="oversample normals by interval midpoints")
     p.add_argument("instances", help="instances JSONL (one shared key sequence)")
     p.add_argument("--count", type=int, required=True, help="synthetic instances to forge")
-    p.add_argument("--seed", type=int, default=42)
+    add_config_flags(p, "seed")
     p.add_argument("--out", help="synthetic instances JSONL path (default: stdout)")
     p.set_defaults(handler=_cmd_augment)
 
@@ -432,18 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("seq", "ti"), required=True,
                    help="seq: delete one event; ti: stretch one interval")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--ti-multiplier", type=float, default=50.0)
-    p.add_argument("--seed", type=int, default=42)
+    add_config_flags(p, "ti_multiplier", "seed")
     p.add_argument("--out", help="anomalies JSONL path (default: stdout)")
     p.set_defaults(handler=_cmd_forge)
 
     p = sub.add_parser("train", help="sweep the timing weight and fit score intervals")
     p.add_argument("--patterns", required=True, help="patterns JSON")
     p.add_argument("--train-set", required=True, help="labeled instances JSONL")
-    p.add_argument("--alpha-min", type=float, default=0.0)
-    p.add_argument("--alpha-max", type=float, default=5.0)
-    p.add_argument("--alpha-step", type=float, default=0.1)
-    p.add_argument("--boundary-epsilon", type=float, default=1e-9)
+    add_config_flags(p, "alpha_min", "alpha_max", "alpha_step", "boundary_epsilon")
     p.add_argument("--out", help="model JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_train)
 
@@ -451,14 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, help="patterns JSON")
     p.add_argument("--log", required=True, help="CSV or JSONL device log")
     p.add_argument("--alpha", type=float, required=True, help="timing weight")
-    _add_segmentation_flags(p)
+    add_config_flags(p, "gap_seconds", "min_segment_len")
     p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("detect", help="classify log segments as normal or anomaly")
     p.add_argument("--models", required=True, help="trained models JSON")
     p.add_argument("--patterns", required=True, help="patterns JSON")
     p.add_argument("--log", required=True, help="CSV or JSONL device log")
-    _add_segmentation_flags(p)
+    add_config_flags(p, "gap_seconds", "min_segment_len")
     p.add_argument("--out", help="verdicts JSONL path (optional)")
     p.set_defaults(handler=_cmd_detect)
 
@@ -471,19 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--instances", type=int, help="instances per activity")
-    p.add_argument("--noise-sigma", type=float)
-    p.add_argument("--gap-seconds", type=float)
-    p.add_argument("--min-segment-len", type=int)
-    p.add_argument("--min-support", type=int)
-    p.add_argument("--min-len", type=int)
-    p.add_argument("--alpha-min", type=float)
-    p.add_argument("--alpha-max", type=float)
-    p.add_argument("--alpha-step", type=float)
-    p.add_argument("--boundary-epsilon", type=float)
-    p.add_argument("--ti-multiplier", type=float)
-    p.add_argument("--workdir", help="artifact directory (default: tempoguard_run)")
+    add_config_flags(p)
     p.add_argument("--out", help="JSON report path (optional)")
     p.set_defaults(handler=_cmd_pipeline)
 
@@ -497,7 +465,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        return args.handler(args, RunConfig.from_sources(vars(args).get("config"), vars(args)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Core domain types: device events, activity instances, activity patterns.
+"""Core domain types (events, instances, patterns) and the artifact loaders' JSON type checks.
 
 All types are immutable after construction and validate their invariants up
 front, so downstream code can assume well-formed values. Time is integer
@@ -8,6 +8,8 @@ by 1000 on ingest (avoids float drift in log arithmetic).
 
 from __future__ import annotations
 
+import json
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -15,6 +17,11 @@ LABEL_NORMAL = "normal"
 LABEL_ANOMALY_SEQ = "anomaly_seq"
 LABEL_ANOMALY_TI = "anomaly_ti"
 LABEL_UNLABELED = "unlabeled"
+
+# What a field of each type is called in messages.
+_JSON_NAMES = {
+    str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"
+}
 
 VALID_LABELS = frozenset({LABEL_NORMAL, LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_UNLABELED})
 ANOMALY_LABELS = frozenset({LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI})
@@ -142,3 +149,29 @@ def is_numeric_value(raw_value: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def json_value(value, kind: type, what: str):
+    """`value` if JSON gave it as `kind` (a float may be an int, a bool is never a number)."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{what} must be {_JSON_NAMES[kind]}, not {json.dumps(value)}")
+    return value
+
+
+def json_field(obj: dict, name: str, kind: type):
+    """obj[name] checked by json_value; a missing field reads as null."""
+    return json_value(obj.get(name), kind, repr(name))
+
+
+def json_records(text: str, what: str, build: Callable[[dict], object]) -> list:
+    """build(obj) per object of a JSON array or lone object; errors name the entry by number."""
+    data = json.loads(text)
+    entries = [data] if isinstance(data, dict) else json_value(data, list, f"a {what} file")
+    out = []
+    for n, obj in enumerate(entries, start=1):
+        try:
+            out.append(build(json_value(obj, dict, "the entry")))
+        except ValueError as exc:
+            raise ValueError(f"{what} {n}: {exc}") from None
+    return out

@@ -26,6 +26,8 @@ LEGACY_HEADER = ("timestamp", "device", "value")
 
 EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _ONE_MS = timedelta(milliseconds=1)
+# 9999-12-31T23:59:59.999Z: the latest time format_timestamp can write.
+MAX_TIMESTAMP_MS = 253_402_300_799_999
 
 # Attribute inferred for the 3-column legacy form, keyed by the state value.
 ATTRIBUTE_FOR_VALUE = {
@@ -57,13 +59,15 @@ def parse_timestamp(token: str) -> int:
 
     Accepted forms: integer epoch milliseconds, ISO-8601 (naive assumed UTC,
     trailing Z accepted), and "M/D/YYYY HH:MM:SS" interpreted as UTC.
-    Sub-millisecond digits are floored. A time before 1970-01-01T00:00:00Z
-    is rejected.
+    Sub-millisecond digits are floored. A time before 1970-01-01T00:00:00Z,
+    or epoch milliseconds past MAX_TIMESTAMP_MS, is rejected.
     """
     token = token.strip()
     if token.isdigit():
-        return int(token)
-    dt = None
+        ms = int(token)
+        if ms > MAX_TIMESTAMP_MS:
+            raise ValueError(f"timestamp {token!r} is after 9999-12-31T23:59:59.999Z")
+        return ms
     iso = token[:-1] + "+00:00" if token.endswith(("Z", "z")) else token
     try:
         dt = datetime.fromisoformat(iso)
@@ -127,7 +131,8 @@ def parse_log(text: str) -> list[Event]:
     header: tuple[str, ...] | None = None
     legacy = False
     try:
-        for lineno, fields in enumerate(reader, start=1):
+        for fields in reader:  # line_num counts physical lines; a quoted field may span several
+            lineno = reader.line_num
             fields = [f.strip() for f in fields]
             if not any(fields):
                 continue
@@ -175,7 +180,7 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
     ts = obj["timestamp"]
     if isinstance(ts, bool):  # bool is an int subclass: true would read as 1 ms
         raise ValueError(f"timestamp must be a number or a string, not {json.dumps(ts)}")
-    ts_ms = int(ts) if isinstance(ts, int) else parse_timestamp(str(ts))
+    ts_ms = parse_timestamp(str(ts))
     value = str(obj["value"])
     return Event(ts_ms, _interned(keys, str(obj["device"]), str(obj["attribute"]), value), value)
 

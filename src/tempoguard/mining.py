@@ -17,6 +17,9 @@ from tempoguard.events import (
     EventKey,
     intervals,
     is_numeric_value,
+    json_field,
+    json_records,
+    json_value,
 )
 
 logger = logging.getLogger(__name__)
@@ -108,10 +111,8 @@ def patterns_to_json(patterns: list[ActivityPattern]) -> str:
 
 
 def patterns_from_json(text: str) -> list[ActivityPattern]:
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = [data]
-    return [_pattern_from_obj(obj) for obj in data]
+    """Load a pattern file; both the single-object and array forms are accepted."""
+    return json_records(text, "pattern", _pattern_from_obj)
 
 
 def _pattern_to_obj(pattern: ActivityPattern) -> dict:
@@ -127,9 +128,14 @@ def _pattern_to_obj(pattern: ActivityPattern) -> dict:
 
 
 def _pattern_from_obj(obj: dict) -> ActivityPattern:
+    keys = [json_value(k, dict, "each of 'keys'") for k in json_field(obj, "keys", list)]
+    gaps = json_field(obj, "mean_intervals_ms", list)
     return ActivityPattern(
-        name=obj["name"],
-        keys=tuple(EventKey(k["device"], k["attribute"], k["state"]) for k in obj["keys"]),
-        mean_intervals_ms=tuple(float(x) for x in obj["mean_intervals_ms"]),
-        support=int(obj["support"]),
+        name=json_field(obj, "name", str),
+        keys=tuple(
+            EventKey(*(json_field(k, f, str) for f in ("device", "attribute", "state")))
+            for k in keys
+        ),
+        mean_intervals_ms=[json_value(x, float, "each of 'mean_intervals_ms'") for x in gaps],
+        support=json_field(obj, "support", int),
     )

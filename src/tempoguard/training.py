@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL, LABEL_UNLABELED
+from tempoguard.events import json_field, json_records
 from tempoguard.scoring import score
 
 
@@ -199,10 +200,7 @@ def models_to_json(models: list[ScoreModel]) -> str:
 
 def models_from_json(text: str) -> list[ScoreModel]:
     """Load a model file; both the single-object and array forms are accepted."""
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = [data]
-    return [_model_from_obj(obj) for obj in data]
+    return json_records(text, "model", _model_from_obj)
 
 
 def _model_to_obj(model: ScoreModel) -> dict:
@@ -217,9 +215,9 @@ def _model_to_obj(model: ScoreModel) -> dict:
 
 def _model_from_obj(obj: dict) -> ScoreModel:
     return ScoreModel(
-        activity=str(obj["activity"]),
-        alpha=float(obj["alpha"]),
-        lo=float(obj["lo"]),
-        hi=float(obj["hi"]),
-        training_accuracy=float(obj["training_accuracy"]),
+        activity=json_field(obj, "activity", str),
+        alpha=float(json_field(obj, "alpha", float)),
+        lo=float(json_field(obj, "lo", float)),
+        hi=float(json_field(obj, "hi", float)),
+        training_accuracy=float(json_field(obj, "training_accuracy", float)),
     )

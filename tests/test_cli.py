@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import fields, replace
 
 import pytest
 
 from conftest import make_instance, make_pattern
-from tempoguard.cli import RunConfig, run, run_pipeline, train_models
+from test_sweep_alpha import _load_script
+from tempoguard.cli import RunConfig, build_parser, run, run_pipeline, train_models
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL
-from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
+from tempoguard.forge import ForgeConfig
+from tempoguard.ingest import IngestConfig, instances_from_jsonl, instances_to_jsonl
+from tempoguard.mining import MinerConfig
+from tempoguard.simulate import SimConfig, builtin_specs
 from tempoguard.training import TrainConfig, models_from_json
 
 
@@ -285,3 +290,196 @@ def test_run_pipeline_returns_the_report_dict(tmp_path):
         "Use toilet",
         "Go to work",
     }
+
+
+def _changed_settings() -> tuple[RunConfig, list[str]]:
+    """A RunConfig with every field off its default, and the flags that set it."""
+    changed = {}
+    for f in fields(RunConfig):
+        default = f.default
+        changed[f.name] = default + "-x" if isinstance(default, str) else default + 1
+    flags = []
+    for name, value in changed.items():
+        flags += ["--" + name.replace("_", "-"), str(value)]
+    return RunConfig(**changed), flags
+
+
+def test_every_run_config_field_has_a_pipeline_flag():
+    expected, flags = _changed_settings()
+    args = build_parser().parse_args(["pipeline", *flags])
+    assert RunConfig.from_sources(args.config, vars(args)) == expected
+
+
+class _Built(Exception):
+    pass
+
+
+def test_every_run_config_field_has_a_sweep_alpha_flag(tmp_path, monkeypatch):
+    expected, flags = _changed_settings()
+    expected = replace(expected, workdir=str(tmp_path / "run"))
+    script = _load_script()
+    built = []
+
+    def capture(cfg):
+        built.append(cfg)
+        raise _Built
+
+    monkeypatch.setattr(script, "run_pipeline", capture)
+    with pytest.raises(_Built):
+        script.main([*flags, "--workdir", expected.workdir])
+    assert built == [expected]
+
+
+def test_run_config_defaults_are_the_stage_defaults():
+    cfg = RunConfig()
+    assert cfg.ingest_config() == IngestConfig()
+    assert cfg.train_config() == TrainConfig()
+    assert MinerConfig(min_support=cfg.min_support, min_len=cfg.min_len) == MinerConfig()
+    assert ForgeConfig(ti_multiplier=cfg.ti_multiplier) == ForgeConfig()
+    sim = SimConfig(
+        seed=cfg.seed,
+        instances_per_activity=cfg.instances_per_activity,
+        inter_instance_gap_ms=cfg.inter_instance_gap_ms,
+    )
+    assert sim == SimConfig()
+    assert builtin_specs(cfg.noise_sigma) == builtin_specs()
+
+
+def test_help_shows_each_setting_default(capsys):
+    assert run_cli("mine", "--help") == 0
+    assert "(default: 5)" in capsys.readouterr().out
+
+
+def test_flag_for_a_config_file_only_field_overrides_the_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instances_per_activity": 10, "train_normal": 20}))
+    workdir = tmp_path / "run"
+    argv = ["pipeline", "--config", str(config), "--workdir", str(workdir), "--train-normal", "30"]
+    assert run_cli(*argv) == 0
+    train_set = instances_from_jsonl((workdir / "train_set.jsonl").read_text())
+    assert len(train_set) == 3 * (30 + 10 + 10)  # per activity: normals, seq and ti anomalies
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("run")
+    assert run(["pipeline", "--workdir", str(workdir), "--instances-per-activity", "10"]) == 0
+    return workdir
+
+
+def _put(data, value, *path):
+    target = data
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return data
+
+
+MODELS, PATTERNS = "models.json", "patterns.json"
+
+
+@pytest.mark.parametrize(
+    "artifact, edit, message",
+    [
+        (MODELS, lambda m: [1], "model 1: the entry must be an object, not 1"),
+        (MODELS, lambda m: "str", 'a model file must be an array, not "str"'),
+        (MODELS, lambda m: {"x": 1}, "model 1: 'activity' must be a string, not null"),
+        (MODELS, lambda m: [{"activity": "a"}], "model 1: 'alpha' must be a number, not null"),
+        (MODELS, lambda m: _put(m, "3", 1, "alpha"), "model 2: 'alpha' must be a number, not \"3\""),
+        (MODELS, lambda m: _put(m, True, 1, "alpha"), "model 2: 'alpha' must be a number, not true"),
+        (MODELS, lambda m: _put(m, 7, 2, "activity"), "model 3: 'activity' must be a string, not 7"),
+        (PATTERNS, lambda p: [1], "pattern 1: the entry must be an object, not 1"),
+        (PATTERNS, lambda p: {"name": "x"}, "pattern 1: 'keys' must be an array, not null"),
+        (
+            PATTERNS,
+            lambda p: _put(p, 1, 0, "keys", 0, "device"),
+            "pattern 1: 'device' must be a string, not 1",
+        ),
+        (
+            PATTERNS,
+            lambda p: _put(p, [5], 0, "keys"),
+            "pattern 1: each of 'keys' must be an object, not 5",
+        ),
+        (
+            PATTERNS,
+            lambda p: _put(p, 5.0, 1, "support"),
+            "pattern 2: 'support' must be an integer, not 5.0",
+        ),
+        (
+            PATTERNS,
+            lambda p: _put(p, True, 2, "mean_intervals_ms", 0),
+            "pattern 3: each of 'mean_intervals_ms' must be a number, not true",
+        ),
+    ],
+    ids=[
+        "model-entry-not-object",
+        "model-file-not-array",
+        "model-activity-missing",
+        "model-alpha-missing",
+        "model-alpha-string",
+        "model-alpha-bool",
+        "model-activity-int",
+        "pattern-entry-not-object",
+        "pattern-keys-missing",
+        "pattern-device-int",
+        "pattern-key-not-object",
+        "pattern-support-float",
+        "pattern-interval-bool",
+    ],
+)
+def test_wrongly_typed_model_or_pattern_file_is_a_data_error(
+    small_run, tmp_path, capsys, artifact, edit, message
+):
+    bad = tmp_path / artifact
+    bad.write_text(json.dumps(edit(json.loads((small_run / artifact).read_text()))))
+    files = {name: str(bad if name == artifact else small_run / name) for name in (MODELS, PATTERNS)}
+    argv = ["--models", files[MODELS], "--patterns", files[PATTERNS]]
+    assert run_cli("detect", *argv, "--log", str(small_run / "sim_log.csv")) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["evaluate", "--models", "{bad}", "--patterns", "{run}/patterns.json",
+          "--test-set", "{run}/test_set.jsonl"], "model 1"),
+        (["train", "--patterns", "{bad}", "--train-set", "{run}/train_set.jsonl"], "pattern 1"),
+    ],
+    ids=["evaluate", "train"],
+)
+def test_wrongly_typed_artifact_is_a_data_error_for_evaluate_and_train(
+    small_run, tmp_path, capsys, argv, entry
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1]")
+    assert run_cli(*(arg.format(run=small_run, bad=bad) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert f"{entry}: the entry must be an object, not 1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        (
+            "log.csv",
+            "timestamp,device,attribute,value\n99999999999999999999,M1,motion,active\n",
+        ),
+        (
+            "log.jsonl",
+            '{"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}\n'
+            '{"timestamp": 99999999999999999999, "device": "M1", "attribute": "m", "value": "on"}\n',
+        ),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_epoch_milliseconds_past_year_9999_is_a_data_error_naming_its_line(
+    tmp_path, capsys, name, text
+):
+    log = tmp_path / name
+    log.write_text(text)
+    assert run_cli("ingest", str(log)) == 2
+    err = capsys.readouterr().err
+    assert "line 2: timestamp '99999999999999999999' is after 9999-12-31T23:59:59.999Z" in err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import key, make_instance
 from tempoguard.events import Event, EventKey, LABEL_ANOMALY_TI, LABEL_UNLABELED
 from tempoguard.ingest import (
+    MAX_TIMESTAMP_MS,
     IngestConfig,
     format_timestamp,
     instances_from_jsonl,
@@ -93,6 +94,13 @@ def test_parse_timestamp_rejects_a_fraction_before_the_epoch():
         parse_timestamp("1969-12-31T23:59:59.500Z")
 
 
+def test_epoch_milliseconds_stop_at_the_last_time_format_timestamp_can_write():
+    assert format_timestamp(MAX_TIMESTAMP_MS) == "9999-12-31T23:59:59.999Z"
+    assert parse_timestamp(str(MAX_TIMESTAMP_MS)) == MAX_TIMESTAMP_MS
+    with pytest.raises(ValueError, match="'253402300800000' is after 9999-12-31T23:59:59.999Z"):
+        parse_timestamp(str(MAX_TIMESTAMP_MS + 1))
+
+
 def test_parse_timestamp_accepts_the_epoch_itself():
     assert parse_timestamp("1970-01-01T01:00:00+01:00") == 0
 
@@ -161,6 +169,12 @@ def test_parse_log_jsonl_names_line_of_pre_epoch_row():
 def test_parse_log_names_line_of_oversized_field():
     text = SAMPLE_LOG + "2021-10-01T13:02:00Z," + "x" * 140_000 + ",motion,active\n"
     with pytest.raises(ValueError, match="line 5: field larger than field limit"):
+        parse_log(text)
+
+
+def test_parse_log_names_the_physical_line_after_a_field_spanning_two():
+    text = 'timestamp,device,attribute,value\n1000,"M\n1",motion,active\nbad,M2,motion,active\n'
+    with pytest.raises(ValueError, match="line 4: unparseable timestamp 'bad'"):
         parse_log(text)
 
 
