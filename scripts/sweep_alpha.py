@@ -36,7 +36,7 @@ def sweep(workdir: Path, cfg: training.TrainConfig) -> list[dict]:
             model = training.ScoreModel(
                 activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=train_acc
             )
-            cm, test_acc, _ = evaluation.evaluate(model, pattern, test_groups[pattern.name])
+            test_acc = evaluation.evaluate(model, pattern, test_groups[pattern.name])["accuracy"]
             rows.append(
                 {
                     "alpha": round(alpha, 6),

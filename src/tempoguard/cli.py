@@ -167,11 +167,23 @@ def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+def _mine(instances: list[ActivityInstance], cfg: RunConfig, names: dict | None = None) -> list:
+    """mine_patterns at cfg's thresholds; mining no pattern at all is a data error."""
+    miner_cfg = mining.MinerConfig(min_support=cfg.min_support, min_len=cfg.min_len)
+    patterns = mining.mine_patterns(instances, miner_cfg, names)
+    if not patterns:
+        distinct = len({inst.key_sequence() for inst in instances})
+        raise ValueError(
+            f"no pattern mined (segments: {len(instances)}, distinct key sequences: "
+            f"{distinct}); lower min_support or min_len, or add data"
+        )
+    return patterns
+
+
 def _cmd_mine(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
     instances = ingest.instances_from_jsonl(_read_text(args.instances))
-    miner_cfg = mining.MinerConfig(min_support=cfg.min_support, min_len=cfg.min_len)
-    _write_or_print(mining.patterns_to_json(mining.mine_patterns(instances, miner_cfg)), args.out)
+    _write_or_print(mining.patterns_to_json(_mine(instances, cfg)), args.out)
     return 0
 
 
@@ -223,10 +235,7 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     models = train_models(patterns, labeled, cfg.train_config())
     if not models:
         raise ValueError("no models trained (no instances routed to any pattern)")
-    if len(models) == 1:
-        _write_or_print(training.model_to_json(models[0]), args.out)
-    else:
-        _write_or_print(training.models_to_json(models), args.out)
+    _write_or_print(training.models_to_json(models), args.out)
     return 0
 
 
@@ -307,10 +316,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         ingest.instances_to_jsonl(instances), encoding="utf-8"
     )
 
-    miner_cfg = mining.MinerConfig(min_support=cfg.min_support, min_len=cfg.min_len)
-    patterns = mining.mine_patterns(instances, miner_cfg, names=simulate.spec_name_map(specs))
-    if not patterns:
-        raise ValueError("mining produced no patterns; lower min_support or add data")
+    patterns = _mine(instances, cfg, simulate.spec_name_map(specs))
     (workdir / "patterns.json").write_text(mining.patterns_to_json(patterns), encoding="utf-8")
 
     rng_augment = random.Random(cfg.seed + 1)

@@ -8,7 +8,8 @@ flagged, tn = normal passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 
 from tempoguard.events import (
     ActivityInstance,
@@ -60,22 +61,10 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class Verdict:
-    """One classification outcome: the call, its score, and the pattern used."""
+    """One classification outcome: the call and the score it rests on."""
 
     classification: str
     breakdown: ScoreBreakdown
-    pattern: str
-
-
-@dataclass(frozen=True)
-class ClassRow:
-    """One per-class report row; accuracy is None when the class is absent."""
-
-    label: str
-    amount: int
-    correct: int
-    wrong: int
-    accuracy: float | None
 
 
 def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInstance) -> Verdict:
@@ -84,11 +73,7 @@ def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInst
         raise ValueError(f"model is for {model.activity!r}, pattern is {pattern.name!r}")
     breakdown = score(pattern, instance, model.alpha)
     inside = model.lo <= breakdown.total <= model.hi
-    return Verdict(
-        classification=CLASS_NORMAL if inside else CLASS_ANOMALY,
-        breakdown=breakdown,
-        pattern=pattern.name,
-    )
+    return Verdict(CLASS_NORMAL if inside else CLASS_ANOMALY, breakdown)
 
 
 def select_pattern(
@@ -130,91 +115,50 @@ def route(
     return groups
 
 
+def _total(cm: ConfusionMatrix) -> dict:
+    """A report's Total block: amount, correct and wrong, then tp, fn, fp and tn."""
+    return {"amount": cm.total, "correct": cm.tp + cm.tn, "wrong": cm.fn + cm.fp, **asdict(cm)}
+
+
 def evaluate(
     model: ScoreModel, pattern: ActivityPattern, labeled: list[ActivityInstance]
-) -> tuple[ConfusionMatrix, float, list[ClassRow]]:
-    """Classify a labeled set and tabulate per-class and overall results."""
+) -> dict:
+    """Classify a labeled set into one activity's report: {"rows", "total", "accuracy"}.
+
+    Each row gives a class's label, amount, correct, wrong and accuracy (None
+    when the class is absent); "total" is the whole set's counts.
+    """
     if not labeled:
         raise ValueError("evaluation set is empty")
-    per_label: dict[str, list[int]] = {lbl: [0, 0] for _, lbl in _ROW_LABELS}  # [amount, correct]
-    tp = fn = fp = tn = 0
+    counts: Counter[tuple[str, bool]] = Counter()  # (label, flagged as anomaly) -> instances
     for inst in labeled:
         if inst.label == LABEL_UNLABELED:
             raise ValueError(f"unlabeled instance {inst.source_id!r} in evaluation set")
-        verdict = classify(model, pattern, inst)
-        is_anomaly = inst.label in ANOMALY_LABELS
-        flagged = verdict.classification == CLASS_ANOMALY
-        correct = flagged == is_anomaly
-        if is_anomaly:
-            tp, fn = tp + flagged, fn + (not flagged)
-        else:
-            fp, tn = fp + flagged, tn + (not flagged)
-        per_label[inst.label][0] += 1
-        per_label[inst.label][1] += correct
-    cm = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
+        counts[inst.label, classify(model, pattern, inst).classification == CLASS_ANOMALY] += 1
+    cm = ConfusionMatrix(
+        tp=counts[LABEL_ANOMALY_SEQ, True] + counts[LABEL_ANOMALY_TI, True],
+        fn=counts[LABEL_ANOMALY_SEQ, False] + counts[LABEL_ANOMALY_TI, False],
+        fp=counts[LABEL_NORMAL, True],
+        tn=counts[LABEL_NORMAL, False],
+    )
     rows = []
     for display, label in _ROW_LABELS:
-        amount, correct = per_label[label]
+        amount = counts[label, True] + counts[label, False]
+        correct = counts[label, label in ANOMALY_LABELS]
         rows.append(
-            ClassRow(
-                label=display,
-                amount=amount,
-                correct=correct,
-                wrong=amount - correct,
-                accuracy=correct / amount if amount else None,
-            )
-        )
-    return cm, cm.accuracy, rows
-
-
-def report_to_dict(cm: ConfusionMatrix, accuracy: float, rows: list[ClassRow]) -> dict:
-    """Machine-readable twin of the per-activity result table."""
-    return {
-        "rows": [
             {
-                "label": r.label,
-                "amount": r.amount,
-                "correct": r.correct,
-                "wrong": r.wrong,
-                "accuracy": r.accuracy,
+                "label": display,
+                "amount": amount,
+                "correct": correct,
+                "wrong": amount - correct,
+                "accuracy": correct / amount if amount else None,
             }
-            for r in rows
-        ],
-        "total": {
-            "amount": cm.total,
-            "correct": cm.tp + cm.tn,
-            "wrong": cm.fn + cm.fp,
-            "tp": cm.tp,
-            "fn": cm.fn,
-            "fp": cm.fp,
-            "tn": cm.tn,
-        },
-        "accuracy": accuracy,
-    }
+        )
+    return {"rows": rows, "total": _total(cm), "accuracy": cm.accuracy}
 
 
 def _fmt_pct(value: float | None) -> str:
     return "-" if value is None else f"{value * 100:.0f}%"
-
-
-def render_table(
-    cm: ConfusionMatrix, accuracy: float, rows: list[ClassRow], title: str | None = None
-) -> str:
-    """Plain-text result table: Amount / Correct / Wrong / Accuracy per class."""
-    lines = []
-    if title:
-        lines.append(f"Testing results of activity: {title}")
-    header = f"{'Class':<14}{'Amount':>8}{'Correct':>9}{'Wrong':>7}{'Accuracy':>10}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for r in rows:
-        lines.append(
-            f"{r.label:<14}{r.amount:>8}{r.correct:>9}{r.wrong:>7}{_fmt_pct(r.accuracy):>10}"
-        )
-    lines.append(
-        f"{'Total':<14}{cm.total:>8}{cm.tp + cm.tn:>9}{cm.fn + cm.fp:>7}{_fmt_pct(accuracy):>10}"
-    )
-    return "\n".join(lines) + "\n"
 
 
 def build_report(
@@ -224,12 +168,11 @@ def build_report(
 ) -> dict:
     """Route, classify, and tabulate a labeled set across all activities.
 
-    Returns {"activities": [per-activity report dicts], "overall": {...}};
+    Returns {"activities": [{"activity", **evaluate(...)}, ...], "overall": {...}};
     every instance lands in exactly one activity's table via route.
     """
     routed = route(patterns, labeled, models)
     activities = []
-    tp = fn = fp = tn = 0
     for pattern in patterns:
         group = routed[pattern.name]
         if not group:
@@ -237,44 +180,33 @@ def build_report(
         model = models.get(pattern.name)
         if model is None:
             raise ValueError(f"no trained model for activity {pattern.name!r}")
-        cm, accuracy, rows = evaluate(model, pattern, group)
-        entry = {"activity": pattern.name}
-        entry.update(report_to_dict(cm, accuracy, rows))
-        activities.append(entry)
-        tp, fn, fp, tn = tp + cm.tp, fn + cm.fn, fp + cm.fp, tn + cm.tn
-    overall = ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
+        activities.append({"activity": pattern.name, **evaluate(model, pattern, group)})
+    overall = ConfusionMatrix(
+        **{k: sum(a["total"][k] for a in activities) for k in ("tp", "fn", "fp", "tn")}
+    )
     return {
         "activities": activities,
-        "overall": {
-            "amount": overall.total,
-            "correct": overall.tp + overall.tn,
-            "wrong": overall.fn + overall.fp,
-            "tp": tp,
-            "fn": fn,
-            "fp": fp,
-            "tn": tn,
-            "accuracy": overall.accuracy if overall.total else None,
-        },
+        "overall": {**_total(overall), "accuracy": overall.accuracy if overall.total else None},
     }
 
 
 def render_report(report: dict) -> str:
-    """Plain-text rendering of build_report's output, one table per activity."""
+    """Plain-text rendering of build_report's output, one table per activity.
+
+    Each table has a line per class (Amount / Correct / Wrong / Accuracy) and
+    a Total line; an overall line closes the report.
+    """
+    header = f"{'Class':<14}{'Amount':>8}{'Correct':>9}{'Wrong':>7}{'Accuracy':>10}"
     blocks = []
     for entry in report["activities"]:
-        rows = [
-            ClassRow(
-                label=r["label"],
-                amount=r["amount"],
-                correct=r["correct"],
-                wrong=r["wrong"],
-                accuracy=r["accuracy"],
+        lines = [f"Testing results of activity: {entry['activity']}", header, "-" * len(header)]
+        total = {"label": "Total", **entry["total"], "accuracy": entry["accuracy"]}
+        for r in (*entry["rows"], total):
+            lines.append(
+                f"{r['label']:<14}{r['amount']:>8}{r['correct']:>9}{r['wrong']:>7}"
+                f"{_fmt_pct(r['accuracy']):>10}"
             )
-            for r in entry["rows"]
-        ]
-        total = entry["total"]
-        cm = ConfusionMatrix(tp=total["tp"], fn=total["fn"], fp=total["fp"], tn=total["tn"])
-        blocks.append(render_table(cm, entry["accuracy"], rows, title=entry["activity"]))
+        blocks.append("\n".join(lines) + "\n")
     overall = report["overall"]
     blocks.append(
         f"Overall: {overall['correct']}/{overall['amount']} correct "

@@ -151,25 +151,28 @@ def is_numeric_value(raw_value: str) -> bool:
     return True
 
 
-def json_value(value, kind: type, what: str):
-    """`value` if JSON gave it as `kind` (a float may be an int, a bool is never a number)."""
-    accepted = (int, float) if kind is float else kind
+def json_value(value, kind: type | tuple[type, ...], what: str):
+    """`value` if JSON gave it as `kind`, or as one of a tuple of kinds.
+
+    A float may be an int; a bool is never a number.
+    """
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    accepted = kinds + (int,) if float in kinds else kinds
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{what} must be {_JSON_NAMES[kind]}, not {json.dumps(value)}")
+        names = " or ".join(_JSON_NAMES[k] for k in kinds)
+        raise ValueError(f"{what} must be {names}, not {json.dumps(value)}")
     return value
 
 
-def json_field(obj: dict, name: str, kind: type):
+def json_field(obj: dict, name: str, kind: type | tuple[type, ...]):
     """obj[name] checked by json_value; a missing field reads as null."""
     return json_value(obj.get(name), kind, repr(name))
 
 
 def json_records(text: str, what: str, build: Callable[[dict], object]) -> list:
-    """build(obj) per object of a JSON array or lone object; errors name the entry by number."""
-    data = json.loads(text)
-    entries = [data] if isinstance(data, dict) else json_value(data, list, f"a {what} file")
+    """build(obj) per object of a JSON array; errors name the entry by number."""
     out = []
-    for n, obj in enumerate(entries, start=1):
+    for n, obj in enumerate(json_value(json.loads(text), list, f"a {what} file"), start=1):
         try:
             out.append(build(json_value(obj, dict, "the entry")))
         except ValueError as exc:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
-from tempoguard.events import ActivityInstance, Event, EventKey, LABEL_UNLABELED
+from tempoguard.events import ActivityInstance, Event, EventKey, LABEL_UNLABELED, json_value
 
 LOG_HEADER = ("timestamp", "device", "attribute", "value")
 LEGACY_HEADER = ("timestamp", "device", "value")
@@ -94,12 +94,20 @@ def format_timestamp(ms: int) -> str:
     return text + "Z"
 
 
-def _interned(keys: dict, device: str, attribute: str, state: str) -> EventKey:
-    """The parse's one EventKey for (device, attribute, state), built on first sight."""
+def _interned(keys: dict, device, attribute, state: str) -> EventKey:
+    """The parse's one EventKey for (device, attribute, state), built on first sight.
+
+    Only then are device and attribute checked to be strings: every key in
+    `keys` passed that check, and no other JSON value equals a string.
+    """
     ident = (device, attribute, state)
-    key = keys.get(ident)
+    try:
+        key = keys.get(ident)
+    except TypeError:  # a JSON array or object, unhashable; rejected below
+        key = None
     if key is None:
-        key = keys[ident] = EventKey(device, attribute, state)
+        device = json_value(device, str, "'device'")
+        key = keys[ident] = EventKey(device, json_value(attribute, str, "'attribute'"), state)
     return key
 
 
@@ -181,8 +189,10 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
     if isinstance(ts, bool):  # bool is an int subclass: true would read as 1 ms
         raise ValueError(f"timestamp must be a number or a string, not {json.dumps(ts)}")
     ts_ms = parse_timestamp(str(ts))
-    value = str(obj["value"])
-    return Event(ts_ms, _interned(keys, str(obj["device"]), str(obj["attribute"]), value), value)
+    value = obj.get("value")
+    if type(value) is not str:  # a number becomes its str(): 21 -> "21", 21.5 -> "21.5"
+        value = str(json_value(value, (str, float), "'value'"))
+    return Event(ts_ms, _interned(keys, obj.get("device"), obj.get("attribute"), value), value)
 
 
 def _event_to_obj(event: Event) -> dict:

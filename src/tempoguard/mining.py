@@ -111,7 +111,7 @@ def patterns_to_json(patterns: list[ActivityPattern]) -> str:
 
 
 def patterns_from_json(text: str) -> list[ActivityPattern]:
-    """Load a pattern file; both the single-object and array forms are accepted."""
+    """Load a pattern file: a JSON array of pattern objects."""
     return json_records(text, "pattern", _pattern_from_obj)
 
 

@@ -69,14 +69,6 @@ def _require_labeled(labeled: list[ActivityInstance]) -> None:
             raise ValueError(f"unlabeled instance {inst.source_id!r} in training set")
 
 
-def score_table(
-    pattern: ActivityPattern, labeled: list[ActivityInstance], alpha: float
-) -> list[tuple[str, float]]:
-    """One (label, total score) row per instance, in input order."""
-    _require_labeled(labeled)
-    return [(inst.label, score(pattern, inst, alpha).total) for inst in labeled]
-
-
 def best_interval(
     rows: list[tuple[str, float]], epsilon: float = 1e-9
 ) -> tuple[float, float, float]:
@@ -188,18 +180,13 @@ def train(
     return ScoreModel(activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=acc)
 
 
-def model_to_json(model: ScoreModel) -> str:
-    """Single-model file: one JSON object."""
-    return json.dumps(_model_to_obj(model), indent=2) + "\n"
-
-
 def models_to_json(models: list[ScoreModel]) -> str:
-    """Multi-model file: a JSON array, one object per activity."""
+    """The model file: a JSON array, one object per activity."""
     return json.dumps([_model_to_obj(model) for model in models], indent=2) + "\n"
 
 
 def models_from_json(text: str) -> list[ScoreModel]:
-    """Load a model file; both the single-object and array forms are accepted."""
+    """Load a model file: a JSON array of model objects."""
     return json_records(text, "model", _model_from_obj)
 
 

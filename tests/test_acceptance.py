@@ -29,7 +29,6 @@ from tempoguard.simulate import SimConfig, builtin_specs, generate
 from tempoguard.training import (
     ScoreModel,
     best_interval,
-    model_to_json,
     models_from_json,
     models_to_json,
     train,
@@ -225,4 +224,3 @@ def test_everything_survives_serialization(checklist):
             ScoreModel(activity="b", alpha=3.0, lo=2.9, hi=3.1, training_accuracy=1.0),
         ]
         assert models_from_json(models_to_json(models)) == models
-        assert models_from_json(model_to_json(models[0])) == [models[0]]

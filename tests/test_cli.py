@@ -383,13 +383,15 @@ MODELS, PATTERNS = "models.json", "patterns.json"
     [
         (MODELS, lambda m: [1], "model 1: the entry must be an object, not 1"),
         (MODELS, lambda m: "str", 'a model file must be an array, not "str"'),
-        (MODELS, lambda m: {"x": 1}, "model 1: 'activity' must be a string, not null"),
+        (MODELS, lambda m: [{"x": 1}], "model 1: 'activity' must be a string, not null"),
+        (MODELS, lambda m: m[0], 'a model file must be an array, not {"activity": '),
         (MODELS, lambda m: [{"activity": "a"}], "model 1: 'alpha' must be a number, not null"),
         (MODELS, lambda m: _put(m, "3", 1, "alpha"), "model 2: 'alpha' must be a number, not \"3\""),
         (MODELS, lambda m: _put(m, True, 1, "alpha"), "model 2: 'alpha' must be a number, not true"),
         (MODELS, lambda m: _put(m, 7, 2, "activity"), "model 3: 'activity' must be a string, not 7"),
         (PATTERNS, lambda p: [1], "pattern 1: the entry must be an object, not 1"),
-        (PATTERNS, lambda p: {"name": "x"}, "pattern 1: 'keys' must be an array, not null"),
+        (PATTERNS, lambda p: [{"name": "x"}], "pattern 1: 'keys' must be an array, not null"),
+        (PATTERNS, lambda p: p[0], 'a pattern file must be an array, not {"name": '),
         (
             PATTERNS,
             lambda p: _put(p, 1, 0, "keys", 0, "device"),
@@ -415,12 +417,14 @@ MODELS, PATTERNS = "models.json", "patterns.json"
         "model-entry-not-object",
         "model-file-not-array",
         "model-activity-missing",
+        "model-file-lone-object",
         "model-alpha-missing",
         "model-alpha-string",
         "model-alpha-bool",
         "model-activity-int",
         "pattern-entry-not-object",
         "pattern-keys-missing",
+        "pattern-file-lone-object",
         "pattern-device-int",
         "pattern-key-not-object",
         "pattern-support-float",
@@ -483,3 +487,50 @@ def test_epoch_milliseconds_past_year_9999_is_a_data_error_naming_its_line(
     assert run_cli("ingest", str(log)) == 2
     err = capsys.readouterr().err
     assert "line 2: timestamp '99999999999999999999' is after 9999-12-31T23:59:59.999Z" in err
+
+
+def test_train_writes_an_array_when_one_model_is_trained(small_run, tmp_path):
+    one = tmp_path / "one_pattern.json"
+    one.write_text(json.dumps(json.loads((small_run / PATTERNS).read_text())[:1]))
+    out = tmp_path / MODELS
+    argv = ["--patterns", str(one), "--train-set", str(small_run / "train_set.jsonl")]
+    assert run_cli("train", *argv, "--out", str(out)) == 0
+    assert len(json.loads(out.read_text())) == 1
+    assert len(models_from_json(out.read_text())) == 1
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ('"device": null, "attribute": "a", "value": "on"', "'device' must be a string, not null"),
+        ('"device": "M2", "attribute": 1, "value": "on"', "'attribute' must be a string, not 1"),
+        ('"device": "M2", "attribute": "a"', "'value' must be a string or a number, not null"),
+        ('"device": "M2", "attribute": "a", "value": true', "'value' must be a string or a number"),
+    ],
+    ids=["device-null", "attribute-int", "value-missing", "value-bool"],
+)
+def test_wrongly_typed_jsonl_log_field_is_a_data_error_naming_its_line(
+    tmp_path, capsys, fields, message
+):
+    log = tmp_path / "log.jsonl"
+    good = '{"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}'
+    log.write_text(good + "\n" + '{"timestamp": 2000, ' + fields + "}\n")
+    assert run_cli("ingest", str(log)) == 2
+    err = capsys.readouterr().err
+    assert f"line 2: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_mining_no_pattern_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,device,attribute,value\n1000,M1,motion,active\n2000,L1,switch,on\n")
+    inst = tmp_path / "instances.jsonl"
+    assert run_cli("ingest", str(log), "--out", str(inst)) == 0
+    capsys.readouterr()
+    assert run_cli("mine", str(inst)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no pattern mined (segments: 1, distinct key sequences: 1)" in err
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--workdir", str(workdir), "--min-support", "1000") == 2
+    assert "no pattern mined (segments: 150, distinct key sequences: 3)" in capsys.readouterr().err

@@ -14,8 +14,6 @@ from tempoguard.evaluation import (
     classify,
     evaluate,
     render_report,
-    render_table,
-    report_to_dict,
     route,
     select_pattern,
 )
@@ -62,7 +60,6 @@ def test_classify_boundary_score_counts_as_normal():
     verdict = classify(model, pattern, make_instance("AB", [1000]))
     assert verdict.classification == CLASS_NORMAL
     assert verdict.breakdown.total == 1.0
-    assert verdict.pattern == "p"
 
 
 def test_classify_below_the_interval_is_anomaly():
@@ -138,28 +135,32 @@ def _fixture_93_percent():
 
 def test_evaluate_tabulates_the_engineered_table():
     model, pattern, labeled = _fixture_93_percent()
-    cm, accuracy, rows = evaluate(model, pattern, labeled)
-    assert (cm.tp, cm.fn, cm.fp, cm.tn) == (36, 4, 3, 57)
-    assert accuracy == 0.93
-    by_label = {r.label: r for r in rows}
-    assert by_label["Anomaly(seq)"].amount == 20
-    assert by_label["Anomaly(seq)"].correct == 20
-    assert by_label["Anomaly(ti)"].amount == 20
-    assert by_label["Anomaly(ti)"].correct == 16
-    assert by_label["Anomaly(ti)"].wrong == 4
-    assert by_label["Normal"].amount == 60
-    assert by_label["Normal"].correct == 57
-    assert by_label["Normal"].accuracy == 0.95
+    report = evaluate(model, pattern, labeled)
+    total = report["total"]
+    assert (total["tp"], total["fn"], total["fp"], total["tn"]) == (36, 4, 3, 57)
+    assert report["accuracy"] == 0.93
+    by_label = {r["label"]: r for r in report["rows"]}
+    assert by_label["Anomaly(seq)"]["amount"] == 20
+    assert by_label["Anomaly(seq)"]["correct"] == 20
+    assert by_label["Anomaly(ti)"]["amount"] == 20
+    assert by_label["Anomaly(ti)"]["correct"] == 16
+    assert by_label["Anomaly(ti)"]["wrong"] == 4
+    assert by_label["Normal"]["amount"] == 60
+    assert by_label["Normal"]["correct"] == 57
+    assert by_label["Normal"]["accuracy"] == 0.95
 
 
 def test_evaluate_row_bookkeeping_adds_up():
     model, pattern, labeled = _fixture_93_percent()
-    cm, _, rows = evaluate(model, pattern, labeled)
-    assert sum(r.amount for r in rows) == cm.total == len(labeled)
+    report = evaluate(model, pattern, labeled)
+    rows, total = report["rows"], report["total"]
+    assert sum(r["amount"] for r in rows) == total["amount"] == len(labeled)
     for r in rows:
-        assert r.amount == r.correct + r.wrong
-    assert cm.tp + cm.fn == sum(1 for inst in labeled if inst.label in (S, T))
-    assert cm.fp + cm.tn == sum(1 for inst in labeled if inst.label == N)
+        assert r["amount"] == r["correct"] + r["wrong"]
+    assert total["tp"] + total["fn"] == sum(1 for inst in labeled if inst.label in (S, T))
+    assert total["fp"] + total["tn"] == sum(1 for inst in labeled if inst.label == N)
+    assert total["correct"] == total["tp"] + total["tn"]
+    assert total["wrong"] == total["fn"] + total["fp"]
 
 
 def test_evaluate_rejects_unlabeled_instances():
@@ -178,10 +179,10 @@ def test_evaluate_rejects_empty_sets():
 def test_absent_class_row_has_no_accuracy():
     pattern = make_pattern("AB", [1000])
     model = model_for(pattern)
-    _, _, rows = evaluate(model, pattern, [make_instance("AB", [1000], label=N)])
-    by_label = {r.label: r for r in rows}
-    assert by_label["Anomaly(seq)"].amount == 0
-    assert by_label["Anomaly(seq)"].accuracy is None
+    report = evaluate(model, pattern, [make_instance("AB", [1000], label=N)])
+    by_label = {r["label"]: r for r in report["rows"]}
+    assert by_label["Anomaly(seq)"]["amount"] == 0
+    assert by_label["Anomaly(seq)"]["accuracy"] is None
 
 
 @given(
@@ -199,27 +200,30 @@ def test_accuracy_equals_mean_correctness(labels, data):
         labeled.append(inst)
         flagged = not matches  # partial instances fall outside [1, 1]
         verdict_correct.append(flagged == (label != N))
-    _, accuracy, _ = evaluate(model, pattern, labeled)
-    assert accuracy == sum(verdict_correct) / len(verdict_correct)
+    expected = sum(verdict_correct) / len(verdict_correct)
+    assert evaluate(model, pattern, labeled)["accuracy"] == expected
 
 
 def test_render_table_shapes_the_report():
     model, pattern, labeled = _fixture_93_percent()
-    cm, accuracy, rows = evaluate(model, pattern, labeled)
-    text = render_table(cm, accuracy, rows, title="Engineered")
-    lines = text.splitlines()
+    report = {"activities": [{"activity": "Engineered", **evaluate(model, pattern, labeled)}]}
+    report["overall"] = {**report["activities"][0]["total"], "accuracy": 0.93}
+    lines = render_report(report).splitlines()
     assert lines[0] == "Testing results of activity: Engineered"
     assert lines[1].split() == ["Class", "Amount", "Correct", "Wrong", "Accuracy"]
     assert lines[3].split() == ["Anomaly(seq)", "20", "20", "0", "100%"]
     assert lines[4].split() == ["Anomaly(ti)", "20", "16", "4", "80%"]
     assert lines[5].split() == ["Normal", "60", "57", "3", "95%"]
     assert lines[6].split() == ["Total", "100", "93", "7", "93%"]
+    assert lines[7:] == ["", "Overall: 93/100 correct (93%)"]
 
 
 def test_report_dict_mirrors_the_table():
     model, pattern, labeled = _fixture_93_percent()
-    cm, accuracy, rows = evaluate(model, pattern, labeled)
-    doc = report_to_dict(cm, accuracy, rows)
+    doc = build_report([pattern], {pattern.name: model}, labeled)["activities"][0]
+    assert list(doc) == ["activity", "rows", "total", "accuracy"]
+    assert list(doc["total"]) == ["amount", "correct", "wrong", "tp", "fn", "fp", "tn"]
+    assert doc["activity"] == pattern.name
     assert doc["accuracy"] == 0.93
     assert doc["total"]["amount"] == 100
     assert doc["total"]["tp"] == 36

@@ -337,6 +337,14 @@ def test_jsonl_boolean_timestamp_is_rejected_not_read_as_one_ms():
         parse_log_jsonl(line)
 
 
+def test_jsonl_numeric_value_is_kept_as_its_json_text():
+    lines = [
+        '{"timestamp": 1000, "device": "T1", "attribute": "temperature", "value": 21}',
+        '{"timestamp": 2000, "device": "T1", "attribute": "temperature", "value": 21.5}',
+    ]
+    assert [e.raw_value for e in parse_log_jsonl("\n".join(lines))] == ["21", "21.5"]
+
+
 def test_jsonl_integer_timestamp_is_still_epoch_milliseconds():
     line = '{"timestamp": 1633093201000, "device": "M1", "attribute": "motion", "value": "on"}\n'
     assert parse_log_jsonl(line)[0].timestamp_ms == EPOCH_13_00_01

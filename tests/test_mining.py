@@ -143,10 +143,3 @@ def test_patterns_json_round_trip():
     instances = [make_instance("ABC", [10, 20]) for _ in range(5)]
     patterns = mine_patterns(instances)
     assert patterns_from_json(patterns_to_json(patterns)) == patterns
-
-
-def test_patterns_from_json_accepts_a_single_object():
-    instances = [make_instance("AB") for _ in range(5)]
-    [pattern] = mine_patterns(instances)
-    single = patterns_to_json([pattern]).strip()[1:-1]  # unwrap the array
-    assert patterns_from_json(single) == [pattern]

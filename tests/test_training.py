@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from conftest import make_instance, make_pattern
 from tempoguard import training as training_module
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
+from tempoguard.scoring import score
 from tempoguard.training import (
     ScoreModel,
     TrainConfig,
     alpha_grid,
     best_interval,
-    model_to_json,
     models_from_json,
     models_to_json,
-    score_table,
     sweep,
     train,
 )
@@ -26,11 +25,16 @@ from tempoguard.training import (
 N, S, T = LABEL_NORMAL, LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI
 
 
+def score_table(pattern, labeled, alpha):
+    """One (label, total score) row per instance, in input order: the recount reference."""
+    return [(inst.label, score(pattern, inst, alpha).total) for inst in labeled]
+
+
 def interval_accuracy(rows, lo, hi):
     """Recount accuracy for a closed interval, straight from the definition."""
     correct = 0
-    for label, score in rows:
-        inside = lo <= score <= hi
+    for label, total in rows:
+        inside = lo <= total <= hi
         correct += inside if label == N else not inside
     return correct / len(rows)
 
@@ -75,15 +79,15 @@ def test_score_table_has_one_row_per_instance_in_order():
     assert [lbl for lbl, _ in rows] == [lbl for lbl in (N, S, T) for _ in range(20)]
 
 
-def test_score_table_rejects_unlabeled_instances():
+def test_sweep_rejects_unlabeled_instances():
     pattern = make_pattern("AB", [10])
     with pytest.raises(ValueError, match="unlabeled"):
-        score_table(pattern, [make_instance("AB", [10])], 1.0)
+        sweep(pattern, [make_instance("AB", [10])])
 
 
-def test_score_table_rejects_empty_input():
+def test_sweep_rejects_empty_input():
     with pytest.raises(ValueError, match="empty"):
-        score_table(make_pattern("AB", [10]), [], 1.0)
+        sweep(make_pattern("AB", [10]), [])
 
 
 def test_best_interval_separates_separable_scores():
@@ -342,11 +346,6 @@ def test_train_takes_the_first_sweep_row_with_the_best_accuracy():
 def test_score_model_validates_interval_order():
     with pytest.raises(ValueError, match="lo"):
         ScoreModel(activity="p", alpha=1.0, lo=2.0, hi=1.0, training_accuracy=0.5)
-
-
-def test_model_json_round_trip_single_object():
-    model = ScoreModel(activity="p", alpha=0.3, lo=1.25, hi=2.5, training_accuracy=0.975)
-    assert models_from_json(model_to_json(model)) == [model]
 
 
 def test_model_json_round_trip_array():
