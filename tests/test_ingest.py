@@ -337,7 +337,7 @@ def test_jsonl_boolean_timestamp_is_rejected_not_read_as_one_ms():
         parse_log_jsonl(line)
 
 
-def test_jsonl_numeric_value_is_kept_as_its_json_text():
+def test_jsonl_numeric_value_becomes_a_string():
     lines = [
         '{"timestamp": 1000, "device": "T1", "attribute": "temperature", "value": 21}',
         '{"timestamp": 2000, "device": "T1", "attribute": "temperature", "value": 21.5}',
