@@ -4,11 +4,16 @@ All types are immutable after construction and validate their invariants up
 front, so downstream code can assume well-formed values. Time is integer
 epoch milliseconds UTC throughout; second-resolution sources are multiplied
 by 1000 on ingest (avoids float drift in log arithmetic).
+
+EventKey and Event are named tuples, so the hot paths build, hash and compare
+them in C. They unpack like tuples, and an EventKey equals, hashes and sorts
+like the plain (device, attribute, state) tuple of its strings.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -27,39 +32,39 @@ VALID_LABELS = frozenset({LABEL_NORMAL, LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LAB
 ANOMALY_LABELS = frozenset({LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI})
 
 
-@dataclass(frozen=True)
-class EventKey:
+class EventKey(namedtuple("EventKey", "device attribute state")):
     """Identity of a discrete device state change: (device, attribute, state).
 
     State is part of the identity: "motion/active" and "motion/inactive" are
     different keys. Equality is exact string equality on all three fields.
     """
 
-    device: str
-    attribute: str
-    state: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("device", "attribute", "state"):
-            if not getattr(self, name):
+    def __new__(cls, device: str, attribute: str, state: str) -> EventKey:
+        for name, value in zip(cls._fields, (device, attribute, state)):
+            if not value:
                 raise ValueError(f"EventKey.{name} must be non-empty")
+        return tuple.__new__(cls, (device, attribute, state))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(namedtuple("Event", "timestamp_ms key raw_value")):
     """One timestamped device state change.
 
     raw_value keeps the original log value (possibly numeric like "56.0");
     numeric values are carried but never become pattern states.
     """
 
-    timestamp_ms: int
-    key: EventKey
-    raw_value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.timestamp_ms < 0:
+    def __new__(cls, timestamp_ms: int, key: EventKey, raw_value: str) -> Event:
+        if timestamp_ms < 0:
             raise ValueError("Event.timestamp_ms must be >= 0")
+        return tuple.__new__(cls, (timestamp_ms, key, raw_value))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
 @dataclass(frozen=True)
@@ -113,22 +118,15 @@ class ActivityPattern:
             raise ValueError("mean intervals must be non-negative")
 
     @cached_property
-    def key_numbering(self) -> dict[tuple[str, str, str], int]:
-        """Each distinct key's (device, attribute, state), numbered 0..k-1 by first occurrence.
-
-        Built once per pattern. Plain string triples hash and compare in C,
-        where EventKey's generated __hash__ and __eq__ run in Python.
-        """
-        numbering: dict[tuple[str, str, str], int] = {}
-        for k in self.keys:
-            numbering.setdefault((k.device, k.attribute, k.state), len(numbering))
-        return numbering
+    def key_numbering(self) -> dict[EventKey, int]:
+        """Each distinct key numbered 0..k-1 by first occurrence; built once per pattern."""
+        return {k: n for n, k in enumerate(dict.fromkeys(self.keys))}
 
     @cached_property
     def key_codes(self) -> tuple[int, ...]:
         """The keys as their numbers: equal codes exactly when the keys are equal."""
         numbering = self.key_numbering
-        return tuple(numbering[(k.device, k.attribute, k.state)] for k in self.keys)
+        return tuple(numbering[k] for k in self.keys)
 
 
 def intervals(instance: ActivityInstance) -> tuple[int, ...]:

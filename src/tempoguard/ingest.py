@@ -94,6 +94,14 @@ def format_timestamp(ms: int) -> str:
     return text + "Z"
 
 
+def _log_time(token: str) -> int:
+    """parse_timestamp, also rejecting an ISO time that an offset puts past 9999."""
+    ms = parse_timestamp(token)
+    if ms > MAX_TIMESTAMP_MS:
+        raise ValueError(f"timestamp {token!r} is after 9999-12-31T23:59:59.999Z")
+    return ms
+
+
 def _interned(keys: dict, device, attribute, state: str) -> EventKey:
     """The parse's one EventKey for (device, attribute, state), built on first sight.
 
@@ -116,7 +124,7 @@ def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> E
     if len(fields) != expected or "" in fields:
         raise ValueError(f"line {lineno}: expected {expected} non-empty columns, got {fields!r}")
     try:
-        ts = parse_timestamp(fields[0])
+        ts = _log_time(fields[0])
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     if legacy:
@@ -178,17 +186,19 @@ def parse_log_jsonl(text: str) -> list[Event]:
             raise ValueError(f"line {lineno}: invalid JSON ({exc})") from None
         try:
             events.append(_event_from_obj(obj, keys))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     events.sort(key=lambda e: e.timestamp_ms)
     return events
 
 
 def _event_from_obj(obj: dict, keys: dict) -> Event:
-    ts = obj["timestamp"]
-    if isinstance(ts, bool):  # bool is an int subclass: true would read as 1 ms
-        raise ValueError(f"timestamp must be a number or a string, not {json.dumps(ts)}")
-    ts_ms = parse_timestamp(str(ts))
+    if type(obj) is not dict:
+        json_value(obj, dict, "an event")
+    ts = obj.get("timestamp")
+    if type(ts) is not str:  # a number becomes its str(); a bool is rejected, not read as 1 ms
+        ts = str(json_value(ts, (str, float), "timestamp"))
+    ts_ms = _log_time(ts)
     value = obj.get("value")
     if type(value) is not str:  # a number becomes its str(): 21 -> "21", 21.5 -> "21.5"
         value = str(json_value(value, (str, float), "'value'"))
@@ -227,9 +237,6 @@ def segment(events: list[Event], cfg: IngestConfig | None = None) -> list[Activi
     fewer than cfg.min_segment_len events are dropped.
     """
     cfg = cfg or IngestConfig()
-    for a, b in zip(events, events[1:]):
-        if b.timestamp_ms < a.timestamp_ms:
-            raise ValueError("events must be time-ordered before segmentation")
     instances: list[ActivityInstance] = []
     run: list[Event] = []
 
@@ -244,7 +251,10 @@ def segment(events: list[Event], cfg: IngestConfig | None = None) -> list[Activi
             )
 
     for event in events:
-        if run and event.timestamp_ms - run[-1].timestamp_ms >= cfg.gap_ms:
+        gap = event.timestamp_ms - run[-1].timestamp_ms if run else 0
+        if gap < 0:
+            raise ValueError("events must be time-ordered before segmentation")
+        if gap >= cfg.gap_ms:
             flush()
             run = []
         run.append(event)
@@ -276,14 +286,15 @@ def instances_from_jsonl(text: str) -> list[ActivityInstance]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json_value(json.loads(line), dict, "an instance")
+            events = json_value(obj.get("events"), list, "'events'")
             instances.append(
                 ActivityInstance(
-                    events=tuple(_event_from_obj(e, keys) for e in obj["events"]),
-                    label=obj.get("label", LABEL_UNLABELED),
-                    source_id=obj.get("source_id", ""),
+                    events=tuple(_event_from_obj(e, keys) for e in events),
+                    label=json_value(obj.get("label", LABEL_UNLABELED), str, "'label'"),
+                    source_id=json_value(obj.get("source_id", ""), str, "'source_id'"),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return instances

@@ -76,8 +76,8 @@ def mine_patterns(
     """Group instances by exact key sequence and keep the frequent ones.
 
     Numeric-valued events are ignored (a warning reports how many). Patterns
-    come back sorted by support descending (key sequence as the tie-break, so
-    the result is independent of input order); names are "pattern-1",
+    come back sorted by support descending, then by key sequence as strings,
+    so the result is independent of input order; names are "pattern-1",
     "pattern-2", ... unless `names` maps a key sequence to a better one.
     """
     cfg = cfg or MinerConfig()
@@ -92,12 +92,8 @@ def mine_patterns(
     if dropped:
         logger.warning("ignored %d numeric-valued events during mining", dropped)
 
-    def sort_key(item: tuple[tuple[EventKey, ...], list[ActivityInstance]]):
-        keys, group = item
-        return (-len(group), tuple((k.device, k.attribute, k.state) for k in keys))
-
     patterns: list[ActivityPattern] = []
-    for keys, group in sorted(groups.items(), key=sort_key):
+    for keys, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
         if len(group) < cfg.min_support or len(keys) < cfg.min_len:
             continue
         name = (names or {}).get(keys, f"pattern-{len(patterns) + 1}")
@@ -118,10 +114,7 @@ def patterns_from_json(text: str) -> list[ActivityPattern]:
 def _pattern_to_obj(pattern: ActivityPattern) -> dict:
     return {
         "name": pattern.name,
-        "keys": [
-            {"device": k.device, "attribute": k.attribute, "state": k.state}
-            for k in pattern.keys
-        ],
+        "keys": [k._asdict() for k in pattern.keys],
         "mean_intervals_ms": list(pattern.mean_intervals_ms),
         "support": pattern.support,
     }

@@ -12,14 +12,13 @@ missing events summed up. A weight blends the parts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from tempoguard.events import ActivityInstance, ActivityPattern
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """An ordered pairing of pattern positions to instance positions.
 
     pairs[k] = (pattern_index, instance_index); both strictly increase.
@@ -32,8 +31,7 @@ class Alignment:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
+class ScoreBreakdown(NamedTuple):
     """Everything score() computes for one (pattern, instance) pair."""
 
     completeness: float
@@ -67,13 +65,12 @@ def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:
     positions: list[int] = []
     codes: list[int] = []
     for j, event in enumerate(instance.events):
-        k = event.key
-        code = numbering.get((k.device, k.attribute, k.state))
+        code = numbering.get(event.key)
         if code is not None:
             positions.append(j)
             codes.append(code)
     pairs = _align_codes(pattern.key_codes, tuple(codes))
-    return Alignment(pairs=tuple((i, positions[j]) for i, j in pairs))
+    return Alignment(tuple((i, positions[j]) for i, j in pairs))
 
 
 # Distinct (pattern codes, projected instance codes) inputs kept by _align_codes.

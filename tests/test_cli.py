@@ -534,3 +534,48 @@ def test_mining_no_pattern_is_a_data_error(tmp_path, capsys):
     workdir = tmp_path / "run"
     assert run_cli("pipeline", "--workdir", str(workdir), "--min-support", "1000") == 2
     assert "no pattern mined (segments: 150, distinct key sequences: 3)" in capsys.readouterr().err
+
+
+def test_iso_time_past_year_9999_is_a_data_error_naming_its_line(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text(
+        "timestamp,device,attribute,value\n"
+        "9999-12-31T23:30:00-01:30,M1,motion,active\n"
+        "9999-12-31T23:30:05-01:30,M2,motion,active\n"
+    )
+    assert run_cli("ingest", str(log)) == 2
+    err = capsys.readouterr().err
+    assert "line 2: timestamp '9999-12-31T23:30:00-01:30' is after 9999-12-31T23:59:59.999Z" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "line 1: an event must be an object, not [1, 2]"),
+        (
+            '{"device": "M1", "attribute": "motion", "value": "on"}',
+            "line 1: timestamp must be a string or a number, not null",
+        ),
+    ],
+    ids=["array", "timestamp-missing"],
+)
+def test_jsonl_line_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, line, message):
+    log = tmp_path / "log.jsonl"
+    log.write_text(line + "\n")
+    assert run_cli("ingest", str(log)) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_wrongly_typed_instance_file_is_a_data_error_naming_its_line(small_run, tmp_path, capsys):
+    lines = (small_run / "test_set.jsonl").read_text().splitlines()
+    bad = json.loads(lines[1])
+    bad["source_id"] = 5
+    test_set = tmp_path / "test_set.jsonl"
+    test_set.write_text("\n".join([lines[0], json.dumps(bad), *lines[2:]]) + "\n")
+    argv = ["--models", str(small_run / MODELS), "--patterns", str(small_run / PATTERNS)]
+    assert run_cli("evaluate", *argv, "--test-set", str(test_set)) == 2
+    err = capsys.readouterr().err
+    assert "line 2: 'source_id' must be a string, not 5" in err
+    assert "Traceback" not in err

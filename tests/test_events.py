@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +30,75 @@ def test_event_key_rejects_empty_fields():
 def test_event_rejects_negative_timestamp():
     with pytest.raises(ValueError):
         Event(timestamp_ms=-1, key=key("A"), raw_value="on")
+
+
+# Small alphabets, so equal and empty values turn up often.
+_names = st.text(alphabet="ab", max_size=2)
+_triples = st.tuples(_names, _names, _names)
+_keys = st.builds(EventKey, *(st.text(alphabet="ab", min_size=1, max_size=2) for _ in range(3)))
+_event_fields = st.tuples(st.integers(min_value=-2, max_value=2), _keys, _names)
+
+
+@given(a=_triples, b=_triples)
+def test_event_key_is_its_three_checked_strings(a, b):
+    if not all(a):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            EventKey(*a)
+        return
+    k = EventKey(*a)
+    assert k == EventKey(device=a[0], attribute=a[1], state=a[2])
+    assert (k.device, k.attribute, k.state) == a
+    assert k == a and hash(k) == hash(a)  # equal to, and hashed as, the plain triple
+    if all(b):
+        other = EventKey(*b)
+        assert (k == other) == (a == b)
+        assert (k < other) == (a < b)
+        if a == b:
+            assert hash(k) == hash(other)
+    with pytest.raises(AttributeError):
+        k.device = "c"
+    with pytest.raises(AttributeError):
+        k.extra = "c"
+    assert pickle.loads(pickle.dumps(k)) == k
+
+
+@given(a=_event_fields, b=_event_fields)
+def test_event_is_its_three_checked_fields(a, b):
+    if a[0] < 0:
+        with pytest.raises(ValueError, match="timestamp_ms must be >= 0"):
+            Event(*a)
+        return
+    e = Event(*a)
+    assert e == Event(timestamp_ms=a[0], key=a[1], raw_value=a[2])
+    assert (e.timestamp_ms, e.key, e.raw_value) == a
+    if b[0] >= 0:
+        other = Event(*b)
+        assert (e == other) == (a == b)
+        if a == b:
+            assert hash(e) == hash(other)
+    with pytest.raises(AttributeError):
+        e.timestamp_ms = 0
+    with pytest.raises(AttributeError):
+        e.extra = 0
+
+
+def test_replace_checks_like_construction():
+    with pytest.raises(ValueError, match="EventKey.state must be non-empty"):
+        key("A")._replace(state="")
+    with pytest.raises(ValueError, match="timestamp_ms must be >= 0"):
+        Event(1000, key("A"), "on")._replace(timestamp_ms=-1)
+    assert Event(1000, key("A"), "on")._replace(raw_value="off") == Event(1000, key("A"), "off")
+
+
+@given(keys=st.lists(_keys, min_size=1, max_size=8))
+def test_key_numbering_equals_the_string_triple_numbering(keys):
+    pattern = ActivityPattern("p", tuple(keys), (0.0,) * (len(keys) - 1), 1)
+    triples: dict[tuple[str, str, str], int] = {}
+    for k in keys:
+        triples.setdefault((k.device, k.attribute, k.state), len(triples))
+    assert [tuple(k) for k in pattern.key_numbering] == list(triples)
+    assert list(pattern.key_numbering.values()) == list(triples.values())
+    assert pattern.key_codes == tuple(triples[(k.device, k.attribute, k.state)] for k in keys)
 
 
 def test_instance_rejects_empty_event_list():

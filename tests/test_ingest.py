@@ -311,6 +311,84 @@ def test_segment_rejects_unordered_events():
         segment(events)
 
 
+class _PassCountingList(list):
+    """A list that counts how often it is iterated."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_segment_reads_the_events_once():
+    events = _PassCountingList(_events(1000, 200_000, 1000))
+    assert len(segment(events)) == 2
+    assert events.passes == 1
+
+
+def test_segment_rejects_a_late_step_back_in_time():
+    events = _events(1000, 200_000, 1000) + [Event(1000, key("A"), "on")]
+    with pytest.raises(ValueError, match="^events must be time-ordered before segmentation$"):
+        segment(events)
+
+
+# 23:30 at -01:30 is 01:00 UTC on 10000-01-01.
+_PAST_9999 = "9999-12-31T23:30:00-01:30"
+
+
+def test_log_parsers_reject_an_iso_time_an_offset_puts_past_9999():
+    assert parse_timestamp(_PAST_9999) > MAX_TIMESTAMP_MS  # parse_timestamp stays exact
+    message = f"^line 3: timestamp '{_PAST_9999}' is after 9999-12-31T23:59:59.999Z$"
+    csv_text = f"timestamp,device,attribute,value\n1000,M1,m,on\n{_PAST_9999},M1,m,on\n"
+    with pytest.raises(ValueError, match=message):
+        parse_log(csv_text)
+    line = '{"timestamp": "%s", "device": "M1", "attribute": "m", "value": "on"}'
+    with pytest.raises(ValueError, match=message):
+        parse_log_jsonl("\n".join([line % "1000", "", line % _PAST_9999]))
+    assert parse_log("timestamp,device,attribute,value\n9999-12-31T23:59:59.999-00:00,M1,m,on\n")
+
+
+_FIELDS = '"device": "M1", "attribute": "m", "value": "on"'
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[1, 2]", "an event must be an object, not [1, 2]"),
+        ('"M1"', 'an event must be an object, not "M1"'),
+        ("{%s}" % _FIELDS, "timestamp must be a string or a number, not null"),
+        ('{"timestamp": [1], %s}' % _FIELDS, "timestamp must be a string or a number, not [1]"),
+    ],
+    ids=["array", "string", "timestamp-missing", "timestamp-array"],
+)
+def test_jsonl_line_of_the_wrong_shape_names_the_expected_type(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_log_jsonl(line + "\n")
+    assert str(info.value) == f"line 1: {message}"
+
+
+_EVENT = '{"timestamp": 1000, %s}' % _FIELDS
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"source_id": 5, "events": [%s]}' % _EVENT, "'source_id' must be a string, not 5"),
+        ('{"label": null, "events": [%s]}' % _EVENT, "'label' must be a string, not null"),
+        ('{"source_id": "s", "events": {"a": 1}}', "'events' must be an array, not {\"a\": 1}"),
+        ('{"source_id": "s"}', "'events' must be an array, not null"),
+        ('{"events": [[1]]}', "an event must be an object, not [1]"),
+        ("[%s]" % _EVENT, "an instance must be an object, not [{"),
+    ],
+    ids=["source-id-int", "label-null", "events-object", "events-missing", "event-array", "array"],
+)
+def test_instance_file_fields_are_type_checked(line, message):
+    with pytest.raises(ValueError) as info:
+        instances_from_jsonl('{"events": [%s]}\n%s\n' % (_EVENT, line))
+    assert str(info.value).startswith(f"line 2: {message}")
+
+
 def test_ingest_config_validates_fields():
     with pytest.raises(ValueError):
         IngestConfig(gap_ms=0)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import key, make_instance
-from tempoguard.events import ActivityInstance, Event
+from tempoguard.events import ActivityInstance, Event, EventKey
 from tempoguard.mining import (
     MinerConfig,
     build_pattern,
@@ -81,6 +81,48 @@ def test_label_map_overrides_auto_names():
     instances = [make_instance("AB") for _ in range(5)]
     names = {(key("A"), key("B")): "Come back home"}
     assert mine_patterns(instances, names=names)[0].name == "Come back home"
+
+
+# Each key's device, attribute and state rank it differently among the others.
+_CROSSED_KEYS = (
+    EventKey("A", "z", "off"),
+    EventKey("B", "a", "on"),
+    EventKey("A", "m", "on"),
+    EventKey("C", "a", "idle"),
+)
+
+
+def _runs(keys: tuple[EventKey, ...], count: int) -> list[ActivityInstance]:
+    events = tuple(Event(1000 * (n + 1), k, k.state) for n, k in enumerate(keys))
+    return [ActivityInstance(events=events) for _ in range(count)]
+
+
+def test_equal_support_patterns_sort_by_device_before_attribute():
+    by_attribute_first, by_device_first = _CROSSED_KEYS[1], _CROSSED_KEYS[0]
+    tail = key("T")
+    instances = _runs((by_attribute_first, tail), 5) + _runs((by_device_first, tail), 5)
+    patterns = mine_patterns(instances)
+    assert [p.keys for p in patterns] == [(by_device_first, tail), (by_attribute_first, tail)]
+    assert [p.name for p in patterns] == ["pattern-1", "pattern-2"]
+
+
+@given(
+    groups=st.dictionaries(
+        st.lists(st.sampled_from(_CROSSED_KEYS), min_size=2, max_size=3).map(tuple),
+        st.integers(min_value=5, max_value=7),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.randoms(use_true_random=False),
+)
+def test_pattern_order_equals_the_string_triple_order(groups, seed):
+    instances = [inst for keys, count in groups.items() for inst in _runs(keys, count)]
+    seed.shuffle(instances)
+    expected = sorted(
+        groups,
+        key=lambda keys: (-groups[keys], [(k.device, k.attribute, k.state) for k in keys]),
+    )
+    assert [p.keys for p in mine_patterns(instances)] == expected
 
 
 @given(seed=st.randoms(use_true_random=False))
