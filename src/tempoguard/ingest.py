@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -25,6 +26,7 @@ LOG_HEADER = ("timestamp", "device", "attribute", "value")
 LEGACY_HEADER = ("timestamp", "device", "value")
 
 EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
+EPOCH_NAIVE = datetime(1970, 1, 1)  # format_timestamp's base: naive, so no tz work per call
 _ONE_MS = timedelta(milliseconds=1)
 # 9999-12-31T23:59:59.999Z: the latest time format_timestamp can write.
 MAX_TIMESTAMP_MS = 253_402_300_799_999
@@ -66,7 +68,7 @@ def parse_timestamp(token: str) -> int:
     if token.isdigit():
         ms = int(token)
         if ms > MAX_TIMESTAMP_MS:
-            raise ValueError(f"timestamp {token!r} is after 9999-12-31T23:59:59.999Z")
+            raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
         return ms
     iso = token[:-1] + "+00:00" if token.endswith(("Z", "z")) else token
     try:
@@ -80,25 +82,31 @@ def parse_timestamp(token: str) -> int:
         dt = dt.replace(tzinfo=timezone.utc)
     ms = (dt - EPOCH_UTC) // _ONE_MS
     if ms < 0:
-        raise ValueError(f"timestamp {token!r} is before 1970-01-01T00:00:00Z")
+        raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
     return ms
 
 
 def format_timestamp(ms: int) -> str:
-    """ISO-8601 UTC with millisecond precision ("...T13:00:01Z" / "...T13:00:01.234Z")."""
-    dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
-    text = dt.strftime("%Y-%m-%dT%H:%M:%S")
-    frac = ms % 1000
-    if frac:
-        text += f".{frac:03d}"
-    return text + "Z"
+    """ISO-8601 UTC with millisecond precision ("...T13:00:01Z" / "...T13:00:01.234Z").
+
+    Raises ValueError for a time before 1970 or past MAX_TIMESTAMP_MS.
+    """
+    if not 0 <= ms <= MAX_TIMESTAMP_MS:
+        raise ValueError(f"timestamp {ms} ms is {_range_error(ms)}")
+    dt = EPOCH_NAIVE + timedelta(milliseconds=ms)
+    return dt.isoformat(timespec="milliseconds" if ms % 1000 else "seconds") + "Z"
+
+
+def _range_error(ms: int) -> str:
+    """Why epoch milliseconds `ms`, outside 0..MAX_TIMESTAMP_MS, cannot be kept."""
+    return "before 1970-01-01T00:00:00Z" if ms < 0 else "after 9999-12-31T23:59:59.999Z"
 
 
 def _log_time(token: str) -> int:
     """parse_timestamp, also rejecting an ISO time that an offset puts past 9999."""
     ms = parse_timestamp(token)
     if ms > MAX_TIMESTAMP_MS:
-        raise ValueError(f"timestamp {token!r} is after 9999-12-31T23:59:59.999Z")
+        raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
     return ms
 
 
@@ -192,13 +200,24 @@ def parse_log_jsonl(text: str) -> list[Event]:
     return events
 
 
+def _json_time(number: int | float) -> int:
+    """A JSON-number timestamp as epoch milliseconds; a fraction part is floored."""
+    if type(number) is float and not math.isfinite(number):
+        raise ValueError(f"timestamp {json.dumps(number)!r} is not a finite number")
+    ms = math.floor(number)
+    if not 0 <= ms <= MAX_TIMESTAMP_MS:
+        raise ValueError(f"timestamp {json.dumps(number)!r} is {_range_error(ms)}")
+    return ms
+
+
 def _event_from_obj(obj: dict, keys: dict) -> Event:
     if type(obj) is not dict:
         json_value(obj, dict, "an event")
     ts = obj.get("timestamp")
-    if type(ts) is not str:  # a number becomes its str(); a bool is rejected, not read as 1 ms
-        ts = str(json_value(ts, (str, float), "timestamp"))
-    ts_ms = _log_time(ts)
+    if type(ts) is str:
+        ts_ms = _log_time(ts)
+    else:  # a bool is rejected, not read as 1 ms
+        ts_ms = _json_time(json_value(ts, (str, float), "timestamp"))
     value = obj.get("value")
     if type(value) is not str:  # a number becomes its str(): 21 -> "21", 21.5 -> "21.5"
         value = str(json_value(value, (str, float), "'value'"))
@@ -267,14 +286,12 @@ def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
     """One JSON object per instance: {"source_id", "label", "events": [...]}."""
     lines = []
     for inst in instances:
+        try:
+            events = [_event_to_obj(e) for e in inst.events]
+        except ValueError as exc:
+            raise ValueError(f"instance {inst.source_id!r}: {exc}") from None
         lines.append(
-            json.dumps(
-                {
-                    "source_id": inst.source_id,
-                    "label": inst.label,
-                    "events": [_event_to_obj(e) for e in inst.events],
-                }
-            )
+            json.dumps({"source_id": inst.source_id, "label": inst.label, "events": events})
         )
     return "".join(line + "\n" for line in lines)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 
 from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL, LABEL_UNLABELED
 from tempoguard.events import json_field, json_records
@@ -78,29 +80,25 @@ def best_interval(
     Accuracy counts normals inside plus anomalies outside. Ties prefer the
     widest interval, then the smallest lo. Returns (lo, hi, accuracy).
 
-    Costs O(m log m) for m rows: a sort, then one pass over the interval's
-    last score j (Kadane's maximum-sum run, +1 per normal, -1 per anomaly).
-    For a fixed j the accuracy is best at the start i with the smallest
-    (normals - anomalies) count below it, and lo_including grows strictly
-    with i, so the earliest such i also has the widest interval and the
-    smallest lo. Scanning j upward with a strict update keeps the first of
+    Costs O(m log m) for m rows. Two comprehensions split the rows by label;
+    the rest is C-level calls: a Counter of normals minus anomalies per
+    distinct score, a sort, the prefix sums and their running minimum by
+    itertools.accumulate, and by one map the gain of the best interval ending
+    at each score j (Kadane's maximum-sum run, +1 per normal, -1 per
+    anomaly). For a fixed j the accuracy is best at the start i with the
+    smallest prefix sum below it, and lo_including grows strictly with i, so
+    the earliest such i (the first index of that running minimum) also has
+    the widest interval and the smallest lo. Only the ends j with the best
+    gain become candidates, in ascending order, and max keeps the first of
     any tied candidates, as a scan of every (i, j) pair would.
     """
     if not rows:
         raise ValueError("rows must be non-empty")
-    norm_at: Counter[float] = Counter()
-    anom_at: Counter[float] = Counter()
-    for label, s in rows:
-        (norm_at if label == LABEL_NORMAL else anom_at)[s] += 1
-    scores = sorted(set(norm_at) | set(anom_at))
-    total = len(rows)
-    total_anomalies = sum(anom_at.values())
+    anomalies = [s for label, s in rows if label != LABEL_NORMAL]
+    net_at = Counter([s for label, s in rows if label == LABEL_NORMAL])
+    net_at.subtract(anomalies)
+    scores = sorted(net_at)
     m = len(scores)
-    norm_upto = [0] * (m + 1)  # normals with score among scores[:k]
-    anom_upto = [0] * (m + 1)
-    for k, s in enumerate(scores):
-        norm_upto[k + 1] = norm_upto[k] + norm_at[s]
-        anom_upto[k + 1] = anom_upto[k] + anom_at[s]
 
     def lo_including(i: int) -> float:
         """Smallest candidate boundary that admits scores[i] but not scores[i-1]."""
@@ -120,34 +118,29 @@ def best_interval(
             return nxt - epsilon
         return cur + epsilon if cur + epsilon < nxt else cur
 
-    # Maximize (accuracy, width, -lo); every achievable selection is a
-    # contiguous run of distinct scores, or no scores at all.
-    best: tuple[float, float, float, float, float] | None = None
-    i = 0  # earliest start with the smallest norm_upto - anom_upto so far
-    for j in range(m):
-        if norm_upto[j] - anom_upto[j] < norm_upto[i] - anom_upto[i]:
-            i = j
-        inside_norm = norm_upto[j + 1] - norm_upto[i]
-        inside_anom = anom_upto[j + 1] - anom_upto[i]
-        acc = (inside_norm + total_anomalies - inside_anom) / total
-        lo, hi = lo_including(i), hi_including(j)
-        cand = (acc, hi - lo, -lo, lo, hi)
-        if best is None or cand[:3] > best[:3]:
-            best = cand
-    empty_candidates = [
-        (scores[0] - epsilon, scores[0] - epsilon),
-        (scores[-1] + epsilon, scores[-1] + epsilon),
+    # Maximize (gain, width, -lo), where gain is normals minus anomalies
+    # inside; every achievable selection is a contiguous run of distinct
+    # scores, or no scores at all (gain 0).
+    upto = list(accumulate(map(net_at.__getitem__, scores), initial=0))
+    lows = list(accumulate(upto[:-1], min))  # lows[j]: smallest of upto[:j + 1]
+    gains = list(map(sub, upto[1:], lows))
+    best_gain = max(gains)
+    candidates = [
+        (best_gain, *_span(lo_including(lows.index(lows[j])), hi_including(j)))
+        for j, gain in enumerate(gains)
+        if gain == best_gain
     ]
-    for k in range(m - 1):
-        lo, hi = scores[k] + epsilon, scores[k + 1] - epsilon
-        if lo <= hi:
-            empty_candidates.append((lo, hi))
-    acc_empty = total_anomalies / total
-    for lo, hi in empty_candidates:
-        cand = (acc_empty, hi - lo, -lo, lo, hi)
-        if cand[:3] > best[:3]:
-            best = cand
-    return best[3], best[4], best[0]
+    if best_gain <= 0:  # only then can rejecting every row tie or win
+        empty = [(scores[0] - epsilon,) * 2, (scores[-1] + epsilon,) * 2]
+        empty += [(a + epsilon, b - epsilon) for a, b in zip(scores, scores[1:])]
+        candidates += [(0, *_span(lo, hi)) for lo, hi in empty if lo <= hi]
+    gain, _, _, lo, hi = max(candidates, key=lambda cand: cand[:3])
+    return lo, hi, (len(anomalies) + gain) / len(rows)
+
+
+def _span(lo: float, hi: float) -> tuple[float, float, float, float]:
+    """(width, -lo, lo, hi): the tie-break keys of an interval, then the interval."""
+    return hi - lo, -lo, lo, hi
 
 
 def sweep(

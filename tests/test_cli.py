@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -546,6 +547,43 @@ def test_iso_time_past_year_9999_is_a_data_error_naming_its_line(tmp_path, capsy
     assert run_cli("ingest", str(log)) == 2
     err = capsys.readouterr().err
     assert "line 2: timestamp '9999-12-31T23:30:00-01:30' is after 9999-12-31T23:59:59.999Z" in err
+
+
+def test_writing_a_time_past_year_9999_is_a_data_error_naming_the_instance(tmp_path, capsys):
+    late = tmp_path / "late.jsonl"
+    late.write_text(
+        '{"source_id": "late-1", "label": "normal", "events": ['
+        '{"timestamp": "9999-12-31T23:59:40Z", "device": "M1", "attribute": "motion", "value": "on"}, '
+        '{"timestamp": "9999-12-31T23:59:50Z", "device": "L1", "attribute": "switch", "value": "on"}'
+        "]}\n"
+    )
+    out = tmp_path / "ti.jsonl"
+    assert run_cli("forge", str(late), "--kind", "ti", "--count", "1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.search(r"instance 'ti:late-1': timestamp \d+ ms is after 9999-12-31T23:59:59\.999Z", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "number, code, message",
+    [
+        ("1633093201000.0", 0, '"timestamp": "2021-10-01T13:00:01Z"'),
+        ("NaN", 2, "line 2: timestamp 'NaN' is not a finite number"),
+        ("-1.5", 2, "line 2: timestamp '-1.5' is before 1970-01-01T00:00:00Z"),
+    ],
+    ids=["fraction", "nan", "negative"],
+)
+def test_jsonl_number_timestamp_is_epoch_milliseconds(tmp_path, capsys, number, code, message):
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        '{"timestamp": 1633093200000, "device": "M1", "attribute": "motion", "value": "on"}\n'
+        f'{{"timestamp": {number}, "device": "L1", "attribute": "switch", "value": "on"}}\n'
+    )
+    assert run_cli("ingest", str(log)) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert message in (err if code else out)
 
 
 @pytest.mark.parametrize(

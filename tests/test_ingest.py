@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import calendar
-from datetime import datetime
+import re
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given
@@ -99,6 +100,48 @@ def test_epoch_milliseconds_stop_at_the_last_time_format_timestamp_can_write():
     assert parse_timestamp(str(MAX_TIMESTAMP_MS)) == MAX_TIMESTAMP_MS
     with pytest.raises(ValueError, match="'253402300800000' is after 9999-12-31T23:59:59.999Z"):
         parse_timestamp(str(MAX_TIMESTAMP_MS + 1))
+
+
+# The strftime writer that format_timestamp replaced, kept verbatim as an
+# exact reference for every time the writers accept.
+def _strftime_format_timestamp(ms: int) -> str:
+    """ISO-8601 UTC with millisecond precision ("...T13:00:01Z" / "...T13:00:01.234Z")."""
+    dt = datetime.fromtimestamp(ms // 1000, tz=timezone.utc)
+    text = dt.strftime("%Y-%m-%dT%H:%M:%S")
+    frac = ms % 1000
+    if frac:
+        text += f".{frac:03d}"
+    return text + "Z"
+
+
+@given(ms=st.integers(min_value=0, max_value=MAX_TIMESTAMP_MS))
+@example(ms=0)
+@example(ms=EPOCH_13_00_01)
+@example(ms=EPOCH_13_00_01 + 1)
+@example(ms=EPOCH_13_00_01 + 999)
+@example(ms=MAX_TIMESTAMP_MS)
+def test_format_timestamp_equals_the_strftime_reference(ms):
+    assert format_timestamp(ms) == _strftime_format_timestamp(ms)
+
+
+@pytest.mark.parametrize(
+    "ms, message",
+    [
+        (-1, "timestamp -1 ms is before 1970-01-01T00:00:00Z"),
+        (MAX_TIMESTAMP_MS + 1, "timestamp 253402300800000 ms is after 9999-12-31T23:59:59.999Z"),
+    ],
+    ids=["negative", "past-9999"],
+)
+def test_format_timestamp_rejects_a_time_it_cannot_write(ms, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        format_timestamp(ms)
+
+
+def test_instances_to_jsonl_names_the_instance_it_cannot_write():
+    late = make_instance("AB", [1000], t0=MAX_TIMESTAMP_MS, source_id="seg-0007")
+    message = "instance 'seg-0007': timestamp 253402300800999 ms is after 9999-12-31T23:59:59.999Z"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        instances_to_jsonl([make_instance("AB"), late])
 
 
 def test_parse_timestamp_accepts_the_epoch_itself():
@@ -426,6 +469,44 @@ def test_jsonl_numeric_value_becomes_a_string():
 def test_jsonl_integer_timestamp_is_still_epoch_milliseconds():
     line = '{"timestamp": 1633093201000, "device": "M1", "attribute": "motion", "value": "on"}\n'
     assert parse_log_jsonl(line)[0].timestamp_ms == EPOCH_13_00_01
+
+
+@pytest.mark.parametrize(
+    "number, ms",
+    [
+        ("1633093201000.0", EPOCH_13_00_01),
+        ("1633093201000.999", EPOCH_13_00_01),
+        ("1.633093201e12", EPOCH_13_00_01),
+        ("0.5", 0),
+        ("253402300799999.5", MAX_TIMESTAMP_MS),
+    ],
+    ids=["zero-fraction", "fraction", "exponent", "half-ms", "last-ms"],
+)
+def test_jsonl_number_timestamp_is_epoch_milliseconds_with_the_fraction_floored(number, ms):
+    line = f'{{"timestamp": {number}, "device": "M1", "attribute": "motion", "value": "on"}}\n'
+    assert parse_log_jsonl(line)[0].timestamp_ms == ms
+
+
+@pytest.mark.parametrize(
+    "number, message",
+    [
+        ("NaN", "timestamp 'NaN' is not a finite number"),
+        ("Infinity", "timestamp 'Infinity' is not a finite number"),
+        ("-Infinity", "timestamp '-Infinity' is not a finite number"),
+        ("-1", "timestamp '-1' is before 1970-01-01T00:00:00Z"),
+        ("-0.5", "timestamp '-0.5' is before 1970-01-01T00:00:00Z"),
+        ("253402300800000.0", "timestamp '253402300800000.0' is after 9999-12-31T23:59:59.999Z"),
+        ("1e300", "timestamp '1e+300' is after 9999-12-31T23:59:59.999Z"),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "negative", "negative-fraction", "past-9999", "1e300"],
+)
+def test_jsonl_number_timestamp_out_of_range_names_its_line(number, message):
+    lines = [
+        '{"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}',
+        f'{{"timestamp": {number}, "device": "M1", "attribute": "motion", "value": "on"}}',
+    ]
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(message)}$"):
+        parse_log_jsonl("\n".join(lines))
 
 
 @given(

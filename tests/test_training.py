@@ -275,6 +275,27 @@ def test_best_interval_equals_the_quadratic_reference(rows):
     assert best_interval(rows) == _quadratic_best_interval(rows)
 
 
+# best_interval builds the empty-interval candidates only when no run of
+# scores has more normals than anomalies; each set here reaches that branch.
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([(S, 1.0)], (1.0 - 1e-9, 1.0 - 1e-9, 1.0)),
+        ([(S, 1.0), (T, 2.0), (S, 2.0)], (1.0 + 1e-9, 2.0 - 1e-9, 1.0)),
+        ([(N, 1.0), (S, 1.0), (S, 2.0), (T, 100.0)], (2.0 + 1e-9, 100.0 - 1e-9, 0.75)),
+        ([(N, 1.0), (S, 1.0)], (1.0 - 1e-9, 1.0 + 1e-9, 0.5)),
+    ],
+    ids=[
+        "one-anomaly",
+        "all-anomalies-widest-gap",
+        "zero-gain-empty-gap-wider",
+        "zero-gain-interval-wider",
+    ],
+)
+def test_best_interval_without_a_positive_gain_equals_the_quadratic_reference(rows, expected):
+    assert best_interval(rows) == _quadratic_best_interval(rows) == expected
+
+
 def _separable_training_set():
     normals = [make_instance("ABC", [10_000 + d, 20_000 - d], label=N) for d in (0, 50, -50)]
     fast = [make_instance("ABC", [500_000, 20_000], label=T) for _ in range(2)]
