@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
-from tempoguard.events import ActivityInstance, LABEL_NORMAL, json_value, with_label
+from tempoguard.events import ActivityInstance, LABEL_NORMAL, json_document, json_value, with_label
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +72,8 @@ class RunConfig:
         cfg = cls()
         known = {f.name: f.type for f in fields(cls)}
         if config_path is not None:
-            data = json_value(json.loads(_read_text(config_path)), dict, "config file")
+            document = json_document(_read_text(config_path), "config file")
+            data = json_value(document, dict, "config file")
             unknown = sorted(set(data) - set(known))
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")

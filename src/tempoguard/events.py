@@ -158,7 +158,11 @@ def json_value(value, kind: type | tuple[type, ...], what: str):
     accepted = kinds + (int,) if float in kinds else kinds
     if isinstance(value, bool) or not isinstance(value, accepted):
         names = " or ".join(_JSON_NAMES[k] for k in kinds)
-        raise ValueError(f"{what} must be {names}, not {json.dumps(value)}")
+        try:
+            shown = json.dumps(value)
+        except RecursionError:  # parsed a few frames up the stack, too deep to encode here
+            shown = "a value nested too deeply to show"
+        raise ValueError(f"{what} must be {names}, not {shown}")
     return value
 
 
@@ -167,10 +171,19 @@ def json_field(obj: dict, name: str, kind: type | tuple[type, ...]):
     return json_value(obj.get(name), kind, repr(name))
 
 
+def json_document(text: str, what: str):
+    """json.loads(text); a parse error, even nesting too deep to parse, names `what`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what}: invalid JSON ({exc})") from None
+
+
 def json_records(text: str, what: str, build: Callable[[dict], object]) -> list:
     """build(obj) per object of a JSON array; errors name the entry by number."""
     out = []
-    for n, obj in enumerate(json_value(json.loads(text), list, f"a {what} file"), start=1):
+    records = json_value(json_document(text, f"{what} file"), list, f"a {what} file")
+    for n, obj in enumerate(records, start=1):
         try:
             out.append(build(json_value(obj, dict, "the entry")))
         except ValueError as exc:

@@ -20,7 +20,14 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
-from tempoguard.events import ActivityInstance, Event, EventKey, LABEL_UNLABELED, json_value
+from tempoguard.events import (
+    ActivityInstance,
+    Event,
+    EventKey,
+    LABEL_UNLABELED,
+    json_document,
+    json_value,
+)
 
 LOG_HEADER = ("timestamp", "device", "attribute", "value")
 LEGACY_HEADER = ("timestamp", "device", "value")
@@ -181,17 +188,37 @@ def parse_log(text: str) -> list[Event]:
     return events
 
 
+# The C scanner under json.loads; _json_lines calls it directly on each line.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _json_lines(text: str):
+    """(line number, value) for each non-blank line of JSON-lines text.
+
+    Lines end at "\n" only, so a U+2028 or U+0085 inside a string stays in
+    its line. A line that is exactly one JSON value is decoded by the C
+    scanner alone; any other line (JSON whitespace around the value, a BOM,
+    trailing data, a scanner error) goes through json.loads, so every value
+    and every error text is the one json.loads gives. A line that is only
+    whitespace is skipped.
+    """
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        try:
+            value, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            value = json_document(line, f"line {lineno}")
+        yield lineno, value
+
+
 def parse_log_jsonl(text: str) -> list[Event]:
     """Parse the JSON-lines twin of the CSV log format."""
     events: list[Event] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON ({exc})") from None
+    for lineno, obj in _json_lines(text):
         try:
             events.append(_event_from_obj(obj, keys))
         except ValueError as exc:
@@ -299,11 +326,9 @@ def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
 def instances_from_jsonl(text: str) -> list[ActivityInstance]:
     instances: list[ActivityInstance] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in _json_lines(text):
         try:
-            obj = json_value(json.loads(line), dict, "an instance")
+            obj = json_value(obj, dict, "an instance")
             events = json_value(obj.get("events"), list, "'events'")
             instances.append(
                 ActivityInstance(

@@ -617,3 +617,68 @@ def test_wrongly_typed_instance_file_is_a_data_error_naming_its_line(small_run, 
     err = capsys.readouterr().err
     assert "line 2: 'source_id' must be a string, not 5" in err
     assert "Traceback" not in err
+
+
+def test_jsonl_integer_past_the_digit_limit_is_a_data_error_naming_its_line(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        '{"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}\n'
+        '{"timestamp": %s, "device": "M1", "attribute": "motion", "value": "on"}\n' % ("9" * 5000)
+    )
+    assert run_cli("ingest", str(log)) == 2
+    err = capsys.readouterr().err
+    assert "error: line 2: invalid JSON (Exceeds the limit (4300 digits)" in err
+    assert "Traceback" not in err
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        (
+            "log.jsonl",
+            '{"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}\n'
+            + _DEEP + "\n",
+            ["ingest", "{bad}"],
+            "line 2: invalid JSON (maximum recursion depth exceeded",
+        ),
+        (
+            MODELS,
+            _DEEP,
+            ["detect", "--models", "{bad}", "--patterns", "{run}/patterns.json",
+             "--log", "{run}/sim_log.csv"],
+            "model file: invalid JSON (maximum recursion depth exceeded",
+        ),
+        (
+            "config.json",
+            '{"seed": %s}' % _DEEP,
+            ["pipeline", "--config", "{bad}", "--workdir", "{tmp}/run"],
+            "config file: invalid JSON (maximum recursion depth exceeded",
+        ),
+    ],
+    ids=["jsonl-log", "models", "config"],
+)  # fmt: skip
+def test_json_nested_too_deeply_is_a_data_error_not_a_traceback(
+    small_run, tmp_path, capsys, name, text, argv, message
+):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert run_cli(*(arg.format(run=small_run, bad=bad, tmp=tmp_path) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_jsonl_log_device_holding_a_unicode_line_separator_is_one_line(tmp_path, capsys):
+    events = [
+        {"timestamp": 1000, "device": "Hall\u2028lamp", "attribute": "switch", "value": "on"},
+        {"timestamp": 2000, "device": "M1", "attribute": "motion", "value": "active"},
+    ]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(e, ensure_ascii=False) + "\n" for e in events), "utf-8")
+    out = tmp_path / "instances.jsonl"
+    assert run_cli("ingest", str(log), "--out", str(out)) == 0
+    (inst,) = instances_from_jsonl(out.read_text("utf-8"))
+    assert [e.key.device for e in inst.events] == ["Hall\u2028lamp", "M1"]

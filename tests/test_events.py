@@ -16,6 +16,8 @@ from tempoguard.events import (
     LABEL_NORMAL,
     intervals,
     is_numeric_value,
+    json_records,
+    json_value,
     with_label,
 )
 
@@ -192,3 +194,25 @@ def test_is_numeric_value_spots_measurements_not_states():
     assert is_numeric_value("42")
     assert not is_numeric_value("active")
     assert not is_numeric_value("on")
+
+
+def test_json_value_message_survives_a_value_too_deep_to_encode():
+    deep: list = []
+    for _ in range(10_000):
+        deep = [deep]
+    with pytest.raises(ValueError, match="^'device' must be a string, not a value nested too deeply"):
+        json_value(deep, str, "'device'")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[", "model file: invalid JSON (Expecting value: line 1 column 2 (char 1))"),
+        ("[" * 100_000 + "]" * 100_000, "model file: invalid JSON (maximum recursion depth exceeded"),
+    ],
+    ids=["truncated", "nested-too-deeply"],
+)
+def test_json_records_names_the_file_it_cannot_parse(text, message):
+    with pytest.raises(ValueError) as info:
+        json_records(text, "model", dict)
+    assert str(info.value).startswith(message)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import calendar
+import json
 import re
 from datetime import datetime, timezone
 
@@ -13,6 +14,7 @@ from tempoguard.events import Event, EventKey, LABEL_ANOMALY_TI, LABEL_UNLABELED
 from tempoguard.ingest import (
     MAX_TIMESTAMP_MS,
     IngestConfig,
+    _json_lines,
     format_timestamp,
     instances_from_jsonl,
     instances_to_jsonl,
@@ -516,3 +518,112 @@ def test_jsonl_number_timestamp_out_of_range_names_its_line(number, message):
 def test_instance_round_trip_is_identity(gaps, t0):
     inst = make_instance("ABCDEFG"[: len(gaps) + 1], gaps, t0=t0, source_id="seg-0000")
     assert instances_from_jsonl(instances_to_jsonl([inst])) == [inst]
+
+
+def test_jsonl_integer_past_the_digit_limit_is_invalid_json_naming_its_line():
+    good = '{"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}'
+    huge = '{"timestamp": %s, "device": "M1", "attribute": "motion", "value": "on"}' % ("9" * 5000)
+    message = r"^line 2: invalid JSON \(Exceeds the limit \(4300 digits\)"
+    with pytest.raises(ValueError, match=message):
+        parse_log_jsonl(good + "\n" + huge + "\n")
+    with pytest.raises(ValueError, match=message):
+        instances_from_jsonl('{"events": [%s]}\n{"events": [%s]}\n' % (good, huge))
+
+
+@pytest.mark.parametrize("read", [parse_log_jsonl, instances_from_jsonl])
+def test_jsonl_line_nested_too_deeply_is_invalid_json_naming_its_line(read):
+    with pytest.raises(ValueError, match=r"^line 2: invalid JSON \(maximum recursion depth"):
+        read("\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+
+
+_LINE_BREAKS = ["\u2028", "\u2029", "\x85"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=["u2028", "u2029", "u0085"])
+def test_jsonl_log_keeps_a_unicode_line_break_inside_a_string(brk):
+    obj = {"timestamp": 1000, "device": f"Hall{brk}lamp", "attribute": "switch", "value": "on"}
+    text = json.dumps(obj, ensure_ascii=False) + "\n{}\n"
+    assert brk in text.split("\n")[0]
+    with pytest.raises(ValueError, match="^line 2: timestamp must be a string or a number"):
+        parse_log_jsonl(text)
+    (event,) = parse_log_jsonl(text.split("\n")[0])
+    assert event.key.device == f"Hall{brk}lamp"
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS, ids=["u2028", "u2029", "u0085"])
+def test_instance_file_keeps_a_unicode_line_break_inside_a_string(brk):
+    event = {"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}
+    line = json.dumps({"source_id": f"seg{brk}1", "events": [event]}, ensure_ascii=False)
+    (inst,) = instances_from_jsonl(line + "\n")
+    assert inst.source_id == f"seg{brk}1"
+    with pytest.raises(ValueError, match="^line 2: 'events' must be an array, not null$"):
+        instances_from_jsonl(line + "\n{}\n")
+
+
+def test_jsonl_readers_take_a_carriage_return_before_the_newline_as_whitespace():
+    event = '{"timestamp": 1000, "device": "M1", "attribute": "motion", "value": "on"}'
+    assert parse_log_jsonl(event + "\r\n\r\n" + event + "\r\n") == parse_log_jsonl(
+        event + "\n" + event
+    )
+    instance = '{"source_id": "s", "events": [%s]}' % event
+    assert instances_from_jsonl(instance + "\r\n") == instances_from_jsonl(instance)
+
+
+def _loads_line_by_line(text: str):
+    """The reference for _json_lines: json.loads on each non-blank "\n"-separated line."""
+    values = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            values.append((lineno, json.loads(line)))
+        except ValueError as exc:
+            return values, f"line {lineno}: invalid JSON ({exc})"
+    return values, None
+
+
+def _read_all(text: str):
+    values = []
+    try:
+        for item in _json_lines(text):
+            values.append(item)
+    except ValueError as exc:
+        return values, str(exc)
+    return values, None
+
+
+_JSON_WS = st.text(alphabet=" \t\r", max_size=3)
+_EVENT_OBJS = st.fixed_dictionaries(
+    {
+        "timestamp": st.one_of(st.integers(min_value=0, max_value=10**13), st.text(max_size=8)),
+        "device": st.text(max_size=8),
+        "attribute": st.text(alphabet="ab\u2028\x85é", max_size=4),
+        "value": st.one_of(st.text(max_size=4), st.floats(allow_nan=False), st.integers()),
+    }
+)
+
+
+def _padded_line(obj: dict, ascii_only: bool, before: str, after: str, tail: str) -> str:
+    return before + json.dumps(obj, ensure_ascii=ascii_only) + after + tail
+
+
+_JSONL_LINES = st.one_of(
+    st.builds(
+        _padded_line,
+        _EVENT_OBJS,
+        st.booleans(),
+        _JSON_WS,
+        _JSON_WS,
+        st.sampled_from(["", "", "", "\r", "x", " }", "{", " 1", "\ufeff"]),
+    ),
+    st.builds(lambda obj: "\ufeff" + json.dumps(obj), _EVENT_OBJS),
+    st.text(alphabet=" \t\r\x0b\x0c\x1c\x85\xa0\u2028\u3000", max_size=3),
+)
+
+
+@given(lines=st.lists(_JSONL_LINES, max_size=6))
+@example(lines=["", "  ", "\ufeff{}", "{}"])
+@example(lines=['{"a": 1} ', "[1] x", "\r"])
+def test_json_lines_reader_matches_json_loads_line_by_line(lines):
+    text = "\n".join(lines)
+    assert _read_all(text) == _loads_line_by_line(text)
