@@ -22,7 +22,7 @@ from tempoguard.cli import RunConfig, UsageError, add_config_flags, run_pipeline
 ARTIFACTS = ("patterns.json", "train_set.jsonl", "test_set.jsonl")
 
 
-def sweep(workdir: Path, cfg: training.TrainConfig) -> list[dict]:
+def sweep(workdir: Path, cfg: RunConfig) -> list[dict]:
     patterns = mining.patterns_from_json((workdir / "patterns.json").read_text("utf-8"))
     train_set = ingest.instances_from_jsonl((workdir / "train_set.jsonl").read_text("utf-8"))
     test_set = ingest.instances_from_jsonl((workdir / "test_set.jsonl").read_text("utf-8"))
@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"building pipeline artifacts under {workdir}", file=sys.stderr)
         run_pipeline(cfg)
 
-    rows = sweep(workdir, cfg.train_config())
+    rows = sweep(workdir, cfg)
     out = Path(args.out) if args.out else workdir / "alpha_sweep.csv"
     write_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)

@@ -15,88 +15,14 @@ import json
 import logging
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
-from tempoguard.events import ActivityInstance, LABEL_NORMAL, json_document, json_value, with_label
+from tempoguard.config import CONFIG_TYPES, RunConfig, UsageError
+from tempoguard.events import ActivityInstance, LABEL_NORMAL, with_label
 
 logger = logging.getLogger(__name__)
-
-# The type of each RunConfig field, by annotation: it reads both flags and config-file values.
-_CONFIG_TYPES = {"int": int, "float": float, "str": str}
-
-
-class UsageError(Exception):
-    """Bad invocation (not bad data): reported with exit code 1."""
-
-
-def _with_help(default, text: str):
-    return field(default=default, metadata={"help": text})
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Every pipeline setting in one place; config files and CLI flags mirror it."""
-
-    seed: int = simulate.SimConfig.seed
-    instances_per_activity: int = _with_help(
-        simulate.SimConfig.instances_per_activity, "instances per activity"
-    )
-    noise_sigma: float = _with_help(
-        simulate.ActivitySpec.noise_sigma_frac, "relative std-dev of interval jitter"
-    )
-    inter_instance_gap_ms: int = simulate.SimConfig.inter_instance_gap_ms
-    gap_seconds: float = _with_help(
-        ingest.IngestConfig.gap_ms / 1000, "idle gap that separates activity instances"
-    )
-    min_segment_len: int = _with_help(
-        ingest.IngestConfig.min_segment_len, "drop segments shorter than this"
-    )
-    min_support: int = mining.MinerConfig.min_support
-    min_len: int = mining.MinerConfig.min_len
-    alpha_min: float = training.TrainConfig.alpha_min
-    alpha_max: float = training.TrainConfig.alpha_max
-    alpha_step: float = training.TrainConfig.alpha_step
-    boundary_epsilon: float = training.TrainConfig.boundary_epsilon
-    ti_multiplier: float = forge.ForgeConfig.ti_multiplier
-    train_normal: int = 40
-    test_normal: int = 60
-    train_anomaly: int = 10
-    test_anomaly: int = 20
-    workdir: str = _with_help("tempoguard_run", "artifact directory")
-
-    @classmethod
-    def from_sources(cls, config_path: str | None, overrides: dict) -> RunConfig:
-        """Defaults, then config-file values, then the non-None overrides that name a field."""
-        cfg = cls()
-        known = {f.name: f.type for f in fields(cls)}
-        if config_path is not None:
-            document = json_document(_read_text(config_path), "config file")
-            data = json_value(document, dict, "config file")
-            unknown = sorted(set(data) - set(known))
-            if unknown:
-                raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-            for name, value in data.items():
-                json_value(value, _CONFIG_TYPES[known[name]], f"config key {name!r}")
-            cfg = replace(cfg, **data)
-        supplied = {k: v for k, v in overrides.items() if k in known and v is not None}
-        return replace(cfg, **supplied)
-
-    def ingest_config(self) -> ingest.IngestConfig:
-        """The segmentation settings of this run, with the idle gap in milliseconds."""
-        return ingest.IngestConfig(
-            gap_ms=int(round(self.gap_seconds * 1000)), min_segment_len=self.min_segment_len
-        )
-
-    def train_config(self) -> training.TrainConfig:
-        """The training knobs of this run: the alpha grid and the boundary epsilon."""
-        return training.TrainConfig(
-            alpha_min=self.alpha_min,
-            alpha_max=self.alpha_max,
-            alpha_step=self.alpha_step,
-            boundary_epsilon=self.boundary_epsilon,
-        )
 
 
 def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -109,7 +35,7 @@ def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         setting = settings[name]
         parser.add_argument(
             "--" + name.replace("_", "-"),
-            type=_CONFIG_TYPES[setting.type],
+            type=CONFIG_TYPES[setting.type],
             metavar=setting.type.upper(),
             help=f"{setting.metadata.get('help', '')} (default: {setting.default})".lstrip(),
         )
@@ -154,24 +80,21 @@ def _pick_sources(
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([], [args.out])
-    specs = simulate.builtin_specs(cfg.noise_sigma)
-    sim_cfg = simulate.SimConfig(seed=cfg.seed, instances_per_activity=cfg.instances_per_activity)
-    events = simulate.generate(specs, sim_cfg)
+    events = simulate.generate(simulate.builtin_specs(cfg.noise_sigma), cfg)
     _write_or_print(ingest.serialize_log(events, args.format), args.out)
     return 0
 
 
 def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.log], [args.out])
-    instances = ingest.segment(_load_log(args.log), cfg.ingest_config())
+    instances = ingest.segment(_load_log(args.log), cfg)
     _write_or_print(ingest.instances_to_jsonl(instances), args.out)
     return 0
 
 
 def _mine(instances: list[ActivityInstance], cfg: RunConfig, names: dict | None = None) -> list:
     """mine_patterns at cfg's thresholds; mining no pattern at all is a data error."""
-    miner_cfg = mining.MinerConfig(min_support=cfg.min_support, min_len=cfg.min_len)
-    patterns = mining.mine_patterns(instances, miner_cfg, names)
+    patterns = mining.mine_patterns(instances, cfg, names)
     if not patterns:
         distinct = len({inst.key_sequence() for inst in instances})
         raise ValueError(
@@ -203,19 +126,18 @@ def _cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not pool:
         raise ValueError(f"no instances in {args.instances}")
     rng = random.Random(cfg.seed)
-    forge_cfg = forge.ForgeConfig(ti_multiplier=cfg.ti_multiplier)
     out: list[ActivityInstance] = []
     for src in _pick_sources(pool, args.count, rng):
         if args.kind == "seq":
             out.append(forge.make_anomaly_seq(src, rng))
         else:
-            out.append(forge.make_anomaly_ti(src, forge_cfg, rng))
+            out.append(forge.make_anomaly_ti(src, cfg, rng))
     _write_or_print(ingest.instances_to_jsonl(out), args.out)
     return 0
 
 
 def train_models(
-    patterns: list, labeled: list[ActivityInstance], cfg: training.TrainConfig
+    patterns: list, labeled: list[ActivityInstance], cfg: RunConfig
 ) -> list[training.ScoreModel]:
     """Route labeled instances to their best pattern and train each activity."""
     groups = evaluation.route(patterns, labeled)
@@ -233,7 +155,7 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.patterns, args.train_set], [args.out])
     patterns = mining.patterns_from_json(_read_text(args.patterns))
     labeled = ingest.instances_from_jsonl(_read_text(args.train_set))
-    models = train_models(patterns, labeled, cfg.train_config())
+    models = train_models(patterns, labeled, cfg)
     if not models:
         raise ValueError("no models trained (no instances routed to any pattern)")
     _write_or_print(training.models_to_json(models), args.out)
@@ -243,7 +165,7 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     patterns = mining.patterns_from_json(_read_text(args.pattern))
     events = _load_log(args.log)
-    for inst in ingest.segment(events, cfg.ingest_config()):
+    for inst in ingest.segment(events, cfg):
         pattern = evaluation.select_pattern(patterns, inst)
         breakdown = scoring.score(pattern, inst, args.alpha)
         print(breakdown.total)
@@ -256,7 +178,7 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
     events = _load_log(args.log)
     lines = []
-    for inst in ingest.segment(events, cfg.ingest_config()):
+    for inst in ingest.segment(events, cfg):
         pattern = evaluation.select_pattern(patterns, inst, models)
         model = models.get(pattern.name)
         if model is None:
@@ -298,21 +220,22 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     Writes sim_log.csv, instances.jsonl, patterns.json, train_set.jsonl,
     test_set.jsonl, models.json, report.json, and report.txt under
-    cfg.workdir, then returns the report dict.
+    cfg.workdir, then returns the report dict. The settings are checked
+    before the first file is written.
     """
+    if cfg.inter_instance_gap_ms <= cfg.gap_ms:
+        raise ValueError(
+            f"inter_instance_gap_ms ({cfg.inter_instance_gap_ms} ms) must exceed the "
+            f"segmentation gap, gap_seconds ({cfg.gap_ms} ms)"
+        )
+    specs = simulate.builtin_specs(cfg.noise_sigma)
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
-    specs = simulate.builtin_specs(cfg.noise_sigma)
-    sim_cfg = simulate.SimConfig(
-        seed=cfg.seed,
-        instances_per_activity=cfg.instances_per_activity,
-        inter_instance_gap_ms=cfg.inter_instance_gap_ms,
-    )
-    events = simulate.generate(specs, sim_cfg)
+    events = simulate.generate(specs, cfg)
     (workdir / "sim_log.csv").write_text(ingest.serialize_log(events, "csv"), encoding="utf-8")
 
-    instances = ingest.segment(events, cfg.ingest_config())
+    instances = ingest.segment(events, cfg)
     (workdir / "instances.jsonl").write_text(
         ingest.instances_to_jsonl(instances), encoding="utf-8"
     )
@@ -323,7 +246,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
     rng_augment = random.Random(cfg.seed + 1)
     rng_forge = random.Random(cfg.seed + 2)
     rng_split = random.Random(cfg.seed + 3)
-    forge_cfg = forge.ForgeConfig(ti_multiplier=cfg.ti_multiplier)
     normal_target = cfg.train_normal + cfg.test_normal
     anomalies_per_type = cfg.train_anomaly + cfg.test_anomaly
     train_set: list[ActivityInstance] = []
@@ -345,7 +267,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             for src in _pick_sources(originals, anomalies_per_type, rng_forge)
         ]
         ti_anomalies = [
-            forge.make_anomaly_ti(src, forge_cfg, rng_forge)
+            forge.make_anomaly_ti(src, cfg, rng_forge)
             for src in _pick_sources(originals, anomalies_per_type, rng_forge)
         ]
         train_set += (
@@ -363,7 +285,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     )
     (workdir / "test_set.jsonl").write_text(ingest.instances_to_jsonl(test_set), encoding="utf-8")
 
-    models = train_models(patterns, train_set, cfg.train_config())
+    models = train_models(patterns, train_set, cfg)
     (workdir / "models.json").write_text(training.models_to_json(models), encoding="utf-8")
 
     report = evaluation.build_report(patterns, {m.activity: m for m in models}, test_set)

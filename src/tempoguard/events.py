@@ -28,6 +28,9 @@ _JSON_NAMES = {
     str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"
 }
 
+# The longest quote of a wrongly typed JSON value in a message, ellipsis included.
+SHOWN_VALUE_CHARS = 80
+
 VALID_LABELS = frozenset({LABEL_NORMAL, LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_UNLABELED})
 ANOMALY_LABELS = frozenset({LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI})
 
@@ -152,7 +155,8 @@ def is_numeric_value(raw_value: str) -> bool:
 def json_value(value, kind: type | tuple[type, ...], what: str):
     """`value` if JSON gave it as `kind`, or as one of a tuple of kinds.
 
-    A float may be an int; a bool is never a number.
+    A float may be an int; a bool is never a number. The message quotes
+    the value cut to SHOWN_VALUE_CHARS characters.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
     accepted = kinds + (int,) if float in kinds else kinds
@@ -162,6 +166,8 @@ def json_value(value, kind: type | tuple[type, ...], what: str):
             shown = json.dumps(value)
         except RecursionError:  # parsed a few frames up the stack, too deep to encode here
             shown = "a value nested too deeply to show"
+        if len(shown) > SHOWN_VALUE_CHARS:
+            shown = shown[: SHOWN_VALUE_CHARS - 1] + "…"
         raise ValueError(f"{what} must be {names}, not {shown}")
     return value
 

@@ -9,8 +9,8 @@ one inter-event interval by a large factor (timing anomaly).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from tempoguard.config import RunConfig
 from tempoguard.events import (
     ActivityInstance,
     Event,
@@ -19,17 +19,6 @@ from tempoguard.events import (
     LABEL_NORMAL,
     intervals,
 )
-
-
-@dataclass(frozen=True)
-class ForgeConfig:
-    """Knobs for synthetic data generation."""
-
-    ti_multiplier: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.ti_multiplier <= 1:
-            raise ValueError("ti_multiplier must be > 1")
 
 
 def _rebuild(
@@ -78,7 +67,7 @@ def make_anomaly_seq(x: ActivityInstance, rng: random.Random) -> ActivityInstanc
 
 
 def make_anomaly_ti(
-    x: ActivityInstance, cfg: ForgeConfig, rng: random.Random
+    x: ActivityInstance, cfg: RunConfig, rng: random.Random
 ) -> ActivityInstance:
     """Stretch one uniformly random interval by cfg.ti_multiplier.
 

@@ -17,9 +17,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
+from tempoguard.config import RunConfig
 from tempoguard.events import (
     ActivityInstance,
     Event,
@@ -49,46 +49,33 @@ ATTRIBUTE_FOR_VALUE = {
 }
 
 
-@dataclass(frozen=True)
-class IngestConfig:
-    """Knobs for turning a raw log into activity instances."""
-
-    gap_ms: int = 120_000
-    min_segment_len: int = 2
-
-    def __post_init__(self) -> None:
-        if self.gap_ms <= 0:
-            raise ValueError("gap_ms must be > 0")
-        if self.min_segment_len < 1:
-            raise ValueError("min_segment_len must be >= 1")
-
-
 def parse_timestamp(token: str) -> int:
     """Parse one timestamp token to epoch milliseconds UTC.
 
-    Accepted forms: integer epoch milliseconds, ISO-8601 (naive assumed UTC,
-    trailing Z accepted), and "M/D/YYYY HH:MM:SS" interpreted as UTC.
-    Sub-millisecond digits are floored. A time before 1970-01-01T00:00:00Z,
-    or epoch milliseconds past MAX_TIMESTAMP_MS, is rejected.
+    Accepted forms, all in ASCII: integer epoch milliseconds, ISO-8601
+    (naive assumed UTC, trailing Z accepted), and "M/D/YYYY HH:MM:SS"
+    interpreted as UTC. Sub-millisecond digits are floored. A time before
+    1970-01-01T00:00:00Z or past MAX_TIMESTAMP_MS is rejected, whichever
+    form it came in (an ISO offset can move a year-9999 time past it).
     """
     token = token.strip()
+    if not token.isascii():  # int() and strptime also read other scripts' digits
+        raise ValueError(f"unparseable timestamp {token!r}")
     if token.isdigit():
         ms = int(token)
-        if ms > MAX_TIMESTAMP_MS:
-            raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
-        return ms
-    iso = token[:-1] + "+00:00" if token.endswith(("Z", "z")) else token
-    try:
-        dt = datetime.fromisoformat(iso)
-    except ValueError:
+    else:
+        iso = token[:-1] + "+00:00" if token.endswith(("Z", "z")) else token
         try:
-            dt = datetime.strptime(token, "%m/%d/%Y %H:%M:%S")
+            dt = datetime.fromisoformat(iso)
         except ValueError:
-            raise ValueError(f"unparseable timestamp {token!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    ms = (dt - EPOCH_UTC) // _ONE_MS
-    if ms < 0:
+            try:
+                dt = datetime.strptime(token, "%m/%d/%Y %H:%M:%S")
+            except ValueError:
+                raise ValueError(f"unparseable timestamp {token!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ms = (dt - EPOCH_UTC) // _ONE_MS
+    if not 0 <= ms <= MAX_TIMESTAMP_MS:
         raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
     return ms
 
@@ -107,14 +94,6 @@ def format_timestamp(ms: int) -> str:
 def _range_error(ms: int) -> str:
     """Why epoch milliseconds `ms`, outside 0..MAX_TIMESTAMP_MS, cannot be kept."""
     return "before 1970-01-01T00:00:00Z" if ms < 0 else "after 9999-12-31T23:59:59.999Z"
-
-
-def _log_time(token: str) -> int:
-    """parse_timestamp, also rejecting an ISO time that an offset puts past 9999."""
-    ms = parse_timestamp(token)
-    if ms > MAX_TIMESTAMP_MS:
-        raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
-    return ms
 
 
 def _interned(keys: dict, device, attribute, state: str) -> EventKey:
@@ -139,7 +118,7 @@ def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> E
     if len(fields) != expected or "" in fields:
         raise ValueError(f"line {lineno}: expected {expected} non-empty columns, got {fields!r}")
     try:
-        ts = _log_time(fields[0])
+        ts = parse_timestamp(fields[0])
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
     if legacy:
@@ -242,7 +221,7 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
         json_value(obj, dict, "an event")
     ts = obj.get("timestamp")
     if type(ts) is str:
-        ts_ms = _log_time(ts)
+        ts_ms = parse_timestamp(ts)
     else:  # a bool is rejected, not read as 1 ms
         ts_ms = _json_time(json_value(ts, (str, float), "timestamp"))
     value = obj.get("value")
@@ -276,13 +255,14 @@ def serialize_log(events: list[Event], fmt: str = "csv") -> str:
     raise ValueError(f"unknown log format {fmt!r}")
 
 
-def segment(events: list[Event], cfg: IngestConfig | None = None) -> list[ActivityInstance]:
+def segment(events: list[Event], cfg: RunConfig | None = None) -> list[ActivityInstance]:
     """Split a time-ordered event list into activity instances at idle gaps.
 
-    Consecutive events closer than cfg.gap_ms share a segment; segments with
-    fewer than cfg.min_segment_len events are dropped.
+    Consecutive events closer than cfg.gap_seconds share a segment; segments
+    with fewer than cfg.min_segment_len events are dropped.
     """
-    cfg = cfg or IngestConfig()
+    cfg = cfg or RunConfig()
+    gap_ms = cfg.gap_ms
     instances: list[ActivityInstance] = []
     run: list[Event] = []
 
@@ -300,7 +280,7 @@ def segment(events: list[Event], cfg: IngestConfig | None = None) -> list[Activi
         gap = event.timestamp_ms - run[-1].timestamp_ms if run else 0
         if gap < 0:
             raise ValueError("events must be time-ordered before segmentation")
-        if gap >= cfg.gap_ms:
+        if gap >= gap_ms:
             flush()
             run = []
         run.append(event)

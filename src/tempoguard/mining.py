@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 
+from tempoguard.config import RunConfig
 from tempoguard.events import (
     ActivityInstance,
     ActivityPattern,
@@ -23,20 +23,6 @@ from tempoguard.events import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MinerConfig:
-    """Thresholds deciding which key sequences count as patterns."""
-
-    min_support: int = 5
-    min_len: int = 2
-
-    def __post_init__(self) -> None:
-        if self.min_support < 1:
-            raise ValueError("min_support must be >= 1")
-        if self.min_len < 1:
-            raise ValueError("min_len must be >= 1")
 
 
 def build_pattern(name: str, group: list[ActivityInstance]) -> ActivityPattern:
@@ -70,7 +56,7 @@ def _discrete_events(instance: ActivityInstance) -> ActivityInstance | None:
 
 def mine_patterns(
     instances: list[ActivityInstance],
-    cfg: MinerConfig | None = None,
+    cfg: RunConfig | None = None,
     names: dict[tuple[EventKey, ...], str] | None = None,
 ) -> list[ActivityPattern]:
     """Group instances by exact key sequence and keep the frequent ones.
@@ -80,7 +66,7 @@ def mine_patterns(
     so the result is independent of input order; names are "pattern-1",
     "pattern-2", ... unless `names` maps a key sequence to a better one.
     """
-    cfg = cfg or MinerConfig()
+    cfg = cfg or RunConfig()
     dropped = 0
     groups: dict[tuple[EventKey, ...], list[ActivityInstance]] = {}
     for inst in instances:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from tempoguard.config import RunConfig
 from tempoguard.events import Event, EventKey
-from tempoguard.ingest import IngestConfig
 
 # Epoch ms for 2021-10-01T00:00:00Z; an arbitrary fixed origin for determinism.
 START_EPOCH_MS = 1_633_046_400_000
@@ -50,19 +50,6 @@ class ActivitySpec:
 
     def key_sequence(self) -> tuple[EventKey, ...]:
         return tuple(key for key, _ in self.steps)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int = 42
-    instances_per_activity: int = 50
-    inter_instance_gap_ms: int = 600_000
-
-    def __post_init__(self) -> None:
-        if self.instances_per_activity < 1:
-            raise ValueError("instances_per_activity must be >= 1")
-        if self.inter_instance_gap_ms <= IngestConfig().gap_ms:
-            raise ValueError("inter_instance_gap_ms must exceed the segmentation gap")
 
 
 def _key(device: str, attribute: str, state: str) -> EventKey:
@@ -127,14 +114,14 @@ def spec_name_map(specs: list[ActivitySpec]) -> dict[tuple[EventKey, ...], str]:
     return {spec.key_sequence(): spec.name for spec in specs}
 
 
-def generate(specs: list[ActivitySpec], cfg: SimConfig | None = None) -> list[Event]:
+def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Event]:
     """Emit a full log: every activity repeated instances_per_activity times.
 
     Each gap is base * (1 + gauss(0, sigma)), rounded to whole ms and clamped
     to >= 1. One RNG stream drawn in a fixed order makes the log a pure
     function of the seed.
     """
-    cfg = cfg or SimConfig()
+    cfg = cfg or RunConfig()
     rng = random.Random(cfg.seed)
     events: list[Event] = []
     now = START_EPOCH_MS

@@ -14,27 +14,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 
+from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL, LABEL_UNLABELED
 from tempoguard.events import json_field, json_records
 from tempoguard.scoring import score
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Weight-sweep grid and interval-boundary placement."""
-
-    alpha_min: float = 0.0
-    alpha_max: float = 5.0
-    alpha_step: float = 0.1
-    boundary_epsilon: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.alpha_min > self.alpha_max:
-            raise ValueError("alpha_min must be <= alpha_max")
-        if self.alpha_step <= 0:
-            raise ValueError("alpha_step must be > 0")
-        if self.boundary_epsilon <= 0:
-            raise ValueError("boundary_epsilon must be > 0")
 
 
 @dataclass(frozen=True)
@@ -54,7 +37,7 @@ class ScoreModel:
             raise ValueError("training_accuracy must be in [0, 1]")
 
 
-def alpha_grid(cfg: TrainConfig) -> list[float]:
+def alpha_grid(cfg: RunConfig) -> list[float]:
     """Sweep points alpha_min, alpha_min+step, ... up to alpha_max inclusive."""
     span = cfg.alpha_max - cfg.alpha_min
     steps = int(round(span / cfg.alpha_step))
@@ -144,14 +127,14 @@ def _span(lo: float, hi: float) -> tuple[float, float, float, float]:
 
 
 def sweep(
-    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: TrainConfig | None = None
+    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: RunConfig | None = None
 ) -> list[tuple[float, float, float, float]]:
     """One (alpha, lo, hi, accuracy) row per weight on the grid, ascending.
 
     Each instance is scored once; the totals at every weight are blended from
     that one breakdown with the same expression as scoring.score.
     """
-    cfg = cfg or TrainConfig()
+    cfg = cfg or RunConfig()
     _require_labeled(labeled)
     parts = [(inst.label, score(pattern, inst, 0.0)) for inst in labeled]
     rows = []
@@ -162,7 +145,7 @@ def sweep(
 
 
 def train(
-    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: TrainConfig | None = None
+    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: RunConfig | None = None
 ) -> ScoreModel:
     """Pick the sweep weight (and its interval) with the best training accuracy.
 

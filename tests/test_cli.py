@@ -11,11 +11,9 @@ from conftest import make_instance, make_pattern
 from test_sweep_alpha import _load_script
 from tempoguard.cli import RunConfig, build_parser, run, run_pipeline, train_models
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL
-from tempoguard.forge import ForgeConfig
-from tempoguard.ingest import IngestConfig, instances_from_jsonl, instances_to_jsonl
-from tempoguard.mining import MinerConfig
-from tempoguard.simulate import SimConfig, builtin_specs
-from tempoguard.training import TrainConfig, models_from_json
+from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
+from tempoguard.simulate import builtin_specs
+from tempoguard.training import models_from_json
 
 
 def run_cli(*argv: str) -> int:
@@ -267,12 +265,43 @@ def test_config_file_float_fields_accept_integers(tmp_path):
     assert (cfg.gap_seconds, cfg.seed, cfg.workdir) == (300, 7, "w")
 
 
+def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha_min": 6, "instances_per_activity": 10}))
+    argv = ["--config", str(config), "--alpha-max", "10", "--workdir", str(tmp_path / "run")]
+    assert run_cli("pipeline", *argv) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--gap-seconds=0", "gap_seconds must be over 0.0005, a gap of 1 ms or more"),
+        ("--alpha-step=0", "alpha_step must be > 0"),
+        ("--gap-seconds=700", "inter_instance_gap_ms (600000 ms) must exceed the segmentation "
+         "gap, gap_seconds (700000 ms)"),
+    ],
+    ids=["gap_seconds=0", "alpha_step=0", "gap_seconds=700"],
+)
+def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, flag, message):
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", flag, "--workdir", str(workdir)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not workdir.exists()
+
+
+def test_pipeline_spaces_instances_past_its_own_segmentation_gap(tmp_path):
+    argv = ["--gap-seconds=60", "--inter-instance-gap-ms=100000", "--instances=10"]
+    assert run_cli("pipeline", *argv, "--workdir", str(tmp_path / "run")) == 0
+    instances = instances_from_jsonl((tmp_path / "run" / "instances.jsonl").read_text())
+    assert len(instances) == 30
+
+
 def test_train_models_logs_a_pattern_without_training_instances(caplog):
     patterns = [make_pattern("AB", [1000], name="ab"), make_pattern("XY", [1000], name="xy")]
     labeled = [make_instance("AB", [1000], label=LABEL_NORMAL) for _ in range(3)]
     labeled.append(make_instance("A", [], label=LABEL_ANOMALY_SEQ))
     with caplog.at_level(logging.WARNING, logger="tempoguard.cli"):
-        models = train_models(patterns, labeled, TrainConfig())
+        models = train_models(patterns, labeled, RunConfig())
     assert [m.activity for m in models] == ["ab"]
     assert "no training instances routed to 'xy'" in caplog.text
 
@@ -281,6 +310,7 @@ def test_run_config_merges_defaults_and_overrides():
     cfg = RunConfig.from_sources(None, {"seed": 9, "workdir": None})
     assert cfg.seed == 9
     assert cfg.workdir == "tempoguard_run"
+    assert builtin_specs(cfg.noise_sigma) == builtin_specs()
 
 
 def test_run_pipeline_returns_the_report_dict(tmp_path):
@@ -329,21 +359,6 @@ def test_every_run_config_field_has_a_sweep_alpha_flag(tmp_path, monkeypatch):
     with pytest.raises(_Built):
         script.main([*flags, "--workdir", expected.workdir])
     assert built == [expected]
-
-
-def test_run_config_defaults_are_the_stage_defaults():
-    cfg = RunConfig()
-    assert cfg.ingest_config() == IngestConfig()
-    assert cfg.train_config() == TrainConfig()
-    assert MinerConfig(min_support=cfg.min_support, min_len=cfg.min_len) == MinerConfig()
-    assert ForgeConfig(ti_multiplier=cfg.ti_multiplier) == ForgeConfig()
-    sim = SimConfig(
-        seed=cfg.seed,
-        instances_per_activity=cfg.instances_per_activity,
-        inter_instance_gap_ms=cfg.inter_instance_gap_ms,
-    )
-    assert sim == SimConfig()
-    assert builtin_specs(cfg.noise_sigma) == builtin_specs()
 
 
 def test_help_shows_each_setting_default(capsys):
@@ -535,6 +550,25 @@ def test_mining_no_pattern_is_a_data_error(tmp_path, capsys):
     workdir = tmp_path / "run"
     assert run_cli("pipeline", "--workdir", str(workdir), "--min-support", "1000") == 2
     assert "no pattern mined (segments: 150, distinct key sequences: 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["１０００", "²"])
+def test_timestamp_of_non_ascii_digits_is_a_data_error_naming_its_line(tmp_path, capsys, token):
+    log = tmp_path / "log.csv"
+    log.write_text(f"timestamp,device,attribute,value\n{token},M1,motion,active\n", "utf-8")
+    assert run_cli("ingest", str(log)) == 2
+    assert capsys.readouterr().err == f"error: line 2: unparseable timestamp {token!r}\n"
+
+
+def test_error_quoting_a_huge_json_value_stays_short(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    device = json.dumps(["M1"] * 200_000)
+    log.write_text('{"timestamp": 1000, "device": %s, "attribute": "m", "value": "on"}\n' % device)
+    assert run_cli("ingest", str(log)) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode("utf-8")) < 1024
+    assert err.startswith("error: line 1: 'device' must be a string, not [")
+    assert err.endswith("…\n")
 
 
 def test_iso_time_past_year_9999_is_a_data_error_naming_its_line(tmp_path, capsys):

@@ -1,0 +1,41 @@
+"""RunConfig holds every setting and range-checks each one when it is built."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from tempoguard.config import RunConfig
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"gap_seconds": 0},
+        {"gap_seconds": 0.0004},  # rounds to a 0 ms gap
+        {"gap_seconds": -1.0},
+        {"gap_seconds": math.inf},
+        {"gap_seconds": math.nan},
+        {"min_segment_len": 0},
+        {"min_support": 0},
+        {"min_len": 0},
+        {"alpha_min": 3.0, "alpha_max": 2.0},
+        {"alpha_max": math.inf},
+        {"alpha_step": 0.0},
+        {"boundary_epsilon": 0.0},
+        {"ti_multiplier": 1.0},
+        {"ti_multiplier": math.inf},
+        {"instances_per_activity": 0},
+    ],
+    ids=lambda settings: ",".join(f"{name}={value}" for name, value in settings.items()),
+)
+def test_run_config_rejects_an_out_of_range_value_naming_its_field(settings):
+    field = next(iter(settings))  # the first setting named is the one at fault
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        RunConfig(**settings)
+
+
+def test_gap_seconds_is_kept_whenever_it_rounds_to_a_millisecond_or_more():
+    assert RunConfig(gap_seconds=0.0006).gap_ms == 1
+    assert RunConfig(gap_seconds=90).gap_ms == 90_000

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
+from tempoguard.cli import run
+from tempoguard.config import RunConfig
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL, intervals
 from tempoguard.forge import (
-    ForgeConfig,
     augment_normals,
     make_anomaly_seq,
     make_anomaly_ti,
@@ -110,32 +111,33 @@ def test_deletion_leaves_an_alignment_one_short(n, seed):
 
 def test_stretching_multiplies_exactly_one_interval():
     source = make_instance("ABC", [10, 20])
-    stretched = make_anomaly_ti(source, ForgeConfig(ti_multiplier=50), _rng_choosing(0))
+    stretched = make_anomaly_ti(source, RunConfig(ti_multiplier=50), _rng_choosing(0))
     assert intervals(stretched) == (500, 20)
     assert stretched.label == LABEL_ANOMALY_TI
 
 
 def test_stretching_the_other_interval():
     source = make_instance("ABC", [10, 20])
-    stretched = make_anomaly_ti(source, ForgeConfig(ti_multiplier=50), _rng_choosing(1))
+    stretched = make_anomaly_ti(source, RunConfig(ti_multiplier=50), _rng_choosing(1))
     assert intervals(stretched) == (10, 1000)
 
 
 def test_stretching_shifts_later_timestamps_only():
     source = make_instance("ABCD", [10, 20, 30], t0=1_000)
-    stretched = make_anomaly_ti(source, ForgeConfig(ti_multiplier=50), _rng_choosing(1))
+    stretched = make_anomaly_ti(source, RunConfig(ti_multiplier=50), _rng_choosing(1))
     assert [e.timestamp_ms for e in stretched.events] == [1_000, 1_010, 2_010, 2_040]
     assert stretched.key_sequence() == source.key_sequence()
 
 
 def test_stretching_rejects_single_event_instances():
     with pytest.raises(ValueError, match="at least 2"):
-        make_anomaly_ti(make_instance("A", []), ForgeConfig(), random.Random(0))
+        make_anomaly_ti(make_instance("A", []), RunConfig(), random.Random(0))
 
 
-def test_forge_config_rejects_multiplier_of_one_or_less():
-    with pytest.raises(ValueError, match="ti_multiplier"):
-        ForgeConfig(ti_multiplier=1.0)
+def test_forge_config_rejects_multiplier_of_one_or_less(capsys):
+    argv = ["forge", "missing.jsonl", "--kind=ti", "--count=1", "--ti-multiplier=1"]
+    assert run(argv) == 2
+    assert "error: ti_multiplier must be > 1" in capsys.readouterr().err
 
 
 def test_augment_zero_is_empty():

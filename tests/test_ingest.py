@@ -10,10 +10,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import key, make_instance
+from tempoguard.cli import run
+from tempoguard.config import RunConfig
 from tempoguard.events import Event, EventKey, LABEL_ANOMALY_TI, LABEL_UNLABELED
 from tempoguard.ingest import (
     MAX_TIMESTAMP_MS,
-    IngestConfig,
     _json_lines,
     format_timestamp,
     instances_from_jsonl,
@@ -86,6 +87,9 @@ def test_parse_timestamp_equals_the_exact_integer_reference(local, offset_min):
     expected = seconds * 1000 + local.microsecond // 1000
     if expected < 0:
         with pytest.raises(ValueError, match="before 1970"):
+            parse_timestamp(token)
+    elif expected > MAX_TIMESTAMP_MS:
+        with pytest.raises(ValueError, match="after 9999"):
             parse_timestamp(token)
     else:
         assert parse_timestamp(token) == expected
@@ -327,19 +331,19 @@ def _events(*gaps: int) -> list[Event]:
 
 def test_segment_splits_on_gaps_at_or_over_threshold():
     events = _events(1000, 120_000, 1000)
-    parts = segment(events, IngestConfig(gap_ms=120_000))
+    parts = segment(events, RunConfig(gap_seconds=120))
     assert [len(p.events) for p in parts] == [2, 2]
 
 
 def test_segment_keeps_gaps_under_threshold_together():
     events = _events(1000, 119_999, 1000)
-    parts = segment(events, IngestConfig(gap_ms=120_000))
+    parts = segment(events, RunConfig(gap_seconds=120))
     assert [len(p.events) for p in parts] == [4]
 
 
 def test_segment_drops_short_segments():
     events = _events(200_000, 1000)  # lone first event, then a pair
-    parts = segment(events, IngestConfig(gap_ms=120_000, min_segment_len=2))
+    parts = segment(events, RunConfig(gap_seconds=120, min_segment_len=2))
     assert [len(p.events) for p in parts] == [2]
 
 
@@ -383,8 +387,10 @@ _PAST_9999 = "9999-12-31T23:30:00-01:30"
 
 
 def test_log_parsers_reject_an_iso_time_an_offset_puts_past_9999():
-    assert parse_timestamp(_PAST_9999) > MAX_TIMESTAMP_MS  # parse_timestamp stays exact
-    message = f"^line 3: timestamp '{_PAST_9999}' is after 9999-12-31T23:59:59.999Z$"
+    message = f"timestamp '{_PAST_9999}' is after 9999-12-31T23:59:59.999Z$"
+    with pytest.raises(ValueError, match="^" + message):
+        parse_timestamp(_PAST_9999)
+    message = "^line 3: " + message
     csv_text = f"timestamp,device,attribute,value\n1000,M1,m,on\n{_PAST_9999},M1,m,on\n"
     with pytest.raises(ValueError, match=message):
         parse_log(csv_text)
@@ -434,11 +440,17 @@ def test_instance_file_fields_are_type_checked(line, message):
     assert str(info.value).startswith(f"line 2: {message}")
 
 
-def test_ingest_config_validates_fields():
-    with pytest.raises(ValueError):
-        IngestConfig(gap_ms=0)
-    with pytest.raises(ValueError):
-        IngestConfig(min_segment_len=0)
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--gap-seconds=0", "gap_seconds must be over 0.0005"),
+        ("--min-segment-len=0", "min_segment_len must be >= 1"),
+    ],
+    ids=["gap_seconds", "min_segment_len"],
+)
+def test_ingest_settings_are_checked_before_the_log_is_read(capsys, flag, message):
+    assert run(["ingest", "missing.csv", flag]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_instances_jsonl_round_trip_preserves_labels_and_ids():

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import key, make_instance
+from tempoguard.cli import run
+from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, Event, EventKey
 from tempoguard.mining import (
-    MinerConfig,
     build_pattern,
     mine_patterns,
     patterns_from_json,
@@ -19,7 +20,7 @@ from tempoguard.mining import (
 
 def test_identical_sequences_average_into_one_pattern():
     instances = [make_instance("ABC", g) for g in ([10, 20], [12, 22], [14, 24])]
-    patterns = mine_patterns(instances, MinerConfig(min_support=3))
+    patterns = mine_patterns(instances, RunConfig(min_support=3))
     assert len(patterns) == 1
     assert patterns[0].mean_intervals_ms == (12.0, 22.0)
     assert patterns[0].support == 3
@@ -27,7 +28,7 @@ def test_identical_sequences_average_into_one_pattern():
 
 def test_support_threshold_filters_small_groups():
     instances = [make_instance("ABC") for _ in range(4)] + [make_instance("XYZ")]
-    assert mine_patterns(instances, MinerConfig(min_support=5)) == []
+    assert mine_patterns(instances, RunConfig(min_support=5)) == []
 
 
 def test_five_identical_sequences_reach_default_support():
@@ -40,7 +41,7 @@ def test_five_identical_sequences_reach_default_support():
 
 def test_min_len_filters_short_sequences():
     instances = [make_instance("A", []) for _ in range(6)]
-    assert mine_patterns(instances, MinerConfig(min_support=5, min_len=2)) == []
+    assert mine_patterns(instances, RunConfig(min_support=5, min_len=2)) == []
 
 
 def test_empty_input_yields_empty_list():
@@ -174,11 +175,10 @@ def test_means_lie_between_group_extremes(gap_lists):
         assert min(column) <= mean <= max(column)
 
 
-def test_miner_config_validates_fields():
-    with pytest.raises(ValueError):
-        MinerConfig(min_support=0)
-    with pytest.raises(ValueError):
-        MinerConfig(min_len=0)
+def test_miner_config_validates_fields(capsys):
+    for setting in ("min_support", "min_len"):
+        assert run(["mine", "missing.jsonl", f"--{setting.replace('_', '-')}=0"]) == 2
+        assert f"error: {setting} must be >= 1" in capsys.readouterr().err
 
 
 def test_patterns_json_round_trip():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempoguard.cli import run, run_pipeline
+from tempoguard.config import RunConfig
 from tempoguard.events import EventKey, intervals
-from tempoguard.ingest import IngestConfig, parse_log, segment, serialize_log
+from tempoguard.ingest import parse_log, segment, serialize_log
 from tempoguard.simulate import (
     AUTOMATION_LATENCY_MS,
     ActivitySpec,
-    SimConfig,
     builtin_specs,
     generate,
     spec_name_map,
@@ -88,17 +89,19 @@ def test_spec_rejects_negative_noise():
         )
 
 
-def test_sim_config_requires_gap_beyond_segmentation_threshold():
+def test_sim_config_requires_gap_beyond_segmentation_threshold(tmp_path, capsys):
+    workdir = tmp_path / "run"
     with pytest.raises(ValueError, match="segmentation gap"):
-        SimConfig(inter_instance_gap_ms=120_000)
-    with pytest.raises(ValueError):
-        SimConfig(instances_per_activity=0)
+        run_pipeline(RunConfig(inter_instance_gap_ms=120_000, workdir=str(workdir)))
+    assert not workdir.exists()
+    assert run(["simulate", "--instances-per-activity=0"]) == 2
+    assert "error: instances_per_activity must be >= 1" in capsys.readouterr().err
 
 
 def test_zero_noise_reproduces_base_intervals_exactly():
     specs = builtin_specs(noise_sigma_frac=0.0)
-    events = generate(specs, SimConfig(instances_per_activity=2))
-    segments = segment(events, IngestConfig())
+    events = generate(specs, RunConfig(instances_per_activity=2))
+    segments = segment(events)
     assert len(segments) == 6
     for spec, chunk in zip(specs, [segments[0:2], segments[2:4], segments[4:6]]):
         bases = tuple(gap for _, gap in spec.steps[1:])
@@ -108,26 +111,26 @@ def test_zero_noise_reproduces_base_intervals_exactly():
 
 
 def test_same_seed_gives_identical_logs():
-    one = generate(builtin_specs(), SimConfig(seed=7, instances_per_activity=3))
-    two = generate(builtin_specs(), SimConfig(seed=7, instances_per_activity=3))
+    one = generate(builtin_specs(), RunConfig(seed=7, instances_per_activity=3))
+    two = generate(builtin_specs(), RunConfig(seed=7, instances_per_activity=3))
     assert serialize_log(one) == serialize_log(two)
 
 
 def test_different_seeds_give_different_timing():
-    one = generate(builtin_specs(), SimConfig(seed=1, instances_per_activity=3))
-    two = generate(builtin_specs(), SimConfig(seed=2, instances_per_activity=3))
+    one = generate(builtin_specs(), RunConfig(seed=1, instances_per_activity=3))
+    two = generate(builtin_specs(), RunConfig(seed=2, instances_per_activity=3))
     assert serialize_log(one) != serialize_log(two)
 
 
 def test_generated_log_round_trips_through_the_parser():
-    events = generate(builtin_specs(), SimConfig(instances_per_activity=3))
+    events = generate(builtin_specs(), RunConfig(instances_per_activity=3))
     assert parse_log(serialize_log(events, "csv")) == events
 
 
 def test_segmentation_recovers_every_scripted_instance():
     specs = builtin_specs()
-    events = generate(specs, SimConfig(instances_per_activity=4))
-    segments = segment(events, IngestConfig())
+    events = generate(specs, RunConfig(instances_per_activity=4))
+    segments = segment(events)
     assert len(segments) == 12
     wanted = {spec.key_sequence(): 0 for spec in specs}
     for inst in segments:
@@ -145,6 +148,6 @@ def test_name_map_indexes_specs_by_key_sequence():
 @settings(deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_generated_intervals_are_strictly_positive(seed):
-    events = generate(builtin_specs(noise_sigma_frac=0.5), SimConfig(seed=seed, instances_per_activity=1))
+    events = generate(builtin_specs(noise_sigma_frac=0.5), RunConfig(seed=seed, instances_per_activity=1))
     for before, after in zip(events, events[1:]):
         assert after.timestamp_ms - before.timestamp_ms >= 1

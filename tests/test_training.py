@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
 from tempoguard import training as training_module
+from tempoguard.cli import run
+from tempoguard.config import RunConfig
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.scoring import score
 from tempoguard.training import (
     ScoreModel,
-    TrainConfig,
     alpha_grid,
     best_interval,
     models_from_json,
@@ -40,28 +41,33 @@ def interval_accuracy(rows, lo, hi):
 
 
 def test_alpha_grid_has_51_points_by_default():
-    grid = alpha_grid(TrainConfig())
+    grid = alpha_grid(RunConfig())
     assert len(grid) == 51
     assert grid[0] == 0.0
     assert grid[-1] == 5.0
 
 
 def test_alpha_grid_handles_a_degenerate_range():
-    assert alpha_grid(TrainConfig(alpha_min=2.0, alpha_max=2.0)) == [2.0]
+    assert alpha_grid(RunConfig(alpha_min=2.0, alpha_max=2.0)) == [2.0]
 
 
 def test_alpha_grid_never_oversteps_the_max():
-    grid = alpha_grid(TrainConfig(alpha_min=0.0, alpha_max=1.0, alpha_step=0.3))
+    grid = alpha_grid(RunConfig(alpha_min=0.0, alpha_max=1.0, alpha_step=0.3))
     assert grid == pytest.approx([0.0, 0.3, 0.6, 0.9])
 
 
-def test_train_config_validates_fields():
-    with pytest.raises(ValueError):
-        TrainConfig(alpha_min=3.0, alpha_max=2.0)
-    with pytest.raises(ValueError):
-        TrainConfig(alpha_step=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(boundary_epsilon=0.0)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--alpha-min=3", "--alpha-max=2"], "alpha_min must be <= alpha_max"),
+        (["--alpha-step=0"], "alpha_step must be > 0"),
+        (["--boundary-epsilon=0"], "boundary_epsilon must be > 0"),
+    ],
+    ids=["alpha_min", "alpha_step", "boundary_epsilon"],
+)
+def test_train_settings_are_checked_before_any_file_is_read(capsys, flags, message):
+    assert run(["train", "--patterns=missing.json", "--train-set=missing.jsonl", *flags]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_score_table_perfect_match_rows():
@@ -327,13 +333,13 @@ def test_trained_accuracy_matches_a_recount_on_the_training_set():
 
 def test_train_picks_a_grid_alpha():
     model = train(make_pattern("ABC", [10_000, 20_000]), _separable_training_set())
-    assert any(math.isclose(model.alpha, a) for a in alpha_grid(TrainConfig()))
+    assert any(math.isclose(model.alpha, a) for a in alpha_grid(RunConfig()))
 
 
 def test_sweep_has_one_row_per_grid_weight_refit_from_a_score_table():
     pattern = make_pattern("ABC", [10_000, 20_000])
     labeled = _separable_training_set()
-    cfg = TrainConfig(alpha_max=2.0, alpha_step=0.25, boundary_epsilon=1e-6)
+    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25, boundary_epsilon=1e-6)
     expected = [
         (alpha, *best_interval(score_table(pattern, labeled, alpha), cfg.boundary_epsilon))
         for alpha in alpha_grid(cfg)
