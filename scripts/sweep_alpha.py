@@ -36,13 +36,13 @@ def sweep(workdir: Path, cfg: RunConfig) -> list[dict]:
             model = training.ScoreModel(
                 activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=train_acc
             )
-            test_acc = evaluation.evaluate(model, pattern, test_groups[pattern.name])["accuracy"]
+            test = [(i, evaluation.classify(model, pattern, i)) for i in test_groups[pattern.name]]
             rows.append(
                 {
                     "alpha": round(alpha, 6),
                     "activity": pattern.name,
                     "train_accuracy": train_acc,
-                    "test_accuracy": test_acc,
+                    "test_accuracy": evaluation.evaluate(test)["accuracy"],
                     "lo": lo,
                     "hi": hi,
                 }

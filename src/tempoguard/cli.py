@@ -177,29 +177,18 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     patterns = mining.patterns_from_json(_read_text(args.patterns))
     models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
     events = _load_log(args.log)
-    lines = []
-    for inst in ingest.segment(events, cfg):
-        pattern = evaluation.select_pattern(patterns, inst, models)
-        model = models.get(pattern.name)
-        if model is None:
-            raise ValueError(f"no trained model for activity {pattern.name!r}")
-        verdict = evaluation.classify(model, pattern, inst)
-        lines.append(
-            {
-                "source_id": inst.source_id,
-                "activity": pattern.name,
-                "classification": verdict.classification,
-                "total": verdict.breakdown.total,
-            }
-        )
-        print(
-            f"{inst.source_id}\t{pattern.name}\t{verdict.classification}"
-            f"\t{verdict.breakdown.total}"
-        )
+    records = []
+    for inst, pattern, verdict in evaluation.judge(patterns, models, ingest.segment(events, cfg)):
+        record = {
+            "source_id": inst.source_id,
+            "activity": pattern.name,
+            "classification": verdict.classification,
+            "total": verdict.breakdown.total,
+        }
+        records.append(record)
+        print(*record.values(), sep="\t")
     if args.out:
-        Path(args.out).write_text(
-            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
-        )
+        Path(args.out).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     return 0
 
 

@@ -57,6 +57,9 @@ class RunConfig:
         for name in ("instances_per_activity", "min_segment_len", "min_support", "min_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("train_normal", "test_normal", "train_anomaly", "test_anomaly"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.alpha_min > self.alpha_max:
             raise ValueError("alpha_min must be <= alpha_max")
         if self.alpha_step <= 0:

@@ -9,6 +9,7 @@ flagged, tn = normal passed.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
 from tempoguard.events import (
@@ -100,19 +101,35 @@ def select_pattern(
 
 
 def route(
-    patterns: list[ActivityPattern],
-    instances: list[ActivityInstance],
-    models: dict[str, ScoreModel] | None = None,
+    patterns: list[ActivityPattern], instances: list[ActivityInstance]
 ) -> dict[str, list[ActivityInstance]]:
-    """Group instances by the pattern select_pattern picks, keyed by pattern name.
+    """Group instances by the pattern select_pattern picks untrained, keyed by pattern name.
 
     Every pattern has a list, empty when nothing routes to it; each list keeps
     input order.
     """
     groups: dict[str, list[ActivityInstance]] = {p.name: [] for p in patterns}
     for inst in instances:
-        groups[select_pattern(patterns, inst, models).name].append(inst)
+        groups[select_pattern(patterns, inst).name].append(inst)
     return groups
+
+
+def judge(
+    patterns: list[ActivityPattern],
+    models: dict[str, ScoreModel],
+    instances: Iterable[ActivityInstance],
+) -> Iterator[tuple[ActivityInstance, ActivityPattern, Verdict]]:
+    """Route each instance at the trained weights and classify it against that pattern.
+
+    Yields (instance, pattern, verdict) in input order; an instance routed to
+    a pattern with no model is a ValueError naming the activity.
+    """
+    for inst in instances:
+        pattern = select_pattern(patterns, inst, models)
+        model = models.get(pattern.name)
+        if model is None:
+            raise ValueError(f"no trained model for activity {pattern.name!r}")
+        yield inst, pattern, classify(model, pattern, inst)
 
 
 def _total(cm: ConfusionMatrix) -> dict:
@@ -120,21 +137,19 @@ def _total(cm: ConfusionMatrix) -> dict:
     return {"amount": cm.total, "correct": cm.tp + cm.tn, "wrong": cm.fn + cm.fp, **asdict(cm)}
 
 
-def evaluate(
-    model: ScoreModel, pattern: ActivityPattern, labeled: list[ActivityInstance]
-) -> dict:
-    """Classify a labeled set into one activity's report: {"rows", "total", "accuracy"}.
+def evaluate(judged: Iterable[tuple[ActivityInstance, Verdict]]) -> dict:
+    """Tabulate one activity's labeled (instance, verdict) pairs: {"rows", "total", "accuracy"}.
 
     Each row gives a class's label, amount, correct, wrong and accuracy (None
     when the class is absent); "total" is the whole set's counts.
     """
-    if not labeled:
-        raise ValueError("evaluation set is empty")
     counts: Counter[tuple[str, bool]] = Counter()  # (label, flagged as anomaly) -> instances
-    for inst in labeled:
+    for inst, verdict in judged:
         if inst.label == LABEL_UNLABELED:
             raise ValueError(f"unlabeled instance {inst.source_id!r} in evaluation set")
-        counts[inst.label, classify(model, pattern, inst).classification == CLASS_ANOMALY] += 1
+        counts[inst.label, verdict.classification == CLASS_ANOMALY] += 1
+    if not counts:
+        raise ValueError("evaluation set is empty")
     cm = ConfusionMatrix(
         tp=counts[LABEL_ANOMALY_SEQ, True] + counts[LABEL_ANOMALY_TI, True],
         fn=counts[LABEL_ANOMALY_SEQ, False] + counts[LABEL_ANOMALY_TI, False],
@@ -145,15 +160,8 @@ def evaluate(
     for display, label in _ROW_LABELS:
         amount = counts[label, True] + counts[label, False]
         correct = counts[label, label in ANOMALY_LABELS]
-        rows.append(
-            {
-                "label": display,
-                "amount": amount,
-                "correct": correct,
-                "wrong": amount - correct,
-                "accuracy": correct / amount if amount else None,
-            }
-        )
+        row = {"label": display, "amount": amount, "correct": correct, "wrong": amount - correct}
+        rows.append({**row, "accuracy": correct / amount if amount else None})
     return {"rows": rows, "total": _total(cm), "accuracy": cm.accuracy}
 
 
@@ -166,21 +174,15 @@ def build_report(
     models: dict[str, ScoreModel],
     labeled: list[ActivityInstance],
 ) -> dict:
-    """Route, classify, and tabulate a labeled set across all activities.
+    """Judge a labeled set and tabulate it by the activity each instance routes to.
 
-    Returns {"activities": [{"activity", **evaluate(...)}, ...], "overall": {...}};
-    every instance lands in exactly one activity's table via route.
+    Returns {"activities": [{"activity", **evaluate(...)}, ...], "overall": {...}},
+    one entry per activity that at least one instance routes to.
     """
-    routed = route(patterns, labeled, models)
-    activities = []
-    for pattern in patterns:
-        group = routed[pattern.name]
-        if not group:
-            continue
-        model = models.get(pattern.name)
-        if model is None:
-            raise ValueError(f"no trained model for activity {pattern.name!r}")
-        activities.append({"activity": pattern.name, **evaluate(model, pattern, group)})
+    groups: dict[str, list] = {p.name: [] for p in patterns}
+    for inst, pattern, verdict in judge(patterns, models, labeled):
+        groups[pattern.name].append((inst, verdict))
+    activities = [{"activity": name, **evaluate(group)} for name, group in groups.items() if group]
     overall = ConfusionMatrix(
         **{k: sum(a["total"][k] for a in activities) for k in ("tp", "fn", "fp", "tn")}
     )

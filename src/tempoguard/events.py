@@ -13,6 +13,7 @@ like the plain (device, attribute, state) tuple of its strings.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -117,8 +118,8 @@ class ActivityPattern:
             raise ValueError("mean_intervals_ms must have length len(keys) - 1")
         if self.support < 1:
             raise ValueError("ActivityPattern.support must be >= 1")
-        if any(v < 0 for v in self.mean_intervals_ms):
-            raise ValueError("mean intervals must be non-negative")
+        if not all(0 <= v < math.inf for v in self.mean_intervals_ms):
+            raise ValueError("mean_intervals_ms must be finite and non-negative")
 
     @cached_property
     def key_numbering(self) -> dict[EventKey, int]:

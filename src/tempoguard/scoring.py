@@ -150,11 +150,9 @@ def angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:
 
 def score(pattern: ActivityPattern, instance: ActivityInstance, alpha: float) -> ScoreBreakdown:
     """Score one instance against one pattern with timing weight alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    n = len(pattern.keys)
-    if n == 0:
-        raise ValueError("pattern has no events")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number >= 0, not {alpha!r}")
+    n = len(pattern.keys)  # ActivityPattern has at least one key
     alignment = align(pattern, instance)
     matched = alignment.matched
     completeness = matched / n

@@ -9,6 +9,7 @@ acceptance band. The weight with the highest training accuracy wins.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
@@ -31,6 +32,11 @@ class ScoreModel:
     training_accuracy: float
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
         if self.lo > self.hi:
             raise ValueError("lo must be <= hi")
         if not 0.0 <= self.training_accuracy <= 1.0:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import fields, replace
 
@@ -279,8 +280,10 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
         ("--alpha-step=0", "alpha_step must be > 0"),
         ("--gap-seconds=700", "inter_instance_gap_ms (600000 ms) must exceed the segmentation "
          "gap, gap_seconds (700000 ms)"),
+        ("--train-normal=-5", "train_normal must be >= 0"),
+        ("--test-anomaly=-3", "test_anomaly must be >= 0"),
     ],
-    ids=["gap_seconds=0", "alpha_step=0", "gap_seconds=700"],
+    ids=["gap_seconds=0", "alpha_step=0", "gap_seconds=700", "train_normal=-5", "test_anomaly=-3"],
 )
 def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, flag, message):
     workdir = tmp_path / "run"
@@ -458,6 +461,57 @@ def test_wrongly_typed_model_or_pattern_file_is_a_data_error(
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "artifact, edit, message",
+    [
+        (MODELS, lambda m: _put(m, math.nan, 0, "lo"), "model 1: lo must be a finite number"),
+        (
+            MODELS,
+            lambda m: _put(m, math.inf, 1, "alpha"),
+            "model 2: alpha must be a finite number",
+        ),
+        (
+            PATTERNS,
+            lambda p: _put(p, math.inf, 0, "mean_intervals_ms", 1),
+            "pattern 1: mean_intervals_ms must be finite and non-negative",
+        ),
+    ],
+    ids=["model-lo-nan", "model-alpha-infinity", "pattern-interval-infinity"],
+)
+def test_non_finite_number_in_a_model_or_pattern_file_is_a_data_error(
+    small_run, tmp_path, capsys, artifact, edit, message
+):
+    bad = tmp_path / artifact
+    bad.write_text(json.dumps(edit(json.loads((small_run / artifact).read_text()))))
+    assert "NaN" in bad.read_text() or "Infinity" in bad.read_text()
+    files = {name: str(bad if name == artifact else small_run / name) for name in (MODELS, PATTERNS)}
+    argv = ["--models", files[MODELS], "--patterns", files[PATTERNS]]
+    assert run_cli("detect", *argv, "--log", str(small_run / "sim_log.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_score_with_a_non_finite_alpha_is_a_data_error(small_run, capsys, alpha):
+    argv = ["--pattern", str(small_run / PATTERNS), "--log", str(small_run / "sim_log.csv")]
+    assert run_cli("score", *argv, "--alpha", alpha) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: alpha must be a finite number >= 0, not {alpha}\n"
+    assert captured.out == ""
+
+
+def test_detect_with_no_model_for_a_routed_activity_is_a_data_error(small_run, tmp_path, capsys):
+    models = json.loads((small_run / MODELS).read_text())
+    missing = models.pop()["activity"]
+    (tmp_path / MODELS).write_text(json.dumps(models))
+    out = tmp_path / "verdicts.jsonl"
+    argv = ["--models", str(tmp_path / MODELS), "--patterns", str(small_run / PATTERNS)]
+    assert run_cli("detect", *argv, "--log", str(small_run / "sim_log.csv"), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: no trained model for activity {missing!r}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,10 @@ from tempoguard.config import RunConfig
         {"ti_multiplier": 1.0},
         {"ti_multiplier": math.inf},
         {"instances_per_activity": 0},
+        {"train_normal": -5},
+        {"test_normal": -1},
+        {"train_anomaly": -1},
+        {"test_anomaly": -3},
     ],
     ids=lambda settings: ",".join(f"{name}={value}" for name, value in settings.items()),
 )

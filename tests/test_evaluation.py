@@ -13,6 +13,7 @@ from tempoguard.evaluation import (
     build_report,
     classify,
     evaluate,
+    judge,
     render_report,
     route,
     select_pattern,
@@ -26,6 +27,11 @@ def model_for(pattern, alpha=0.0, lo=1.0, hi=1.0, accuracy=1.0):
     return ScoreModel(
         activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=accuracy
     )
+
+
+def judged(model, pattern, labeled):
+    """The (instance, verdict) pairs evaluate tabulates: each instance classified by model."""
+    return [(inst, classify(model, pattern, inst)) for inst in labeled]
 
 
 def test_confusion_accuracy_is_exact_for_93_of_100():
@@ -135,7 +141,7 @@ def _fixture_93_percent():
 
 def test_evaluate_tabulates_the_engineered_table():
     model, pattern, labeled = _fixture_93_percent()
-    report = evaluate(model, pattern, labeled)
+    report = evaluate(judged(model, pattern, labeled))
     total = report["total"]
     assert (total["tp"], total["fn"], total["fp"], total["tn"]) == (36, 4, 3, 57)
     assert report["accuracy"] == 0.93
@@ -152,7 +158,7 @@ def test_evaluate_tabulates_the_engineered_table():
 
 def test_evaluate_row_bookkeeping_adds_up():
     model, pattern, labeled = _fixture_93_percent()
-    report = evaluate(model, pattern, labeled)
+    report = evaluate(judged(model, pattern, labeled))
     rows, total = report["rows"], report["total"]
     assert sum(r["amount"] for r in rows) == total["amount"] == len(labeled)
     for r in rows:
@@ -167,19 +173,19 @@ def test_evaluate_rejects_unlabeled_instances():
     pattern = make_pattern("AB", [1000])
     model = model_for(pattern)
     with pytest.raises(ValueError, match="unlabeled"):
-        evaluate(model, pattern, [make_instance("AB", [1000])])
+        evaluate(judged(model, pattern, [make_instance("AB", [1000])]))
 
 
 def test_evaluate_rejects_empty_sets():
     pattern = make_pattern("AB", [1000])
     with pytest.raises(ValueError, match="empty"):
-        evaluate(model_for(pattern), pattern, [])
+        evaluate(judged(model_for(pattern), pattern, []))
 
 
 def test_absent_class_row_has_no_accuracy():
     pattern = make_pattern("AB", [1000])
     model = model_for(pattern)
-    report = evaluate(model, pattern, [make_instance("AB", [1000], label=N)])
+    report = evaluate(judged(model, pattern, [make_instance("AB", [1000], label=N)]))
     by_label = {r["label"]: r for r in report["rows"]}
     assert by_label["Anomaly(seq)"]["amount"] == 0
     assert by_label["Anomaly(seq)"]["accuracy"] is None
@@ -201,12 +207,13 @@ def test_accuracy_equals_mean_correctness(labels, data):
         flagged = not matches  # partial instances fall outside [1, 1]
         verdict_correct.append(flagged == (label != N))
     expected = sum(verdict_correct) / len(verdict_correct)
-    assert evaluate(model, pattern, labeled)["accuracy"] == expected
+    assert evaluate(judged(model, pattern, labeled))["accuracy"] == expected
 
 
 def test_render_table_shapes_the_report():
     model, pattern, labeled = _fixture_93_percent()
-    report = {"activities": [{"activity": "Engineered", **evaluate(model, pattern, labeled)}]}
+    entry = {"activity": "Engineered", **evaluate(judged(model, pattern, labeled))}
+    report = {"activities": [entry]}
     report["overall"] = {**report["activities"][0]["total"], "accuracy": 0.93}
     lines = render_report(report).splitlines()
     assert lines[0] == "Testing results of activity: Engineered"
@@ -257,3 +264,34 @@ def test_build_report_requires_models_for_routed_activities():
     pattern = make_pattern("AB", [1000], name="ab")
     with pytest.raises(ValueError, match="no trained model"):
         build_report([pattern], {}, [make_instance("AB", [1000], label=N)])
+    # judge raises it, lazily: instances routed to a trained pattern before it are yielded.
+    patterns = [pattern, make_pattern("CD", [1000], name="cd")]
+    verdicts = judge(patterns, {"ab": model_for(pattern)}, [make_instance(s) for s in ("AB", "CD")])
+    assert next(verdicts)[1] is pattern
+    with pytest.raises(ValueError, match="^no trained model for activity 'cd'$"):
+        next(verdicts)
+
+
+def test_judge_routes_at_the_trained_weights_then_classifies_each_instance_in_order():
+    # Untrained, "fast" wins the tie on name; at the trained weights "slow" wins it.
+    slow = make_pattern("AB", [1000], name="slow")
+    fast = make_pattern("AB", [100_000], name="fast")
+    other = make_pattern("CD", [1000], name="other")
+    patterns = [fast, slow, other]
+    models = {
+        "slow": model_for(slow, alpha=5.0, lo=5.5, hi=9.0),
+        "fast": model_for(fast, alpha=0.0, lo=0.0, hi=9.0),
+        "other": model_for(other, alpha=1.0, lo=1.5, hi=2.0),
+    }
+    instances = [make_instance(s, source_id=str(n)) for n, s in enumerate(("AB", "CD", "C", "ABX"))]
+    expected = []
+    for inst in instances:
+        pattern = select_pattern(patterns, inst, models)
+        expected.append((inst, pattern, classify(models[pattern.name], pattern, inst)))
+    triples = list(judge(patterns, models, iter(instances)))
+    assert triples == expected
+    assert [p.name for _, p, _ in triples] == ["slow", "other", "other", "slow"]
+    assert [v.classification for *_, v in triples] == [
+        CLASS_NORMAL, CLASS_NORMAL, CLASS_ANOMALY, CLASS_NORMAL
+    ]
+    assert select_pattern(patterns, instances[0]) is fast

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
@@ -156,6 +157,12 @@ def test_pattern_rejects_negative_means():
         ActivityPattern(
             name="p", keys=(key("A"), key("B")), mean_intervals_ms=(-5.0,), support=1
         )
+
+
+@pytest.mark.parametrize("mean", [math.inf, math.nan])
+def test_pattern_rejects_non_finite_means(mean):
+    with pytest.raises(ValueError, match="^mean_intervals_ms must be finite and non-negative$"):
+        ActivityPattern(name="p", keys=(key("A"), key("B")), mean_intervals_ms=(mean,), support=1)
 
 
 def test_intervals_of_known_instance():

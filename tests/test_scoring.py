@@ -294,6 +294,12 @@ def test_score_rejects_negative_alpha():
         score(make_pattern("AB"), make_instance("AB"), -0.1)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_score_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match=f"^alpha must be a finite number >= 0, not {alpha}$"):
+        score(make_pattern("AB"), make_instance("AB"), alpha)
+
+
 def test_deleting_one_matched_event_costs_exactly_one_nth():
     pattern = make_pattern("ABCDE")
     full = make_instance("ABCDE")

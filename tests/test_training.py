@@ -375,6 +375,25 @@ def test_score_model_validates_interval_order():
         ScoreModel(activity="p", alpha=1.0, lo=2.0, hi=1.0, training_accuracy=0.5)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha", math.nan, "alpha must be a finite number"),
+        ("alpha", math.inf, "alpha must be a finite number"),
+        ("alpha", -0.5, "alpha must be >= 0"),
+        ("lo", math.nan, "lo must be a finite number"),
+        ("lo", -math.inf, "lo must be a finite number"),
+        ("hi", math.nan, "hi must be a finite number"),
+        ("hi", math.inf, "hi must be a finite number"),
+    ],
+    ids=["alpha-nan", "alpha-inf", "alpha-negative", "lo-nan", "lo-minus-inf", "hi-nan", "hi-inf"],
+)
+def test_score_model_rejects_a_weight_or_bound_it_cannot_classify_with(field, value, message):
+    settings = {"activity": "p", "alpha": 1.0, "lo": 1.0, "hi": 2.0, "training_accuracy": 0.5}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScoreModel(**{**settings, field: value})
+
+
 def test_model_json_round_trip_array():
     models = [
         ScoreModel(activity="a", alpha=0.1, lo=1.0, hi=2.0, training_accuracy=1.0),
