@@ -137,6 +137,10 @@ def _total(cm: ConfusionMatrix) -> dict:
     return {"amount": cm.total, "correct": cm.tp + cm.tn, "wrong": cm.fn + cm.fp, **asdict(cm)}
 
 
+def _unlabeled(source_id: str) -> ValueError:
+    return ValueError(f"unlabeled instance {source_id!r} in evaluation set")
+
+
 def evaluate(judged: Iterable[tuple[ActivityInstance, Verdict]]) -> dict:
     """Tabulate one activity's labeled (instance, verdict) pairs: {"rows", "total", "accuracy"}.
 
@@ -146,8 +150,13 @@ def evaluate(judged: Iterable[tuple[ActivityInstance, Verdict]]) -> dict:
     counts: Counter[tuple[str, bool]] = Counter()  # (label, flagged as anomaly) -> instances
     for inst, verdict in judged:
         if inst.label == LABEL_UNLABELED:
-            raise ValueError(f"unlabeled instance {inst.source_id!r} in evaluation set")
+            raise _unlabeled(inst.source_id)
         counts[inst.label, verdict.classification == CLASS_ANOMALY] += 1
+    return _tabulate(counts)
+
+
+def _tabulate(counts: Counter[tuple[str, bool]]) -> dict:
+    """evaluate's result from its counts."""
     if not counts:
         raise ValueError("evaluation set is empty")
     cm = ConfusionMatrix(
@@ -176,13 +185,25 @@ def build_report(
 ) -> dict:
     """Judge a labeled set and tabulate it by the activity each instance routes to.
 
+    Each activity keeps counts, not verdicts. An unlabeled instance is an
+    error only once all are judged (a routed activity without a model comes
+    first), and the one named is the first of the first activity holding one.
+
     Returns {"activities": [{"activity", **evaluate(...)}, ...], "overall": {...}},
     one entry per activity that at least one instance routes to.
     """
-    groups: dict[str, list] = {p.name: [] for p in patterns}
+    counts: dict[str, Counter[tuple[str, bool]]] = {p.name: Counter() for p in patterns}
+    unlabeled: dict[str, str] = {}  # activity -> source_id of its first unlabeled instance
     for inst, pattern, verdict in judge(patterns, models, labeled):
-        groups[pattern.name].append((inst, verdict))
-    activities = [{"activity": name, **evaluate(group)} for name, group in groups.items() if group]
+        if inst.label == LABEL_UNLABELED:
+            unlabeled.setdefault(pattern.name, inst.source_id)
+        counts[pattern.name][inst.label, verdict.classification == CLASS_ANOMALY] += 1
+    activities = []
+    for name, group in counts.items():
+        if name in unlabeled:
+            raise _unlabeled(unlabeled[name])
+        if group:
+            activities.append({"activity": name, **_tabulate(group)})
     overall = ConfusionMatrix(
         **{k: sum(a["total"][k] for a in activities) for k in ("tp", "fn", "fp", "tn")}
     )

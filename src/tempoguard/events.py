@@ -186,13 +186,22 @@ def json_document(text: str, what: str):
         raise ValueError(f"{what}: invalid JSON ({exc})") from None
 
 
-def json_records(text: str, what: str, build: Callable[[dict], object]) -> list:
-    """build(obj) per object of a JSON array; errors name the entry by number."""
+def json_records(text: str, what: str, build: Callable[[dict], object], unique: str) -> list:
+    """build(obj) per object of a JSON array; errors name the entry by number.
+
+    No two records may share the value of their attribute `unique`.
+    """
     out = []
+    seen = set()
     records = json_value(json_document(text, f"{what} file"), list, f"a {what} file")
     for n, obj in enumerate(records, start=1):
         try:
-            out.append(build(json_value(obj, dict, "the entry")))
+            record = build(json_value(obj, dict, "the entry"))
+            ident = getattr(record, unique)
+            if ident in seen:
+                raise ValueError(f"duplicate {unique} {ident!r}")
         except ValueError as exc:
             raise ValueError(f"{what} {n}: {exc}") from None
+        seen.add(ident)
+        out.append(record)
     return out

@@ -9,6 +9,12 @@ Each parse call builds one EventKey per distinct (device, attribute, state)
 and hands that same object to every event that carries it, so a large log
 holds a few dozen keys, not one per row. Timestamps become epoch
 milliseconds by exact integer arithmetic, never through a float.
+
+The writers work the other way round. Each call encodes the fields of each
+distinct (key, raw value) pair once, with json.dumps or csv.writer, and
+appends that text to every event that carries it, so only the timestamp is
+formatted per event. The bytes are those json.dumps and csv.writer give for
+each whole object or row. The encoded pairs live as long as one call.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable
 from datetime import datetime, timedelta, timezone
 
 from tempoguard.config import RunConfig
@@ -87,8 +94,9 @@ def format_timestamp(ms: int) -> str:
     """
     if not 0 <= ms <= MAX_TIMESTAMP_MS:
         raise ValueError(f"timestamp {ms} ms is {_range_error(ms)}")
-    dt = EPOCH_NAIVE + timedelta(milliseconds=ms)
-    return dt.isoformat(timespec="milliseconds" if ms % 1000 else "seconds") + "Z"
+    # The microseconds are whole milliseconds, so isoformat() ends in ".mmm000" or
+    # has no fraction at all; the cut keeps the milliseconds and drops the zeros.
+    return (EPOCH_NAIVE + ms * _ONE_MS).isoformat()[:23] + "Z"
 
 
 def _range_error(ms: int) -> str:
@@ -230,13 +238,21 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
     return Event(ts_ms, _interned(keys, obj.get("device"), obj.get("attribute"), value), value)
 
 
-def _event_to_obj(event: Event) -> dict:
-    return {
-        "timestamp": format_timestamp(event.timestamp_ms),
-        "device": event.key.device,
-        "attribute": event.key.attribute,
-        "value": event.raw_value,
-    }
+def _events_json(events: Iterable[Event], tails: dict[tuple[EventKey, str], str]) -> list[str]:
+    """The json.dumps text of each event's {"timestamp", "device", "attribute", "value"} object.
+
+    `tails` maps (key, raw value) to the encoded text after the timestamp, for
+    one writer call. It is keyed by the raw value too: an Event's raw_value
+    need not be its key's state.
+    """
+    out = []
+    for ts, key, value in events:
+        tail = tails.get((key, value))
+        if tail is None:
+            obj = {"device": key.device, "attribute": key.attribute, "value": value}
+            tail = tails[key, value] = ", " + json.dumps(obj)[1:]
+        out.append('{"timestamp": "' + format_timestamp(ts) + '"' + tail)
+    return out
 
 
 def serialize_log(events: list[Event], fmt: str = "csv") -> str:
@@ -245,13 +261,19 @@ def serialize_log(events: list[Event], fmt: str = "csv") -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(LOG_HEADER)
-        for e in events:
-            writer.writerow(
-                [format_timestamp(e.timestamp_ms), e.key.device, e.key.attribute, e.raw_value]
-            )
-        return out.getvalue()
+        rows = [out.getvalue()]
+        tails: dict[tuple[EventKey, str], str] = {}  # (key, raw value) -> ",device,attr,value\n"
+        for ts, key, value in events:
+            tail = tails.get((key, value))
+            if tail is None:
+                out.seek(0)
+                out.truncate()
+                writer.writerow(("", key.device, key.attribute, value))
+                tail = tails[key, value] = out.getvalue()
+            rows.append(format_timestamp(ts) + tail)
+        return "".join(rows)
     if fmt == "jsonl":
-        return "".join(json.dumps(_event_to_obj(e)) + "\n" for e in events)
+        return "".join(line + "\n" for line in _events_json(events, {}))
     raise ValueError(f"unknown log format {fmt!r}")
 
 
@@ -292,15 +314,15 @@ def segment(events: list[Event], cfg: RunConfig | None = None) -> list[ActivityI
 def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
     """One JSON object per instance: {"source_id", "label", "events": [...]}."""
     lines = []
+    tails: dict[tuple[EventKey, str], str] = {}
     for inst in instances:
         try:
-            events = [_event_to_obj(e) for e in inst.events]
+            events = _events_json(inst.events, tails)
         except ValueError as exc:
             raise ValueError(f"instance {inst.source_id!r}: {exc}") from None
-        lines.append(
-            json.dumps({"source_id": inst.source_id, "label": inst.label, "events": events})
-        )
-    return "".join(line + "\n" for line in lines)
+        head = json.dumps({"source_id": inst.source_id, "label": inst.label})[:-1]
+        lines.append(head + ', "events": [' + ", ".join(events) + "]}\n")
+    return "".join(lines)
 
 
 def instances_from_jsonl(text: str) -> list[ActivityInstance]:

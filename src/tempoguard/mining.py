@@ -93,8 +93,8 @@ def patterns_to_json(patterns: list[ActivityPattern]) -> str:
 
 
 def patterns_from_json(text: str) -> list[ActivityPattern]:
-    """Load a pattern file: a JSON array of pattern objects."""
-    return json_records(text, "pattern", _pattern_from_obj)
+    """Load a pattern file: a JSON array of pattern objects, no two of one name."""
+    return json_records(text, "pattern", _pattern_from_obj, "name")
 
 
 def _pattern_to_obj(pattern: ActivityPattern) -> dict:

@@ -168,8 +168,8 @@ def models_to_json(models: list[ScoreModel]) -> str:
 
 
 def models_from_json(text: str) -> list[ScoreModel]:
-    """Load a model file: a JSON array of model objects."""
-    return json_records(text, "model", _model_from_obj)
+    """Load a model file: a JSON array of model objects, no two for one activity."""
+    return json_records(text, "model", _model_from_obj, "activity")
 
 
 def _model_to_obj(model: ScoreModel) -> dict:

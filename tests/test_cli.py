@@ -514,6 +514,36 @@ def test_detect_with_no_model_for_a_routed_activity_is_a_data_error(small_run, t
     assert not out.exists()
 
 
+def _judge_argv(command: str, run_dir, models, patterns) -> list[str]:
+    data = ["--log", str(run_dir / "sim_log.csv")]
+    if command == "evaluate":
+        data = ["--test-set", str(run_dir / "test_set.jsonl")]
+    return [command, "--models", str(models), "--patterns", str(patterns), *data]
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_patterns_file_repeating_a_name_is_a_data_error(small_run, tmp_path, capsys, command):
+    patterns = json.loads((small_run / PATTERNS).read_text())
+    patterns[1]["name"] = patterns[0]["name"]
+    (tmp_path / PATTERNS).write_text(json.dumps(patterns))
+    assert run_cli(*_judge_argv(command, small_run, small_run / MODELS, tmp_path / PATTERNS)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: pattern 2: duplicate name {patterns[0]['name']!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_models_file_repeating_an_activity_is_a_data_error(small_run, tmp_path, capsys, command):
+    models = json.loads((small_run / MODELS).read_text())
+    models.append({**models[0], "lo": 0.0, "hi": 0.0})
+    (tmp_path / MODELS).write_text(json.dumps(models))
+    assert run_cli(*_judge_argv(command, small_run, tmp_path / MODELS, small_run / PATTERNS)) == 2
+    captured = capsys.readouterr()
+    message = f"model {len(models)}: duplicate activity {models[0]['activity']!r}"
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, entry",
     [

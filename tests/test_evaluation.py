@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
+from tempoguard import evaluation
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.evaluation import (
     CLASS_ANOMALY,
@@ -258,6 +261,23 @@ def test_build_report_routes_and_aggregates():
     text = render_report(report)
     assert "Testing results of activity: ab" in text
     assert "Overall: 4/4 correct (100%)" in text
+
+
+def test_build_report_keeps_counts_not_verdicts(monkeypatch):
+    model, pattern, labeled = _fixture_93_percent()
+    expected = build_report([pattern], {pattern.name: model}, labeled)
+    verdicts = []
+
+    def judge_watched(*args):
+        for inst, routed, verdict in judge(*args):
+            # Only the verdict build_report's loop still names may be alive.
+            assert [ref for ref in verdicts[:-1] if ref() is not None] == []
+            verdicts.append(weakref.ref(verdict))
+            yield inst, routed, verdict
+
+    monkeypatch.setattr(evaluation, "judge", judge_watched)
+    assert build_report([pattern], {pattern.name: model}, labeled) == expected
+    assert len(verdicts) == len(labeled)
 
 
 def test_build_report_requires_models_for_routed_activities():

@@ -221,5 +221,5 @@ def test_json_value_message_survives_a_value_too_deep_to_encode():
 )
 def test_json_records_names_the_file_it_cannot_parse(text, message):
     with pytest.raises(ValueError) as info:
-        json_records(text, "model", dict)
+        json_records(text, "model", dict, "activity")
     assert str(info.value).startswith(message)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import calendar
+import csv
+import io
 import json
 import re
 from datetime import datetime, timezone
@@ -12,7 +14,14 @@ from hypothesis import strategies as st
 from conftest import key, make_instance
 from tempoguard.cli import run
 from tempoguard.config import RunConfig
-from tempoguard.events import Event, EventKey, LABEL_ANOMALY_TI, LABEL_UNLABELED
+from tempoguard.events import (
+    ActivityInstance,
+    Event,
+    EventKey,
+    LABEL_ANOMALY_TI,
+    LABEL_UNLABELED,
+    VALID_LABELS,
+)
 from tempoguard.ingest import (
     MAX_TIMESTAMP_MS,
     _json_lines,
@@ -281,6 +290,109 @@ def test_csv_round_trip_keeps_awkward_names(events):
 @given(events=_LOGS)
 def test_jsonl_round_trip_keeps_awkward_names(events):
     assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
+
+
+# The writers as they were before they reused each (key, raw value)'s encoded
+# text, kept as exact references: json.dumps and csv.writer over every full
+# object and row.
+def _event_object(event: Event) -> dict:
+    return {
+        "timestamp": format_timestamp(event.timestamp_ms),
+        "device": event.key.device,
+        "attribute": event.key.attribute,
+        "value": event.raw_value,
+    }
+
+
+def _json_dumps_instances(instances: list[ActivityInstance]) -> str:
+    return "".join(
+        json.dumps(
+            {
+                "source_id": inst.source_id,
+                "label": inst.label,
+                "events": [_event_object(e) for e in inst.events],
+            }
+        )
+        + "\n"
+        for inst in instances
+    )
+
+
+def _json_dumps_log(events: list[Event]) -> str:
+    return "".join(json.dumps(_event_object(e)) + "\n" for e in events)
+
+
+def _csv_writer_log(events: list[Event]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("timestamp", "device", "attribute", "value"))
+    for e in events:
+        writer.writerow(
+            [format_timestamp(e.timestamp_ms), e.key.device, e.key.attribute, e.raw_value]
+        )
+    return out.getvalue()
+
+
+# Text the writers must escape or quote: JSON and CSV specials, whitespace at
+# either end, non-ASCII, line and paragraph separators, control characters.
+_HOSTILE = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\,\n\r\t é漢ü\u2028\u2029\u0085\x00\x1f\x7f'), st.characters()
+    ),
+    max_size=8,
+)
+_KEY_FIELDS = _HOSTILE.filter(bool)  # EventKey fields are non-empty
+
+
+@st.composite
+def _key_and_value(draw) -> tuple[EventKey, str]:
+    key = EventKey(draw(_KEY_FIELDS), draw(_KEY_FIELDS), draw(_KEY_FIELDS))
+    return key, draw(st.one_of(st.just(key.state), _HOSTILE))  # raw_value need not be the state
+
+
+def _events_from(pairs: list[tuple[EventKey, str]]):
+    """Time-ordered events that share a few (key, raw value) pairs, as one writer call sees."""
+    event = st.builds(
+        lambda ts, pair: Event(ts, *pair),
+        st.integers(min_value=0, max_value=MAX_TIMESTAMP_MS),
+        st.sampled_from(pairs),
+    )
+    return st.lists(event, min_size=1, max_size=10).map(
+        lambda events: sorted(events, key=lambda e: e.timestamp_ms)
+    )
+
+
+_PAIRS = st.lists(_key_and_value(), min_size=1, max_size=4)
+_HOSTILE_LOGS = _PAIRS.flatmap(_events_from)
+_HOSTILE_INSTANCES = _PAIRS.flatmap(
+    lambda pairs: st.lists(
+        st.builds(
+            ActivityInstance, _events_from(pairs), st.sampled_from(sorted(VALID_LABELS)), _HOSTILE
+        ),
+        max_size=4,
+    )
+)
+# One key carrying two raw values: an encoding cached by key alone would repeat the first.
+_ONE_KEY_TWO_VALUES = [Event(0, key("A"), "on"), Event(1000, key("A"), "56.0")]
+
+
+@given(instances=_HOSTILE_INSTANCES)
+@example(instances=[make_instance("AB", source_id='seg "1"'), make_instance("BA")])
+@example(instances=[ActivityInstance(tuple(_ONE_KEY_TWO_VALUES))])
+def test_instances_to_jsonl_equals_json_dumps_of_each_instance(instances):
+    assert instances_to_jsonl(instances) == _json_dumps_instances(instances)
+
+
+@given(events=_HOSTILE_LOGS)
+@example(events=_ONE_KEY_TWO_VALUES)
+def test_jsonl_log_equals_json_dumps_of_each_event(events):
+    assert serialize_log(events, "jsonl") == _json_dumps_log(events)
+
+
+@given(events=_HOSTILE_LOGS)
+@example(events=_ONE_KEY_TWO_VALUES)
+def test_csv_log_equals_csv_writer_over_the_full_rows(events):
+    assert serialize_log(events, "csv") == _csv_writer_log(events)
 
 
 REPEATED_KEYS_LOG = (
