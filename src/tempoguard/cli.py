@@ -12,17 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import random
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
-from tempoguard.config import CONFIG_TYPES, RunConfig, UsageError
+from tempoguard.config import SETTINGS, RunConfig, UsageError
 from tempoguard.events import ActivityInstance, LABEL_NORMAL, with_label
-
-logger = logging.getLogger(__name__)
 
 
 def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -30,14 +26,13 @@ def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
 
     Flags default to None, so only those given override the config file.
     """
-    settings = {f.name: f for f in fields(RunConfig)}
-    for name in names or settings:
-        setting = settings[name]
+    for name in names or SETTINGS:
+        kind, default, text = SETTINGS[name]
         parser.add_argument(
             "--" + name.replace("_", "-"),
-            type=CONFIG_TYPES[setting.type],
-            metavar=setting.type.upper(),
-            help=f"{setting.metadata.get('help', '')} (default: {setting.default})".lstrip(),
+            type=kind,
+            metavar=kind.__name__.upper(),
+            help=f"{text} (default: {default})".lstrip(),
         )
 
 
@@ -145,7 +140,9 @@ def train_models(
     for pattern in patterns:
         group = groups[pattern.name]
         if not group:
-            logger.warning("no training instances routed to %r", pattern.name)
+            import logging  # here, not at the top: only a warning needs it (README "Startup")
+
+            logging.getLogger(__name__).warning("no training instances routed to %r", pattern.name)
             continue
         models.append(training.train(pattern, group, cfg))
     return models

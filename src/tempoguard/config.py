@@ -1,57 +1,61 @@
 """Every pipeline setting in one place: the run configuration and its checks.
 
-Each stage reads the fields it uses from one RunConfig. Config files and CLI
-flags mirror its fields; every value is range-checked when the config is
-built, so a bad setting stops a run before any artifact is written.
+SETTINGS is the one table of settings: name -> (type, default, help). The
+RunConfig named tuple takes its fields and defaults from it, and its CLI
+flags and config-file keys are read from it too. Each stage reads the fields
+it uses from one RunConfig. Every value is range-checked when the config is
+built (and again by `_replace`), so a bad setting stops a run before any
+artifact is written.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from pathlib import Path
 
 from tempoguard.events import json_document, json_value
 
-# The type of each RunConfig field, by annotation: it reads both flags and config-file values.
-CONFIG_TYPES = {"int": int, "float": float, "str": str}
+# name -> (type, default, help for its flag); the order is RunConfig's field order.
+# The type reads both flag and config-file values.
+SETTINGS = {
+    "seed": (int, 42, ""),
+    "instances_per_activity": (int, 50, "instances per activity"),
+    "noise_sigma": (float, 0.1, "relative std-dev of interval jitter"),
+    "inter_instance_gap_ms": (int, 600_000, ""),
+    "gap_seconds": (float, 120.0, "idle gap that separates activity instances"),
+    "min_segment_len": (int, 2, "drop segments shorter than this"),
+    "min_support": (int, 5, ""),
+    "min_len": (int, 2, ""),
+    "alpha_min": (float, 0.0, ""),
+    "alpha_max": (float, 5.0, ""),
+    "alpha_step": (float, 0.1, ""),
+    "boundary_epsilon": (float, 1e-9, ""),
+    "ti_multiplier": (float, 50.0, ""),
+    "train_normal": (int, 40, ""),
+    "test_normal": (int, 60, ""),
+    "train_anomaly": (int, 10, ""),
+    "test_anomaly": (int, 20, ""),
+    "workdir": (str, "tempoguard_run", "artifact directory"),
+}
 
 
 class UsageError(Exception):
     """Bad invocation (not bad data): reported with exit code 1."""
 
 
-def _with_help(default, text: str):
-    return field(default=default, metadata={"help": text})
-
-
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(
+    namedtuple("RunConfig", SETTINGS, defaults=[default for _, default, _ in SETTINGS.values()])
+):
     """Every pipeline setting in one place; config files and CLI flags mirror it."""
 
-    seed: int = 42
-    instances_per_activity: int = _with_help(50, "instances per activity")
-    noise_sigma: float = _with_help(0.1, "relative std-dev of interval jitter")
-    inter_instance_gap_ms: int = 600_000
-    gap_seconds: float = _with_help(120.0, "idle gap that separates activity instances")
-    min_segment_len: int = _with_help(2, "drop segments shorter than this")
-    min_support: int = 5
-    min_len: int = 2
-    alpha_min: float = 0.0
-    alpha_max: float = 5.0
-    alpha_step: float = 0.1
-    boundary_epsilon: float = 1e-9
-    ti_multiplier: float = 50.0
-    train_normal: int = 40
-    test_normal: int = 60
-    train_anomaly: int = 10
-    test_anomaly: int = 20
-    workdir: str = _with_help("tempoguard_run", "artifact directory")
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be a finite number")
+    def __new__(cls, *args, **kwargs) -> RunConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, (kind, _, _) in SETTINGS.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if not math.isfinite(self.gap_seconds * 1000) or self.gap_ms <= 0:
             raise ValueError("gap_seconds must be over 0.0005, a gap of 1 ms or more")
         for name in ("instances_per_activity", "min_segment_len", "min_support", "min_len"):
@@ -68,6 +72,9 @@ class RunConfig:
             raise ValueError("boundary_epsilon must be > 0")
         if self.ti_multiplier <= 1:
             raise ValueError("ti_multiplier must be > 1")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     @property
     def gap_ms(self) -> int:
@@ -81,15 +88,14 @@ class RunConfig:
         The config is built once from the merged values, so a file value that
         a flag replaces is never checked on its own.
         """
-        known = {f.name: f.type for f in fields(cls)}
         data = {}
         if config_path is not None:
             text = Path(config_path).read_text(encoding="utf-8")
             data = json_value(json_document(text, "config file"), dict, "config file")
-            unknown = sorted(set(data) - set(known))
+            unknown = sorted(set(data) - set(SETTINGS))
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
             for name, value in data.items():
-                json_value(value, CONFIG_TYPES[known[name]], f"config key {name!r}")
-        supplied = {k: v for k, v in overrides.items() if k in known and v is not None}
+                json_value(value, SETTINGS[name][0], f"config key {name!r}")
+        supplied = {k: v for k, v in overrides.items() if k in SETTINGS and v is not None}
         return cls(**{**data, **supplied})

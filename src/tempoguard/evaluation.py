@@ -8,9 +8,8 @@ flagged, tn = normal passed.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
 
 from tempoguard.events import (
     ActivityInstance,
@@ -35,18 +34,17 @@ _ROW_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp fn fp tn")):
     """Counts with anomaly as the positive class."""
 
-    tp: int = 0
-    fn: int = 0
-    fp: int = 0
-    tn: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fn, self.fp, self.tn) < 0:
+    def __new__(cls, tp: int = 0, fn: int = 0, fp: int = 0, tn: int = 0) -> ConfusionMatrix:
+        if min(tp, fn, fp, tn) < 0:
             raise ValueError("confusion counts must be >= 0")
+        return tuple.__new__(cls, (tp, fn, fp, tn))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     @property
     def total(self) -> int:
@@ -60,12 +58,34 @@ class ConfusionMatrix:
         return (self.tp + self.tn) / self.total
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """One classification outcome: the call and the score it rests on."""
+    """One classification outcome: the call and the score it rests on.
 
-    classification: str
-    breakdown: ScoreBreakdown
+    Read-only, and compared by its two fields. Not a tuple, so that a verdict
+    can be weakly referenced.
+    """
+
+    __slots__ = ("classification", "breakdown", "__weakref__")
+
+    def __init__(self, classification: str, breakdown: ScoreBreakdown) -> None:
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "breakdown", breakdown)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Verdict is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Verdict:
+            return NotImplemented
+        return (self.classification, self.breakdown) == (other.classification, other.breakdown)
+
+    def __hash__(self) -> int:
+        return hash((self.classification, self.breakdown))
+
+    def __repr__(self) -> str:
+        return f"Verdict(classification={self.classification!r}, breakdown={self.breakdown!r})"
 
 
 def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInstance) -> Verdict:
@@ -134,7 +154,7 @@ def judge(
 
 def _total(cm: ConfusionMatrix) -> dict:
     """A report's Total block: amount, correct and wrong, then tp, fn, fp and tn."""
-    return {"amount": cm.total, "correct": cm.tp + cm.tn, "wrong": cm.fn + cm.fp, **asdict(cm)}
+    return {"amount": cm.total, "correct": cm.tp + cm.tn, "wrong": cm.fn + cm.fp, **cm._asdict()}
 
 
 def _unlabeled(source_id: str) -> ValueError:

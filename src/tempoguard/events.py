@@ -5,9 +5,13 @@ front, so downstream code can assume well-formed values. Time is integer
 epoch milliseconds UTC throughout; second-resolution sources are multiplied
 by 1000 on ingest (avoids float drift in log arithmetic).
 
-EventKey and Event are named tuples, so the hot paths build, hash and compare
-them in C. They unpack like tuples, and an EventKey equals, hashes and sorts
-like the plain (device, attribute, state) tuple of its strings.
+Every record here is a named tuple, so the hot paths build, hash and compare
+them in C, and none needs the dataclasses module to load. Each `__new__`
+checks its fields, and `_make` goes through `__new__`, so `_replace` checks
+them too. A record unpacks like a tuple and equals the plain tuple of its
+fields; an EventKey equals, hashes and sorts like its (device, attribute,
+state) strings. ActivityPattern alone has an instance dict: its two
+cached_property numberings are kept there, and its fields stay read-only.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 LABEL_NORMAL = "normal"
@@ -71,55 +74,61 @@ class Event(namedtuple("Event", "timestamp_ms key raw_value")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class ActivityInstance:
+class ActivityInstance(namedtuple("ActivityInstance", "events label source_id")):
     """An ordered, contiguous run of events produced by one user activity.
 
     Timestamps must be non-decreasing; equal timestamps keep log order.
     """
 
-    events: tuple[Event, ...]
-    label: str = LABEL_UNLABELED
-    source_id: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "events", tuple(self.events))
-        if not self.events:
+    def __new__(
+        cls, events: tuple[Event, ...], label: str = LABEL_UNLABELED, source_id: str = ""
+    ) -> ActivityInstance:
+        events = tuple(events)
+        if not events:
             raise ValueError("ActivityInstance.events must be non-empty")
-        if self.label not in VALID_LABELS:
-            raise ValueError(f"unknown label {self.label!r}")
-        for a, b in zip(self.events, self.events[1:]):
+        if label not in VALID_LABELS:
+            raise ValueError(f"unknown label {label!r}")
+        for a, b in zip(events, events[1:]):
             if b.timestamp_ms < a.timestamp_ms:
                 raise ValueError("ActivityInstance timestamps must be non-decreasing")
+        return tuple.__new__(cls, (events, label, source_id))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     def key_sequence(self) -> tuple[EventKey, ...]:
         return tuple(e.key for e in self.events)
 
 
-@dataclass(frozen=True)
-class ActivityPattern:
+class ActivityPattern(namedtuple("ActivityPattern", "name keys mean_intervals_ms support")):
     """Learned reference for one activity: key sequence plus mean intervals.
 
     mean_intervals_ms[i] is the average gap between the i-th and (i+1)-th
     events over the `support` instances the pattern was built from.
+    Declared without __slots__: the cached numberings live in the instance dict.
     """
 
-    name: str
-    keys: tuple[EventKey, ...]
-    mean_intervals_ms: tuple[float, ...]
-    support: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(self.keys))
-        object.__setattr__(self, "mean_intervals_ms", tuple(float(v) for v in self.mean_intervals_ms))
-        if not self.keys:
+    def __new__(
+        cls,
+        name: str,
+        keys: tuple[EventKey, ...],
+        mean_intervals_ms: tuple[float, ...],
+        support: int,
+    ) -> ActivityPattern:
+        keys = tuple(keys)
+        mean_intervals_ms = tuple(float(v) for v in mean_intervals_ms)
+        if not keys:
             raise ValueError("ActivityPattern.keys must be non-empty")
-        if len(self.mean_intervals_ms) != len(self.keys) - 1:
+        if len(mean_intervals_ms) != len(keys) - 1:
             raise ValueError("mean_intervals_ms must have length len(keys) - 1")
-        if self.support < 1:
+        if support < 1:
             raise ValueError("ActivityPattern.support must be >= 1")
-        if not all(0 <= v < math.inf for v in self.mean_intervals_ms):
+        if not all(0 <= v < math.inf for v in mean_intervals_ms):
             raise ValueError("mean_intervals_ms must be finite and non-negative")
+        return tuple.__new__(cls, (name, keys, mean_intervals_ms, support))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     @cached_property
     def key_numbering(self) -> dict[EventKey, int]:
@@ -141,7 +150,7 @@ def intervals(instance: ActivityInstance) -> tuple[int, ...]:
 
 def with_label(instance: ActivityInstance, label: str) -> ActivityInstance:
     """Copy of `instance` with a new label."""
-    return replace(instance, label=label)
+    return instance._replace(label=label)
 
 
 def is_numeric_value(raw_value: str) -> bool:

@@ -14,7 +14,9 @@ The writers work the other way round. Each call encodes the fields of each
 distinct (key, raw value) pair once, with json.dumps or csv.writer, and
 appends that text to every event that carries it, so only the timestamp is
 formatted per event. The bytes are those json.dumps and csv.writer give for
-each whole object or row. The encoded pairs live as long as one call.
+each whole object or row. The CSV writer is given a CR LF row terminator, so
+that it quotes a field holding a CR, and each row then ends in LF instead.
+The encoded pairs live as long as one call.
 """
 
 from __future__ import annotations
@@ -259,9 +261,9 @@ def serialize_log(events: list[Event], fmt: str = "csv") -> str:
     """Render events back to log text; the inverse of parse_log / parse_log_jsonl."""
     if fmt == "csv":
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(LOG_HEADER)
-        rows = [out.getvalue()]
+        rows = [out.getvalue()[:-2] + "\n"]
         tails: dict[tuple[EventKey, str], str] = {}  # (key, raw value) -> ",device,attr,value\n"
         for ts, key, value in events:
             tail = tails.get((key, value))
@@ -269,7 +271,7 @@ def serialize_log(events: list[Event], fmt: str = "csv") -> str:
                 out.seek(0)
                 out.truncate()
                 writer.writerow(("", key.device, key.attribute, value))
-                tail = tails[key, value] = out.getvalue()
+                tail = tails[key, value] = out.getvalue()[:-2] + "\n"
             rows.append(format_timestamp(ts) + tail)
         return "".join(rows)
     if fmt == "jsonl":

@@ -8,7 +8,6 @@ vector is the component-wise arithmetic mean over the group.
 from __future__ import annotations
 
 import json
-import logging
 
 from tempoguard.config import RunConfig
 from tempoguard.events import (
@@ -21,8 +20,6 @@ from tempoguard.events import (
     json_records,
     json_value,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def build_pattern(name: str, group: list[ActivityInstance]) -> ActivityPattern:
@@ -76,6 +73,9 @@ def mine_patterns(
             continue
         groups.setdefault(cleaned.key_sequence(), []).append(cleaned)
     if dropped:
+        import logging  # here, not at the top: only a warning needs it (README "Startup")
+
+        logger = logging.getLogger(__name__)
         logger.warning("ignored %d numeric-valued events during mining", dropped)
 
     patterns: list[ActivityPattern] = []

@@ -12,34 +12,34 @@ missing events summed up. A weight blends the parts:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from tempoguard.events import ActivityInstance, ActivityPattern
 
 
-class Alignment(NamedTuple):
+class Alignment(namedtuple("Alignment", "pairs")):
     """An ordered pairing of pattern positions to instance positions.
 
     pairs[k] = (pattern_index, instance_index); both strictly increase.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def matched(self) -> int:
         return len(self.pairs)
 
 
-class ScoreBreakdown(NamedTuple):
+class ScoreBreakdown(
+    namedtuple(
+        "ScoreBreakdown",
+        "completeness timing_similarity angle_rad total matched unmatched_test_events",
+    )
+):
     """Everything score() computes for one (pattern, instance) pair."""
 
-    completeness: float
-    timing_similarity: float
-    angle_rad: float
-    total: float
-    matched: int
-    unmatched_test_events: int
+    __slots__ = ()
 
 
 def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:

@@ -10,7 +10,7 @@ ground truth — they exist to make the pipeline behave like a lived-in home.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from tempoguard.config import RunConfig
 from tempoguard.events import Event, EventKey
@@ -22,31 +22,36 @@ START_EPOCH_MS = 1_633_046_400_000
 AUTOMATION_LATENCY_MS = 1_000
 
 
-@dataclass(frozen=True)
-class ActivitySpec:
+class ActivitySpec(namedtuple("ActivitySpec", "name steps noise_sigma_frac")):
     """One scripted activity: events plus the base gap preceding each.
 
     steps[k] = (key, base_interval_ms before this event); the first step's
     interval must be None, every later one a positive int.
     """
 
-    name: str
-    steps: tuple[tuple[EventKey, int | None], ...]
-    noise_sigma_frac: float = 0.10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.name:
+    def __new__(
+        cls,
+        name: str,
+        steps: tuple[tuple[EventKey, int | None], ...],
+        noise_sigma_frac: float = 0.10,
+    ) -> ActivitySpec:
+        steps = tuple(steps)
+        if not name:
             raise ValueError("name must be non-empty")
-        if not self.steps:
+        if not steps:
             raise ValueError("steps must be non-empty")
-        if self.steps[0][1] is not None:
+        if steps[0][1] is not None:
             raise ValueError("first step must have no preceding interval")
-        for key, gap in self.steps[1:]:
+        for key, gap in steps[1:]:
             if gap is None or gap <= 0:
                 raise ValueError(f"step for {key} needs a positive base interval")
-        if self.noise_sigma_frac < 0:
+        if noise_sigma_frac < 0:
             raise ValueError("noise_sigma_frac must be >= 0")
+        return tuple.__new__(cls, (name, steps, noise_sigma_frac))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     def key_sequence(self) -> tuple[EventKey, ...]:
         return tuple(key for key, _ in self.steps)

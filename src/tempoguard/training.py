@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate
 from operator import sub
 
@@ -21,26 +20,26 @@ from tempoguard.events import json_field, json_records
 from tempoguard.scoring import score
 
 
-@dataclass(frozen=True)
-class ScoreModel:
+class ScoreModel(namedtuple("ScoreModel", "activity alpha lo hi training_accuracy")):
     """A trained per-activity detector: weight plus accepted score interval."""
 
-    activity: str
-    alpha: float
-    lo: float
-    hi: float
-    training_accuracy: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "lo", "hi"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(
+        cls, activity: str, alpha: float, lo: float, hi: float, training_accuracy: float
+    ) -> ScoreModel:
+        for name, value in (("alpha", alpha), ("lo", lo), ("hi", hi)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number")
-        if self.alpha < 0:
+        if alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.lo > self.hi:
+        if lo > hi:
             raise ValueError("lo must be <= hi")
-        if not 0.0 <= self.training_accuracy <= 1.0:
+        if not 0.0 <= training_accuracy <= 1.0:
             raise ValueError("training_accuracy must be in [0, 1]")
+        return tuple.__new__(cls, (activity, alpha, lo, hi, training_accuracy))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
 def alpha_grid(cfg: RunConfig) -> list[float]:

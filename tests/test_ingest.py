@@ -255,6 +255,14 @@ def test_serialize_log_round_trips_csv():
     assert parse_log(serialize_log(events, "csv")) == events
 
 
+@pytest.mark.parametrize("name", ["M\r1", "M\r\n1", "M\n1"])
+def test_csv_round_trip_keeps_a_line_break_inside_a_field(name):
+    events = [Event(1000, EventKey(name, "motion", "active"), "active")]
+    text = serialize_log(events, "csv")
+    assert text == f'timestamp,device,attribute,value\n1970-01-01T00:00:01Z,"{name}",motion,active\n'
+    assert parse_log(text) == events
+
+
 def test_serialize_log_round_trips_jsonl():
     events = parse_log(SAMPLE_LOG)
     assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
@@ -323,14 +331,19 @@ def _json_dumps_log(events: list[Event]) -> str:
 
 
 def _csv_writer_log(events: list[Event]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("timestamp", "device", "attribute", "value"))
-    for e in events:
-        writer.writerow(
-            [format_timestamp(e.timestamp_ms), e.key.device, e.key.attribute, e.raw_value]
-        )
-    return out.getvalue()
+    """csv.writer's text for each whole row, terminated by CR LF so that a field holding
+    a CR is quoted, each row then ended by LF instead."""
+    rows = [("timestamp", "device", "attribute", "value")]
+    rows += [
+        (format_timestamp(e.timestamp_ms), e.key.device, e.key.attribute, e.raw_value)
+        for e in events
+    ]
+    text = ""
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        text += out.getvalue().removesuffix("\r\n") + "\n"
+    return text
 
 
 # Text the writers must escape or quote: JSON and CSV specials, whitespace at
