@@ -40,6 +40,41 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _parse_file(parse, path: str):
+    """parse(lines) over the file at `path`, opened as text and read one line at a time.
+
+    The file is read with universal newlines, as _read_text reads it. A byte
+    that is not UTF-8 is a data error that names its line and file offset.
+    """
+    with open(path, encoding="utf-8") as lines:
+        try:
+            return parse(lines)
+        except UnicodeDecodeError as exc:  # exc.start counts from the decoded chunk, not the file
+            where = _not_utf8(lines.buffer) if lines.seekable() else None  # a pipe reads once
+            raise ValueError(where or f"not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+
+
+def _not_utf8(binary) -> str | None:
+    """'line N: not UTF-8 (byte 0xXX at offset M)' for a binary file's first non-UTF-8 byte.
+
+    The file is read again from its start. Lines are counted as universal
+    newlines count them: a CR LF, a lone CR and a LF each end one.
+    """
+    binary.seek(0)
+    offset = breaks = 0
+    for chunk in binary:  # split after each LF, a byte no multi-byte character holds
+        try:
+            chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Any CR before the bad byte is a lone CR: the chunk's one LF comes after it.
+            line = breaks + chunk.count(b"\r", 0, exc.start) + 1
+            byte, at = chunk[exc.start], offset + exc.start
+            return f"line {line}: not UTF-8 (byte 0x{byte:02x} at offset {at})"
+        offset += len(chunk)
+        breaks += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    return None
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -55,10 +90,9 @@ def _guard_clobber(inputs: list[str | None], outputs: list[str | None]) -> None:
 
 
 def _load_log(path: str, fmt: str | None = None) -> list:
-    text = _read_text(path)
     if fmt == "jsonl" or (fmt is None and path.endswith(".jsonl")):
-        return ingest.parse_log_jsonl(text)
-    return ingest.parse_log(text)
+        return _parse_file(ingest.parse_log_jsonl, path)
+    return _parse_file(ingest.parse_log, path)
 
 
 def _pick_sources(
@@ -101,14 +135,14 @@ def _mine(instances: list[ActivityInstance], cfg: RunConfig, names: dict | None 
 
 def _cmd_mine(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
-    instances = ingest.instances_from_jsonl(_read_text(args.instances))
+    instances = _parse_file(ingest.instances_from_jsonl, args.instances)
     _write_or_print(mining.patterns_to_json(_mine(instances, cfg)), args.out)
     return 0
 
 
 def _cmd_augment(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
-    pool = ingest.instances_from_jsonl(_read_text(args.instances))
+    pool = _parse_file(ingest.instances_from_jsonl, args.instances)
     rng = random.Random(cfg.seed)
     synthetic = forge.augment_normals(pool, args.count, rng)
     _write_or_print(ingest.instances_to_jsonl(synthetic), args.out)
@@ -117,7 +151,7 @@ def _cmd_augment(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
-    pool = ingest.instances_from_jsonl(_read_text(args.instances))
+    pool = _parse_file(ingest.instances_from_jsonl, args.instances)
     if not pool:
         raise ValueError(f"no instances in {args.instances}")
     rng = random.Random(cfg.seed)
@@ -151,7 +185,7 @@ def train_models(
 def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.patterns, args.train_set], [args.out])
     patterns = mining.patterns_from_json(_read_text(args.patterns))
-    labeled = ingest.instances_from_jsonl(_read_text(args.train_set))
+    labeled = _parse_file(ingest.instances_from_jsonl, args.train_set)
     models = train_models(patterns, labeled, cfg)
     if not models:
         raise ValueError("no models trained (no instances routed to any pattern)")
@@ -174,7 +208,7 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     patterns = mining.patterns_from_json(_read_text(args.patterns))
     models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
     events = _load_log(args.log)
-    records = []
+    lines = []  # the --out file, written whole once the last verdict is made
     for inst, pattern, verdict in evaluation.judge(patterns, models, ingest.segment(events, cfg)):
         record = {
             "source_id": inst.source_id,
@@ -182,10 +216,12 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
             "classification": verdict.classification,
             "total": verdict.breakdown.total,
         }
-        records.append(record)
+        if args.out:
+            lines.append(json.dumps(record) + "\n")
         print(*record.values(), sep="\t")
     if args.out:
-        Path(args.out).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(lines)
     return 0
 
 
@@ -193,7 +229,7 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.models, args.patterns, args.test_set], [args.out])
     patterns = mining.patterns_from_json(_read_text(args.patterns))
     models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
-    labeled = ingest.instances_from_jsonl(_read_text(args.test_set))
+    labeled = _parse_file(ingest.instances_from_jsonl, args.test_set)
     report = evaluation.build_report(patterns, models, labeled)
     sys.stdout.write(evaluation.render_report(report))
     if args.out:

@@ -5,9 +5,12 @@ A three-column legacy form ``timestamp,device,value`` is accepted too; its
 attribute is inferred from well-known state values (falling back to "state").
 A JSON-lines twin carries the same four fields, one object per line.
 
-Each parse call builds one EventKey per distinct (device, attribute, state)
-and hands that same object to every event that carries it, so a large log
-holds a few dozen keys, not one per row. Timestamps become epoch
+Each parser takes the text itself or an iterable of its lines, such as an
+open text file, and reads one line at a time, so parsing a file never holds
+its text. Each parse call builds one EventKey per distinct (device,
+attribute, state) and hands that same object to every event that carries
+it; the event's raw value is that key's state string, so a large log holds
+a few dozen keys and strings, not one per row. Timestamps become epoch
 milliseconds by exact integer arithmetic, never through a float.
 
 The writers work the other way round. Each call encodes the fields of each
@@ -136,16 +139,22 @@ def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> E
         attribute = ATTRIBUTE_FOR_VALUE.get(value, "state")
     else:
         _, device, attribute, value = fields
-    return Event(ts, _interned(keys, device, attribute, value), value)
+    key = _interned(keys, device, attribute, value)
+    return Event(ts, key, key.state)
 
 
-def parse_log(text: str) -> list[Event]:
-    """Parse CSV log content into time-ordered events.
+def _lines(source: str | Iterable[str]) -> Iterable[str]:
+    """The lines of `source`: a str is read through io.StringIO, which ends lines at "\n" only."""
+    return io.StringIO(source) if isinstance(source, str) else source
+
+
+def parse_log(source: str | Iterable[str]) -> list[Event]:
+    """Parse CSV log content (text, or its lines such as an open file) into time-ordered events.
 
     The header row is required. Out-of-order rows are stably sorted by
     timestamp, so equal timestamps keep file order.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(source))
     events: list[Event] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
     header: tuple[str, ...] | None = None
@@ -181,33 +190,35 @@ def parse_log(text: str) -> list[Event]:
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _json_lines(text: str):
-    """(line number, value) for each non-blank line of JSON-lines text.
+def _json_lines(source: str | Iterable[str]):
+    """(line number, value) for each non-blank line of JSON-lines text or its lines.
 
     Lines end at "\n" only, so a U+2028 or U+0085 inside a string stays in
-    its line. A line that is exactly one JSON value is decoded by the C
-    scanner alone; any other line (JSON whitespace around the value, a BOM,
-    trailing data, a scanner error) goes through json.loads, so every value
-    and every error text is the one json.loads gives. A line that is only
-    whitespace is skipped.
+    its line. A line that is exactly one JSON value, or one JSON value and
+    its "\n", is decoded by the C scanner alone, with no copy of the line;
+    any other line (JSON whitespace around the value, a BOM, trailing data,
+    a scanner error) goes through json.loads without its "\n", so every
+    value and every error text is the one json.loads gives. A line that is
+    only whitespace is skipped.
     """
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(_lines(source), start=1):
         try:
             value, end = _scan_once(line, 0)
         except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
+            end = None
+        if end != len(line) and not (end == len(line) - 1 and line[end] == "\n"):
+            line = line.removesuffix("\n")
             if not line.strip():
                 continue
             value = json_document(line, f"line {lineno}")
         yield lineno, value
 
 
-def parse_log_jsonl(text: str) -> list[Event]:
-    """Parse the JSON-lines twin of the CSV log format."""
+def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
+    """Parse the JSON-lines twin of the CSV log format (text, or its lines such as an open file)."""
     events: list[Event] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
-    for lineno, obj in _json_lines(text):
+    for lineno, obj in _json_lines(source):
         try:
             events.append(_event_from_obj(obj, keys))
         except ValueError as exc:
@@ -237,7 +248,8 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
     value = obj.get("value")
     if type(value) is not str:  # a number becomes its str(): 21 -> "21", 21.5 -> "21.5"
         value = str(json_value(value, (str, float), "'value'"))
-    return Event(ts_ms, _interned(keys, obj.get("device"), obj.get("attribute"), value), value)
+    key = _interned(keys, obj.get("device"), obj.get("attribute"), value)
+    return Event(ts_ms, key, key.state)
 
 
 def _events_json(events: Iterable[Event], tails: dict[tuple[EventKey, str], str]) -> list[str]:
@@ -327,10 +339,11 @@ def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
     return "".join(lines)
 
 
-def instances_from_jsonl(text: str) -> list[ActivityInstance]:
+def instances_from_jsonl(source: str | Iterable[str]) -> list[ActivityInstance]:
+    """Parse an instance file (text, or its lines such as an open file) in file order."""
     instances: list[ActivityInstance] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
-    for lineno, obj in _json_lines(text):
+    for lineno, obj in _json_lines(source):
         try:
             obj = json_value(obj, dict, "an instance")
             events = json_value(obj.get("events"), list, "'events'")
