@@ -44,14 +44,22 @@ def _parse_file(parse, path: str):
     """parse(lines) over the file at `path`, opened as text and read one line at a time.
 
     The file is read with universal newlines, as _read_text reads it. A byte
-    that is not UTF-8 is a data error that names its line and file offset.
+    that is not UTF-8 is a data error that names its line and file offset,
+    and it is the error reported whatever else is wrong in the file; a pipe,
+    which cannot be read again, reports the first error it meets.
     """
     with open(path, encoding="utf-8") as lines:
         try:
             return parse(lines)
-        except UnicodeDecodeError as exc:  # exc.start counts from the decoded chunk, not the file
+        except ValueError as exc:  # a UnicodeDecodeError too
+            # A bad byte anywhere in the file wins over any other error, so which
+            # error is reported does not depend on where the decoder's chunks end.
             where = _not_utf8(lines.buffer) if lines.seekable() else None  # a pipe reads once
-            raise ValueError(where or f"not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+            if where:
+                raise ValueError(where) from None
+            if isinstance(exc, UnicodeDecodeError):  # exc.start counts from the chunk, not the file
+                raise ValueError(f"not UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+            raise
 
 
 def _not_utf8(binary) -> str | None:
@@ -209,16 +217,18 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
     events = _load_log(args.log)
     lines = []  # the --out file, written whole once the last verdict is made
+    # (activity, classification) -> the encoded text between the source id and the total
+    tails: dict[tuple[str, str], str] = {}
     for inst, pattern, verdict in evaluation.judge(patterns, models, ingest.segment(events, cfg)):
-        record = {
-            "source_id": inst.source_id,
-            "activity": pattern.name,
-            "classification": verdict.classification,
-            "total": verdict.breakdown.total,
-        }
+        source_id, activity, classification = inst.source_id, pattern.name, verdict.classification
+        total = verdict.breakdown.total  # always finite, so repr is the text json.dumps writes
         if args.out:
-            lines.append(json.dumps(record) + "\n")
-        print(*record.values(), sep="\t")
+            tail = tails.get((activity, classification))
+            if tail is None:
+                record = {"activity": activity, "classification": classification, "total": 0}
+                tail = tails[activity, classification] = ", " + json.dumps(record)[1:-2]
+            lines.append('{"source_id": ' + json.dumps(source_id) + tail + repr(total) + "}\n")
+        print(f"{source_id}\t{activity}\t{classification}\t{total}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:
             out.writelines(lines)

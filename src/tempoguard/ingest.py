@@ -86,7 +86,8 @@ def parse_timestamp(token: str) -> int:
                 raise ValueError(f"unparseable timestamp {token!r}") from None
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        ms = (dt - EPOCH_UTC) // _ONE_MS
+        d = dt - EPOCH_UTC  # normalised: 0 <= seconds < 86,400 and 0 <= microseconds < 10**6
+        ms = (d.days * 86_400 + d.seconds) * 1000 + d.microseconds // 1000
     if not 0 <= ms <= MAX_TIMESTAMP_MS:
         raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
     return ms
@@ -139,8 +140,11 @@ def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> E
         attribute = ATTRIBUTE_FOR_VALUE.get(value, "state")
     else:
         _, device, attribute, value = fields
-    key = _interned(keys, device, attribute, value)
-    return Event(ts, key, key.state)
+    key = keys.get((device, attribute, value))  # CSV fields are strings, so always hashable
+    if key is None:
+        key = _interned(keys, device, attribute, value)
+    # Event.__new__ checks only timestamp_ms >= 0, and parse_timestamp has checked it.
+    return tuple.__new__(Event, (ts, key, key.state))
 
 
 def _lines(source: str | Iterable[str]) -> Iterable[str]:
@@ -249,7 +253,8 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
     if type(value) is not str:  # a number becomes its str(): 21 -> "21", 21.5 -> "21.5"
         value = str(json_value(value, (str, float), "'value'"))
     key = _interned(keys, obj.get("device"), obj.get("attribute"), value)
-    return Event(ts_ms, key, key.state)
+    # Event.__new__ checks only timestamp_ms >= 0, and parse_timestamp or _json_time has.
+    return tuple.__new__(Event, (ts_ms, key, key.state))
 
 
 def _events_json(events: Iterable[Event], tails: dict[tuple[EventKey, str], str]) -> list[str]:

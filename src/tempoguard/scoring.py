@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
+from operator import mul
 
 from tempoguard.events import ActivityInstance, ActivityPattern
 
@@ -69,7 +70,11 @@ def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:
         if code is not None:
             positions.append(j)
             codes.append(code)
+    if not codes:  # no key in the pattern: nothing to match
+        return Alignment(())
     pairs = _align_codes(pattern.key_codes, tuple(codes))
+    if len(positions) == len(instance.events):  # nothing dropped: the indices are the instance's
+        return Alignment(pairs)
     return Alignment(tuple((i, positions[j]) for i, j in pairs))
 
 
@@ -117,11 +122,12 @@ def merged_intervals(
     span, so an interval bridging a missing pattern event absorbs its means.
     """
     pairs = alignment.pairs
+    events, means = instance.events, pattern.mean_intervals_ms
     test: list[float] = []
     ref: list[float] = []
     for (p0, t0), (p1, t1) in zip(pairs, pairs[1:]):
-        test.append(float(instance.events[t1].timestamp_ms - instance.events[t0].timestamp_ms))
-        ref.append(float(sum(pattern.mean_intervals_ms[p0:p1])))
+        test.append(float(events[t1].timestamp_ms - events[t0].timestamp_ms))
+        ref.append(float(sum(means[p0:p1])))
     return tuple(test), tuple(ref)
 
 
@@ -137,15 +143,19 @@ def angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:
         raise ValueError(f"vector lengths differ: {len(u)} != {len(v)}")
     if not u:
         return 0.0
-    nu = math.sqrt(math.fsum(x * x for x in u))
-    nv = math.sqrt(math.fsum(x * x for x in v))
+    nu = math.sqrt(math.fsum(map(mul, u, u)))
+    nv = math.sqrt(math.fsum(map(mul, v, v)))
     if nu == 0.0 and nv == 0.0:
         return 0.0
     if nu == 0.0 or nv == 0.0:
         return math.pi / 2
-    diff = math.sqrt(math.fsum((x / nu - y / nv) ** 2 for x, y in zip(u, v)))
-    summ = math.sqrt(math.fsum((x / nu + y / nv) ** 2 for x, y in zip(u, v)))
-    return 2.0 * math.atan2(diff, summ)
+    diffs: list[float] = []
+    sums: list[float] = []
+    for x, y in zip(u, v):  # one pass, dividing each component once
+        x, y = x / nu, y / nv
+        diffs.append((x - y) ** 2)
+        sums.append((x + y) ** 2)
+    return 2.0 * math.atan2(math.sqrt(math.fsum(diffs)), math.sqrt(math.fsum(sums)))
 
 
 def score(pattern: ActivityPattern, instance: ActivityInstance, alpha: float) -> ScoreBreakdown:
@@ -165,11 +175,8 @@ def score(pattern: ActivityPattern, instance: ActivityInstance, alpha: float) ->
         timing = 0.0  # fewer than two matches leaves no interval to compare
     else:
         timing = 1.0 if matched == 1 else 0.0
+    # completeness, timing_similarity, angle_rad, total, matched, unmatched_test_events
     return ScoreBreakdown(
-        completeness=completeness,
-        timing_similarity=timing,
-        angle_rad=theta,
-        total=completeness + alpha * timing,
-        matched=matched,
-        unmatched_test_events=len(instance.events) - matched,
+        completeness, timing, theta, completeness + alpha * timing, matched,
+        len(instance.events) - matched,
     )

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import math
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
 from test_sweep_alpha import _load_script
+from tempoguard import evaluation
 from tempoguard.cli import RunConfig, build_parser, run, run_pipeline, train_models
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
+from tempoguard.scoring import ScoreBreakdown
 from tempoguard.simulate import builtin_specs
 from tempoguard.training import models_from_json
 
@@ -208,6 +215,66 @@ def test_detect_reports_one_verdict_per_segment(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 30
     assert all(line.split("\t")[2] in ("normal", "anomaly") for line in lines)
+
+
+@pytest.fixture(scope="module")
+def no_segments(tmp_path_factory):
+    """Patterns, models and a log that detect loads and that hold no segment."""
+    folder = tmp_path_factory.mktemp("empty")
+    (folder / "patterns.json").write_text("[]")
+    (folder / "models.json").write_text("[]")
+    (folder / "log.csv").write_text("timestamp,device,attribute,value\n")
+    return folder
+
+
+# Quotes, backslashes, control characters, non-ASCII and U+2028, and any other character.
+_AWKWARD = st.text(
+    st.one_of(st.sampled_from('"\\\t\n\r\x00\x1f\x7f\x85\u2028\u2029é漢😀'), st.characters()),
+    max_size=6,
+)
+
+
+@given(
+    activities=st.lists(_AWKWARD, min_size=1, max_size=3),
+    verdicts=st.lists(
+        st.tuples(
+            _AWKWARD,
+            st.integers(min_value=0, max_value=2),
+            st.one_of(st.sampled_from(["normal", "anomaly"]), _AWKWARD),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=8,
+    ),
+)
+def test_detect_lines_equal_json_dumps_and_a_tab_joined_print(no_segments, activities, verdicts):
+    judged = [
+        (
+            make_instance("A", source_id=source_id),
+            make_pattern("A", name=activities[k % len(activities)]),
+            evaluation.Verdict(classification, ScoreBreakdown(1.0, 1.0, 0.0, total, 1, 0)),
+        )
+        for source_id, k, classification, total in verdicts
+    ]
+    expected_out, expected_lines = io.StringIO(), []
+    for inst, pattern, verdict in judged:
+        record = {
+            "source_id": inst.source_id,
+            "activity": pattern.name,
+            "classification": verdict.classification,
+            "total": verdict.breakdown.total,
+        }
+        expected_lines.append(json.dumps(record) + "\n")
+        print(*record.values(), sep="\t", file=expected_out)
+    out = no_segments / "verdicts.jsonl"
+    argv = ["detect", "--log", str(no_segments / "log.csv"), "--out", str(out)]
+    argv += ["--models", str(no_segments / "models.json")]
+    argv += ["--patterns", str(no_segments / "patterns.json")]
+    printed = io.StringIO()
+    with mock.patch.object(evaluation, "judge", lambda *_: iter(judged)):
+        with contextlib.redirect_stdout(printed):
+            assert run(argv) == 0
+    assert printed.getvalue() == expected_out.getvalue()
+    assert out.read_bytes().decode("utf-8") == "".join(expected_lines)
 
 
 def test_config_file_sets_values_and_flags_override(tmp_path):

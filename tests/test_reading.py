@@ -93,9 +93,13 @@ def _hostile_text(draw, first, lines):
 
 def _outcome(parse, source):
     try:
-        return parse(source)
+        result = parse(source)
     except ValueError as exc:
         return str(exc)
+    # The parsers build events without Event.__new__; each must still be what it would build.
+    events = [e for item in result for e in ([item] if type(item) is Event else item.events)]
+    assert all(type(e) is Event and e == Event(*e) for e in events)
+    return result
 
 
 @pytest.mark.parametrize(
@@ -168,6 +172,39 @@ def test_byte_that_is_not_utf8_in_a_short_file_is_named_exactly(tmp_path, capsys
     log.write_bytes(b"timestamp,device,attribute,value\r\n1000,M\xe21,motion,active\r\n")
     assert run(["ingest", str(log)]) == 2
     assert capsys.readouterr().err == "error: line 2: not UTF-8 (byte 0xe2 at offset 40)\n"
+
+
+_CSV_ROW = "{ts},{device},motion,active"
+_JSONL_ROW = '{{"timestamp": "{ts}", "device": "{device}", "attribute": "motion", "value": "on"}}'
+_INSTANCE_ROW = '{{"source_id": "s", "events": [%s]}}' % _JSONL_ROW
+
+
+@pytest.mark.parametrize("between", [5, 800], ids=["same-chunk", "later-chunk"])
+@pytest.mark.parametrize(
+    "name, header, row, command",
+    [
+        ("log.csv", "timestamp,device,attribute,value", _CSV_ROW, "ingest"),
+        ("log.jsonl", None, _JSONL_ROW, "ingest"),
+        ("instances.jsonl", None, _INSTANCE_ROW, "mine"),
+    ],
+    ids=["csv", "jsonl", "instances"],
+)
+def test_byte_that_is_not_utf8_wins_over_an_earlier_bad_line(
+    tmp_path, capsys, name, header, row, command, between
+):
+    """Which error is reported depends on the file alone, not on the decoder's chunks."""
+    lines = [row.format(ts=1000 * n, device="M1") for n in range(1, 6 + between)]
+    if header:
+        lines[0] = header
+    lines[3] = row.format(ts="bad", device="M1")
+    lines[-1] = row.format(ts=9000, device="M\udcff1")  # line 5 + between
+    data = "\n".join(lines).encode("utf-8", "surrogateescape")
+    offset = data.index(b"\xff")
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert run([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line {len(lines)}: not UTF-8 (byte 0xff at offset {offset})\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")

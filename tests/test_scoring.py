@@ -319,3 +319,103 @@ def test_score_total_is_exactly_completeness_plus_weighted_timing(alpha, gaps):
     assert b.total == b.completeness + alpha * b.timing_similarity
     assert 0.0 <= b.completeness <= 1.0
     assert 0.0 <= b.timing_similarity <= 1.0
+
+
+# score, merged_intervals and angle as they were before their loops were
+# tightened, kept verbatim as the reference that every float of the current code
+# must equal bit for bit. The reference score aligns with _reference_align.
+
+
+def _reference_merged_intervals(pattern, instance, alignment):
+    pairs = alignment.pairs
+    test: list[float] = []
+    ref: list[float] = []
+    for (p0, t0), (p1, t1) in zip(pairs, pairs[1:]):
+        test.append(float(instance.events[t1].timestamp_ms - instance.events[t0].timestamp_ms))
+        ref.append(float(sum(pattern.mean_intervals_ms[p0:p1])))
+    return tuple(test), tuple(ref)
+
+
+def _reference_angle(u, v):
+    if len(u) != len(v):
+        raise ValueError(f"vector lengths differ: {len(u)} != {len(v)}")
+    if not u:
+        return 0.0
+    nu = math.sqrt(math.fsum(x * x for x in u))
+    nv = math.sqrt(math.fsum(x * x for x in v))
+    if nu == 0.0 and nv == 0.0:
+        return 0.0
+    if nu == 0.0 or nv == 0.0:
+        return math.pi / 2
+    diff = math.sqrt(math.fsum((x / nu - y / nv) ** 2 for x, y in zip(u, v)))
+    summ = math.sqrt(math.fsum((x / nu + y / nv) ** 2 for x, y in zip(u, v)))
+    return 2.0 * math.atan2(diff, summ)
+
+
+def _reference_score(pattern, instance, alpha):
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number >= 0, not {alpha!r}")
+    n = len(pattern.keys)  # ActivityPattern has at least one key
+    alignment = _reference_align(pattern, instance)
+    matched = alignment.matched
+    completeness = matched / n
+    theta = 0.0
+    if n >= 2 and matched >= 2:
+        test, ref = _reference_merged_intervals(pattern, instance, alignment)
+        theta = _reference_angle(test, ref)
+        timing = 1.0 - theta / math.pi
+    elif n >= 2:
+        timing = 0.0  # fewer than two matches leaves no interval to compare
+    else:
+        timing = 1.0 if matched == 1 else 0.0
+    return scoring.ScoreBreakdown(
+        completeness=completeness,
+        timing_similarity=timing,
+        angle_rad=theta,
+        total=completeness + alpha * timing,
+        matched=matched,
+        unmatched_test_events=len(instance.events) - matched,
+    )
+
+
+@st.composite
+def _scored_pair(draw):
+    """A pattern over A-C (repeats allowed) and an instance that matches some, all or none of it.
+
+    The instance is either any text over the pattern's and foreign (X, Y) letters,
+    or the pattern with steps deleted and foreign events put in. Gaps may be 0.
+    """
+    letters = draw(_PATTERN_TEXT)
+    size = len(letters) - 1
+    means = draw(st.lists(st.floats(min_value=0, max_value=1e9), min_size=size, max_size=size))
+    edited = "".join(
+        draw(st.text(alphabet="XY", max_size=1)) + ("" if draw(st.booleans()) else ch)
+        for ch in letters
+    )
+    text = draw(st.one_of(st.text(alphabet="ABCXY", max_size=10), st.just(edited)).filter(bool))
+    size = len(text) - 1
+    gaps = draw(st.lists(st.integers(min_value=0, max_value=10**9), min_size=size, max_size=size))
+    return make_pattern(letters, means), make_instance(text, gaps)
+
+
+@given(pair=_scored_pair(), alpha=st.floats(min_value=0, max_value=1e6))
+def test_score_equals_the_reference_bit_for_bit(pair, alpha):
+    pattern, instance = pair
+    got, expected = score(pattern, instance, alpha), _reference_score(pattern, instance, alpha)
+    assert type(got) is scoring.ScoreBreakdown
+    assert [repr(field) for field in got] == [repr(field) for field in expected]
+    alignment = align(pattern, instance)
+    assert alignment == _reference_align(pattern, instance)
+    got_vectors = merged_intervals(pattern, instance, alignment)
+    assert repr(got_vectors) == repr(_reference_merged_intervals(pattern, instance, alignment))
+    assert repr(angle(*got_vectors)) == repr(_reference_angle(*got_vectors))
+
+
+@given(
+    vectors=st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.tuples(*[st.lists(st.floats(-1e200, 1e200), min_size=n, max_size=n)] * 2)
+    )
+)
+def test_angle_equals_the_reference_bit_for_bit(vectors):
+    u, v = map(tuple, vectors)
+    assert repr(angle(u, v)) == repr(_reference_angle(u, v))
