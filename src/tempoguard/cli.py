@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
@@ -227,7 +228,9 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
             if tail is None:
                 record = {"activity": activity, "classification": classification, "total": 0}
                 tail = tails[activity, classification] = ", " + json.dumps(record)[1:-2]
-            lines.append('{"source_id": ' + json.dumps(source_id) + tail + repr(total) + "}\n")
+            # encode_basestring_ascii is what json.dumps applies to a str by default.
+            head = '{"source_id": ' + encode_basestring_ascii(source_id)
+            lines.append(head + tail + repr(total) + "}\n")
         print(f"{source_id}\t{activity}\t{classification}\t{total}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:

@@ -19,7 +19,11 @@ appends that text to every event that carries it, so only the timestamp is
 formatted per event. The bytes are those json.dumps and csv.writer give for
 each whole object or row. The CSV writer is given a CR LF row terminator, so
 that it quotes a field holding a CR, and each row then ends in LF instead.
-The encoded pairs live as long as one call.
+The encoded pairs live as long as one call. A timestamp is built from
+integer fields and no datetime: its "YYYY-MM-DDTHH:" prefix comes from a
+cache keyed by the hour (at most HOUR_CACHE_SIZE hours), its minutes and
+seconds from a 60-entry table, and its ".mmmZ" tail from a cache of at most
+the 1000 millisecond values.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import json
 import math
 from collections.abc import Iterable
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from tempoguard.config import RunConfig
 from tempoguard.events import (
@@ -45,8 +51,7 @@ LOG_HEADER = ("timestamp", "device", "attribute", "value")
 LEGACY_HEADER = ("timestamp", "device", "value")
 
 EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
-EPOCH_NAIVE = datetime(1970, 1, 1)  # format_timestamp's base: naive, so no tz work per call
-_ONE_MS = timedelta(milliseconds=1)
+EPOCH_NAIVE = datetime(1970, 1, 1)  # _hour_prefix's base: naive, so no tz work per call
 # 9999-12-31T23:59:59.999Z: the latest time format_timestamp can write.
 MAX_TIMESTAMP_MS = 253_402_300_799_999
 
@@ -93,16 +98,39 @@ def parse_timestamp(token: str) -> int:
     return ms
 
 
+# Distinct hours whose "YYYY-MM-DDTHH:" text _hour_prefix keeps: about 85 days,
+# more than a 64x pipeline log spans (about 69), so a shuffled instance file evicts none.
+HOUR_CACHE_SIZE = 2048
+
+_TWO_DIGITS = [f"{n:02d}" for n in range(60)]
+
+
+@lru_cache(maxsize=HOUR_CACHE_SIZE)
+def _hour_prefix(hour: int) -> str:
+    """The "YYYY-MM-DDTHH:" text of the hour that starts `hour` hours after the epoch."""
+    return (EPOCH_NAIVE + timedelta(hours=hour)).isoformat()[:14]
+
+
+@lru_cache(maxsize=None)  # frac is 0..999, so it holds at most 1000 strings
+def _fraction_tail(frac: int) -> str:
+    """The ".mmmZ" text for `frac` milliseconds past the second, or "Z" for none."""
+    return f".{frac:03d}Z" if frac else "Z"
+
+
 def format_timestamp(ms: int) -> str:
     """ISO-8601 UTC with millisecond precision ("...T13:00:01Z" / "...T13:00:01.234Z").
 
-    Raises ValueError for a time before 1970 or past MAX_TIMESTAMP_MS.
+    Raises ValueError for a time that is not an integer, before 1970 or past
+    MAX_TIMESTAMP_MS.
     """
+    if not isinstance(ms, int):
+        raise ValueError(f"timestamp {ms!r} ms is not an integer")
     if not 0 <= ms <= MAX_TIMESTAMP_MS:
         raise ValueError(f"timestamp {ms} ms is {_range_error(ms)}")
-    # The microseconds are whole milliseconds, so isoformat() ends in ".mmm000" or
-    # has no fraction at all; the cut keeps the milliseconds and drops the zeros.
-    return (EPOCH_NAIVE + ms * _ONE_MS).isoformat()[:23] + "Z"
+    hour, rest = divmod(ms, 3_600_000)
+    minute, rest = divmod(rest, 60_000)
+    second, frac = divmod(rest, 1000)
+    return f"{_hour_prefix(hour)}{_TWO_DIGITS[minute]}:{_TWO_DIGITS[second]}{_fraction_tail(frac)}"
 
 
 def _range_error(ms: int) -> str:
@@ -339,7 +367,9 @@ def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
             events = _events_json(inst.events, tails)
         except ValueError as exc:
             raise ValueError(f"instance {inst.source_id!r}: {exc}") from None
-        head = json.dumps({"source_id": inst.source_id, "label": inst.label})[:-1]
+        # encode_basestring_ascii is what json.dumps applies to a str by default.
+        head = '{"source_id": ' + encode_basestring_ascii(inst.source_id)
+        head += ', "label": ' + encode_basestring_ascii(inst.label)
         lines.append(head + ', "events": [' + ", ".join(events) + "]}\n")
     return "".join(lines)
 

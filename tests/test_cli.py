@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib
 import io
 import json
 import logging
 import math
 import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -159,6 +162,29 @@ def test_pipeline_writes_all_artifacts_and_report(tmp_path, capsys):
     assert text.count("Testing results of activity:") == 3
     models = models_from_json((workdir / "models.json").read_text())
     assert len(models) == 3
+
+
+# `sha256sum --check` input: the digest of every file the default (seed-42) pipeline writes.
+SEED42_DIGESTS = Path(__file__).resolve().parent / "seed42.sha256"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_seed42_artifacts_match_the_recorded_digests(tmp_path, capsys, monkeypatch):
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--workdir", str(workdir)) == 0
+    capsys.readouterr()
+    recorded = {}
+    for line in SEED42_DIGESTS.read_text(encoding="ascii").splitlines():
+        digest, name = line.split("  ")
+        recorded[name] = digest
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in workdir.iterdir()
+    }
+    assert written == recorded
+    monkeypatch.syspath_prepend(str(BENCH))
+    bench_digests = importlib.import_module("workloads").REFERENCE_DIGESTS
+    for name in ("models.json", "report.json"):
+        assert recorded[name] == bench_digests[name]
 
 
 def test_standalone_stages_reproduce_pipeline_artifacts(tmp_path, capsys):

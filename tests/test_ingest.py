@@ -6,6 +6,8 @@ import io
 import json
 import re
 from datetime import datetime, timezone
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -22,6 +24,7 @@ from tempoguard.events import (
     LABEL_UNLABELED,
     VALID_LABELS,
 )
+from tempoguard import ingest
 from tempoguard.ingest import (
     MAX_TIMESTAMP_MS,
     _json_lines,
@@ -129,14 +132,61 @@ def _strftime_format_timestamp(ms: int) -> str:
     return text + "Z"
 
 
+def _utc_ms(year, month, day, hour=0, minute=0, second=0, ms=0) -> int:
+    """Epoch milliseconds of a UTC time."""
+    return calendar.timegm((year, month, day, hour, minute, second)) * 1000 + ms
+
+
 @given(ms=st.integers(min_value=0, max_value=MAX_TIMESTAMP_MS))
 @example(ms=0)
 @example(ms=EPOCH_13_00_01)
 @example(ms=EPOCH_13_00_01 + 1)
 @example(ms=EPOCH_13_00_01 + 999)
 @example(ms=MAX_TIMESTAMP_MS)
+# The last and first millisecond of an hour, a day, a month and a year.
+@example(ms=3_599_999)
+@example(ms=3_600_000)
+@example(ms=86_399_999)
+@example(ms=86_400_000)
+@example(ms=_utc_ms(2021, 10, 31, 23, 59, 59, ms=999))
+@example(ms=_utc_ms(2021, 11, 1))
+@example(ms=_utc_ms(1999, 12, 31, 23, 59, 59, ms=999))
+@example(ms=_utc_ms(2000, 1, 1))
+# Leap days: 2000 is a leap year, 2100 is not.
+@example(ms=_utc_ms(2000, 2, 29, 12, 34, 56, ms=789))
+@example(ms=_utc_ms(2000, 3, 1))
+@example(ms=_utc_ms(2100, 2, 28, 23, 59, 59, ms=999))
+@example(ms=_utc_ms(2100, 3, 1))
+# A whole second past nonzero minutes and seconds: no fraction is written.
+@example(ms=_utc_ms(2021, 10, 1, 13, 47, 59))
+@example(ms=MAX_TIMESTAMP_MS - 3_600_000)
 def test_format_timestamp_equals_the_strftime_reference(ms):
     assert format_timestamp(ms) == _strftime_format_timestamp(ms)
+
+
+def test_format_timestamp_hour_cache_stays_within_its_bound():
+    ingest._hour_prefix.cache_clear()
+    hours = ingest.HOUR_CACHE_SIZE + 50
+    # A time in each of `hours` distinct hours, then the first 50 again, evicted by then.
+    times = [EPOCH_13_00_01 + h * 3_600_000 + h * 7_919 % 3_600_000 for h in range(hours)]
+    for ms in times + times[:50]:
+        assert format_timestamp(ms) == _strftime_format_timestamp(ms)
+    info = ingest._hour_prefix.cache_info()
+    assert info.misses == hours + 50
+    assert info.currsize == info.maxsize == ingest.HOUR_CACHE_SIZE
+
+
+# Event checks only `timestamp_ms >= 0`, so it holds any of these.
+@pytest.mark.parametrize("ms", [1.5, 1000.0, Fraction(3, 2), Decimal("1000")], ids=repr)
+def test_format_timestamp_rejects_a_time_that_is_not_an_integer(ms):
+    message = f"timestamp {ms!r} ms is not an integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        format_timestamp(ms)
+    event = Event(ms, key("A"), "on")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize_log([event])
+    with pytest.raises(ValueError, match=f"^instance 'seg-0001': {re.escape(message)}$"):
+        instances_to_jsonl([ActivityInstance((event,), source_id="seg-0001")])
 
 
 @pytest.mark.parametrize(
