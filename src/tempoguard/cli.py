@@ -37,17 +37,14 @@ def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         )
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _parse_file(parse, path: str):
     """parse(lines) over the file at `path`, opened as text and read one line at a time.
 
-    The file is read with universal newlines, as _read_text reads it. A byte
-    that is not UTF-8 is a data error that names its line and file offset,
-    and it is the error reported whatever else is wrong in the file; a pipe,
-    which cannot be read again, reports the first error it meets.
+    The file is read with universal newlines. A byte that is not UTF-8 is a
+    data error that names its line and file offset, and it is the error
+    reported whatever else is wrong in the file; a pipe, which cannot be read
+    again, reports the first error it meets. Logs and instance, pattern and
+    model files are all read here.
     """
     with open(path, encoding="utf-8") as lines:
         try:
@@ -98,10 +95,14 @@ def _guard_clobber(inputs: list[str | None], outputs: list[str | None]) -> None:
             raise UsageError(f"output path {out!r} would overwrite an input")
 
 
-def _load_log(path: str, fmt: str | None = None) -> list:
-    if fmt == "jsonl" or (fmt is None and path.endswith(".jsonl")):
-        return _parse_file(ingest.parse_log_jsonl, path)
-    return _parse_file(ingest.parse_log, path)
+def _load_log(path: str) -> list:
+    parse = ingest.parse_log_jsonl if path.endswith(".jsonl") else ingest.parse_log
+    return _parse_file(parse, path)
+
+
+def _load_records(from_json, path: str) -> list:
+    """from_json(text) over the whole file at `path`, read by _parse_file like every data file."""
+    return _parse_file(lambda lines: from_json(lines.read()), path)
 
 
 def _pick_sources(
@@ -118,7 +119,7 @@ def _pick_sources(
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([], [args.out])
-    events = simulate.generate(simulate.builtin_specs(cfg.noise_sigma), cfg)
+    events = simulate.generate(simulate.builtin_specs(), cfg)
     _write_or_print(ingest.serialize_log(events, args.format), args.out)
     return 0
 
@@ -193,7 +194,7 @@ def train_models(
 
 def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.patterns, args.train_set], [args.out])
-    patterns = mining.patterns_from_json(_read_text(args.patterns))
+    patterns = _load_records(mining.patterns_from_json, args.patterns)
     labeled = _parse_file(ingest.instances_from_jsonl, args.train_set)
     models = train_models(patterns, labeled, cfg)
     if not models:
@@ -203,7 +204,7 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
-    patterns = mining.patterns_from_json(_read_text(args.pattern))
+    patterns = _load_records(mining.patterns_from_json, args.pattern)
     events = _load_log(args.log)
     for inst in ingest.segment(events, cfg):
         pattern = evaluation.select_pattern(patterns, inst)
@@ -214,8 +215,8 @@ def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.models, args.patterns, args.log], [args.out])
-    patterns = mining.patterns_from_json(_read_text(args.patterns))
-    models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
+    patterns = _load_records(mining.patterns_from_json, args.patterns)
+    models = {m.activity: m for m in _load_records(training.models_from_json, args.models)}
     events = _load_log(args.log)
     lines = []  # the --out file, written whole once the last verdict is made
     # (activity, classification) -> the encoded text between the source id and the total
@@ -240,13 +241,13 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.models, args.patterns, args.test_set], [args.out])
-    patterns = mining.patterns_from_json(_read_text(args.patterns))
-    models = {m.activity: m for m in training.models_from_json(_read_text(args.models))}
+    patterns = _load_records(mining.patterns_from_json, args.patterns)
+    models = {m.activity: m for m in _load_records(training.models_from_json, args.models)}
     labeled = _parse_file(ingest.instances_from_jsonl, args.test_set)
     report = evaluation.build_report(patterns, models, labeled)
     sys.stdout.write(evaluation.render_report(report))
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(evaluation.report_to_json(report), encoding="utf-8")
     return 0
 
 
@@ -263,7 +264,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             f"inter_instance_gap_ms ({cfg.inter_instance_gap_ms} ms) must exceed the "
             f"segmentation gap, gap_seconds ({cfg.gap_ms} ms)"
         )
-    specs = simulate.builtin_specs(cfg.noise_sigma)
+    specs = simulate.builtin_specs()
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
@@ -324,7 +325,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     (workdir / "models.json").write_text(training.models_to_json(models), encoding="utf-8")
 
     report = evaluation.build_report(patterns, {m.activity: m for m in models}, test_set)
-    (workdir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    (workdir / "report.json").write_text(evaluation.report_to_json(report), encoding="utf-8")
     (workdir / "report.txt").write_text(evaluation.render_report(report), encoding="utf-8")
     return report
 
@@ -334,7 +335,7 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = run_pipeline(cfg)
     sys.stdout.write(evaluation.render_report(report))
     if args.out:
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(evaluation.report_to_json(report), encoding="utf-8")
     return 0
 
 

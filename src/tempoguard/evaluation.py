@@ -8,6 +8,7 @@ flagged, tn = normal passed.
 
 from __future__ import annotations
 
+import json
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -20,7 +21,7 @@ from tempoguard.events import (
     LABEL_NORMAL,
     LABEL_UNLABELED,
 )
-from tempoguard.scoring import ScoreBreakdown, score
+from tempoguard.scoring import score
 from tempoguard.training import ScoreModel
 
 CLASS_ANOMALY = "anomaly"
@@ -58,34 +59,10 @@ class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp fn fp tn")):
         return (self.tp + self.tn) / self.total
 
 
-class Verdict:
-    """One classification outcome: the call and the score it rests on.
+class Verdict(namedtuple("Verdict", "classification breakdown")):
+    """One classification outcome: the call and the score it rests on."""
 
-    Read-only, and compared by its two fields. Not a tuple, so that a verdict
-    can be weakly referenced.
-    """
-
-    __slots__ = ("classification", "breakdown", "__weakref__")
-
-    def __init__(self, classification: str, breakdown: ScoreBreakdown) -> None:
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "breakdown", breakdown)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"Verdict is read-only: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Verdict:
-            return NotImplemented
-        return (self.classification, self.breakdown) == (other.classification, other.breakdown)
-
-    def __hash__(self) -> int:
-        return hash((self.classification, self.breakdown))
-
-    def __repr__(self) -> str:
-        return f"Verdict(classification={self.classification!r}, breakdown={self.breakdown!r})"
+    __slots__ = ()
 
 
 def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInstance) -> Verdict:
@@ -231,6 +208,11 @@ def build_report(
         "activities": activities,
         "overall": {**_total(overall), "accuracy": overall.accuracy if overall.total else None},
     }
+
+
+def report_to_json(report: dict) -> str:
+    """The report file: build_report's output as indented JSON."""
+    return json.dumps(report, indent=2) + "\n"
 
 
 def render_report(report: dict) -> str:

@@ -90,6 +90,8 @@ class ActivityInstance(namedtuple("ActivityInstance", "events label source_id"))
             raise ValueError("ActivityInstance.events must be non-empty")
         if label not in VALID_LABELS:
             raise ValueError(f"unknown label {label!r}")
+        if not isinstance(source_id, str):
+            raise ValueError(f"source_id must be a string, not {type(source_id).__name__}")
         for a, b in zip(events, events[1:]):
             if b.timestamp_ms < a.timestamp_ms:
                 raise ValueError("ActivityInstance timestamps must be non-decreasing")

@@ -89,21 +89,13 @@ def mine_patterns(
 
 def patterns_to_json(patterns: list[ActivityPattern]) -> str:
     """Serialize patterns to a JSON array (the pattern-file format)."""
-    return json.dumps([_pattern_to_obj(p) for p in patterns], indent=2) + "\n"
+    objs = [{**p._asdict(), "keys": [k._asdict() for k in p.keys]} for p in patterns]
+    return json.dumps(objs, indent=2) + "\n"
 
 
 def patterns_from_json(text: str) -> list[ActivityPattern]:
     """Load a pattern file: a JSON array of pattern objects, no two of one name."""
     return json_records(text, "pattern", _pattern_from_obj, "name")
-
-
-def _pattern_to_obj(pattern: ActivityPattern) -> dict:
-    return {
-        "name": pattern.name,
-        "keys": [k._asdict() for k in pattern.keys],
-        "mean_intervals_ms": list(pattern.mean_intervals_ms),
-        "support": pattern.support,
-    }
 
 
 def _pattern_from_obj(obj: dict) -> ActivityPattern:

@@ -22,7 +22,7 @@ START_EPOCH_MS = 1_633_046_400_000
 AUTOMATION_LATENCY_MS = 1_000
 
 
-class ActivitySpec(namedtuple("ActivitySpec", "name steps noise_sigma_frac")):
+class ActivitySpec(namedtuple("ActivitySpec", "name steps")):
     """One scripted activity: events plus the base gap preceding each.
 
     steps[k] = (key, base_interval_ms before this event); the first step's
@@ -31,12 +31,7 @@ class ActivitySpec(namedtuple("ActivitySpec", "name steps noise_sigma_frac")):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        name: str,
-        steps: tuple[tuple[EventKey, int | None], ...],
-        noise_sigma_frac: float = 0.10,
-    ) -> ActivitySpec:
+    def __new__(cls, name: str, steps: tuple[tuple[EventKey, int | None], ...]) -> ActivitySpec:
         steps = tuple(steps)
         if not name:
             raise ValueError("name must be non-empty")
@@ -47,9 +42,7 @@ class ActivitySpec(namedtuple("ActivitySpec", "name steps noise_sigma_frac")):
         for key, gap in steps[1:]:
             if gap is None or gap <= 0:
                 raise ValueError(f"step for {key} needs a positive base interval")
-        if noise_sigma_frac < 0:
-            raise ValueError("noise_sigma_frac must be >= 0")
-        return tuple.__new__(cls, (name, steps, noise_sigma_frac))
+        return tuple.__new__(cls, (name, steps))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
@@ -57,11 +50,7 @@ class ActivitySpec(namedtuple("ActivitySpec", "name steps noise_sigma_frac")):
         return tuple(key for key, _ in self.steps)
 
 
-def _key(device: str, attribute: str, state: str) -> EventKey:
-    return EventKey(device=device, attribute=attribute, state=state)
-
-
-def builtin_specs(noise_sigma_frac: float = 0.10) -> list[ActivitySpec]:
+def builtin_specs() -> list[ActivitySpec]:
     """The three scripted activities and their automation rules.
 
     Come back home: front door (C1) opens, entry motion (M2) turns on light
@@ -77,39 +66,36 @@ def builtin_specs(noise_sigma_frac: float = 0.10) -> list[ActivitySpec]:
         ActivitySpec(
             name="Come back home",
             steps=(
-                (_key("C1", "contact", "open"), None),
-                (_key("M2", "motion", "active"), 3_000),
-                (_key("L1", "switch", "on"), auto),
-                (_key("C1", "contact", "closed"), 4_000),
-                (_key("M1", "motion", "active"), 6_000),
-                (_key("L2", "switch", "on"), auto),
+                (EventKey("C1", "contact", "open"), None),
+                (EventKey("M2", "motion", "active"), 3_000),
+                (EventKey("L1", "switch", "on"), auto),
+                (EventKey("C1", "contact", "closed"), 4_000),
+                (EventKey("M1", "motion", "active"), 6_000),
+                (EventKey("L2", "switch", "on"), auto),
             ),
-            noise_sigma_frac=noise_sigma_frac,
         ),
         ActivitySpec(
             name="Use toilet",
             steps=(
-                (_key("M5", "motion", "active"), None),
-                (_key("L5", "switch", "on"), auto),
-                (_key("C5", "contact", "closed"), 3_000),
-                (_key("V", "switch", "on"), auto),
-                (_key("C5", "contact", "open"), 12_000),
-                (_key("M5", "motion", "inactive"), 8_000),
-                (_key("L5", "switch", "off"), 21_000),  # 20 s vacancy rule + latency
-                (_key("V", "switch", "off"), auto),
+                (EventKey("M5", "motion", "active"), None),
+                (EventKey("L5", "switch", "on"), auto),
+                (EventKey("C5", "contact", "closed"), 3_000),
+                (EventKey("V", "switch", "on"), auto),
+                (EventKey("C5", "contact", "open"), 12_000),
+                (EventKey("M5", "motion", "inactive"), 8_000),
+                (EventKey("L5", "switch", "off"), 21_000),  # 20 s vacancy rule + latency
+                (EventKey("V", "switch", "off"), auto),
             ),
-            noise_sigma_frac=noise_sigma_frac,
         ),
         ActivitySpec(
             name="Go to work",
             steps=(
-                (_key("C2", "contact", "open"), None),
-                (_key("L4", "switch", "on"), auto),
-                (_key("M4", "motion", "active"), 3_000),
-                (_key("M3", "motion", "active"), 5_000),
-                (_key("L3", "switch", "on"), auto),
+                (EventKey("C2", "contact", "open"), None),
+                (EventKey("L4", "switch", "on"), auto),
+                (EventKey("M4", "motion", "active"), 3_000),
+                (EventKey("M3", "motion", "active"), 5_000),
+                (EventKey("L3", "switch", "on"), auto),
             ),
-            noise_sigma_frac=noise_sigma_frac,
         ),
     ]
 
@@ -122,7 +108,7 @@ def spec_name_map(specs: list[ActivitySpec]) -> dict[tuple[EventKey, ...], str]:
 def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Event]:
     """Emit a full log: every activity repeated instances_per_activity times.
 
-    Each gap is base * (1 + gauss(0, sigma)), rounded to whole ms and clamped
+    Each gap is base * (1 + gauss(0, cfg.noise_sigma)), rounded to whole ms and clamped
     to >= 1. One RNG stream drawn in a fixed order makes the log a pure
     function of the seed.
     """
@@ -134,7 +120,7 @@ def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Ev
         for _ in range(cfg.instances_per_activity):
             for key, base in spec.steps:
                 if base is not None:
-                    jitter = 1.0 + rng.gauss(0.0, spec.noise_sigma_frac)
+                    jitter = 1.0 + rng.gauss(0.0, cfg.noise_sigma)
                     now += max(1, round(base * jitter))
                 events.append(Event(timestamp_ms=now, key=key, raw_value=key.state))
             now += cfg.inter_instance_gap_ms

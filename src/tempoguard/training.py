@@ -163,22 +163,12 @@ def train(
 
 def models_to_json(models: list[ScoreModel]) -> str:
     """The model file: a JSON array, one object per activity."""
-    return json.dumps([_model_to_obj(model) for model in models], indent=2) + "\n"
+    return json.dumps([model._asdict() for model in models], indent=2) + "\n"
 
 
 def models_from_json(text: str) -> list[ScoreModel]:
     """Load a model file: a JSON array of model objects, no two for one activity."""
     return json_records(text, "model", _model_from_obj, "activity")
-
-
-def _model_to_obj(model: ScoreModel) -> dict:
-    return {
-        "activity": model.activity,
-        "alpha": model.alpha,
-        "lo": model.lo,
-        "hi": model.hi,
-        "training_accuracy": model.training_accuracy,
-    }
 
 
 def _model_from_obj(obj: dict) -> ScoreModel:

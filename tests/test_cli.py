@@ -22,7 +22,6 @@ from tempoguard.cli import RunConfig, build_parser, run, run_pipeline, train_mod
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
 from tempoguard.scoring import ScoreBreakdown
-from tempoguard.simulate import builtin_specs
 from tempoguard.training import models_from_json
 
 
@@ -405,7 +404,6 @@ def test_run_config_merges_defaults_and_overrides():
     cfg = RunConfig.from_sources(None, {"seed": 9, "workdir": None})
     assert cfg.seed == 9
     assert cfg.workdir == "tempoguard_run"
-    assert builtin_specs(cfg.noise_sigma) == builtin_specs()
 
 
 def test_run_pipeline_returns_the_report_dict(tmp_path):
@@ -632,6 +630,29 @@ def test_models_file_repeating_an_activity_is_a_data_error(small_run, tmp_path, 
     captured = capsys.readouterr()
     message = f"model {len(models)}: duplicate activity {models[0]['activity']!r}"
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [("detect", PATTERNS), ("detect", MODELS), ("evaluate", PATTERNS), ("evaluate", MODELS),
+     ("train", PATTERNS), ("score", PATTERNS)],
+)  # fmt: skip
+def test_byte_that_is_not_utf8_in_a_model_or_pattern_file_names_its_line_and_offset(
+    small_run, tmp_path, capsys, command, artifact
+):
+    data = (small_run / artifact).read_bytes()
+    (tmp_path / artifact).write_bytes(data + b"\xff")
+    models, patterns = (tmp_path / a if a == artifact else small_run / a for a in (MODELS, PATTERNS))
+    log, train_set = str(small_run / "sim_log.csv"), str(small_run / "train_set.jsonl")
+    argv = {
+        "train": ["train", "--patterns", str(patterns), "--train-set", train_set],
+        "score": ["score", "--pattern", str(patterns), "--alpha", "1", "--log", log],
+    }.get(command) or _judge_argv(command, small_run, models, patterns)
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    line = data.count(b"\n") + 1
+    assert captured.err == f"error: line {line}: not UTF-8 (byte 0xff at offset {len(data)})\n"
     assert captured.out == ""
 
 

@@ -268,12 +268,19 @@ def test_build_report_keeps_counts_not_verdicts(monkeypatch):
     expected = build_report([pattern], {pattern.name: model}, labeled)
     verdicts = []
 
+    class Watched:
+        """A verdict's two fields in an object that, unlike a tuple, can be weakly referenced."""
+
+        def __init__(self, verdict):
+            self.classification, self.breakdown = verdict
+
     def judge_watched(*args):
         for inst, routed, verdict in judge(*args):
             # Only the verdict build_report's loop still names may be alive.
             assert [ref for ref in verdicts[:-1] if ref() is not None] == []
-            verdicts.append(weakref.ref(verdict))
-            yield inst, routed, verdict
+            watched = Watched(verdict)
+            verdicts.append(weakref.ref(watched))
+            yield inst, routed, watched
 
     monkeypatch.setattr(evaluation, "judge", judge_watched)
     assert build_report([pattern], {pattern.name: model}, labeled) == expected

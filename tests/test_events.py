@@ -125,6 +125,14 @@ def test_instance_rejects_unknown_label():
         make_instance("AB", label="suspicious")
 
 
+@pytest.mark.parametrize("source_id", [5, None, b"seg-0001"])
+def test_instance_rejects_a_source_id_that_is_not_a_string(source_id):
+    with pytest.raises(ValueError, match="^source_id must be a string, not "):
+        make_instance("AB", source_id=source_id)
+    with pytest.raises(ValueError, match="^source_id must be a string, not "):
+        make_instance("AB")._replace(source_id=source_id)
+
+
 def test_instance_coerces_event_list_to_tuple():
     events = [Event(1000, key("A"), "on"), Event(2000, key("B"), "on")]
     inst = ActivityInstance(events=events)

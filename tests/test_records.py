@@ -17,11 +17,7 @@ RECORDS = {
     "ActivityPattern": (lambda: make_pattern("AB"), {"support": 0}, "support must be >= 1"),
     "ConfusionMatrix": (lambda: ConfusionMatrix(1, 2, 3, 4), {"fp": -1}, "counts must be >= 0"),
     "ScoreModel": (lambda: ScoreModel("a", 1.0, 0.5, 1.5, 0.9), {"lo": 2.0}, "lo must be <= hi"),
-    "ActivitySpec": (
-        lambda: builtin_specs()[0],
-        {"noise_sigma_frac": -0.1},
-        "noise_sigma_frac must be >= 0",
-    ),
+    "ActivitySpec": (lambda: builtin_specs()[0], {"steps": ()}, "steps must be non-empty"),
     "RunConfig": (RunConfig, {"gap_seconds": 0}, "gap_seconds must be over 0.0005"),
 }
 _CASES = pytest.mark.parametrize("build, bad, message", RECORDS.values(), ids=list(RECORDS))
@@ -69,7 +65,7 @@ def test_verdict_is_read_only_and_compared_by_its_fields():
     assert verdict == Verdict("normal", breakdown)
     assert hash(verdict) == hash(Verdict("normal", breakdown))
     assert verdict != Verdict("anomaly", breakdown)
-    assert verdict != ("normal", breakdown)
+    assert isinstance(verdict, tuple) and Verdict._fields == ("classification", "breakdown")
     for name in ("classification", "breakdown", "other"):
         with pytest.raises(AttributeError):
             setattr(verdict, name, None)

@@ -80,13 +80,11 @@ def test_spec_rejects_missing_interval_on_later_steps():
         )
 
 
-def test_spec_rejects_negative_noise():
-    with pytest.raises(ValueError, match="noise"):
-        ActivitySpec(
-            name="x",
-            steps=((EventKey("A", "motion", "active"), None),),
-            noise_sigma_frac=-0.1,
-        )
+def test_simulate_rejects_negative_noise(capsys):
+    with pytest.raises(ValueError, match="^noise_sigma must be >= 0$"):
+        RunConfig(noise_sigma=-0.1)
+    assert run(["simulate", "--noise-sigma", "-0.5"]) == 2
+    assert capsys.readouterr().err == "error: noise_sigma must be >= 0\n"
 
 
 def test_sim_config_requires_gap_beyond_segmentation_threshold(tmp_path, capsys):
@@ -99,8 +97,8 @@ def test_sim_config_requires_gap_beyond_segmentation_threshold(tmp_path, capsys)
 
 
 def test_zero_noise_reproduces_base_intervals_exactly():
-    specs = builtin_specs(noise_sigma_frac=0.0)
-    events = generate(specs, RunConfig(instances_per_activity=2))
+    specs = builtin_specs()
+    events = generate(specs, RunConfig(instances_per_activity=2, noise_sigma=0.0))
     segments = segment(events)
     assert len(segments) == 6
     for spec, chunk in zip(specs, [segments[0:2], segments[2:4], segments[4:6]]):
@@ -148,6 +146,7 @@ def test_name_map_indexes_specs_by_key_sequence():
 @settings(deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_generated_intervals_are_strictly_positive(seed):
-    events = generate(builtin_specs(noise_sigma_frac=0.5), RunConfig(seed=seed, instances_per_activity=1))
+    cfg = RunConfig(seed=seed, instances_per_activity=1, noise_sigma=0.5)
+    events = generate(builtin_specs(), cfg)
     for before, after in zip(events, events[1:]):
         assert after.timestamp_ms - before.timestamp_ms >= 1
