@@ -19,7 +19,7 @@ from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
 from tempoguard.config import SETTINGS, RunConfig, UsageError
-from tempoguard.events import ActivityInstance, LABEL_NORMAL, with_label
+from tempoguard.events import ActivityInstance, LABEL_NORMAL
 
 
 def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -103,6 +103,13 @@ def _load_log(path: str) -> list:
 def _load_records(from_json, path: str) -> list:
     """from_json(text) over the whole file at `path`, read by _parse_file like every data file."""
     return _parse_file(lambda lines: from_json(lines.read()), path)
+
+
+def _count(text: str) -> int:
+    """The --count of augment and forge: an integer >= 0, or argparse's usage error."""
+    if (count := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {count}")
+    return count
 
 
 def _pick_sources(
@@ -288,7 +295,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     test_set: list[ActivityInstance] = []
     for pattern in patterns:
         originals = [
-            with_label(inst, LABEL_NORMAL)
+            inst._replace(label=LABEL_NORMAL)
             for inst in instances
             if inst.key_sequence() == pattern.keys
         ]
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="oversample normals by interval midpoints")
     p.add_argument("instances", help="instances JSONL (one shared key sequence)")
-    p.add_argument("--count", type=int, required=True, help="synthetic instances to forge")
+    p.add_argument("--count", type=_count, required=True, help="synthetic instances to forge")
     add_config_flags(p, "seed")
     p.add_argument("--out", help="synthetic instances JSONL path (default: stdout)")
     p.set_defaults(handler=_cmd_augment)
@@ -380,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instances", help="normal instances JSONL")
     p.add_argument("--kind", choices=("seq", "ti"), required=True,
                    help="seq: delete one event; ti: stretch one interval")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     add_config_flags(p, "ti_multiplier", "seed")
     p.add_argument("--out", help="anomalies JSONL path (default: stdout)")
     p.set_defaults(handler=_cmd_forge)

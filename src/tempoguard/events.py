@@ -57,19 +57,20 @@ class EventKey(namedtuple("EventKey", "device attribute state")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
-class Event(namedtuple("Event", "timestamp_ms key raw_value")):
-    """One timestamped device state change.
+class Event(namedtuple("Event", "timestamp_ms key")):
+    """One timestamped device state change, logged with the value key.state.
 
-    raw_value keeps the original log value (possibly numeric like "56.0");
-    numeric values are carried but never become pattern states.
+    A numeric reading ("21.5") is a key state too; mining drops such events.
     """
 
     __slots__ = ()
 
-    def __new__(cls, timestamp_ms: int, key: EventKey, raw_value: str) -> Event:
-        if timestamp_ms < 0:
-            raise ValueError("Event.timestamp_ms must be >= 0")
-        return tuple.__new__(cls, (timestamp_ms, key, raw_value))
+    def __new__(cls, timestamp_ms: int, key: EventKey) -> Event:
+        if type(timestamp_ms) is not int or timestamp_ms < 0:  # a bool is not a time either
+            raise ValueError(f"Event.timestamp_ms must be an int >= 0, not {timestamp_ms!r}")
+        if not isinstance(key, EventKey):
+            raise ValueError(f"Event.key must be an EventKey, not {type(key).__name__}")
+        return tuple.__new__(cls, (timestamp_ms, key))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
@@ -150,15 +151,10 @@ def intervals(instance: ActivityInstance) -> tuple[int, ...]:
     return tuple(b.timestamp_ms - a.timestamp_ms for a, b in zip(ev, ev[1:]))
 
 
-def with_label(instance: ActivityInstance, label: str) -> ActivityInstance:
-    """Copy of `instance` with a new label."""
-    return instance._replace(label=label)
-
-
-def is_numeric_value(raw_value: str) -> bool:
-    """True if the raw log value is numeric (e.g. "56.0") rather than a discrete state."""
+def is_numeric_value(value: str) -> bool:
+    """True if a logged value is numeric (e.g. "56.0") rather than a discrete state."""
     try:
-        float(raw_value)
+        float(value)
     except ValueError:
         return False
     return True

@@ -28,12 +28,12 @@ def _rebuild(
     label: str,
     source_id: str,
 ) -> ActivityInstance:
-    """New instance with source's keys/values but the given timing."""
+    """New instance with source's keys but the given timing."""
     ts = first_timestamp_ms
-    events = [Event(ts, source.events[0].key, source.events[0].raw_value)]
+    events = [Event(ts, source.events[0].key)]
     for step, src in zip(new_intervals, source.events[1:]):
         ts += step
-        events.append(Event(ts, src.key, src.raw_value))
+        events.append(Event(ts, src.key))
     return ActivityInstance(events=tuple(events), label=label, source_id=source_id)
 
 

@@ -9,21 +9,19 @@ Each parser takes the text itself or an iterable of its lines, such as an
 open text file, and reads one line at a time, so parsing a file never holds
 its text. Each parse call builds one EventKey per distinct (device,
 attribute, state) and hands that same object to every event that carries
-it; the event's raw value is that key's state string, so a large log holds
-a few dozen keys and strings, not one per row. Timestamps become epoch
-milliseconds by exact integer arithmetic, never through a float.
+it, so a large log holds a few dozen keys and strings, not one per row.
+Timestamps become epoch milliseconds by exact integer arithmetic, no float.
 
 The writers work the other way round. Each call encodes the fields of each
-distinct (key, raw value) pair once, with json.dumps or csv.writer, and
-appends that text to every event that carries it, so only the timestamp is
-formatted per event. The bytes are those json.dumps and csv.writer give for
-each whole object or row. The CSV writer is given a CR LF row terminator, so
-that it quotes a field holding a CR, and each row then ends in LF instead.
-The encoded pairs live as long as one call. A timestamp is built from
-integer fields and no datetime: its "YYYY-MM-DDTHH:" prefix comes from a
-cache keyed by the hour (at most HOUR_CACHE_SIZE hours), its minutes and
-seconds from a 60-entry table, and its ".mmmZ" tail from a cache of at most
-the 1000 millisecond values.
+distinct key once, with json.dumps or csv.writer, and appends that text to
+every event that carries it, so only the timestamp is formatted per event.
+The bytes are those json.dumps and csv.writer give for each whole object or
+row. The CSV writer is given a CR LF row terminator, so that it quotes a
+field holding a CR, and each row then ends in LF instead. The encoded keys
+live as long as one call. A timestamp is built from integer fields and no
+datetime: its "YYYY-MM-DDTHH:" prefix comes from a cache keyed by the hour
+(at most HOUR_CACHE_SIZE hours), its minutes and seconds from a 60-entry
+table, and its ".mmmZ" tail from a cache of at most 1000 values.
 """
 
 from __future__ import annotations
@@ -171,8 +169,8 @@ def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> E
     key = keys.get((device, attribute, value))  # CSV fields are strings, so always hashable
     if key is None:
         key = _interned(keys, device, attribute, value)
-    # Event.__new__ checks only timestamp_ms >= 0, and parse_timestamp has checked it.
-    return tuple.__new__(Event, (ts, key, key.state))
+    # Event.__new__'s checks hold: parse_timestamp gives an int >= 0, and key is an EventKey.
+    return tuple.__new__(Event, (ts, key))
 
 
 def _lines(source: str | Iterable[str]) -> Iterable[str]:
@@ -281,23 +279,21 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
     if type(value) is not str:  # a number becomes its str(): 21 -> "21", 21.5 -> "21.5"
         value = str(json_value(value, (str, float), "'value'"))
     key = _interned(keys, obj.get("device"), obj.get("attribute"), value)
-    # Event.__new__ checks only timestamp_ms >= 0, and parse_timestamp or _json_time has.
-    return tuple.__new__(Event, (ts_ms, key, key.state))
+    # Event.__new__'s checks hold: ts_ms is an int >= 0, and key is an EventKey.
+    return tuple.__new__(Event, (ts_ms, key))
 
 
-def _events_json(events: Iterable[Event], tails: dict[tuple[EventKey, str], str]) -> list[str]:
+def _events_json(events: Iterable[Event], tails: dict[EventKey, str]) -> list[str]:
     """The json.dumps text of each event's {"timestamp", "device", "attribute", "value"} object.
 
-    `tails` maps (key, raw value) to the encoded text after the timestamp, for
-    one writer call. It is keyed by the raw value too: an Event's raw_value
-    need not be its key's state.
+    `tails` maps each key to the encoded text after the timestamp, for one writer call.
     """
     out = []
-    for ts, key, value in events:
-        tail = tails.get((key, value))
+    for ts, key in events:
+        tail = tails.get(key)
         if tail is None:
-            obj = {"device": key.device, "attribute": key.attribute, "value": value}
-            tail = tails[key, value] = ", " + json.dumps(obj)[1:]
+            obj = {"device": key.device, "attribute": key.attribute, "value": key.state}
+            tail = tails[key] = ", " + json.dumps(obj)[1:]
         out.append('{"timestamp": "' + format_timestamp(ts) + '"' + tail)
     return out
 
@@ -309,14 +305,14 @@ def serialize_log(events: list[Event], fmt: str = "csv") -> str:
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(LOG_HEADER)
         rows = [out.getvalue()[:-2] + "\n"]
-        tails: dict[tuple[EventKey, str], str] = {}  # (key, raw value) -> ",device,attr,value\n"
-        for ts, key, value in events:
-            tail = tails.get((key, value))
+        tails: dict[EventKey, str] = {}  # key -> ",device,attribute,state\n"
+        for ts, key in events:
+            tail = tails.get(key)
             if tail is None:
                 out.seek(0)
                 out.truncate()
-                writer.writerow(("", key.device, key.attribute, value))
-                tail = tails[key, value] = out.getvalue()[:-2] + "\n"
+                writer.writerow(("", *key))
+                tail = tails[key] = out.getvalue()[:-2] + "\n"
             rows.append(format_timestamp(ts) + tail)
         return "".join(rows)
     if fmt == "jsonl":
@@ -361,7 +357,7 @@ def segment(events: list[Event], cfg: RunConfig | None = None) -> list[ActivityI
 def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
     """One JSON object per instance: {"source_id", "label", "events": [...]}."""
     lines = []
-    tails: dict[tuple[EventKey, str], str] = {}
+    tails: dict[EventKey, str] = {}
     for inst in instances:
         try:
             events = _events_json(inst.events, tails)

@@ -43,7 +43,7 @@ def build_pattern(name: str, group: list[ActivityInstance]) -> ActivityPattern:
 
 def _discrete_events(instance: ActivityInstance) -> ActivityInstance | None:
     """Drop numeric-valued events; None if nothing discrete remains."""
-    kept = tuple(e for e in instance.events if not is_numeric_value(e.raw_value))
+    kept = tuple(e for e in instance.events if not is_numeric_value(e.key.state))
     if not kept:
         return None
     if len(kept) == len(instance.events):

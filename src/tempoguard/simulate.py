@@ -122,6 +122,6 @@ def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Ev
                 if base is not None:
                     jitter = 1.0 + rng.gauss(0.0, cfg.noise_sigma)
                     now += max(1, round(base * jitter))
-                events.append(Event(timestamp_ms=now, key=key, raw_value=key.state))
+                events.append(Event(now, key))
             now += cfg.inter_instance_gap_ms
     return events

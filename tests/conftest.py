@@ -27,10 +27,10 @@ def make_instance(
     gaps = intervals if intervals is not None else [1000] * (len(letters) - 1)
     assert len(gaps) == len(letters) - 1
     ts = t0
-    events = [Event(ts, key(letters[0]), "on")]
+    events = [Event(ts, key(letters[0]))]
     for letter, gap in zip(letters[1:], gaps):
         ts += gap
-        events.append(Event(ts, key(letter), "on"))
+        events.append(Event(ts, key(letter)))
     return ActivityInstance(events=tuple(events), label=label, source_id=source_id)
 
 

@@ -136,6 +136,20 @@ def test_forge_alias_and_kinds(tmp_path):
     assert len(ti) == 4 and all(i.label == "anomaly_ti" for i in ti)
 
 
+@pytest.mark.parametrize(
+    "command", [["augment"], ["forge", "--kind", "seq"]], ids=["augment", "forge"]
+)
+def test_a_negative_count_is_a_usage_error_that_names_the_flag(tmp_path, capsys, command):
+    inst = tmp_path / "instances.jsonl"
+    inst.write_text(instances_to_jsonl([make_instance("AB"), make_instance("AB", [2000])]))
+    out = tmp_path / "out.jsonl"
+    assert run_cli(*command, str(inst), "--count", "-1", "--out", str(out)) == 1
+    assert "argument --count: must be >= 0, not -1" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(*command, str(inst), "--count", "0", "--out", str(out)) == 0
+    assert out.read_text() == ""
+
+
 def test_pipeline_writes_all_artifacts_and_report(tmp_path, capsys):
     workdir = tmp_path / "run"
     out = tmp_path / "report.json"

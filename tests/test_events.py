@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,6 @@ from tempoguard.events import (
     is_numeric_value,
     json_records,
     json_value,
-    with_label,
 )
 
 
@@ -32,14 +32,22 @@ def test_event_key_rejects_empty_fields():
 
 def test_event_rejects_negative_timestamp():
     with pytest.raises(ValueError):
-        Event(timestamp_ms=-1, key=key("A"), raw_value="on")
+        Event(timestamp_ms=-1, key=key("A"))
+
+
+# A float time is checked with format_timestamp's cases in test_ingest.
+@pytest.mark.parametrize("ms", [True, False, "1000", None], ids=repr)
+def test_event_rejects_a_time_that_is_not_an_int(ms):
+    message = f"Event.timestamp_ms must be an int >= 0, not {ms!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Event(ms, key("A"))
 
 
 # Small alphabets, so equal and empty values turn up often.
 _names = st.text(alphabet="ab", max_size=2)
 _triples = st.tuples(_names, _names, _names)
 _keys = st.builds(EventKey, *(st.text(alphabet="ab", min_size=1, max_size=2) for _ in range(3)))
-_event_fields = st.tuples(st.integers(min_value=-2, max_value=2), _keys, _names)
+_event_fields = st.tuples(st.integers(min_value=-2, max_value=2), _keys)
 
 
 @given(a=_triples, b=_triples)
@@ -66,14 +74,14 @@ def test_event_key_is_its_three_checked_strings(a, b):
 
 
 @given(a=_event_fields, b=_event_fields)
-def test_event_is_its_three_checked_fields(a, b):
+def test_event_is_its_two_checked_fields(a, b):
     if a[0] < 0:
-        with pytest.raises(ValueError, match="timestamp_ms must be >= 0"):
+        with pytest.raises(ValueError, match="timestamp_ms must be an int >= 0"):
             Event(*a)
         return
     e = Event(*a)
-    assert e == Event(timestamp_ms=a[0], key=a[1], raw_value=a[2])
-    assert (e.timestamp_ms, e.key, e.raw_value) == a
+    assert e == Event(timestamp_ms=a[0], key=a[1])
+    assert (e.timestamp_ms, e.key) == a and Event._fields == ("timestamp_ms", "key")
     if b[0] >= 0:
         other = Event(*b)
         assert (e == other) == (a == b)
@@ -88,9 +96,9 @@ def test_event_is_its_three_checked_fields(a, b):
 def test_replace_checks_like_construction():
     with pytest.raises(ValueError, match="EventKey.state must be non-empty"):
         key("A")._replace(state="")
-    with pytest.raises(ValueError, match="timestamp_ms must be >= 0"):
-        Event(1000, key("A"), "on")._replace(timestamp_ms=-1)
-    assert Event(1000, key("A"), "on")._replace(raw_value="off") == Event(1000, key("A"), "off")
+    with pytest.raises(ValueError, match="timestamp_ms must be an int >= 0"):
+        Event(1000, key("A"))._replace(timestamp_ms=-1)
+    assert Event(1000, key("A"))._replace(key=key("B")) == Event(1000, key("B"))
 
 
 @given(keys=st.lists(_keys, min_size=1, max_size=8))
@@ -110,13 +118,13 @@ def test_instance_rejects_empty_event_list():
 
 
 def test_instance_rejects_decreasing_timestamps():
-    events = (Event(2000, key("A"), "on"), Event(1000, key("B"), "on"))
+    events = (Event(2000, key("A")), Event(1000, key("B")))
     with pytest.raises(ValueError):
         ActivityInstance(events=events)
 
 
 def test_instance_allows_equal_timestamps():
-    events = (Event(1000, key("A"), "on"), Event(1000, key("B"), "on"))
+    events = (Event(1000, key("A")), Event(1000, key("B")))
     assert len(ActivityInstance(events=events).events) == 2
 
 
@@ -134,7 +142,7 @@ def test_instance_rejects_a_source_id_that_is_not_a_string(source_id):
 
 
 def test_instance_coerces_event_list_to_tuple():
-    events = [Event(1000, key("A"), "on"), Event(2000, key("B"), "on")]
+    events = [Event(1000, key("A")), Event(2000, key("B"))]
     inst = ActivityInstance(events=events)
     assert isinstance(inst.events, tuple)
 
@@ -195,9 +203,9 @@ def test_intervals_sum_to_total_elapsed_time(gaps):
     assert sum(intervals(inst)) == inst.events[-1].timestamp_ms - inst.events[0].timestamp_ms
 
 
-def test_with_label_changes_only_the_label():
+def test_replace_label_changes_only_the_label():
     inst = make_instance("AB", label=LABEL_NORMAL, source_id="seg-0001")
-    relabeled = with_label(inst, LABEL_ANOMALY_SEQ)
+    relabeled = inst._replace(label=LABEL_ANOMALY_SEQ)
     assert relabeled.label == LABEL_ANOMALY_SEQ
     assert relabeled.events == inst.events
     assert relabeled.source_id == inst.source_id

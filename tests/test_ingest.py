@@ -176,17 +176,15 @@ def test_format_timestamp_hour_cache_stays_within_its_bound():
     assert info.currsize == info.maxsize == ingest.HOUR_CACHE_SIZE
 
 
-# Event checks only `timestamp_ms >= 0`, so it holds any of these.
 @pytest.mark.parametrize("ms", [1.5, 1000.0, Fraction(3, 2), Decimal("1000")], ids=repr)
 def test_format_timestamp_rejects_a_time_that_is_not_an_integer(ms):
     message = f"timestamp {ms!r} ms is not an integer"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         format_timestamp(ms)
-    event = Event(ms, key("A"), "on")
+    # So no writer meets one: an Event cannot hold it.
+    message = f"Event.timestamp_ms must be an int >= 0, not {ms!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        serialize_log([event])
-    with pytest.raises(ValueError, match=f"^instance 'seg-0001': {re.escape(message)}$"):
-        instances_to_jsonl([ActivityInstance((event,), source_id="seg-0001")])
+        Event(ms, key("A"))
 
 
 @pytest.mark.parametrize(
@@ -307,7 +305,7 @@ def test_serialize_log_round_trips_csv():
 
 @pytest.mark.parametrize("name", ["M\r1", "M\r\n1", "M\n1"])
 def test_csv_round_trip_keeps_a_line_break_inside_a_field(name):
-    events = [Event(1000, EventKey(name, "motion", "active"), "active")]
+    events = [Event(1000, EventKey(name, "motion", "active"))]
     text = serialize_log(events, "csv")
     assert text == f'timestamp,device,attribute,value\n1970-01-01T00:00:01Z,"{name}",motion,active\n'
     assert parse_log(text) == events
@@ -330,7 +328,7 @@ _NAMES = st.text(
 
 _LOGS = st.lists(
     st.builds(
-        lambda ts, device, attribute, value: Event(ts, EventKey(device, attribute, value), value),
+        lambda ts, device, attribute, state: Event(ts, EventKey(device, attribute, state)),
         st.integers(min_value=0, max_value=4 * 10**12),
         _NAMES,
         _NAMES,
@@ -350,15 +348,14 @@ def test_jsonl_round_trip_keeps_awkward_names(events):
     assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
 
 
-# The writers as they were before they reused each (key, raw value)'s encoded
-# text, kept as exact references: json.dumps and csv.writer over every full
-# object and row.
+# The writers as they were before they reused each key's encoded text, kept as
+# exact references: json.dumps and csv.writer over every full object and row.
 def _event_object(event: Event) -> dict:
     return {
         "timestamp": format_timestamp(event.timestamp_ms),
         "device": event.key.device,
         "attribute": event.key.attribute,
-        "value": event.raw_value,
+        "value": event.key.state,
     }
 
 
@@ -385,7 +382,7 @@ def _csv_writer_log(events: list[Event]) -> str:
     a CR is quoted, each row then ended by LF instead."""
     rows = [("timestamp", "device", "attribute", "value")]
     rows += [
-        (format_timestamp(e.timestamp_ms), e.key.device, e.key.attribute, e.raw_value)
+        (format_timestamp(e.timestamp_ms), e.key.device, e.key.attribute, e.key.state)
         for e in events
     ]
     text = ""
@@ -407,53 +404,52 @@ _HOSTILE = st.text(
 _KEY_FIELDS = _HOSTILE.filter(bool)  # EventKey fields are non-empty
 
 
-@st.composite
-def _key_and_value(draw) -> tuple[EventKey, str]:
-    key = EventKey(draw(_KEY_FIELDS), draw(_KEY_FIELDS), draw(_KEY_FIELDS))
-    return key, draw(st.one_of(st.just(key.state), _HOSTILE))  # raw_value need not be the state
+_HOSTILE_KEY = st.builds(EventKey, _KEY_FIELDS, _KEY_FIELDS, _KEY_FIELDS)
 
 
-def _events_from(pairs: list[tuple[EventKey, str]]):
-    """Time-ordered events that share a few (key, raw value) pairs, as one writer call sees."""
+def _events_from(keys: list[EventKey]):
+    """Time-ordered events that share a few keys, as one writer call sees."""
     event = st.builds(
-        lambda ts, pair: Event(ts, *pair),
-        st.integers(min_value=0, max_value=MAX_TIMESTAMP_MS),
-        st.sampled_from(pairs),
+        Event, st.integers(min_value=0, max_value=MAX_TIMESTAMP_MS), st.sampled_from(keys)
     )
     return st.lists(event, min_size=1, max_size=10).map(
         lambda events: sorted(events, key=lambda e: e.timestamp_ms)
     )
 
 
-_PAIRS = st.lists(_key_and_value(), min_size=1, max_size=4)
-_HOSTILE_LOGS = _PAIRS.flatmap(_events_from)
-_HOSTILE_INSTANCES = _PAIRS.flatmap(
-    lambda pairs: st.lists(
+_KEYS = st.lists(_HOSTILE_KEY, min_size=1, max_size=4)
+_HOSTILE_LOGS = _KEYS.flatmap(_events_from)
+_HOSTILE_INSTANCES = _KEYS.flatmap(
+    lambda keys: st.lists(
         st.builds(
-            ActivityInstance, _events_from(pairs), st.sampled_from(sorted(VALID_LABELS)), _HOSTILE
+            ActivityInstance, _events_from(keys), st.sampled_from(sorted(VALID_LABELS)), _HOSTILE
         ),
         max_size=4,
     )
 )
-# One key carrying two raw values: an encoding cached by key alone would repeat the first.
-_ONE_KEY_TWO_VALUES = [Event(0, key("A"), "on"), Event(1000, key("A"), "56.0")]
+# One device and attribute in two states: an encoding cached by (device, attribute)
+# would repeat the first state.
+_ONE_SENSOR_TWO_STATES = [
+    Event(0, EventKey("A", "sensor", "on")),
+    Event(1000, EventKey("A", "sensor", "56.0")),
+]
 
 
 @given(instances=_HOSTILE_INSTANCES)
 @example(instances=[make_instance("AB", source_id='seg "1"'), make_instance("BA")])
-@example(instances=[ActivityInstance(tuple(_ONE_KEY_TWO_VALUES))])
+@example(instances=[ActivityInstance(tuple(_ONE_SENSOR_TWO_STATES))])
 def test_instances_to_jsonl_equals_json_dumps_of_each_instance(instances):
     assert instances_to_jsonl(instances) == _json_dumps_instances(instances)
 
 
 @given(events=_HOSTILE_LOGS)
-@example(events=_ONE_KEY_TWO_VALUES)
+@example(events=_ONE_SENSOR_TWO_STATES)
 def test_jsonl_log_equals_json_dumps_of_each_event(events):
     assert serialize_log(events, "jsonl") == _json_dumps_log(events)
 
 
 @given(events=_HOSTILE_LOGS)
-@example(events=_ONE_KEY_TWO_VALUES)
+@example(events=_ONE_SENSOR_TWO_STATES)
 def test_csv_log_equals_csv_writer_over_the_full_rows(events):
     assert serialize_log(events, "csv") == _csv_writer_log(events)
 
@@ -497,10 +493,10 @@ def test_serialize_log_rejects_unknown_format():
 
 def _events(*gaps: int) -> list[Event]:
     ts = 1_000_000
-    out = [Event(ts, key("A"), "on")]
+    out = [Event(ts, key("A"))]
     for gap in gaps:
         ts += gap
-        out.append(Event(ts, key("B"), "on"))
+        out.append(Event(ts, key("B")))
     return out
 
 
@@ -530,7 +526,7 @@ def test_segment_assigns_sequential_source_ids():
 
 
 def test_segment_rejects_unordered_events():
-    events = [Event(2000, key("A"), "on"), Event(1000, key("B"), "on")]
+    events = [Event(2000, key("A")), Event(1000, key("B"))]
     with pytest.raises(ValueError, match="time-ordered"):
         segment(events)
 
@@ -552,7 +548,7 @@ def test_segment_reads_the_events_once():
 
 
 def test_segment_rejects_a_late_step_back_in_time():
-    events = _events(1000, 200_000, 1000) + [Event(1000, key("A"), "on")]
+    events = _events(1000, 200_000, 1000) + [Event(1000, key("A"))]
     with pytest.raises(ValueError, match="^events must be time-ordered before segmentation$"):
         segment(events)
 
@@ -652,7 +648,7 @@ def test_jsonl_numeric_value_becomes_a_string():
         '{"timestamp": 1000, "device": "T1", "attribute": "temperature", "value": 21}',
         '{"timestamp": 2000, "device": "T1", "attribute": "temperature", "value": 21.5}',
     ]
-    assert [e.raw_value for e in parse_log_jsonl("\n".join(lines))] == ["21", "21.5"]
+    assert [e.key.state for e in parse_log_jsonl("\n".join(lines))] == ["21", "21.5"]
 
 
 def test_jsonl_integer_timestamp_is_still_epoch_milliseconds():

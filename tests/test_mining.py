@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
@@ -50,9 +51,9 @@ def test_empty_input_yields_empty_list():
 
 def test_numeric_valued_events_are_ignored_with_a_warning(caplog):
     events = (
-        Event(1000, key("A"), "on"),
-        Event(2000, key("T"), "21.5"),  # a thermometer reading, not a state
-        Event(3000, key("B"), "on"),
+        Event(1000, key("A")),
+        Event(2000, EventKey("T", "temperature", "21.5")),  # a reading, not a state
+        Event(3000, key("B")),
     )
     instances = [ActivityInstance(events=events) for _ in range(5)]
     with caplog.at_level(logging.WARNING):
@@ -61,6 +62,45 @@ def test_numeric_valued_events_are_ignored_with_a_warning(caplog):
     assert patterns[0].keys == (key("A"), key("B"))
     assert patterns[0].mean_intervals_ms == (2000.0,)
     assert "5 numeric-valued events" in caplog.text
+
+
+def _burst_lines(start_ms: int, gaps: tuple[int, int], reading: float | None) -> list[str]:
+    """One burst of three steps as JSON lines; a T1 temperature reading between the first two."""
+    steps = [(start_ms, "M1", "motion", "active")]
+    steps.append((start_ms + gaps[0], "D1", "contact", "open"))
+    steps.append((start_ms + gaps[0] + gaps[1], "M1", "motion", "inactive"))
+    if reading is not None:
+        steps.insert(1, (start_ms + gaps[0] // 2, "T1", "temperature", reading))
+    names = ("timestamp", "device", "attribute", "value")
+    return [json.dumps(dict(zip(names, step))) + "\n" for step in steps]
+
+
+def _mined_from_jsonl_log(tmp_path, name: str, lines: list[str]) -> list:
+    log = tmp_path / f"{name}.log.jsonl"
+    instances, patterns = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+    log.write_text("".join(lines), encoding="utf-8")
+    assert run(["ingest", str(log), "--out", str(instances)]) == 0
+    assert run(["mine", str(instances), "--out", str(patterns)]) == 0
+    return patterns_from_json(patterns.read_text(encoding="utf-8"))
+
+
+def test_numeric_readings_from_a_log_are_dropped_before_mining(tmp_path, caplog):
+    gaps = [(1000 + 10 * n, 3000 - 20 * n) for n in range(6)]
+    readings = [21 if n % 2 else 21.5 for n in range(6)]  # a JSON number; the parser str()s it
+    start = [1_633_093_201_000 + 3_600_000 * n for n in range(6)]
+    plain = [line for t, g in zip(start, gaps) for line in _burst_lines(t, g, None)]
+    with_readings = [
+        line for t, g, r in zip(start, gaps, readings) for line in _burst_lines(t, g, r)
+    ]
+    expected = _mined_from_jsonl_log(tmp_path, "plain", plain)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        mined = _mined_from_jsonl_log(tmp_path, "readings", with_readings)
+    assert [(p.keys, p.mean_intervals_ms) for p in mined] == [
+        (p.keys, p.mean_intervals_ms) for p in expected
+    ]
+    assert len(mined) == 1 and mined[0].mean_intervals_ms == (1025.0, 2950.0)
+    assert "ignored 6 numeric-valued events during mining" in caplog.text
 
 
 def test_patterns_come_back_sorted_by_support():
@@ -94,7 +134,7 @@ _CROSSED_KEYS = (
 
 
 def _runs(keys: tuple[EventKey, ...], count: int) -> list[ActivityInstance]:
-    events = tuple(Event(1000 * (n + 1), k, k.state) for n, k in enumerate(keys))
+    events = tuple(Event(1000 * (n + 1), k) for n, k in enumerate(keys))
     return [ActivityInstance(events=events) for _ in range(count)]
 
 

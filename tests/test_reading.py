@@ -221,7 +221,7 @@ def test_byte_that_is_not_utf8_in_a_pipe_is_named_without_a_wrong_offset():
 
 
 EVENTS_PER_LOG = 20_000
-# The parsed events themselves take about 112 bytes each: the Event tuple, its
+# The parsed events themselves take about 104 bytes each: the Event tuple, its
 # timestamp int and a slot in the list. Parsing the whole text at once took 376
 # (CSV) and 418 (JSONL) bytes per event at its peak.
 PEAK_BYTES_PER_EVENT = 200
@@ -231,8 +231,7 @@ PEAK_BYTES_PER_EVENT = 200
 def test_loading_a_log_holds_little_more_than_its_events(tmp_path, fmt):
     keys = [EventKey(f"M{n}", "motion", s) for n in range(8) for s in ("active", "inactive")]
     events = [
-        Event(1_633_093_201_000 + 1000 * n, keys[n % len(keys)], keys[n % len(keys)].state)
-        for n in range(EVENTS_PER_LOG)
+        Event(1_633_093_201_000 + 1000 * n, keys[n % len(keys)]) for n in range(EVENTS_PER_LOG)
     ]
     path = tmp_path / f"log.{fmt}"
     path.write_text(serialize_log(events, fmt), encoding="utf-8")
@@ -244,4 +243,3 @@ def test_loading_a_log_holds_little_more_than_its_events(tmp_path, fmt):
         tracemalloc.stop()
     assert loaded == events
     assert peak / EVENTS_PER_LOG < PEAK_BYTES_PER_EVENT
-    assert all(event.raw_value is event.key.state for event in loaded)

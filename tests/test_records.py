@@ -7,12 +7,14 @@ import pytest
 from conftest import key, make_instance, make_pattern
 from tempoguard.config import RunConfig
 from tempoguard.evaluation import ConfusionMatrix, Verdict
+from tempoguard.events import Event
 from tempoguard.scoring import score
 from tempoguard.simulate import builtin_specs
 from tempoguard.training import ScoreModel
 
 # name -> (a valid record, a field value it must reject, the message that names it)
 RECORDS = {
+    "Event": (lambda: Event(1000, key("A")), {"key": ("A", "sensor", "on")}, "be an EventKey"),
     "ActivityInstance": (lambda: make_instance("AB"), {"label": "bogus"}, "unknown label"),
     "ActivityPattern": (lambda: make_pattern("AB"), {"support": 0}, "support must be >= 1"),
     "ConfusionMatrix": (lambda: ConfusionMatrix(1, 2, 3, 4), {"fp": -1}, "counts must be >= 0"),
