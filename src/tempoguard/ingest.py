@@ -121,7 +121,7 @@ def format_timestamp(ms: int) -> str:
     Raises ValueError for a time that is not an integer, before 1970 or past
     MAX_TIMESTAMP_MS.
     """
-    if not isinstance(ms, int):
+    if type(ms) is not int:  # a bool is not a time either
         raise ValueError(f"timestamp {ms!r} ms is not an integer")
     if not 0 <= ms <= MAX_TIMESTAMP_MS:
         raise ValueError(f"timestamp {ms} ms is {_range_error(ms)}")
@@ -327,30 +327,31 @@ def segment(events: list[Event], cfg: RunConfig | None = None) -> list[ActivityI
     with fewer than cfg.min_segment_len events are dropped.
     """
     cfg = cfg or RunConfig()
-    gap_ms = cfg.gap_ms
+    gap_ms, min_len = cfg.gap_ms, cfg.min_segment_len
     instances: list[ActivityInstance] = []
     run: list[Event] = []
+    last = 0  # times are >= 0: the first event is in order, and closing the empty run adds nothing
 
     def flush() -> None:
-        if len(run) >= cfg.min_segment_len:
+        if len(run) >= min_len:
+            # ActivityInstance.__new__'s checks hold: run holds min_len >= 1 events in
+            # time order (checked below), the label is valid and the source id a string.
             instances.append(
-                ActivityInstance(
-                    events=tuple(run),
-                    label=LABEL_UNLABELED,
-                    source_id=f"seg-{len(instances):04d}",
+                tuple.__new__(
+                    ActivityInstance, (tuple(run), LABEL_UNLABELED, f"seg-{len(instances):04d}")
                 )
             )
 
     for event in events:
-        gap = event.timestamp_ms - run[-1].timestamp_ms if run else 0
-        if gap < 0:
+        ts = event.timestamp_ms
+        if ts < last:
             raise ValueError("events must be time-ordered before segmentation")
-        if gap >= gap_ms:
+        if ts - last >= gap_ms:
             flush()
             run = []
         run.append(event)
-    if run:
-        flush()
+        last = ts
+    flush()
     return instances
 
 

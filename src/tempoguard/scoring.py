@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import mul
 
-from tempoguard.events import ActivityInstance, ActivityPattern
+from tempoguard.events import ActivityInstance, ActivityPattern, Event
 
 
 class Alignment(namedtuple("Alignment", "pairs")):
@@ -78,7 +79,9 @@ def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:
     return Alignment(tuple((i, positions[j]) for i, j in pairs))
 
 
-# Distinct (pattern codes, projected instance codes) inputs kept by _align_codes.
+# Entries kept by each of the two memos: the distinct (pattern codes, projected
+# instance codes) inputs of _align_codes, and the distinct (mean intervals,
+# matched pattern steps) inputs of _reference_side.
 ALIGN_CACHE_SIZE = 1024
 
 
@@ -122,13 +125,46 @@ def merged_intervals(
     span, so an interval bridging a missing pattern event absorbs its means.
     """
     pairs = alignment.pairs
-    events, means = instance.events, pattern.mean_intervals_ms
+    if len(pairs) < 2:
+        return (), ()
+    steps, at = zip(*pairs)
+    return tuple(_elapsed_ms(instance.events, at)), tuple(
+        _reference_intervals(pattern.mean_intervals_ms, steps)
+    )
+
+
+def _elapsed_ms(events: tuple[Event, ...], at: tuple[int, ...]) -> list[float]:
+    """The milliseconds between consecutive events at the (two or more) indices `at`."""
     test: list[float] = []
+    last = events[at[0]].timestamp_ms
+    for t in at[1:]:  # each event's time is read once
+        now = events[t].timestamp_ms
+        test.append(float(now - last))
+        last = now
+    return test
+
+
+def _reference_intervals(means: tuple[float, ...], steps: tuple[int, ...]) -> list[float]:
+    """The mean intervals summed between consecutive matched pattern steps."""
     ref: list[float] = []
-    for (p0, t0), (p1, t1) in zip(pairs, pairs[1:]):
-        test.append(float(events[t1].timestamp_ms - events[t0].timestamp_ms))
+    for p0, p1 in zip(steps, steps[1:]):
         ref.append(float(sum(means[p0:p1])))
-    return tuple(test), tuple(ref)
+    return ref
+
+
+@lru_cache(maxsize=ALIGN_CACHE_SIZE)
+def _reference_side(
+    means: tuple[float, ...], steps: tuple[int, ...]
+) -> tuple[float, tuple[float, ...]]:
+    """The reference intervals between matched `steps` as `_angle_to` takes them.
+
+    That is their norm and, when the norm is not 0, each interval divided by
+    it. They depend on nothing but the pattern's means and the matched steps,
+    so a repeated alignment of one pattern reuses them.
+    """
+    ref = _reference_intervals(means, steps)
+    norm = math.sqrt(math.fsum(map(mul, ref, ref)))
+    return norm, tuple([y / norm for y in ref]) if norm else ()
 
 
 def angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:
@@ -141,18 +177,23 @@ def angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:
     """
     if len(u) != len(v):
         raise ValueError(f"vector lengths differ: {len(u)} != {len(v)}")
+    v_norm = math.sqrt(math.fsum(map(mul, v, v)))
+    return _angle_to(u, v_norm, [y / v_norm for y in v] if v_norm else ())
+
+
+def _angle_to(u: Sequence[float], v_norm: float, v_unit: Sequence[float]) -> float:
+    """`angle(u, v)` for a v of u's length given as its norm and, unless 0, v / v_norm."""
     if not u:
         return 0.0
     nu = math.sqrt(math.fsum(map(mul, u, u)))
-    nv = math.sqrt(math.fsum(map(mul, v, v)))
-    if nu == 0.0 and nv == 0.0:
+    if nu == 0.0 and v_norm == 0.0:
         return 0.0
-    if nu == 0.0 or nv == 0.0:
+    if nu == 0.0 or v_norm == 0.0:
         return math.pi / 2
     diffs: list[float] = []
     sums: list[float] = []
-    for x, y in zip(u, v):  # one pass, dividing each component once
-        x, y = x / nu, y / nv
+    for x, y in zip(u, v_unit):  # one pass, dividing each component once
+        x = x / nu
         diffs.append((x - y) ** 2)
         sums.append((x + y) ** 2)
     return 2.0 * math.atan2(math.sqrt(math.fsum(diffs)), math.sqrt(math.fsum(sums)))
@@ -168,15 +209,15 @@ def score(pattern: ActivityPattern, instance: ActivityInstance, alpha: float) ->
     completeness = matched / n
     theta = 0.0
     if n >= 2 and matched >= 2:
-        test, ref = merged_intervals(pattern, instance, alignment)
-        theta = angle(test, ref)
+        steps, at = zip(*alignment.pairs)
+        v_norm, v_unit = _reference_side(pattern.mean_intervals_ms, steps)
+        theta = _angle_to(_elapsed_ms(instance.events, at), v_norm, v_unit)
         timing = 1.0 - theta / math.pi
     elif n >= 2:
         timing = 0.0  # fewer than two matches leaves no interval to compare
     else:
         timing = 1.0 if matched == 1 else 0.0
-    # completeness, timing_similarity, angle_rad, total, matched, unmatched_test_events
-    return ScoreBreakdown(
-        completeness, timing, theta, completeness + alpha * timing, matched,
-        len(instance.events) - matched,
-    )
+    total = completeness + alpha * timing
+    unmatched = len(instance.events) - matched
+    # ScoreBreakdown checks no field, so tuple.__new__ skips only its generated __new__.
+    return tuple.__new__(ScoreBreakdown, (completeness, timing, theta, total, matched, unmatched))

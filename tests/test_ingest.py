@@ -176,7 +176,9 @@ def test_format_timestamp_hour_cache_stays_within_its_bound():
     assert info.currsize == info.maxsize == ingest.HOUR_CACHE_SIZE
 
 
-@pytest.mark.parametrize("ms", [1.5, 1000.0, Fraction(3, 2), Decimal("1000")], ids=repr)
+@pytest.mark.parametrize(
+    "ms", [1.5, 1000.0, Fraction(3, 2), Decimal("1000"), True, False], ids=repr
+)
 def test_format_timestamp_rejects_a_time_that_is_not_an_integer(ms):
     message = f"timestamp {ms!r} ms is not an integer"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -551,6 +553,31 @@ def test_segment_rejects_a_late_step_back_in_time():
     events = _events(1000, 200_000, 1000) + [Event(1000, key("A"))]
     with pytest.raises(ValueError, match="^events must be time-ordered before segmentation$"):
         segment(events)
+
+
+@given(
+    start=st.integers(min_value=0, max_value=5000),
+    gaps=st.lists(st.integers(min_value=0, max_value=3000), max_size=30),
+    gap_seconds=st.sampled_from([0.001, 1.0, 2.5]),
+    min_len=st.integers(min_value=1, max_value=4),
+)
+def test_segment_builds_each_instance_as_its_constructor_would(start, gaps, gap_seconds, min_len):
+    events = [Event(start, key("A"))]
+    for n, gap in enumerate(gaps):  # a gap of 0 gives two events one timestamp
+        events.append(Event(events[-1].timestamp_ms + gap, key("AB"[n % 2])))
+    cfg = RunConfig(gap_seconds=gap_seconds, min_segment_len=min_len)
+    runs = [[events[0]]]
+    for a, b in zip(events, events[1:]):
+        if b.timestamp_ms - a.timestamp_ms >= cfg.gap_ms:
+            runs.append([])
+        runs[-1].append(b)
+    parts = segment(events, cfg)
+    assert [inst.events for inst in parts] == [tuple(run) for run in runs if len(run) >= min_len]
+    for n, inst in enumerate(parts):
+        assert type(inst) is ActivityInstance
+        assert inst == ActivityInstance(*inst)
+        assert inst.source_id == f"seg-{n:04d}"
+    assert segment([], cfg) == []
 
 
 # 23:30 at -01:30 is 01:00 UTC on 10000-01-01.

@@ -419,3 +419,26 @@ def test_score_equals_the_reference_bit_for_bit(pair, alpha):
 def test_angle_equals_the_reference_bit_for_bit(vectors):
     u, v = map(tuple, vectors)
     assert repr(angle(u, v)) == repr(_reference_angle(u, v))
+
+
+def test_reference_memo_tells_apart_patterns_whose_key_codes_are_equal():
+    # Both patterns are coded (0, 1, 2): only their means tell their reference sides apart.
+    abc, xyz = make_pattern("ABC", [1000, 5000]), make_pattern("XYZ", [5000, 1000])
+    assert abc.key_codes == xyz.key_codes
+    scoring._reference_side.cache_clear()
+    for _ in range(2):
+        for pattern, letters in ((abc, "ABC"), (xyz, "XYZ"), (abc, "AQC"), (xyz, "XQZ")):
+            instance = make_instance(letters, [2000, 3000])
+            got, expected = score(pattern, instance, 1.0), _reference_score(pattern, instance, 1.0)
+            assert [repr(field) for field in got] == [repr(field) for field in expected]
+    assert scoring._reference_side.cache_info().hits > 0
+
+
+def test_reference_cache_stays_within_its_bound():
+    scoring._reference_side.cache_clear()
+    extra = scoring.ALIGN_CACHE_SIZE + 50
+    for n in range(extra):  # distinct means: a distinct reference side each time
+        score(make_pattern("AB", [n + 1]), make_instance("AB"), 1.0)
+    info = scoring._reference_side.cache_info()
+    assert info.misses == extra
+    assert info.currsize == info.maxsize == scoring.ALIGN_CACHE_SIZE
