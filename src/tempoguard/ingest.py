@@ -12,9 +12,14 @@ attribute, state) and hands that same object to every event that carries
 it, so a large log holds a few dozen keys and strings, not one per row.
 Timestamps become epoch milliseconds by exact integer arithmetic, no float.
 
-The writers work the other way round. Each call encodes the fields of each
-distinct key once, with json.dumps or csv.writer, and appends that text to
-every event that carries it, so only the timestamp is formatted per event.
+The log readers work as the writers do: each call maps the text after a
+line's timestamp, its tail, to the key that tail gave, so a line with a
+tail seen before costs one timestamp parse (see parse_log and
+parse_log_jsonl for when a tail may be kept).
+
+The writers encode the fields of each distinct key once per call, with
+json.dumps or csv.writer, and append that text to every event that
+carries it, so only the timestamp is formatted per event.
 The bytes are those json.dumps and csv.writer give for each whole object or
 row. The CSV writer is given a CR LF row terminator, so that it quotes a
 field holding a CR, and each row then ends in LF instead. The encoded keys
@@ -33,7 +38,9 @@ import math
 from collections.abc import Iterable
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from tempoguard.config import RunConfig
 from tempoguard.events import (
@@ -49,6 +56,7 @@ LOG_HEADER = ("timestamp", "device", "attribute", "value")
 LEGACY_HEADER = ("timestamp", "device", "value")
 
 EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
+ONE_MS = timedelta(milliseconds=1)
 EPOCH_NAIVE = datetime(1970, 1, 1)  # _hour_prefix's base: naive, so no tz work per call
 # 9999-12-31T23:59:59.999Z: the latest time format_timestamp can write.
 MAX_TIMESTAMP_MS = 253_402_300_799_999
@@ -89,8 +97,7 @@ def parse_timestamp(token: str) -> int:
                 raise ValueError(f"unparseable timestamp {token!r}") from None
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        d = dt - EPOCH_UTC  # normalised: 0 <= seconds < 86,400 and 0 <= microseconds < 10**6
-        ms = (d.days * 86_400 + d.seconds) * 1000 + d.microseconds // 1000
+        ms = (dt - EPOCH_UTC) // ONE_MS  # exact: timedelta // timedelta floors whole microseconds
     if not 0 <= ms <= MAX_TIMESTAMP_MS:
         raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
     return ms
@@ -181,80 +188,168 @@ def _lines(source: str | Iterable[str]) -> Iterable[str]:
 def parse_log(source: str | Iterable[str]) -> list[Event]:
     """Parse CSV log content (text, or its lines such as an open file) into time-ordered events.
 
-    The header row is required. Out-of-order rows are stably sorted by
-    timestamp, so equal timestamps keep file order.
+    The header row is required; one byte-order mark before it is dropped.
+    Out-of-order rows are stably sorted by timestamp, so equal timestamps
+    keep file order.
+
+    A one-line row whose text after its first comma (its tail) repeats that
+    of an earlier one-line row reuses that row's key, so only its timestamp
+    is parsed. Every other row is read by csv.reader, which may pull further
+    lines for a quoted field that spans them.
     """
-    reader = csv.reader(_lines(source))
+    lines = iter(_lines(source))
     events: list[Event] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
+    tails: dict[str, EventKey] = {}  # the tail of a one-line row that made an event -> its key
+    limit = csv.field_size_limit()
     header: tuple[str, ...] | None = None
     legacy = False
-    try:
-        for fields in reader:  # line_num counts physical lines; a quoted field may span several
-            lineno = reader.line_num
-            fields = [f.strip() for f in fields]
-            if not any(fields):
+    lineno = 0  # physical lines read; a quoted field may span several
+    for line in lines:
+        lineno += 1
+        ts_text, _, tail = line.partition(",")
+        # With no quote, CR or LF and within csv's field limit, ts_text is csv's whole first
+        # field, and csv reads the tail into the same fields whatever ts_text holds.
+        plain = (
+            '"' not in ts_text
+            and "\r" not in ts_text
+            and "\n" not in ts_text
+            and len(ts_text) <= limit
+        )
+        if plain and (key := tails.get(tail)) is not None:
+            try:
+                # Event.__new__'s checks hold: parse_timestamp gives an int >= 0, and key is an
+                # EventKey.
+                events.append(tuple.__new__(Event, (parse_timestamp(ts_text), key)))
                 continue
-            if header is None:
-                header = tuple(f.lower() for f in fields)
-                if header == LOG_HEADER:
-                    legacy = False
-                elif header == LEGACY_HEADER:
-                    legacy = True
-                else:
-                    raise ValueError(
-                        f"line {lineno}: expected header {','.join(LOG_HEADER)} "
-                        f"(or legacy {','.join(LEGACY_HEADER)}), got {','.join(header)}"
-                    )
-                continue
-            events.append(_row_to_event(fields, legacy, lineno, keys))
-    except csv.Error as exc:
-        raise ValueError(f"line {reader.line_num}: {exc}") from None
+            except ValueError:
+                pass  # csv.reader's path below names the error
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")  # as a "CSV UTF-8" export begins
+        # One row; a quoted field can pull further lines, which line_num counts.
+        reader = csv.reader(chain((line,), lines))
+        try:
+            fields = next(reader)
+        except csv.Error as exc:
+            raise ValueError(f"line {lineno + reader.line_num - 1}: {exc}") from None
+        lineno += reader.line_num - 1
+        fields = [f.strip() for f in fields]
+        if not any(fields):
+            continue
+        if header is None:
+            header = tuple(f.lower() for f in fields)
+            if header == LOG_HEADER:
+                legacy = False
+            elif header == LEGACY_HEADER:
+                legacy = True
+            else:
+                raise ValueError(
+                    f"line {lineno}: expected header {','.join(LOG_HEADER)} "
+                    f"(or legacy {','.join(LEGACY_HEADER)}), got {','.join(header)}"
+                )
+            continue
+        event = _row_to_event(fields, legacy, lineno, keys)
+        events.append(event)
+        if plain and reader.line_num == 1:
+            tails[tail] = event.key
     if header is None:
         raise ValueError("empty log: header row required")
-    events.sort(key=lambda e: e.timestamp_ms)  # stable: ties keep file order
+    events.sort(key=itemgetter(0))  # stable: ties keep file order
     return events
 
 
-# The C scanner under json.loads; _json_lines calls it directly on each line.
+# The C scanner under json.loads; _json_value calls it directly on each line.
 _scan_once = json.JSONDecoder().scan_once
 
+_BLANK = object()  # what _json_value gives for a line of only whitespace
 
-def _json_lines(source: str | Iterable[str]):
-    """(line number, value) for each non-blank line of JSON-lines text or its lines.
+# How the writers begin each JSON-lines log line: 15 characters, up to the timestamp's text.
+_TIMESTAMP_HEAD = '{"timestamp": "'
+
+
+def _json_value(line: str, lineno: int):
+    """The JSON value that one line of a JSON-lines file holds, or _BLANK.
 
     Lines end at "\n" only, so a U+2028 or U+0085 inside a string stays in
     its line. A line that is exactly one JSON value, or one JSON value and
     its "\n", is decoded by the C scanner alone, with no copy of the line;
     any other line (JSON whitespace around the value, a BOM, trailing data,
     a scanner error) goes through json.loads without its "\n", so every
-    value and every error text is the one json.loads gives. A line that is
-    only whitespace is skipped.
+    value and every error text, which names line `lineno`, is the one
+    json.loads gives. A line that is only whitespace gives _BLANK.
     """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = None
+    if end != len(line) and not (end == len(line) - 1 and line[end] == "\n"):
+        line = line.removesuffix("\n")
+        if not line.strip():
+            return _BLANK
+        value = json_document(line, f"line {lineno}")
+    return value
+
+
+def _json_lines(source: str | Iterable[str]):
+    """(line number, value) for each non-blank line of JSON-lines text or its lines."""
     for lineno, line in enumerate(_lines(source), start=1):
-        try:
-            value, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = None
-        if end != len(line) and not (end == len(line) - 1 and line[end] == "\n"):
-            line = line.removesuffix("\n")
-            if not line.strip():
-                continue
-            value = json_document(line, f"line {lineno}")
-        yield lineno, value
+        value = _json_value(line, lineno)
+        if value is not _BLANK:
+            yield lineno, value
 
 
 def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
-    """Parse the JSON-lines twin of the CSV log format (text, or its lines such as an open file)."""
+    """Parse the JSON-lines twin of the CSV log format (text, or its lines such as an open file).
+
+    A line that begins as the writers begin one, with a string timestamp of
+    printable characters and no backslash, and whose text from that
+    string's closing quote (its tail) repeats that of an earlier such line,
+    reuses that line's key, so only its timestamp is parsed. A tail is kept
+    only if it holds no "timestamp" member of its own, which would win
+    under json.loads. Every other line is read by _json_value.
+    """
     events: list[Event] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
-    for lineno, obj in _json_lines(source):
+    tails: dict[str, EventKey] = {}  # the tail of a line that made an event -> its key
+    for lineno, line in enumerate(_lines(source), start=1):
+        # With only printable characters and no backslash, the timestamp string ends at the
+        # next quote, and json.loads reads it as written.
+        plain = False
+        if line.startswith(_TIMESTAMP_HEAD):
+            end = line.find('"', 15)  # with none, the tail is one character: never kept
+            ts_text, tail = line[15:end], line[end:]
+            plain = "\\" not in ts_text and ts_text.isprintable()
+            if plain and (key := tails.get(tail)) is not None:
+                try:
+                    # Event.__new__'s checks hold: parse_timestamp gives an int >= 0, and key
+                    # is an EventKey.
+                    events.append(tuple.__new__(Event, (parse_timestamp(ts_text), key)))
+                    continue
+                except ValueError:
+                    pass  # _json_value's path below names the error
+        obj = _json_value(line, lineno)
+        if obj is _BLANK:
+            continue
         try:
-            events.append(_event_from_obj(obj, keys))
+            event = _event_from_obj(obj, keys)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    events.sort(key=lambda e: e.timestamp_ms)
+        events.append(event)
+        if plain and tail[1:2] == "," and _no_timestamp_member(tail):
+            tails[tail] = event.key
+    events.sort(key=itemgetter(0))
     return events
+
+
+def _no_timestamp_member(tail: str) -> bool:
+    """Whether the members after a line's timestamp, in its tail, surely hold no "timestamp".
+
+    With no backslash in the tail, that name can only be written "timestamp",
+    so the text alone decides; a value written so keeps the tail out too.
+    """
+    if "\\" not in tail:
+        return '"timestamp"' not in tail
+    return "timestamp" not in json.loads("{" + tail[2:])
 
 
 def _json_time(number: int | float) -> int:

@@ -4,6 +4,7 @@ import calendar
 import csv
 import io
 import json
+import operator
 import re
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -837,3 +838,287 @@ _JSONL_LINES = st.one_of(
 def test_json_lines_reader_matches_json_loads_line_by_line(lines):
     text = "\n".join(lines)
     assert _read_all(text) == _loads_line_by_line(text)
+
+
+# The readers as they were before they looked up each row's tail: every row through
+# csv.reader or _json_lines, then the same checks. Kept verbatim, with Event's checked
+# constructor, as the reference the tail lookups must equal.
+def _reference_row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> Event:
+    expected = 3 if legacy else 4
+    if len(fields) != expected or "" in fields:
+        raise ValueError(f"line {lineno}: expected {expected} non-empty columns, got {fields!r}")
+    try:
+        ts = parse_timestamp(fields[0])
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    if legacy:
+        _, device, value = fields
+        attribute = ingest.ATTRIBUTE_FOR_VALUE.get(value, "state")
+    else:
+        _, device, attribute, value = fields
+    key = keys.get((device, attribute, value))
+    if key is None:
+        key = ingest._interned(keys, device, attribute, value)
+    return Event(ts, key)
+
+
+def _reference_parse_log(source) -> list[Event]:
+    reader = csv.reader(io.StringIO(source) if isinstance(source, str) else source)
+    events: list[Event] = []
+    keys: dict = {}
+    header = None
+    legacy = False
+    try:
+        for fields in reader:
+            lineno = reader.line_num
+            fields = [f.strip() for f in fields]
+            if not any(fields):
+                continue
+            if header is None:
+                header = tuple(f.lower() for f in fields)
+                if header == ingest.LOG_HEADER:
+                    legacy = False
+                elif header == ingest.LEGACY_HEADER:
+                    legacy = True
+                else:
+                    raise ValueError(
+                        f"line {lineno}: expected header {','.join(ingest.LOG_HEADER)} "
+                        f"(or legacy {','.join(ingest.LEGACY_HEADER)}), got {','.join(header)}"
+                    )
+                continue
+            events.append(_reference_row_to_event(fields, legacy, lineno, keys))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ValueError("empty log: header row required")
+    events.sort(key=lambda e: e.timestamp_ms)
+    return events
+
+
+def _reference_parse_log_jsonl(source) -> list[Event]:
+    events: list[Event] = []
+    keys: dict = {}
+    for lineno, obj in _json_lines(source):
+        try:
+            events.append(Event(*ingest._event_from_obj(obj, keys)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    events.sort(key=lambda e: e.timestamp_ms)
+    return events
+
+
+def _events_or_error(parse, source):
+    try:
+        events = parse(source)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(e) is Event and e == Event(*e) for e in events)
+    return events
+
+
+def _rows(good_times, good_tails, times, tails, others):
+    """Rows of a timestamp field and a tail drawn from small pools, so that tails repeat.
+
+    Most rows are drawn from the pools that read as events, so that a log
+    gets far before its first error; the rest come from every pool.
+    """
+    good = st.builds(operator.add, good_times, good_tails)
+    hostile = st.one_of(st.builds(operator.add, times, tails), others)
+    return st.lists(st.one_of(good, good, good, hostile), max_size=12)
+
+
+_INTEGER_TIMES = st.integers(min_value=0, max_value=4 * 10**12).map(str)
+# A CSV timestamp field and its comma. Quoted fields read as events too, one of them
+# holding the first comma of its line, which a valid ISO time may hold.
+_CSV_GOOD_TIMES = st.one_of(
+    _INTEGER_TIMES,
+    st.sampled_from(
+        ["2021-10-01T13:00:01.250Z", " 2000 ", '"3000"', '"2021-10-01T13:00:01,250Z"']
+    ),
+).map(lambda ts: ts + ",")
+# Blank, holding a line break or a quote that csv reads otherwise, out of range, or no time.
+_CSV_TIMES = st.one_of(
+    _CSV_GOOD_TIMES,
+    st.sampled_from(
+        ["", "  \t", '"40\n00"', "10\r00", "1000\r", '10"00', "1000\n ", "99999999999999999",
+         "1969-12-31T23:59:59Z", "yesterday"]
+    ).map(lambda ts: ts + ","),
+)  # fmt: skip
+# What follows the first comma. The line break is part of the tail, and a quoted field
+# may hold a line break or pull the next line into the row.
+_CSV_GOOD_TAILS = st.sampled_from(
+    ["M1,motion,active\n", "M1,motion,active\r\n", "L1,switch,on\n", " M1 , motion,active \n",
+     '"M1",motion,active\n', 'M1,"mo,tion","act""ive"\n', '"M\n1",motion,active\n',
+     'M1,motion,"act\nive"\n', '250Z",M1,motion,active\n']
+)  # fmt: skip
+_CSV_TAILS = st.one_of(
+    _CSV_GOOD_TAILS,
+    st.sampled_from(
+        ["M1,mo\rtion,active\n", "M1,motion\n", "M1,active\n", "M1,motion,active,x\n",
+         "M1,,active\n", ",,\n", "M1,motion,active"]
+    ),
+)  # fmt: skip
+_CSV_ROWS = _rows(
+    _CSV_GOOD_TIMES,
+    _CSV_GOOD_TAILS,
+    _CSV_TIMES,
+    _CSV_TAILS,
+    st.sampled_from(["\n", "  \n", "1000\n", ",,,\n"]),
+)
+_CSV_HEADER_ROWS = st.sampled_from(
+    ["timestamp,device,attribute,value\n", " Timestamp , device,attribute ,value\n",
+     "timestamp,device,value\n"]
+)  # fmt: skip
+_HEADER = "timestamp,device,attribute,value\n"
+
+
+@given(
+    before=st.lists(st.sampled_from(["\n", " , \n", "1000,M1,motion,active\n"]), max_size=2),
+    header=_CSV_HEADER_ROWS,
+    rows=_CSV_ROWS,
+    lines=st.sampled_from(["text", "universal", "rows"]),
+)
+@example(before=[], header=_HEADER, lines="text",
+         rows=["1000,M1,motion,active\n", '"40\n00",M1,motion,active\n'])
+@example(before=[], header=_HEADER, lines="text",
+         rows=["1000,M1,motion,active\n", "  ,M1,motion,active\n"])
+@example(before=[], header=_HEADER, lines="text",
+         rows=["1000,M1,motion,active\r\n", "1000\r,M1,motion,active\r\n"])
+@example(before=[], header=_HEADER, lines="rows",
+         rows=["1000,M1,motion,active\n", "1000\n ,M1,motion,active\n"])
+@example(before=[], header=_HEADER, lines="text",
+         rows=['"2021-10-01T13:00:01,250Z",M1,motion,active\n', '1000,250Z",M1,motion,active\n'])
+@example(before=[], header=_HEADER, lines="text",
+         rows=['1000,"M\n1",motion,active\n', '2000,"M\n1",motion,active\n'])
+@example(before=[], header=_HEADER, lines="text", rows=['1000,"M\n1",mo\rtion,active\n'])
+def test_parse_log_equals_the_reference_reader(before, header, rows, lines):
+    text = "".join(before) + header + "".join(rows)
+    # The text itself, whose lines end at LF only; the lines an open file gives; or each
+    # drawn row as one item, which csv reads as one line even where it holds a line break.
+    if lines == "text":
+        source = text
+    elif lines == "universal":
+        source = list(io.StringIO(text, newline=None))
+    else:
+        source = before + [header] + rows
+    expected = _events_or_error(_reference_parse_log, source)
+    assert _events_or_error(parse_log, source) == expected
+
+
+# A JSON timestamp string's text and its closing quote: plain, escaped or written as
+# JSON allows; holding a control character, which JSON forbids; out of range; no time.
+_JSON_GOOD_TIMES = st.one_of(
+    _INTEGER_TIMES,
+    st.sampled_from(["2021-10-01T13:00:01.250Z", "2021-10-01T13:00:01z", "\\u0031000"]),
+).map(lambda ts: '{"timestamp": "' + ts + '"')
+_JSON_TIMES = st.one_of(
+    _JSON_GOOD_TIMES,
+    st.sampled_from(
+        ["", " ", '10\\"00', "\\\\", "\x01", "\t1000", "99999999999999999", "１０００",
+         "yesterday"]
+    ).map(lambda ts: '{"timestamp": "' + ts + '"'),
+)
+_FIELDS_TEXT = '"device": "M1", "attribute": "motion", "value": "active"'
+# What follows the timestamp string: a second "timestamp", plain or escaped, wins.
+_JSON_GOOD_TAILS = st.sampled_from(
+    [
+        ", %s}" % _FIELDS_TEXT,
+        ', "device": "L1", "attribute": "switch", "value": "on"}',
+        ',"device":"M1","attribute":"motion","value":"active"}',
+        " , %s}" % _FIELDS_TEXT,
+        ", %s}  " % _FIELDS_TEXT,
+        ', %s, "timestamp": "5000"}' % _FIELDS_TEXT,
+        ', %s, "t\\u0069mestamp": 5000}' % _FIELDS_TEXT,
+        ', "device": "M\\u00e91", "attribute": "motion", "value": "active"}',
+        ' , "device": "M\\u00e91", "attribute": "motion", "value": "active"}',
+        ', "device": "timestamp", "attribute": "motion", "value": 21.5}',
+        ', "device": "M1", "device": "M2", "attribute": "motion", "value": "on"}',
+    ]
+).flatmap(lambda tail: st.sampled_from([tail + "\n", tail + "\r\n"]))
+_JSON_TAILS = st.one_of(
+    _JSON_GOOD_TAILS,
+    st.sampled_from(
+        ["}\n", ", %s} x\n" % _FIELDS_TEXT, ", %s}{}\n" % _FIELDS_TEXT, ", %s}" % _FIELDS_TEXT,
+         ', "device": "M1", "attribute": "motion"}\n',
+         ', "device": ["M1"], "attribute": "motion", "value": "on"}\n']
+    ),
+)  # fmt: skip
+_JSON_ROWS = _rows(
+    _JSON_GOOD_TIMES,
+    _JSON_GOOD_TAILS,
+    _JSON_TIMES,
+    _JSON_TAILS,
+    st.sampled_from(
+        [
+            "\n",
+            "  \n",
+            '{%s, "timestamp": "1000"}\n' % _FIELDS_TEXT,
+            '{"timestamp": 1000, %s}\n' % _FIELDS_TEXT,
+            ' {"timestamp": "1000", %s}\n' % _FIELDS_TEXT,
+            '\ufeff{"timestamp": "1000", %s}\n' % _FIELDS_TEXT,
+            '{"timestamp": "1000\n',
+        ]
+    ),
+)
+
+
+@given(rows=_JSON_ROWS)
+@example(rows=['{"timestamp": "1000", %s}\n' % _FIELDS_TEXT,
+               '{"timestamp": "2000", %s, "timestamp": "5000"}\n' % _FIELDS_TEXT,
+               '{"timestamp": "3000", %s, "timestamp": "5000"}\n' % _FIELDS_TEXT])
+@example(rows=['{"timestamp": "1000", %s}\n' % _FIELDS_TEXT,
+               '{"timestamp": "\\u0031000", %s}\n' % _FIELDS_TEXT,
+               '{"timestamp": " ", %s}\n' % _FIELDS_TEXT])
+@example(rows=['{"timestamp": "1000", %s}\n' % _FIELDS_TEXT,
+               '{"timestamp": "\t2000", %s}\n' % _FIELDS_TEXT])
+@example(rows=['{"timestamp": "%d", %s, "t\\u0069mestamp": 5000}\n' % (ts, _FIELDS_TEXT)
+               for ts in (1000, 2000)])
+def test_parse_log_jsonl_equals_the_reference_reader(rows):
+    text = "".join(rows)
+    expected = _events_or_error(_reference_parse_log_jsonl, text)
+    assert _events_or_error(parse_log_jsonl, text) == expected
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    """Count the calls to ingest's function `name` for the rest of the test."""
+    calls = [0]
+    inner = getattr(ingest, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(ingest, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fmt, parse, general", [("csv", parse_log, "_row_to_event"),
+                            ("jsonl", parse_log_jsonl, "_event_from_obj")]
+)  # fmt: skip
+def test_a_repeated_tail_skips_the_general_path(monkeypatch, fmt, parse, general):
+    """Only the first row of each distinct tail goes through csv or JSON decoding."""
+    keys = [key("A"), key("B"), key("C")]
+    events = [Event(1000 * n, keys[n % 3]) for n in range(1000)]
+    text = serialize_log(events, fmt)
+    calls = _counting(monkeypatch, general)
+    assert parse(text) == events
+    assert calls[0] == 3
+
+
+def test_parse_log_holds_a_repeated_tail_to_the_csv_field_limit():
+    text = "timestamp,device,attribute,value\n1000,M1,motion,active\n0000002000,M1,motion,active\n"
+    limit = csv.field_size_limit(9)  # the header's longest field, "timestamp", fits
+    try:
+        with pytest.raises(ValueError, match=r"^line 3: field larger than field limit \(9\)$"):
+            parse_log(text)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_parse_log_drops_one_byte_order_mark_before_the_header():
+    assert parse_log("\ufeff" + SAMPLE_LOG) == parse_log(SAMPLE_LOG)
+    with pytest.raises(ValueError, match="^line 1: expected header"):
+        parse_log("\ufeff\ufeff" + SAMPLE_LOG)
+    with pytest.raises(ValueError, match="^line 2: expected header"):
+        parse_log("\n\ufeff" + SAMPLE_LOG)
