@@ -37,7 +37,7 @@ def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         )
 
 
-def _parse_file(parse, path: str):
+def _parse_file(parse, path: str | Path):
     """parse(lines) over the file at `path`, opened as text and read one line at a time.
 
     The file is read with universal newlines. A byte that is not UTF-8 is a
@@ -88,11 +88,13 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _guard_clobber(inputs: list[str | None], outputs: list[str | None]) -> None:
+def _guard_clobber(inputs: list, outputs: list[str | None]) -> None:
+    """Reject an output path that is one of the inputs or another output."""
     taken = {Path(p).resolve() for p in inputs if p}
-    for out in outputs:
-        if out and Path(out).resolve() in taken:
-            raise UsageError(f"output path {out!r} would overwrite an input")
+    for out in filter(None, outputs):
+        if (path := Path(out).resolve()) in taken:
+            raise UsageError(f"output path {out!r} would overwrite a file this run reads or writes")
+        taken.add(path)
 
 
 def _load_log(path: str) -> list:
@@ -100,7 +102,7 @@ def _load_log(path: str) -> list:
     return _parse_file(parse, path)
 
 
-def _load_records(from_json, path: str) -> list:
+def _load_records(from_json, path: str | Path) -> list:
     """from_json(text) over the whole file at `path`, read by _parse_file like every data file."""
     return _parse_file(lambda lines: from_json(lines.read()), path)
 
@@ -258,13 +260,18 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
+# The files run_pipeline writes under its workdir, in the order it writes them.
+PIPELINE_FILES = (
+    "sim_log.csv", "instances.jsonl", "patterns.json", "train_set.jsonl",
+    "test_set.jsonl", "models.json", "report.json", "report.txt",
+)
+
+
 def run_pipeline(cfg: RunConfig) -> dict:
     """simulate → ingest → mine → augment → forge → train → evaluate.
 
-    Writes sim_log.csv, instances.jsonl, patterns.json, train_set.jsonl,
-    test_set.jsonl, models.json, report.json, and report.txt under
-    cfg.workdir, then returns the report dict. The settings are checked
-    before the first file is written.
+    Writes the PIPELINE_FILES under cfg.workdir, then returns the report
+    dict. The settings are checked before the first file is written.
     """
     if cfg.inter_instance_gap_ms <= cfg.gap_ms:
         raise ValueError(
@@ -337,12 +344,37 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return report
 
 
+def alpha_curve(workdir: Path, cfg: RunConfig) -> list[dict]:
+    """training.curve's rows for each activity with training instances, from a pipeline workdir.
+
+    The training and test sets are routed as train_models routes them.
+    """
+    patterns = _load_records(mining.patterns_from_json, workdir / "patterns.json")
+    train, test = (
+        evaluation.route(patterns, _parse_file(ingest.instances_from_jsonl, workdir / name))
+        for name in ("train_set.jsonl", "test_set.jsonl")
+    )
+    fields = ("alpha", "lo", "hi", "train_accuracy", "test_accuracy")
+    return [
+        {"activity": pattern.name, **dict(zip(fields, row))}
+        for pattern in patterns
+        if train[pattern.name]
+        for row in training.curve(pattern, train[pattern.name], test[pattern.name], cfg)
+    ]
+
+
 def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _guard_clobber([args.config], [args.out])
+    workdir = Path(cfg.workdir)
+    if args.out or args.stats:  # a run that writes neither resolves no path
+        artifacts = [workdir / name for name in PIPELINE_FILES]
+        _guard_clobber([args.config, *artifacts], [args.out, args.stats])
     report = run_pipeline(cfg)
     sys.stdout.write(evaluation.render_report(report))
     if args.out:
         Path(args.out).write_text(evaluation.report_to_json(report), encoding="utf-8")
+    if args.stats:
+        stats = {"alpha_curve": alpha_curve(workdir, cfg)}
+        Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
@@ -425,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file (flags override it)")
     add_config_flags(p)
     p.add_argument("--out", help="JSON report path (optional)")
+    p.add_argument("--stats", help="JSON path for the alpha curve of each activity (optional)")
     p.set_defaults(handler=_cmd_pipeline)
 
     return parser

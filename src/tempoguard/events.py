@@ -27,6 +27,9 @@ LABEL_ANOMALY_SEQ = "anomaly_seq"
 LABEL_ANOMALY_TI = "anomaly_ti"
 LABEL_UNLABELED = "unlabeled"
 
+# 9999-12-31T23:59:59.999Z: the latest time a log may hold, so no span is longer.
+MAX_TIMESTAMP_MS = 253_402_300_799_999
+
 # What a field of each type is called in messages.
 _JSON_NAMES = {
     str: "a string", int: "an integer", float: "a number", list: "an array", dict: "an object"
@@ -129,6 +132,9 @@ class ActivityPattern(namedtuple("ActivityPattern", "name keys mean_intervals_ms
             raise ValueError("ActivityPattern.support must be >= 1")
         if not all(0 <= v < math.inf for v in mean_intervals_ms):
             raise ValueError("mean_intervals_ms must be finite and non-negative")
+        # No log spans longer. sum, not math.fsum: an overflow gives inf, not OverflowError.
+        if sum(mean_intervals_ms) > MAX_TIMESTAMP_MS:
+            raise ValueError(f"mean_intervals_ms must sum to at most {MAX_TIMESTAMP_MS} ms")
         return tuple.__new__(cls, (name, keys, mean_intervals_ms, support))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too

@@ -48,6 +48,7 @@ from tempoguard.events import (
     Event,
     EventKey,
     LABEL_UNLABELED,
+    MAX_TIMESTAMP_MS,
     json_document,
     json_value,
 )
@@ -58,8 +59,6 @@ LEGACY_HEADER = ("timestamp", "device", "value")
 EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
 ONE_MS = timedelta(milliseconds=1)
 EPOCH_NAIVE = datetime(1970, 1, 1)  # _hour_prefix's base: naive, so no tz work per call
-# 9999-12-31T23:59:59.999Z: the latest time format_timestamp can write.
-MAX_TIMESTAMP_MS = 253_402_300_799_999
 
 # Attribute inferred for the 3-column legacy form, keyed by the state value.
 ATTRIBUTE_FOR_VALUE = {

@@ -149,6 +149,32 @@ def sweep(
     return rows
 
 
+def curve(
+    pattern: ActivityPattern,
+    labeled: list[ActivityInstance],
+    test: list[ActivityInstance],
+    cfg: RunConfig | None = None,
+) -> list[tuple[float, float, float, float, float | None]]:
+    """sweep's rows, each with its accuracy on `test` appended (None when `test` is empty).
+
+    A test instance is right when a normal's total lands inside [lo, hi] or an
+    anomaly's outside it, as evaluation.classify judges it. Each is scored
+    once and blended at every weight as sweep blends.
+    """
+    for inst in test:
+        if inst.label == LABEL_UNLABELED:
+            raise ValueError(f"unlabeled instance {inst.source_id!r} in test set")
+    parts = [(inst.label == LABEL_NORMAL, score(pattern, inst, 0.0)) for inst in test]
+    rows = []
+    for alpha, lo, hi, accuracy in sweep(pattern, labeled, cfg):
+        right = sum(
+            (lo <= b.completeness + alpha * b.timing_similarity <= hi) == normal
+            for normal, b in parts
+        )
+        rows.append((alpha, lo, hi, accuracy, right / len(parts) if parts else None))
+    return rows
+
+
 def train(
     pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: RunConfig | None = None
 ) -> ScoreModel:

@@ -16,13 +16,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
-from test_sweep_alpha import _load_script
 from tempoguard import evaluation
-from tempoguard.cli import RunConfig, build_parser, run, run_pipeline, train_models
-from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL
+from tempoguard.cli import (
+    PIPELINE_FILES,
+    RunConfig,
+    alpha_curve,
+    build_parser,
+    run,
+    run_pipeline,
+    train_models,
+)
+from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL, MAX_TIMESTAMP_MS
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
 from tempoguard.scoring import ScoreBreakdown
-from tempoguard.training import models_from_json
+from tempoguard.mining import patterns_from_json
+from tempoguard.training import ScoreModel, alpha_grid, models_from_json
 
 
 def run_cli(*argv: str) -> int:
@@ -182,22 +190,138 @@ SEED42_DIGESTS = Path(__file__).resolve().parent / "seed42.sha256"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_seed42_artifacts_match_the_recorded_digests(tmp_path, capsys, monkeypatch):
-    workdir = tmp_path / "run"
-    assert run_cli("pipeline", "--workdir", str(workdir)) == 0
-    capsys.readouterr()
+def _seed42_digests() -> dict[str, str]:
     recorded = {}
     for line in SEED42_DIGESTS.read_text(encoding="ascii").splitlines():
         digest, name = line.split("  ")
         recorded[name] = digest
-    written = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in workdir.iterdir()
-    }
-    assert written == recorded
+    return recorded
+
+
+def _digests(workdir: Path) -> dict[str, str]:
+    """The digest of every file in `workdir`, by name."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in workdir.iterdir()}
+
+
+def test_seed42_artifacts_match_the_recorded_digests(tmp_path, capsys, monkeypatch):
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--workdir", str(workdir)) == 0
+    capsys.readouterr()
+    recorded = _seed42_digests()
+    assert _digests(workdir) == recorded
     monkeypatch.syspath_prepend(str(BENCH))
     bench_digests = importlib.import_module("workloads").REFERENCE_DIGESTS
     for name in ("models.json", "report.json"):
         assert recorded[name] == bench_digests[name]
+
+
+def _alpha_curve_file(path: Path) -> list[dict]:
+    return json.loads(path.read_text(encoding="utf-8"))["alpha_curve"]
+
+
+def test_pipeline_stats_leaves_the_seed42_artifacts_as_they_are(tmp_path, capsys):
+    workdir, stats = tmp_path / "run", tmp_path / "stats.json"
+    assert run_cli("pipeline", "--workdir", str(workdir), "--stats", str(stats)) == 0
+    capsys.readouterr()
+    assert _digests(workdir) == _seed42_digests()
+    rows = _alpha_curve_file(stats)
+    assert len(rows) == 3 * len(alpha_grid(RunConfig()))
+    assert all(
+        list(row) == ["activity", "alpha", "lo", "hi", "train_accuracy", "test_accuracy"]
+        for row in rows
+    )
+
+
+def test_pipeline_stats_row_at_each_model_alpha_is_that_model(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"boundary_epsilon": 0.001}), encoding="utf-8")
+    workdir, stats = tmp_path / "run", tmp_path / "stats.json"
+    argv = ["--config", str(config), "--workdir", str(workdir), "--stats", str(stats)]
+    assert run_cli("pipeline", *argv) == 0
+    rows = _alpha_curve_file(stats)
+    models = models_from_json((workdir / "models.json").read_text(encoding="utf-8"))
+    assert len(models) == 3
+    for model in models:
+        (row,) = [r for r in rows if r["activity"] == model.activity and r["alpha"] == model.alpha]
+        assert (row["lo"], row["hi"]) == (model.lo, model.hi)
+        assert row["train_accuracy"] == model.training_accuracy
+
+
+def test_pipeline_stats_test_accuracy_is_classify_over_the_routed_test_set(tmp_path, capsys):
+    workdir, stats = tmp_path / "run", tmp_path / "stats.json"
+    argv = ["--workdir", str(workdir), "--instances-per-activity", "10", "--stats", str(stats)]
+    assert run_cli("pipeline", *argv) == 0
+    patterns = patterns_from_json((workdir / "patterns.json").read_text(encoding="utf-8"))
+    test_set = instances_from_jsonl((workdir / "test_set.jsonl").read_text(encoding="utf-8"))
+    pattern = patterns[0]
+    group = evaluation.route(patterns, test_set)[pattern.name]
+    rows = [row for row in _alpha_curve_file(stats) if row["activity"] == pattern.name]
+    assert len(rows) == len(alpha_grid(RunConfig()))
+    assert len({row["test_accuracy"] for row in rows}) > 1
+    for row in rows:
+        model = ScoreModel(pattern.name, row["alpha"], row["lo"], row["hi"], row["train_accuracy"])
+        judged = [(inst, evaluation.classify(model, pattern, inst)) for inst in group]
+        assert row["test_accuracy"] == evaluation.evaluate(judged)["accuracy"]
+
+
+def test_alpha_curve_skips_an_untrained_activity_and_has_no_accuracy_without_tests(
+    small_run, tmp_path
+):
+    patterns = patterns_from_json((small_run / "patterns.json").read_text(encoding="utf-8"))
+    (tmp_path / "patterns.json").write_text((small_run / "patterns.json").read_text())
+    for name, keep in (("train_set.jsonl", 2), ("test_set.jsonl", 1)):
+        labeled = instances_from_jsonl((small_run / name).read_text(encoding="utf-8"))
+        groups = evaluation.route(patterns, labeled)
+        kept = [inst for p in patterns[:keep] for inst in groups[p.name]]
+        (tmp_path / name).write_text(instances_to_jsonl(kept), encoding="utf-8")
+    rows = alpha_curve(tmp_path, RunConfig())
+    tested, untested = (p.name for p in patterns[:2])
+    assert {row["activity"] for row in rows} == {tested, untested}
+    for row in rows:
+        assert (row["test_accuracy"] is None) == (row["activity"] == untested)
+
+
+def test_pipeline_config_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
+    workdir, stats = tmp_path / "run", tmp_path / "stats.json"
+    argv = ["--config", str(config), "--workdir", str(workdir), "--stats", str(stats)]
+    assert run_cli("pipeline", *argv) == 1
+    assert capsys.readouterr().err == "usage error: unknown config keys: bogus\n"
+    assert not workdir.exists() and not stats.exists()
+
+
+@pytest.mark.parametrize("flag, other", [("--out", "--stats"), ("--stats", "--out")])
+@pytest.mark.parametrize("target", [*PIPELINE_FILES, "config", "other output"])
+def test_pipeline_output_onto_a_file_of_the_run_is_a_usage_error(
+    tmp_path, capsys, flag, other, target
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instances_per_activity": 10}), encoding="utf-8")
+    workdir, other_path = tmp_path / "run", tmp_path / "other.json"
+    path = {"config": config, "other output": other_path}.get(target, workdir / target)
+    argv = ["--config", str(config), "--workdir", str(workdir), other, str(other_path)]
+    assert run_cli("pipeline", *argv, flag, str(path)) == 1
+    captured = capsys.readouterr()
+    message = f"usage error: output path {str(path)!r} would overwrite a file this run reads"
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+    assert not workdir.exists() and not other_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--stats"])
+def test_pipeline_output_onto_a_trained_model_file_keeps_the_models(
+    small_run, tmp_path, capsys, flag
+):
+    workdir = tmp_path / "run"
+    workdir.mkdir()
+    models = workdir / MODELS
+    models.write_bytes((small_run / MODELS).read_bytes())
+    argv = ["--workdir", str(workdir), "--instances-per-activity", "10", flag, str(models)]
+    assert run_cli("pipeline", *argv) == 1
+    assert "would overwrite" in capsys.readouterr().err
+    assert models.read_bytes() == (small_run / MODELS).read_bytes()
+    assert list(workdir.iterdir()) == [models]
 
 
 def test_standalone_stages_reproduce_pipeline_artifacts(tmp_path, capsys):
@@ -447,26 +571,6 @@ def test_every_run_config_field_has_a_pipeline_flag():
     assert RunConfig.from_sources(args.config, vars(args)) == expected
 
 
-class _Built(Exception):
-    pass
-
-
-def test_every_run_config_field_has_a_sweep_alpha_flag(tmp_path, monkeypatch):
-    expected, flags = _changed_settings()
-    expected = expected._replace(workdir=str(tmp_path / "run"))
-    script = _load_script()
-    built = []
-
-    def capture(cfg):
-        built.append(cfg)
-        raise _Built
-
-    monkeypatch.setattr(script, "run_pipeline", capture)
-    with pytest.raises(_Built):
-        script.main([*flags, "--workdir", expected.workdir])
-    assert built == [expected]
-
-
 def test_help_shows_each_setting_default(capsys):
     assert run_cli("mine", "--help") == 0
     assert "(default: 5)" in capsys.readouterr().out
@@ -595,6 +699,25 @@ def test_non_finite_number_in_a_model_or_pattern_file_is_a_data_error(
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_pattern_longer_than_any_log_is_a_data_error_not_a_nan_total(small_run, tmp_path, capsys):
+    patterns = json.loads((small_run / PATTERNS).read_text())
+    assert patterns[0]["name"] == "Come back home"
+    patterns[0]["mean_intervals_ms"] = [1e308] * len(patterns[0]["mean_intervals_ms"])
+    (tmp_path / PATTERNS).write_text(json.dumps(patterns))
+    steps = patterns[0]["keys"][:2] + patterns[0]["keys"][3:]  # the third step is missing
+    rows = [f"{1000 * n},{k['device']},{k['attribute']},{k['state']}" for n, k in enumerate(steps)]
+    log = tmp_path / "log.csv"
+    log.write_text("\n".join(["timestamp,device,attribute,value", *rows]) + "\n")
+    out = tmp_path / "verdicts.jsonl"
+    argv = ["--models", str(small_run / MODELS), "--patterns", str(tmp_path / PATTERNS)]
+    assert run_cli("detect", *argv, "--log", str(log), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    message = f"pattern 1: mean_intervals_ms must sum to at most {MAX_TIMESTAMP_MS} ms"
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

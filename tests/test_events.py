@@ -16,6 +16,7 @@ from tempoguard.events import (
     EventKey,
     LABEL_ANOMALY_SEQ,
     LABEL_NORMAL,
+    MAX_TIMESTAMP_MS,
     intervals,
     is_numeric_value,
     json_records,
@@ -179,6 +180,24 @@ def test_pattern_rejects_negative_means():
 def test_pattern_rejects_non_finite_means(mean):
     with pytest.raises(ValueError, match="^mean_intervals_ms must be finite and non-negative$"):
         ActivityPattern(name="p", keys=(key("A"), key("B")), mean_intervals_ms=(mean,), support=1)
+
+
+def _three_step_pattern(means: tuple[float, float]) -> ActivityPattern:
+    return ActivityPattern(
+        name="p", keys=(key("A"), key("B"), key("C")), mean_intervals_ms=means, support=1
+    )
+
+
+@pytest.mark.parametrize("means", [(1e308, 1e308), (MAX_TIMESTAMP_MS, 1.0)])
+def test_pattern_rejects_means_longer_than_any_log(means):
+    message = f"^mean_intervals_ms must sum to at most {MAX_TIMESTAMP_MS} ms$"
+    with pytest.raises(ValueError, match=message):
+        _three_step_pattern(means)
+
+
+def test_pattern_accepts_means_that_sum_to_the_longest_log():
+    means = (MAX_TIMESTAMP_MS - 1000.0, 1000.0)
+    assert _three_step_pattern(means).mean_intervals_ms == means
 
 
 def test_intervals_of_known_instance():

@@ -11,12 +11,14 @@ from conftest import make_instance, make_pattern
 from tempoguard import training as training_module
 from tempoguard.cli import run
 from tempoguard.config import RunConfig
+from tempoguard.evaluation import classify, evaluate
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.scoring import score
 from tempoguard.training import (
     ScoreModel,
     alpha_grid,
     best_interval,
+    curve,
     models_from_json,
     models_to_json,
     sweep,
@@ -359,6 +361,51 @@ def test_sweep_scores_each_instance_once(monkeypatch):
     labeled = _separable_training_set()
     sweep(make_pattern("ABC", [10_000, 20_000]), labeled)
     assert calls == {0.0: len(labeled)}
+
+
+def test_curve_is_each_sweep_row_with_its_test_accuracy_as_classify_judges_it():
+    pattern = make_pattern("ABC", [10_000, 20_000])
+    labeled = _separable_training_set()
+    test = [
+        make_instance("ABC", [10_020, 19_990], label=N),
+        make_instance("ABC", [400_000, 20_000], label=T),
+        make_instance("AC", [31_000], label=S),
+        make_instance("ABC", [12_000, 18_000], label=N),
+    ]
+    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25, boundary_epsilon=1e-6)
+    rows = curve(pattern, labeled, test, cfg)
+    assert [row[:4] for row in rows] == sweep(pattern, labeled, cfg)
+    for alpha, lo, hi, train_acc, test_acc in rows:
+        model = ScoreModel("p", alpha, lo, hi, train_acc)
+        judged = [(inst, classify(model, pattern, inst)) for inst in test]
+        assert test_acc == evaluate(judged)["accuracy"]
+
+
+def test_curve_scores_each_instance_once(monkeypatch):
+    calls = Counter()
+    original = training_module.score
+
+    def counting_score(pattern, instance, alpha):
+        calls[alpha] += 1
+        return original(pattern, instance, alpha)
+
+    monkeypatch.setattr(training_module, "score", counting_score)
+    labeled = _separable_training_set()
+    curve(make_pattern("ABC", [10_000, 20_000]), labeled, labeled[:3])
+    assert calls == {0.0: len(labeled) + 3}
+
+
+def test_curve_with_no_test_instances_has_no_test_accuracy():
+    pattern = make_pattern("ABC", [10_000, 20_000])
+    rows = curve(pattern, _separable_training_set(), [])
+    assert rows and all(row[4] is None for row in rows)
+
+
+def test_curve_rejects_an_unlabeled_test_instance():
+    pattern = make_pattern("AB", [10])
+    test = [make_instance("AB", [10], source_id="seg-0003")]
+    with pytest.raises(ValueError, match="^unlabeled instance 'seg-0003' in test set$"):
+        curve(pattern, [make_instance("AB", [10], label=N)], test)
 
 
 def test_train_takes_the_first_sweep_row_with_the_best_accuracy():
