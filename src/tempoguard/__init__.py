@@ -5,37 +5,4 @@ time interval between adjacent events, then flags test sequences whose
 completeness or inter-event timing falls outside a calibrated score band.
 """
 
-from tempoguard.events import (
-    ANOMALY_LABELS,
-    LABEL_ANOMALY_SEQ,
-    LABEL_ANOMALY_TI,
-    LABEL_NORMAL,
-    LABEL_UNLABELED,
-    ActivityInstance,
-    ActivityPattern,
-    Event,
-    EventKey,
-    intervals,
-)
-from tempoguard.scoring import Alignment, ScoreBreakdown, align, angle, merged_intervals, score
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANOMALY_LABELS",
-    "LABEL_ANOMALY_SEQ",
-    "LABEL_ANOMALY_TI",
-    "LABEL_NORMAL",
-    "LABEL_UNLABELED",
-    "ActivityInstance",
-    "ActivityPattern",
-    "Alignment",
-    "Event",
-    "EventKey",
-    "ScoreBreakdown",
-    "align",
-    "angle",
-    "intervals",
-    "merged_intervals",
-    "score",
-]

@@ -88,12 +88,19 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _guard_clobber(inputs: list, outputs: list[str | None]) -> None:
-    """Reject an output path that is one of the inputs or another output."""
+def _guard_clobber(inputs: list, outputs: list[str | None], makes: Path | None = None) -> None:
+    """Reject an output path that is an input or another output, or is in no directory.
+
+    `makes` is a directory that the run creates, with its parents, before it
+    writes an output.
+    """
     taken = {Path(p).resolve() for p in inputs if p}
+    made = makes.resolve() if makes else None
     for out in filter(None, outputs):
         if (path := Path(out).resolve()) in taken:
             raise UsageError(f"output path {out!r} would overwrite a file this run reads or writes")
+        if not (path.parent.is_dir() or made and made.is_relative_to(path.parent)):
+            raise UsageError(f"output path {out!r} is in a directory that does not exist")
         taken.add(path)
 
 
@@ -367,7 +374,7 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> int:
     workdir = Path(cfg.workdir)
     if args.out or args.stats:  # a run that writes neither resolves no path
         artifacts = [workdir / name for name in PIPELINE_FILES]
-        _guard_clobber([args.config, *artifacts], [args.out, args.stats])
+        _guard_clobber([args.config, *artifacts], [args.out, args.stats], makes=workdir)
     report = run_pipeline(cfg)
     sys.stdout.write(evaluation.render_report(report))
     if args.out:

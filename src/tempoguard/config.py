@@ -39,6 +39,9 @@ SETTINGS = {
     "workdir": (str, "tempoguard_run", "artifact directory"),
 }
 
+# The most weights the alpha sweep may try: 200 times the default grid's 51.
+MAX_ALPHA_WEIGHTS = 10_001
+
 
 class UsageError(Exception):
     """Bad invocation (not bad data): reported with exit code 1."""
@@ -68,6 +71,11 @@ class RunConfig(
             raise ValueError("alpha_min must be <= alpha_max")
         if self.alpha_step <= 0:
             raise ValueError("alpha_step must be > 0")
+        if not self.alpha_max - self.alpha_min <= self.alpha_step * (MAX_ALPHA_WEIGHTS - 1):
+            raise ValueError(
+                f"alpha_step must be at least (alpha_max - alpha_min) / {MAX_ALPHA_WEIGHTS - 1}, "
+                f"so that the alpha grid holds at most {MAX_ALPHA_WEIGHTS} weights"
+            )
         if self.boundary_epsilon <= 0:
             raise ValueError("boundary_epsilon must be > 0")
         if self.ti_multiplier <= 1:

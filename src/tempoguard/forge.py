@@ -17,6 +17,7 @@ from tempoguard.events import (
     LABEL_ANOMALY_SEQ,
     LABEL_ANOMALY_TI,
     LABEL_NORMAL,
+    MAX_TIMESTAMP_MS,
     intervals,
 )
 
@@ -71,13 +72,21 @@ def make_anomaly_ti(
 ) -> ActivityInstance:
     """Stretch one uniformly random interval by cfg.ti_multiplier.
 
-    Later events shift by the added time; the key sequence is unchanged.
+    Later events shift by the added time; the key sequence is unchanged. A
+    stretched interval longer than MAX_TIMESTAMP_MS, which no log can hold,
+    is an error.
     """
     if len(x.events) < 2:
         raise ValueError("need at least 2 events to stretch an interval")
     stretched = list(intervals(x))
     idx = rng.randrange(len(stretched))
-    stretched[idx] = int(round(stretched[idx] * cfg.ti_multiplier))
+    gap = stretched[idx] * cfg.ti_multiplier
+    if not gap <= MAX_TIMESTAMP_MS:  # inf too
+        raise ValueError(
+            f"instance {x.source_id!r}: ti_multiplier {cfg.ti_multiplier} stretches a "
+            f"{stretched[idx]} ms interval past {MAX_TIMESTAMP_MS} ms"
+        )
+    stretched[idx] = int(round(gap))
     return _rebuild(
         x,
         x.events[0].timestamp_ms,

@@ -20,19 +20,6 @@ from operator import mul
 from tempoguard.events import ActivityInstance, ActivityPattern, Event
 
 
-class Alignment(namedtuple("Alignment", "pairs")):
-    """An ordered pairing of pattern positions to instance positions.
-
-    pairs[k] = (pattern_index, instance_index); both strictly increase.
-    """
-
-    __slots__ = ()
-
-    @property
-    def matched(self) -> int:
-        return len(self.pairs)
-
-
 class ScoreBreakdown(
     namedtuple(
         "ScoreBreakdown",
@@ -44,8 +31,11 @@ class ScoreBreakdown(
     __slots__ = ()
 
 
-def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:
+def align(pattern: ActivityPattern, instance: ActivityInstance) -> tuple[tuple[int, int], ...]:
     """Longest in-order match between a pattern's keys and an instance's keys.
+
+    Returns the matched (pattern_index, instance_index) pairs; both indices
+    strictly increase, and their count is the number of matched events.
 
     Deterministic among maximum matchings: the walk in `_align_codes` always
     takes an equal-key pair when one is available (doing so never shortens the
@@ -72,11 +62,11 @@ def align(pattern: ActivityPattern, instance: ActivityInstance) -> Alignment:
             positions.append(j)
             codes.append(code)
     if not codes:  # no key in the pattern: nothing to match
-        return Alignment(())
+        return ()
     pairs = _align_codes(pattern.key_codes, tuple(codes))
     if len(positions) == len(instance.events):  # nothing dropped: the indices are the instance's
-        return Alignment(pairs)
-    return Alignment(tuple((i, positions[j]) for i, j in pairs))
+        return pairs
+    return tuple((i, positions[j]) for i, j in pairs)
 
 
 # Entries kept by each of the two memos: the distinct (pattern codes, projected
@@ -115,16 +105,15 @@ def _align_codes(
 
 
 def merged_intervals(
-    pattern: ActivityPattern, instance: ActivityInstance, alignment: Alignment
+    pattern: ActivityPattern, instance: ActivityInstance, pairs: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Interval vectors between consecutive matched events.
+    """Interval vectors between consecutive matched events, given align's pairs.
 
     Returns (test_intervals, reference_intervals), each of length matched-1.
     The test side is the instance's elapsed milliseconds between the matched
     events; the reference side sums the pattern's mean intervals across the
     span, so an interval bridging a missing pattern event absorbs its means.
     """
-    pairs = alignment.pairs
     if len(pairs) < 2:
         return (), ()
     steps, at = zip(*pairs)
@@ -204,12 +193,12 @@ def score(pattern: ActivityPattern, instance: ActivityInstance, alpha: float) ->
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 0, not {alpha!r}")
     n = len(pattern.keys)  # ActivityPattern has at least one key
-    alignment = align(pattern, instance)
-    matched = alignment.matched
+    pairs = align(pattern, instance)
+    matched = len(pairs)
     completeness = matched / n
     theta = 0.0
     if n >= 2 and matched >= 2:
-        steps, at = zip(*alignment.pairs)
+        steps, at = zip(*pairs)
         v_norm, v_unit = _reference_side(pattern.mean_intervals_ms, steps)
         theta = _angle_to(_elapsed_ms(instance.events, at), v_norm, v_unit)
         timing = 1.0 - theta / math.pi

@@ -9,11 +9,12 @@ ground truth — they exist to make the pipeline behave like a lived-in home.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 
 from tempoguard.config import RunConfig
-from tempoguard.events import Event, EventKey
+from tempoguard.events import MAX_TIMESTAMP_MS, Event, EventKey
 
 # Epoch ms for 2021-10-01T00:00:00Z; an arbitrary fixed origin for determinism.
 START_EPOCH_MS = 1_633_046_400_000
@@ -109,7 +110,8 @@ def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Ev
     """Emit a full log: every activity repeated instances_per_activity times.
 
     Each gap is base * (1 + gauss(0, cfg.noise_sigma)), rounded to whole ms and clamped
-    to >= 1. One RNG stream drawn in a fixed order makes the log a pure
+    to >= 1; a gap that is not finite or is longer than MAX_TIMESTAMP_MS is an
+    error. One RNG stream drawn in a fixed order makes the log a pure
     function of the seed.
     """
     cfg = cfg or RunConfig()
@@ -120,8 +122,14 @@ def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Ev
         for _ in range(cfg.instances_per_activity):
             for key, base in spec.steps:
                 if base is not None:
-                    jitter = 1.0 + rng.gauss(0.0, cfg.noise_sigma)
-                    now += max(1, round(base * jitter))
+                    gap = base * (1.0 + rng.gauss(0.0, cfg.noise_sigma))
+                    if not -math.inf < gap <= MAX_TIMESTAMP_MS:
+                        raise ValueError(
+                            f"activity {spec.name!r}: noise_sigma {cfg.noise_sigma} jitters a "
+                            f"{base} ms gap to {gap} ms, not a finite gap of at most "
+                            f"{MAX_TIMESTAMP_MS} ms"
+                        )
+                    now += max(1, round(gap))
                 events.append(Event(now, key))
             now += cfg.inter_instance_gap_ms
     return events

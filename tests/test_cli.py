@@ -324,6 +324,26 @@ def test_pipeline_output_onto_a_trained_model_file_keeps_the_models(
     assert list(workdir.iterdir()) == [models]
 
 
+def test_pipeline_stats_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    workdir, stats = tmp_path / "run", tmp_path / "nodir" / "stats.json"
+    assert run_cli("pipeline", "--workdir", str(workdir), "--stats", str(stats)) == 1
+    captured = capsys.readouterr()
+    message = f"usage error: output path {str(stats)!r} is in a directory that does not exist\n"
+    assert captured.err == message
+    assert captured.out == ""
+    assert not workdir.exists()
+
+
+def test_pipeline_output_may_go_into_the_workdir_it_creates(tmp_path, capsys):
+    workdir = tmp_path / "new" / "run"
+    stats, out = workdir / "stats.json", tmp_path / "new" / "report.json"
+    argv = ["--workdir", str(workdir), "--instances-per-activity", "10"]
+    assert run_cli("pipeline", *argv, "--stats", str(stats), "--out", str(out)) == 0
+    capsys.readouterr()
+    assert out.read_text() == (workdir / "report.json").read_text()
+    assert "alpha_curve" in json.loads(stats.read_text())
+
+
 def test_standalone_stages_reproduce_pipeline_artifacts(tmp_path, capsys):
     workdir = tmp_path / "run"
     run_cli("pipeline", "--workdir", str(workdir))
@@ -738,6 +758,62 @@ def test_detect_with_no_model_for_a_routed_activity_is_a_data_error(small_run, t
     assert run_cli("detect", *argv, "--log", str(small_run / "sim_log.csv"), "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: no trained model for activity {missing!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_output_into_a_missing_directory_is_a_usage_error_before_any_verdict(
+    small_run, tmp_path, capsys, command
+):
+    out = tmp_path / "nodir" / "out.json"
+    argv = _judge_argv(command, small_run, small_run / MODELS, small_run / PATTERNS)
+    assert run_cli(*argv, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    message = f"usage error: output path {str(out)!r} is in a directory that does not exist\n"
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_evaluate_with_an_unlabeled_test_instance_is_a_data_error_naming_it(
+    small_run, tmp_path, capsys
+):
+    test_set = instances_from_jsonl((small_run / "test_set.jsonl").read_text())
+    test_set[5] = test_set[5]._replace(label="unlabeled")
+    (tmp_path / "test_set.jsonl").write_text(instances_to_jsonl(test_set))
+    argv = ["--models", str(small_run / MODELS), "--patterns", str(small_run / PATTERNS)]
+    assert run_cli("evaluate", *argv, "--test-set", str(tmp_path / "test_set.jsonl")) == 2
+    captured = capsys.readouterr()
+    assert f"unlabeled instance {test_set[5].source_id!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_train_on_an_empty_train_set_is_a_data_error(small_run, tmp_path, capsys):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / MODELS
+    empty.write_text("")
+    argv = ["--patterns", str(small_run / PATTERNS), "--train-set", str(empty), "--out", str(out)]
+    assert run_cli("train", *argv) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: no models trained (no instances routed to any pattern)\n"
+    )
+    assert not out.exists()
+
+
+def test_forge_on_an_empty_instance_file_is_a_data_error(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert run_cli("forge", str(empty), "--kind", "seq", "--count", "1") == 2
+    assert capsys.readouterr().err == f"error: no instances in {empty}\n"
+
+
+def test_forge_ti_multiplier_past_any_log_span_is_a_data_error(small_run, capsys):
+    argv = ["--kind", "ti", "--count", "2", "--ti-multiplier", "1e308"]
+    assert run_cli("forge", str(small_run / "instances.jsonl"), *argv) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"error: instance '[^']+': ti_multiplier 1e\+308 stretches a \d+ ms interval past "
+        rf"{MAX_TIMESTAMP_MS} ms\n",
+        captured.err,
+    )
+    assert captured.out == ""
 
 
 def _judge_argv(command: str, run_dir, models, patterns) -> list[str]:

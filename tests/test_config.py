@@ -23,6 +23,8 @@ from tempoguard.config import RunConfig
         {"alpha_min": 3.0, "alpha_max": 2.0},
         {"alpha_max": math.inf},
         {"alpha_step": 0.0},
+        {"alpha_step": 1e-9},  # 5e9 weights: rejected before any grid is built
+        {"alpha_step": 5e-324},
         {"boundary_epsilon": 0.0},
         {"ti_multiplier": 1.0},
         {"ti_multiplier": math.inf},

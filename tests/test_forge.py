@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from conftest import make_instance, make_pattern
 from tempoguard.cli import run
 from tempoguard.config import RunConfig
-from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL, intervals
+from tempoguard.events import (
+    LABEL_ANOMALY_SEQ,
+    LABEL_ANOMALY_TI,
+    LABEL_NORMAL,
+    MAX_TIMESTAMP_MS,
+    intervals,
+)
 from tempoguard.forge import (
     augment_normals,
     make_anomaly_seq,
@@ -106,7 +112,7 @@ def test_deletion_leaves_an_alignment_one_short(n, seed):
     source = make_instance(letters)
     pattern = make_pattern(letters)
     anomaly = make_anomaly_seq(source, random.Random(seed))
-    assert align(pattern, anomaly).matched == n - 1
+    assert len(align(pattern, anomaly)) == n - 1
 
 
 def test_stretching_multiplies_exactly_one_interval():
@@ -189,3 +195,14 @@ def _rng_choosing(index: int) -> random.Random:
             return index
 
     return Fixed()
+
+
+@pytest.mark.parametrize("multiplier", [1e12, 1e308])
+def test_stretching_an_interval_past_any_log_span_is_an_error_naming_the_instance(multiplier):
+    source = make_instance("ABC", [1000, 2000], source_id="seg-7")
+    message = (
+        rf"^instance 'seg-7': ti_multiplier {multiplier} stretches a 2000 ms interval past "
+        rf"{MAX_TIMESTAMP_MS} ms$"
+    ).replace("+", r"\+")
+    with pytest.raises(ValueError, match=message):
+        make_anomaly_ti(source, RunConfig(ti_multiplier=multiplier), _rng_choosing(1))

@@ -64,6 +64,21 @@ def test_numeric_valued_events_are_ignored_with_a_warning(caplog):
     assert "5 numeric-valued events" in caplog.text
 
 
+def test_an_instance_of_only_numeric_events_is_left_out_of_mining(caplog):
+    readings = ActivityInstance(
+        events=(
+            Event(1000, EventKey("T", "temperature", "21.5")),
+            Event(2000, EventKey("H", "humidity", "40")),
+        )
+    )
+    instances = [make_instance("AB") for _ in range(5)] + [readings] * 5
+    with caplog.at_level(logging.WARNING):
+        patterns = mine_patterns(instances)
+    assert [p.keys for p in patterns] == [(key("A"), key("B"))]
+    assert patterns[0].support == 5
+    assert "ignored 10 numeric-valued events during mining" in caplog.text
+
+
 def _burst_lines(start_ms: int, gaps: tuple[int, int], reading: float | None) -> list[str]:
     """One burst of three steps as JSON lines; a T1 temperature reading between the first two."""
     steps = [(start_ms, "M1", "motion", "active")]

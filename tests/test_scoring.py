@@ -8,30 +8,26 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_longest_match, make_instance, make_pattern
 from tempoguard import scoring
-from tempoguard.scoring import Alignment, align, angle, merged_intervals, score
+from tempoguard.scoring import align, angle, merged_intervals, score
 
 # ------------------------------------------------------------------ alignment
 
 
 def test_align_unique_longest_match():
-    a = align(make_pattern("ABCD"), make_instance("ABD"))
-    assert a.pairs == ((0, 0), (1, 1), (3, 2))
-    assert a.matched == 3
+    assert align(make_pattern("ABCD"), make_instance("ABD")) == ((0, 0), (1, 1), (3, 2))
 
 
 def test_align_identical_sequences_match_everywhere():
-    a = align(make_pattern("ABC"), make_instance("ABC"))
-    assert a.pairs == ((0, 0), (1, 1), (2, 2))
+    assert align(make_pattern("ABC"), make_instance("ABC")) == ((0, 0), (1, 1), (2, 2))
 
 
 def test_align_disjoint_sequences_match_nothing():
-    assert align(make_pattern("ABC"), make_instance("XYZ")).matched == 0
+    assert align(make_pattern("ABC"), make_instance("XYZ")) == ()
 
 
 def test_align_prefers_earliest_pattern_positions():
     # 'A' appears twice in the pattern; the match should use index 0, not 2.
-    a = align(make_pattern("ABA"), make_instance("A"))
-    assert a.pairs == ((0, 0),)
+    assert align(make_pattern("ABA"), make_instance("A")) == ((0, 0),)
 
 
 @given(
@@ -39,8 +35,8 @@ def test_align_prefers_earliest_pattern_positions():
     instance=st.text(alphabet="AB", min_size=1, max_size=7),
 )
 def test_align_matches_brute_force_maximum(pattern, instance):
-    a = align(make_pattern(pattern), make_instance(instance))
-    assert a.matched == brute_force_longest_match(pattern, instance)
+    pairs = align(make_pattern(pattern), make_instance(instance))
+    assert len(pairs) == brute_force_longest_match(pattern, instance)
 
 
 @given(
@@ -48,14 +44,14 @@ def test_align_matches_brute_force_maximum(pattern, instance):
     instance=st.text(alphabet="ABC", min_size=1, max_size=8),
 )
 def test_align_pairs_increase_and_keys_agree(pattern, instance):
-    a = align(make_pattern(pattern), make_instance(instance))
-    for (p0, t0), (p1, t1) in zip(a.pairs, a.pairs[1:]):
+    pairs = align(make_pattern(pattern), make_instance(instance))
+    for (p0, t0), (p1, t1) in zip(pairs, pairs[1:]):
         assert p0 < p1 and t0 < t1
-    for p, t in a.pairs:
+    for p, t in pairs:
         assert pattern[p] == instance[t]
 
 
-def _reference_align(pattern, instance) -> Alignment:
+def _reference_align(pattern, instance) -> tuple[tuple[int, int], ...]:
     """The table over EventKey objects that align replaced, kept verbatim as its oracle."""
     pattern_keys = pattern.keys
     instance_keys = instance.key_sequence()
@@ -80,7 +76,7 @@ def _reference_align(pattern, instance) -> Alignment:
             j += 1
         else:
             i += 1
-    return Alignment(pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 # Pattern letters repeat; X, Y and Z never occur in a pattern.
@@ -106,8 +102,8 @@ def test_foreign_keys_only_shift_instance_indices(clean, data):
         kept.append(len(noisy))
         noisy += letter
     noisy += data.draw(st.text(alphabet="XYZ", max_size=2))
-    expected = tuple((i, kept[j]) for i, j in align(p, make_instance(clean)).pairs)
-    assert align(p, make_instance(noisy)).pairs == expected
+    expected = tuple((i, kept[j]) for i, j in align(p, make_instance(clean)))
+    assert align(p, make_instance(noisy)) == expected
 
 
 def test_align_cache_stays_within_its_bound():
@@ -174,10 +170,10 @@ def test_merge_conserves_elapsed_time(letters, data):
     )
     pattern = make_pattern(letters, means)
     instance = make_instance(letters[::-1], gaps)  # arbitrary overlap
-    a = align(pattern, instance)
-    test, ref = merged_intervals(pattern, instance, a)
-    if a.matched >= 2:
-        first, last = a.pairs[0], a.pairs[-1]
+    pairs = align(pattern, instance)
+    test, ref = merged_intervals(pattern, instance, pairs)
+    if len(pairs) >= 2:
+        first, last = pairs[0], pairs[-1]
         span = instance.events[last[1]].timestamp_ms - instance.events[first[1]].timestamp_ms
         assert sum(test) == pytest.approx(span)
         assert sum(ref) == pytest.approx(sum(means[first[0] : last[0]]))
@@ -326,8 +322,7 @@ def test_score_total_is_exactly_completeness_plus_weighted_timing(alpha, gaps):
 # must equal bit for bit. The reference score aligns with _reference_align.
 
 
-def _reference_merged_intervals(pattern, instance, alignment):
-    pairs = alignment.pairs
+def _reference_merged_intervals(pattern, instance, pairs):
     test: list[float] = []
     ref: list[float] = []
     for (p0, t0), (p1, t1) in zip(pairs, pairs[1:]):
@@ -356,12 +351,12 @@ def _reference_score(pattern, instance, alpha):
     if not 0 <= alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 0, not {alpha!r}")
     n = len(pattern.keys)  # ActivityPattern has at least one key
-    alignment = _reference_align(pattern, instance)
-    matched = alignment.matched
+    pairs = _reference_align(pattern, instance)
+    matched = len(pairs)
     completeness = matched / n
     theta = 0.0
     if n >= 2 and matched >= 2:
-        test, ref = _reference_merged_intervals(pattern, instance, alignment)
+        test, ref = _reference_merged_intervals(pattern, instance, pairs)
         theta = _reference_angle(test, ref)
         timing = 1.0 - theta / math.pi
     elif n >= 2:
@@ -404,10 +399,10 @@ def test_score_equals_the_reference_bit_for_bit(pair, alpha):
     got, expected = score(pattern, instance, alpha), _reference_score(pattern, instance, alpha)
     assert type(got) is scoring.ScoreBreakdown
     assert [repr(field) for field in got] == [repr(field) for field in expected]
-    alignment = align(pattern, instance)
-    assert alignment == _reference_align(pattern, instance)
-    got_vectors = merged_intervals(pattern, instance, alignment)
-    assert repr(got_vectors) == repr(_reference_merged_intervals(pattern, instance, alignment))
+    pairs = align(pattern, instance)
+    assert pairs == _reference_align(pattern, instance)
+    got_vectors = merged_intervals(pattern, instance, pairs)
+    assert repr(got_vectors) == repr(_reference_merged_intervals(pattern, instance, pairs))
     assert repr(angle(*got_vectors)) == repr(_reference_angle(*got_vectors))
 
 

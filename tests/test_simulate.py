@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tempoguard.cli import run, run_pipeline
 from tempoguard.config import RunConfig
-from tempoguard.events import EventKey, intervals
+from tempoguard.events import MAX_TIMESTAMP_MS, EventKey, intervals
 from tempoguard.ingest import parse_log, segment, serialize_log
 from tempoguard.simulate import (
     AUTOMATION_LATENCY_MS,
@@ -150,3 +150,21 @@ def test_generated_intervals_are_strictly_positive(seed):
     events = generate(builtin_specs(), cfg)
     for before, after in zip(events, events[1:]):
         assert after.timestamp_ms - before.timestamp_ms >= 1
+
+
+def test_a_jittered_gap_past_any_log_span_is_an_error_naming_the_activity():
+    message = (
+        r"^activity 'Come back home': noise_sigma 1e\+300 jitters a \d+ ms gap to \S+ ms, "
+        rf"not a finite gap of at most {MAX_TIMESTAMP_MS} ms$"
+    )
+    with pytest.raises(ValueError, match=message):
+        generate(builtin_specs(), RunConfig(noise_sigma=1e300))
+
+
+@pytest.mark.parametrize("sigma", ["1e300", "1e308"])
+def test_simulate_with_a_huge_noise_sigma_is_a_short_data_error(capsys, sigma):
+    assert run(["simulate", "--noise-sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: activity 'Come back home': noise_sigma {float(sigma)}")
+    assert len(captured.err) < 200  # no timestamp of hundreds of digits
+    assert captured.out == ""

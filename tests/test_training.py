@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_instance, make_pattern
 from tempoguard import training as training_module
 from tempoguard.cli import run
-from tempoguard.config import RunConfig
+from tempoguard.config import MAX_ALPHA_WEIGHTS, RunConfig
 from tempoguard.evaluation import classify, evaluate
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.scoring import score
@@ -58,14 +58,25 @@ def test_alpha_grid_never_oversteps_the_max():
     assert grid == pytest.approx([0.0, 0.3, 0.6, 0.9])
 
 
+def test_alpha_grid_drops_a_rounded_up_step_past_the_max():
+    assert alpha_grid(RunConfig(alpha_max=0.26, alpha_step=0.1)) == [0.0, 0.1, 0.2]
+
+
+def test_alpha_grid_holds_at_most_its_bound_of_weights():
+    assert len(alpha_grid(RunConfig(alpha_max=5.0, alpha_step=0.0005))) == MAX_ALPHA_WEIGHTS
+    with pytest.raises(ValueError, match=f"grid holds at most {MAX_ALPHA_WEIGHTS} weights"):
+        RunConfig(alpha_max=5.0, alpha_step=0.0004999)
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--alpha-min=3", "--alpha-max=2"], "alpha_min must be <= alpha_max"),
         (["--alpha-step=0"], "alpha_step must be > 0"),
         (["--boundary-epsilon=0"], "boundary_epsilon must be > 0"),
+        (["--alpha-step=5e-324"], "alpha_step must be at least (alpha_max - alpha_min) / 10000"),
     ],
-    ids=["alpha_min", "alpha_step", "boundary_epsilon"],
+    ids=["alpha_min", "alpha_step", "boundary_epsilon", "alpha_step_tiny"],
 )
 def test_train_settings_are_checked_before_any_file_is_read(capsys, flags, message):
     assert run(["train", "--patterns=missing.json", "--train-set=missing.jsonl", *flags]) == 2
