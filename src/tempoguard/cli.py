@@ -285,6 +285,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             f"inter_instance_gap_ms ({cfg.inter_instance_gap_ms} ms) must exceed the "
             f"segmentation gap, gap_seconds ({cfg.gap_ms} ms)"
         )
+    if cfg.train_normal + cfg.train_anomaly == 0:
+        raise ValueError("train_normal + train_anomaly must be >= 1, or no model can be trained")
     specs = simulate.builtin_specs()
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)

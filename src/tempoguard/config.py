@@ -64,7 +64,8 @@ class RunConfig(
         for name in ("instances_per_activity", "min_segment_len", "min_support", "min_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("noise_sigma", "train_normal", "test_normal", "train_anomaly", "test_anomaly"):
+        split_sizes = ("train_normal", "test_normal", "train_anomaly", "test_anomaly")
+        for name in ("noise_sigma", "alpha_min", *split_sizes):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.alpha_min > self.alpha_max:

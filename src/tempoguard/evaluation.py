@@ -134,28 +134,12 @@ def _total(cm: ConfusionMatrix) -> dict:
     return {"amount": cm.total, "correct": cm.tp + cm.tn, "wrong": cm.fn + cm.fp, **cm._asdict()}
 
 
-def _unlabeled(source_id: str) -> ValueError:
-    return ValueError(f"unlabeled instance {source_id!r} in evaluation set")
-
-
-def evaluate(judged: Iterable[tuple[ActivityInstance, Verdict]]) -> dict:
-    """Tabulate one activity's labeled (instance, verdict) pairs: {"rows", "total", "accuracy"}.
+def _tabulate(counts: Counter[tuple[str, bool]]) -> dict:
+    """One activity's non-empty (label, flagged) counts as {"rows", "total", "accuracy"}.
 
     Each row gives a class's label, amount, correct, wrong and accuracy (None
     when the class is absent); "total" is the whole set's counts.
     """
-    counts: Counter[tuple[str, bool]] = Counter()  # (label, flagged as anomaly) -> instances
-    for inst, verdict in judged:
-        if inst.label == LABEL_UNLABELED:
-            raise _unlabeled(inst.source_id)
-        counts[inst.label, verdict.classification == CLASS_ANOMALY] += 1
-    return _tabulate(counts)
-
-
-def _tabulate(counts: Counter[tuple[str, bool]]) -> dict:
-    """evaluate's result from its counts."""
-    if not counts:
-        raise ValueError("evaluation set is empty")
     cm = ConfusionMatrix(
         tp=counts[LABEL_ANOMALY_SEQ, True] + counts[LABEL_ANOMALY_TI, True],
         fn=counts[LABEL_ANOMALY_SEQ, False] + counts[LABEL_ANOMALY_TI, False],
@@ -186,7 +170,7 @@ def build_report(
     error only once all are judged (a routed activity without a model comes
     first), and the one named is the first of the first activity holding one.
 
-    Returns {"activities": [{"activity", **evaluate(...)}, ...], "overall": {...}},
+    Returns {"activities": [{"activity", "rows", "total", "accuracy"}, ...], "overall": {...}},
     one entry per activity that at least one instance routes to.
     """
     counts: dict[str, Counter[tuple[str, bool]]] = {p.name: Counter() for p in patterns}
@@ -198,7 +182,7 @@ def build_report(
     activities = []
     for name, group in counts.items():
         if name in unlabeled:
-            raise _unlabeled(unlabeled[name])
+            raise ValueError(f"unlabeled instance {unlabeled[name]!r} in evaluation set")
         if group:
             activities.append({"activity": name, **_tabulate(group)})
     overall = ConfusionMatrix(

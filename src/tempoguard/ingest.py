@@ -172,11 +172,7 @@ def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> E
         attribute = ATTRIBUTE_FOR_VALUE.get(value, "state")
     else:
         _, device, attribute, value = fields
-    key = keys.get((device, attribute, value))  # CSV fields are strings, so always hashable
-    if key is None:
-        key = _interned(keys, device, attribute, value)
-    # Event.__new__'s checks hold: parse_timestamp gives an int >= 0, and key is an EventKey.
-    return tuple.__new__(Event, (ts, key))
+    return Event(ts, _interned(keys, device, attribute, value))
 
 
 def _lines(source: str | Iterable[str]) -> Iterable[str]:
@@ -257,44 +253,19 @@ def parse_log(source: str | Iterable[str]) -> list[Event]:
     return events
 
 
-# The C scanner under json.loads; _json_value calls it directly on each line.
-_scan_once = json.JSONDecoder().scan_once
-
-_BLANK = object()  # what _json_value gives for a line of only whitespace
-
 # How the writers begin each JSON-lines log line: 15 characters, up to the timestamp's text.
 _TIMESTAMP_HEAD = '{"timestamp": "'
 
 
-def _json_value(line: str, lineno: int):
-    """The JSON value that one line of a JSON-lines file holds, or _BLANK.
+def _json_lines(source: str | Iterable[str]):
+    """(line number, json.loads of the line without its "\n") for each non-blank line.
 
     Lines end at "\n" only, so a U+2028 or U+0085 inside a string stays in
-    its line. A line that is exactly one JSON value, or one JSON value and
-    its "\n", is decoded by the C scanner alone, with no copy of the line;
-    any other line (JSON whitespace around the value, a BOM, trailing data,
-    a scanner error) goes through json.loads without its "\n", so every
-    value and every error text, which names line `lineno`, is the one
-    json.loads gives. A line that is only whitespace gives _BLANK.
+    its line. A line of only whitespace is skipped; an error names its line.
     """
-    try:
-        value, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        end = None
-    if end != len(line) and not (end == len(line) - 1 and line[end] == "\n"):
-        line = line.removesuffix("\n")
-        if not line.strip():
-            return _BLANK
-        value = json_document(line, f"line {lineno}")
-    return value
-
-
-def _json_lines(source: str | Iterable[str]):
-    """(line number, value) for each non-blank line of JSON-lines text or its lines."""
     for lineno, line in enumerate(_lines(source), start=1):
-        value = _json_value(line, lineno)
-        if value is not _BLANK:
-            yield lineno, value
+        if line.strip():
+            yield lineno, json_document(line.removesuffix("\n"), f"line {lineno}")
 
 
 def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
@@ -305,7 +276,8 @@ def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
     string's closing quote (its tail) repeats that of an earlier such line,
     reuses that line's key, so only its timestamp is parsed. A tail is kept
     only if it holds no "timestamp" member of its own, which would win
-    under json.loads. Every other line is read by _json_value.
+    under json.loads. Every other line is json.loads of the line without its
+    "\n", and a line of only whitespace is skipped.
     """
     events: list[Event] = []
     keys: dict[tuple[str, str, str], EventKey] = {}
@@ -325,10 +297,10 @@ def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
                     events.append(tuple.__new__(Event, (parse_timestamp(ts_text), key)))
                     continue
                 except ValueError:
-                    pass  # _json_value's path below names the error
-        obj = _json_value(line, lineno)
-        if obj is _BLANK:
+                    pass  # json.loads below names the error
+        if not line.strip():
             continue
+        obj = json_document(line.removesuffix("\n"), f"line {lineno}")
         try:
             event = _event_from_obj(obj, keys)
         except ValueError as exc:

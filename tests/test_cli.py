@@ -260,8 +260,8 @@ def test_pipeline_stats_test_accuracy_is_classify_over_the_routed_test_set(tmp_p
     assert len({row["test_accuracy"] for row in rows}) > 1
     for row in rows:
         model = ScoreModel(pattern.name, row["alpha"], row["lo"], row["hi"], row["train_accuracy"])
-        judged = [(inst, evaluation.classify(model, pattern, inst)) for inst in group]
-        assert row["test_accuracy"] == evaluation.evaluate(judged)["accuracy"]
+        report = evaluation.build_report([pattern], {pattern.name: model}, group)
+        assert row["test_accuracy"] == report["overall"]["accuracy"]
 
 
 def test_alpha_curve_skips_an_untrained_activity_and_has_no_accuracy_without_tests(
@@ -523,7 +523,7 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, message",
+    "flags, message",
     [
         ("--gap-seconds=0", "gap_seconds must be over 0.0005, a gap of 1 ms or more"),
         ("--alpha-step=0", "alpha_step must be > 0"),
@@ -531,12 +531,18 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
          "gap, gap_seconds (700000 ms)"),
         ("--train-normal=-5", "train_normal must be >= 0"),
         ("--test-anomaly=-3", "test_anomaly must be >= 0"),
+        ("--alpha-min=-1", "alpha_min must be >= 0"),
+        ("--train-normal=0 --train-anomaly=0",
+         "train_normal + train_anomaly must be >= 1, or no model can be trained"),
     ],
-    ids=["gap_seconds=0", "alpha_step=0", "gap_seconds=700", "train_normal=-5", "test_anomaly=-3"],
+    ids=[
+        "gap_seconds=0", "alpha_step=0", "gap_seconds=700", "train_normal=-5", "test_anomaly=-3",
+        "alpha_min=-1", "train_normal=0,train_anomaly=0",
+    ],
 )
-def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, flag, message):
+def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, flags, message):
     workdir = tmp_path / "run"
-    assert run_cli("pipeline", flag, "--workdir", str(workdir)) == 2
+    assert run_cli("pipeline", *flags.split(), "--workdir", str(workdir)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not workdir.exists()
 

@@ -21,6 +21,7 @@ from tempoguard.config import RunConfig
         {"min_support": 0},
         {"min_len": 0},
         {"alpha_min": 3.0, "alpha_max": 2.0},
+        {"alpha_min": -1.0},
         {"alpha_max": math.inf},
         {"alpha_step": 0.0},
         {"alpha_step": 1e-9},  # 5e9 weights: rejected before any grid is built

@@ -15,7 +15,6 @@ from tempoguard.evaluation import (
     ConfusionMatrix,
     build_report,
     classify,
-    evaluate,
     judge,
     render_report,
     route,
@@ -32,9 +31,9 @@ def model_for(pattern, alpha=0.0, lo=1.0, hi=1.0, accuracy=1.0):
     )
 
 
-def judged(model, pattern, labeled):
-    """The (instance, verdict) pairs evaluate tabulates: each instance classified by model."""
-    return [(inst, classify(model, pattern, inst)) for inst in labeled]
+def tabulated(model, pattern, labeled):
+    """build_report's one activity entry for labeled, each instance classified by model."""
+    return build_report([pattern], {pattern.name: model}, labeled)["activities"][0]
 
 
 def test_confusion_accuracy_is_exact_for_93_of_100():
@@ -144,7 +143,7 @@ def _fixture_93_percent():
 
 def test_evaluate_tabulates_the_engineered_table():
     model, pattern, labeled = _fixture_93_percent()
-    report = evaluate(judged(model, pattern, labeled))
+    report = tabulated(model, pattern, labeled)
     total = report["total"]
     assert (total["tp"], total["fn"], total["fp"], total["tn"]) == (36, 4, 3, 57)
     assert report["accuracy"] == 0.93
@@ -161,7 +160,7 @@ def test_evaluate_tabulates_the_engineered_table():
 
 def test_evaluate_row_bookkeeping_adds_up():
     model, pattern, labeled = _fixture_93_percent()
-    report = evaluate(judged(model, pattern, labeled))
+    report = tabulated(model, pattern, labeled)
     rows, total = report["rows"], report["total"]
     assert sum(r["amount"] for r in rows) == total["amount"] == len(labeled)
     for r in rows:
@@ -176,19 +175,13 @@ def test_evaluate_rejects_unlabeled_instances():
     pattern = make_pattern("AB", [1000])
     model = model_for(pattern)
     with pytest.raises(ValueError, match="unlabeled"):
-        evaluate(judged(model, pattern, [make_instance("AB", [1000])]))
-
-
-def test_evaluate_rejects_empty_sets():
-    pattern = make_pattern("AB", [1000])
-    with pytest.raises(ValueError, match="empty"):
-        evaluate(judged(model_for(pattern), pattern, []))
+        tabulated(model, pattern, [make_instance("AB", [1000])])
 
 
 def test_absent_class_row_has_no_accuracy():
     pattern = make_pattern("AB", [1000])
     model = model_for(pattern)
-    report = evaluate(judged(model, pattern, [make_instance("AB", [1000], label=N)]))
+    report = tabulated(model, pattern, [make_instance("AB", [1000], label=N)])
     by_label = {r["label"]: r for r in report["rows"]}
     assert by_label["Anomaly(seq)"]["amount"] == 0
     assert by_label["Anomaly(seq)"]["accuracy"] is None
@@ -210,12 +203,12 @@ def test_accuracy_equals_mean_correctness(labels, data):
         flagged = not matches  # partial instances fall outside [1, 1]
         verdict_correct.append(flagged == (label != N))
     expected = sum(verdict_correct) / len(verdict_correct)
-    assert evaluate(judged(model, pattern, labeled))["accuracy"] == expected
+    assert tabulated(model, pattern, labeled)["accuracy"] == expected
 
 
 def test_render_table_shapes_the_report():
     model, pattern, labeled = _fixture_93_percent()
-    entry = {"activity": "Engineered", **evaluate(judged(model, pattern, labeled))}
+    entry = {**tabulated(model, pattern, labeled), "activity": "Engineered"}
     report = {"activities": [entry]}
     report["overall"] = {**report["activities"][0]["total"], "accuracy": 0.93}
     lines = render_report(report).splitlines()

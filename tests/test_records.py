@@ -20,6 +20,7 @@ RECORDS = {
     "ConfusionMatrix": (lambda: ConfusionMatrix(1, 2, 3, 4), {"fp": -1}, "counts must be >= 0"),
     "ScoreModel": (lambda: ScoreModel("a", 1.0, 0.5, 1.5, 0.9), {"lo": 2.0}, "lo must be <= hi"),
     "ActivitySpec": (lambda: builtin_specs()[0], {"steps": ()}, "steps must be non-empty"),
+    "ActivitySpec-name": (lambda: builtin_specs()[0], {"name": ""}, "name must be non-empty"),
     "RunConfig": (RunConfig, {"gap_seconds": 0}, "gap_seconds must be over 0.0005"),
 }
 _CASES = pytest.mark.parametrize("build, bad, message", RECORDS.values(), ids=list(RECORDS))

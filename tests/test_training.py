@@ -11,7 +11,7 @@ from conftest import make_instance, make_pattern
 from tempoguard import training as training_module
 from tempoguard.cli import run
 from tempoguard.config import MAX_ALPHA_WEIGHTS, RunConfig
-from tempoguard.evaluation import classify, evaluate
+from tempoguard.evaluation import build_report
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.scoring import score
 from tempoguard.training import (
@@ -388,8 +388,7 @@ def test_curve_is_each_sweep_row_with_its_test_accuracy_as_classify_judges_it():
     assert [row[:4] for row in rows] == sweep(pattern, labeled, cfg)
     for alpha, lo, hi, train_acc, test_acc in rows:
         model = ScoreModel("p", alpha, lo, hi, train_acc)
-        judged = [(inst, classify(model, pattern, inst)) for inst in test]
-        assert test_acc == evaluate(judged)["accuracy"]
+        assert test_acc == build_report([pattern], {"p": model}, test)["overall"]["accuracy"]
 
 
 def test_curve_scores_each_instance_once(monkeypatch):
@@ -443,8 +442,12 @@ def test_score_model_validates_interval_order():
         ("lo", -math.inf, "lo must be a finite number"),
         ("hi", math.nan, "hi must be a finite number"),
         ("hi", math.inf, "hi must be a finite number"),
+        ("training_accuracy", 1.5, r"training_accuracy must be in \[0, 1\]"),
     ],
-    ids=["alpha-nan", "alpha-inf", "alpha-negative", "lo-nan", "lo-minus-inf", "hi-nan", "hi-inf"],
+    ids=[
+        "alpha-nan", "alpha-inf", "alpha-negative", "lo-nan", "lo-minus-inf", "hi-nan", "hi-inf",
+        "training_accuracy-over-1",
+    ],
 )
 def test_score_model_rejects_a_weight_or_bound_it_cannot_classify_with(field, value, message):
     settings = {"activity": "p", "alpha": 1.0, "lo": 1.0, "hi": 2.0, "training_accuracy": 0.5}
