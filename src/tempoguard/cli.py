@@ -19,7 +19,7 @@ from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
 from tempoguard.config import SETTINGS, RunConfig, UsageError
-from tempoguard.events import ActivityInstance, LABEL_NORMAL
+from tempoguard.events import ActivityInstance, LABEL_NORMAL, require_labeled
 
 
 def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -121,15 +121,6 @@ def _count(text: str) -> int:
     return count
 
 
-def _pick_sources(
-    pool: list[ActivityInstance], count: int, rng: random.Random
-) -> list[ActivityInstance]:
-    """count distinct draws when the pool allows it, else with replacement."""
-    if count <= len(pool):
-        return rng.sample(pool, count)
-    return [pool[rng.randrange(len(pool))] for _ in range(count)]
-
-
 # ---------------------------------------------------------------- subcommands
 
 
@@ -180,13 +171,7 @@ def _cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
     pool = _parse_file(ingest.instances_from_jsonl, args.instances)
     if not pool:
         raise ValueError(f"no instances in {args.instances}")
-    rng = random.Random(cfg.seed)
-    out: list[ActivityInstance] = []
-    for src in _pick_sources(pool, args.count, rng):
-        if args.kind == "seq":
-            out.append(forge.make_anomaly_seq(src, rng))
-        else:
-            out.append(forge.make_anomaly_ti(src, cfg, rng))
+    out = forge.make_anomalies(args.kind, pool, args.count, cfg, random.Random(cfg.seed))
     _write_or_print(ingest.instances_to_jsonl(out), args.out)
     return 0
 
@@ -212,9 +197,8 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.patterns, args.train_set], [args.out])
     patterns = _load_records(mining.patterns_from_json, args.patterns)
     labeled = _parse_file(ingest.instances_from_jsonl, args.train_set)
+    require_labeled(labeled, "training")
     models = train_models(patterns, labeled, cfg)
-    if not models:
-        raise ValueError("no models trained (no instances routed to any pattern)")
     _write_or_print(training.models_to_json(models), args.out)
     return 0
 
@@ -278,7 +262,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """simulate → ingest → mine → augment → forge → train → evaluate.
 
     Writes the PIPELINE_FILES under cfg.workdir, then returns the report
-    dict. The settings are checked before the first file is written.
+    dict. The settings are checked, and the log made, before the workdir is.
     """
     if cfg.inter_instance_gap_ms <= cfg.gap_ms:
         raise ValueError(
@@ -287,11 +271,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
         )
     if cfg.train_normal + cfg.train_anomaly == 0:
         raise ValueError("train_normal + train_anomaly must be >= 1, or no model can be trained")
+    if cfg.test_normal + cfg.test_anomaly == 0:
+        raise ValueError("test_normal + test_anomaly must be >= 1, or nothing is evaluated")
     specs = simulate.builtin_specs()
+    events = simulate.generate(specs, cfg)
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-
-    events = simulate.generate(specs, cfg)
     (workdir / "sim_log.csv").write_text(ingest.serialize_log(events, "csv"), encoding="utf-8")
 
     instances = ingest.segment(events, cfg)
@@ -321,14 +306,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         normals = originals + synthetic
         rng_split.shuffle(normals)
         normals = normals[:normal_target]
-        seq_anomalies = [
-            forge.make_anomaly_seq(src, rng_forge)
-            for src in _pick_sources(originals, anomalies_per_type, rng_forge)
-        ]
-        ti_anomalies = [
-            forge.make_anomaly_ti(src, cfg, rng_forge)
-            for src in _pick_sources(originals, anomalies_per_type, rng_forge)
-        ]
+        seq_anomalies = forge.make_anomalies("seq", originals, anomalies_per_type, cfg, rng_forge)
+        ti_anomalies = forge.make_anomalies("ti", originals, anomalies_per_type, cfg, rng_forge)
         train_set += (
             normals[: cfg.train_normal]
             + seq_anomalies[: cfg.train_anomaly]

@@ -104,7 +104,7 @@ class RunConfig(
             unknown = sorted(set(data) - set(SETTINGS))
             if unknown:
                 raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-            for name, value in data.items():
-                json_value(value, SETTINGS[name][0], f"config key {name!r}")
+            for name, value in data.items():  # an int for a float setting becomes a float
+                data[name] = json_value(value, SETTINGS[name][0], f"config key {name!r}")
         supplied = {k: v for k, v in overrides.items() if k in SETTINGS and v is not None}
         return cls(**{**data, **supplied})

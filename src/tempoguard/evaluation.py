@@ -19,7 +19,7 @@ from tempoguard.events import (
     LABEL_ANOMALY_SEQ,
     LABEL_ANOMALY_TI,
     LABEL_NORMAL,
-    LABEL_UNLABELED,
+    require_labeled,
 )
 from tempoguard.scoring import score
 from tempoguard.training import ScoreModel
@@ -166,32 +166,23 @@ def build_report(
 ) -> dict:
     """Judge a labeled set and tabulate it by the activity each instance routes to.
 
-    Each activity keeps counts, not verdicts. An unlabeled instance is an
-    error only once all are judged (a routed activity without a model comes
-    first), and the one named is the first of the first activity holding one.
+    The set is checked by events.require_labeled before any instance is
+    judged. Each activity keeps counts, not verdicts.
 
     Returns {"activities": [{"activity", "rows", "total", "accuracy"}, ...], "overall": {...}},
     one entry per activity that at least one instance routes to.
     """
+    require_labeled(labeled, "evaluation")
     counts: dict[str, Counter[tuple[str, bool]]] = {p.name: Counter() for p in patterns}
-    unlabeled: dict[str, str] = {}  # activity -> source_id of its first unlabeled instance
     for inst, pattern, verdict in judge(patterns, models, labeled):
-        if inst.label == LABEL_UNLABELED:
-            unlabeled.setdefault(pattern.name, inst.source_id)
         counts[pattern.name][inst.label, verdict.classification == CLASS_ANOMALY] += 1
-    activities = []
-    for name, group in counts.items():
-        if name in unlabeled:
-            raise ValueError(f"unlabeled instance {unlabeled[name]!r} in evaluation set")
-        if group:
-            activities.append({"activity": name, **_tabulate(group)})
+    activities = [
+        {"activity": name, **_tabulate(group)} for name, group in counts.items() if group
+    ]
     overall = ConfusionMatrix(
         **{k: sum(a["total"][k] for a in activities) for k in ("tp", "fn", "fp", "tn")}
     )
-    return {
-        "activities": activities,
-        "overall": {**_total(overall), "accuracy": overall.accuracy if overall.total else None},
-    }
+    return {"activities": activities, "overall": {**_total(overall), "accuracy": overall.accuracy}}
 
 
 def report_to_json(report: dict) -> str:

@@ -157,6 +157,15 @@ def intervals(instance: ActivityInstance) -> tuple[int, ...]:
     return tuple(b.timestamp_ms - a.timestamp_ms for a, b in zip(ev, ev[1:]))
 
 
+def require_labeled(instances: list[ActivityInstance], what: str) -> None:
+    """Reject an empty `what` set, or its first unlabeled instance in list order."""
+    if not instances:
+        raise ValueError(f"{what} set is empty")
+    for inst in instances:
+        if inst.label == LABEL_UNLABELED:
+            raise ValueError(f"unlabeled instance {inst.source_id!r} in {what} set")
+
+
 def is_numeric_value(value: str) -> bool:
     """True if a logged value is numeric (e.g. "56.0") rather than a discrete state."""
     try:
@@ -169,21 +178,28 @@ def is_numeric_value(value: str) -> bool:
 def json_value(value, kind: type | tuple[type, ...], what: str):
     """`value` if JSON gave it as `kind`, or as one of a tuple of kinds.
 
-    A float may be an int; a bool is never a number. The message quotes
-    the value cut to SHOWN_VALUE_CHARS characters.
+    A float may be an int; a bool is never a number. Kind float alone gives
+    float(value), so an int too large for a float is an error too. The
+    message quotes the value cut to SHOWN_VALUE_CHARS characters.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
     accepted = kinds + (int,) if float in kinds else kinds
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        names = " or ".join(_JSON_NAMES[k] for k in kinds)
+    names = None
+    if not isinstance(value, bool) and isinstance(value, accepted):
+        if kind is not float:
+            return value
         try:
-            shown = json.dumps(value)
-        except RecursionError:  # parsed a few frames up the stack, too deep to encode here
-            shown = "a value nested too deeply to show"
-        if len(shown) > SHOWN_VALUE_CHARS:
-            shown = shown[: SHOWN_VALUE_CHARS - 1] + "…"
-        raise ValueError(f"{what} must be {names}, not {shown}")
-    return value
+            return float(value)
+        except OverflowError:
+            names = "a number that fits in a float"
+    names = names or " or ".join(_JSON_NAMES[k] for k in kinds)
+    try:
+        shown = json.dumps(value)
+    except RecursionError:  # parsed a few frames up the stack, too deep to encode here
+        shown = "a value nested too deeply to show"
+    if len(shown) > SHOWN_VALUE_CHARS:
+        shown = shown[: SHOWN_VALUE_CHARS - 1] + "…"
+    raise ValueError(f"{what} must be {names}, not {shown}")
 
 
 def json_field(obj: dict, name: str, kind: type | tuple[type, ...]):

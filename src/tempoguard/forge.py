@@ -96,6 +96,25 @@ def make_anomaly_ti(
     )
 
 
+def make_anomalies(
+    kind: str, pool: list[ActivityInstance], count: int, cfg: RunConfig, rng: random.Random
+) -> list[ActivityInstance]:
+    """count anomalies of kind "seq" (make_anomaly_seq) or "ti" (make_anomaly_ti) from pool.
+
+    The sources are count distinct draws when the pool allows it, else draws
+    with replacement, and all are drawn before the first anomaly is made.
+    """
+    if kind not in ("seq", "ti"):
+        raise ValueError(f"unknown anomaly kind {kind!r}")
+    if count <= len(pool):
+        sources = rng.sample(pool, count)
+    else:
+        sources = [pool[rng.randrange(len(pool))] for _ in range(count)]
+    if kind == "seq":
+        return [make_anomaly_seq(src, rng) for src in sources]
+    return [make_anomaly_ti(src, cfg, rng) for src in sources]
+
+
 def augment_normals(
     pool: list[ActivityInstance], target_count: int, rng: random.Random
 ) -> list[ActivityInstance]:

@@ -364,7 +364,7 @@ def _events_json(events: Iterable[Event], tails: dict[EventKey, str]) -> list[st
     return out
 
 
-def serialize_log(events: list[Event], fmt: str = "csv") -> str:
+def serialize_log(events: list[Event], fmt: str) -> str:
     """Render events back to log text; the inverse of parse_log / parse_log_jsonl."""
     if fmt == "csv":
         out = io.StringIO()

@@ -111,8 +111,8 @@ def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Ev
 
     Each gap is base * (1 + gauss(0, cfg.noise_sigma)), rounded to whole ms and clamped
     to >= 1; a gap that is not finite or is longer than MAX_TIMESTAMP_MS is an
-    error. One RNG stream drawn in a fixed order makes the log a pure
-    function of the seed.
+    error, and so is a log that ends after MAX_TIMESTAMP_MS. One RNG stream
+    drawn in a fixed order makes the log a pure function of the seed.
     """
     cfg = cfg or RunConfig()
     rng = random.Random(cfg.seed)
@@ -132,4 +132,9 @@ def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Ev
                     now += max(1, round(gap))
                 events.append(Event(now, key))
             now += cfg.inter_instance_gap_ms
+    if events and (end := events[-1].timestamp_ms) > MAX_TIMESTAMP_MS:
+        raise ValueError(
+            f"inter_instance_gap_ms ({cfg.inter_instance_gap_ms} ms) puts the last event at "
+            f"{end} ms, after 9999-12-31T23:59:59.999Z ({MAX_TIMESTAMP_MS} ms)"
+        )
     return events

@@ -15,8 +15,8 @@ from itertools import accumulate
 from operator import sub
 
 from tempoguard.config import RunConfig
-from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL, LABEL_UNLABELED
-from tempoguard.events import json_field, json_records
+from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL
+from tempoguard.events import json_field, json_records, require_labeled
 from tempoguard.scoring import score
 
 
@@ -51,17 +51,7 @@ def alpha_grid(cfg: RunConfig) -> list[float]:
     return [cfg.alpha_min + k * cfg.alpha_step for k in range(steps + 1)]
 
 
-def _require_labeled(labeled: list[ActivityInstance]) -> None:
-    if not labeled:
-        raise ValueError("training set is empty")
-    for inst in labeled:
-        if inst.label == LABEL_UNLABELED:
-            raise ValueError(f"unlabeled instance {inst.source_id!r} in training set")
-
-
-def best_interval(
-    rows: list[tuple[str, float]], epsilon: float = 1e-9
-) -> tuple[float, float, float]:
+def best_interval(rows: list[tuple[str, float]], epsilon: float) -> tuple[float, float, float]:
     """Closed score interval [lo, hi] that best separates normal from anomaly.
 
     Candidate boundaries are the sorted distinct scores nudged by ±epsilon.
@@ -140,7 +130,7 @@ def sweep(
     that one breakdown with the same expression as scoring.score.
     """
     cfg = cfg or RunConfig()
-    _require_labeled(labeled)
+    require_labeled(labeled, "training")
     parts = [(inst.label, score(pattern, inst, 0.0)) for inst in labeled]
     rows = []
     for alpha in alpha_grid(cfg):
@@ -161,9 +151,8 @@ def curve(
     anomaly's outside it, as evaluation.classify judges it. Each is scored
     once and blended at every weight as sweep blends.
     """
-    for inst in test:
-        if inst.label == LABEL_UNLABELED:
-            raise ValueError(f"unlabeled instance {inst.source_id!r} in test set")
+    if test:
+        require_labeled(test, "test")
     parts = [(inst.label == LABEL_NORMAL, score(pattern, inst, 0.0)) for inst in test]
     rows = []
     for alpha, lo, hi, accuracy in sweep(pattern, labeled, cfg):
@@ -200,8 +189,8 @@ def models_from_json(text: str) -> list[ScoreModel]:
 def _model_from_obj(obj: dict) -> ScoreModel:
     return ScoreModel(
         activity=json_field(obj, "activity", str),
-        alpha=float(json_field(obj, "alpha", float)),
-        lo=float(json_field(obj, "lo", float)),
-        hi=float(json_field(obj, "hi", float)),
-        training_accuracy=float(json_field(obj, "training_accuracy", float)),
+        alpha=json_field(obj, "alpha", float),
+        lo=json_field(obj, "lo", float),
+        hi=json_field(obj, "hi", float),
+        training_accuracy=json_field(obj, "training_accuracy", float),
     )

@@ -169,7 +169,7 @@ def test_interval_selection_is_optimal(checklist):
                 if rng.random() < 0.5:
                     value = round(value, 1)  # force duplicate scores
                 rows.append((rng.choice(labels), value))
-            lo, hi, accuracy = best_interval(rows)
+            lo, hi, accuracy = best_interval(rows, RunConfig().boundary_epsilon)
             assert lo <= hi
             assert accuracy == oracle_best_accuracy(rows)
         normals = [make_instance("ABC", [10_000, 20_000], label=LABEL_NORMAL)] * 3

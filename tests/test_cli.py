@@ -33,6 +33,9 @@ from tempoguard.mining import patterns_from_json
 from tempoguard.training import ScoreModel, alpha_grid, models_from_json
 
 
+HUGE = 10**400  # JSON reads this integer, but no float can hold it
+
+
 def run_cli(*argv: str) -> int:
     return run(list(argv))
 
@@ -495,6 +498,8 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         {"gap_seconds": "120"},
         {"workdir": 7},
         {"min_support": None},
+        {"gap_seconds": HUGE},
+        {"alpha_max": HUGE},
     ],
 )
 def test_config_file_value_of_the_wrong_type_is_a_data_error(tmp_path, capsys, data):
@@ -513,6 +518,19 @@ def test_config_file_float_fields_accept_integers(tmp_path):
     config.write_text(json.dumps({"gap_seconds": 300, "seed": 7, "workdir": "w"}))
     cfg = RunConfig.from_sources(str(config), {})
     assert (cfg.gap_seconds, cfg.seed, cfg.workdir) == (300, 7, "w")
+
+
+def test_config_file_integer_alpha_grid_writes_what_the_flags_write(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha_min": 0, "alpha_max": 5, "alpha_step": 1}))
+    runs = {"file": ["--config", str(config)], "flags": ["--alpha-step", "1"]}
+    for name, argv in runs.items():
+        argv += ["--instances=10", "--workdir", str(tmp_path / name)]
+        assert run_cli("pipeline", *argv, "--stats", str(tmp_path / f"{name}.json")) == 0
+    for name in (MODELS, "report.json"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+    assert '"alpha": 1.0' in (tmp_path / "file" / MODELS).read_text()
 
 
 def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
@@ -534,10 +552,16 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
         ("--alpha-min=-1", "alpha_min must be >= 0"),
         ("--train-normal=0 --train-anomaly=0",
          "train_normal + train_anomaly must be >= 1, or no model can be trained"),
+        ("--test-normal=0 --test-anomaly=0",
+         "test_normal + test_anomaly must be >= 1, or nothing is evaluated"),
+        ("--inter-instance-gap-ms=1000000000000000",
+         "inter_instance_gap_ms (1000000000000000 ms) puts the last event at 149001633050006363 "
+         "ms, after 9999-12-31T23:59:59.999Z (253402300799999 ms)"),
     ],
     ids=[
         "gap_seconds=0", "alpha_step=0", "gap_seconds=700", "train_normal=-5", "test_anomaly=-3",
-        "alpha_min=-1", "train_normal=0,train_anomaly=0",
+        "alpha_min=-1", "train_normal=0,train_anomaly=0", "test_normal=0,test_anomaly=0",
+        "inter_instance_gap_ms=1e15",
     ],
 )
 def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, flags, message):
@@ -664,6 +688,16 @@ MODELS, PATTERNS = "models.json", "patterns.json"
             lambda p: _put(p, True, 2, "mean_intervals_ms", 0),
             "pattern 3: each of 'mean_intervals_ms' must be a number, not true",
         ),
+        (
+            MODELS,
+            lambda m: _put(m, HUGE, 1, "alpha"),
+            "model 2: 'alpha' must be a number that fits in a float, not 1000",
+        ),
+        (
+            PATTERNS,
+            lambda p: _put(p, HUGE, 0, "mean_intervals_ms", 1),
+            "pattern 1: each of 'mean_intervals_ms' must be a number that fits in a float, not 10",
+        ),
     ],
     ids=[
         "model-entry-not-object",
@@ -681,6 +715,8 @@ MODELS, PATTERNS = "models.json", "patterns.json"
         "pattern-key-not-object",
         "pattern-support-float",
         "pattern-interval-bool",
+        "model-alpha-too-large",
+        "pattern-interval-too-large",
     ],
 )
 def test_wrongly_typed_model_or_pattern_file_is_a_data_error(
@@ -792,14 +828,45 @@ def test_evaluate_with_an_unlabeled_test_instance_is_a_data_error_naming_it(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, flag", [("train", "--train-set"), ("evaluate", "--test-set")])
+def test_train_and_evaluate_name_the_first_unlabeled_instance_in_the_file(
+    small_run, tmp_path, capsys, command, flag
+):
+    patterns = patterns_from_json((small_run / PATTERNS).read_text())
+    labeled = instances_from_jsonl((small_run / "test_set.jsonl").read_text())
+    late, early = (
+        next(i for i in labeled if i.key_sequence() == p.keys) for p in (patterns[-1], patterns[0])
+    )
+    # The first unlabeled instance in the file routes to a later activity than the second.
+    unlabeled = [late._replace(label="unlabeled"), *labeled, early._replace(label="unlabeled")]
+    (tmp_path / "set.jsonl").write_text(instances_to_jsonl(unlabeled))
+    argv = ["--patterns", str(small_run / PATTERNS), flag, str(tmp_path / "set.jsonl")]
+    if command == "evaluate":
+        argv += ["--models", str(small_run / MODELS)]
+    assert run_cli(command, *argv) == 2
+    what = {"train": "training", "evaluate": "evaluation"}[command]
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unlabeled instance {late.source_id!r} in {what} set\n"
+    assert captured.out == ""
+
+
+def test_evaluate_on_an_empty_test_set_is_a_data_error(small_run, tmp_path, capsys):
+    empty, out = tmp_path / "empty.jsonl", tmp_path / "report.json"
+    empty.write_text("")
+    argv = ["--models", str(small_run / MODELS), "--patterns", str(small_run / PATTERNS)]
+    assert run_cli("evaluate", *argv, "--test-set", str(empty), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: evaluation set is empty\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_train_on_an_empty_train_set_is_a_data_error(small_run, tmp_path, capsys):
     empty, out = tmp_path / "empty.jsonl", tmp_path / MODELS
     empty.write_text("")
     argv = ["--patterns", str(small_run / PATTERNS), "--train-set", str(empty), "--out", str(out)]
     assert run_cli("train", *argv) == 2
-    assert capsys.readouterr().err.endswith(
-        "error: no models trained (no instances routed to any pattern)\n"
-    )
+    assert capsys.readouterr().err == "error: training set is empty\n"
     assert not out.exists()
 
 

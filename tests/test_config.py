@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -46,3 +47,12 @@ def test_run_config_rejects_an_out_of_range_value_naming_its_field(settings):
 def test_gap_seconds_is_kept_whenever_it_rounds_to_a_millisecond_or_more():
     assert RunConfig(gap_seconds=0.0006).gap_ms == 1
     assert RunConfig(gap_seconds=90).gap_ms == 90_000
+
+
+def test_a_config_file_integer_for_a_float_setting_is_read_as_a_float(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alpha_min": 0, "alpha_max": 5, "alpha_step": 1, "seed": 7}))
+    cfg = RunConfig.from_sources(str(config), {})
+    assert {type(value) for value in (cfg.alpha_min, cfg.alpha_max, cfg.alpha_step)} == {float}
+    assert type(cfg.seed) is int
+

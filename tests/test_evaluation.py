@@ -292,6 +292,28 @@ def test_build_report_requires_models_for_routed_activities():
         next(verdicts)
 
 
+def test_build_report_rejects_an_empty_set():
+    pattern = make_pattern("AB", [1000])
+    with pytest.raises(ValueError, match="^evaluation set is empty$"):
+        build_report([pattern], {pattern.name: model_for(pattern)}, [])
+
+
+def test_build_report_names_the_first_unlabeled_instance_in_file_order_before_judging():
+    ab, cd = make_pattern("AB", [1000], name="ab"), make_pattern("CD", [1000], name="cd")
+    labeled = [
+        make_instance("CD", [1000], label=N, source_id="routed-to-cd"),
+        make_instance("CD", [1000], source_id="first"),
+        make_instance("AB", [1000], source_id="second"),
+    ]
+    models = {"ab": model_for(ab), "cd": model_for(cd)}
+    # "first" routes to the second activity; the file order, not the activity order, names it.
+    with pytest.raises(ValueError, match="^unlabeled instance 'first' in evaluation set$"):
+        build_report([ab, cd], models, labeled)
+    # "cd" has no model, and the first instance routes to it: the unlabeled one is still named.
+    with pytest.raises(ValueError, match="^unlabeled instance 'first' in evaluation set$"):
+        build_report([ab, cd], {"ab": models["ab"]}, labeled)
+
+
 def test_judge_routes_at_the_trained_weights_then_classifies_each_instance_in_order():
     # Untrained, "fast" wins the tie on name; at the trained weights "slow" wins it.
     slow = make_pattern("AB", [1000], name="slow")

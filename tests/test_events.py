@@ -21,6 +21,7 @@ from tempoguard.events import (
     is_numeric_value,
     json_records,
     json_value,
+    require_labeled,
 )
 
 
@@ -258,3 +259,21 @@ def test_json_records_names_the_file_it_cannot_parse(text, message):
     with pytest.raises(ValueError) as info:
         json_records(text, "model", dict, "activity")
     assert str(info.value).startswith(message)
+
+
+def test_require_labeled_rejects_an_empty_set_then_the_first_unlabeled_instance():
+    with pytest.raises(ValueError, match="^test set is empty$"):
+        require_labeled([], "test")
+    labeled = [make_instance("AB", label=LABEL_NORMAL, source_id="a")]
+    labeled += [make_instance("AB", source_id=s) for s in ("b", "c")]
+    with pytest.raises(ValueError, match="^unlabeled instance 'b' in training set$"):
+        require_labeled(labeled, "training")
+    require_labeled(labeled[:1], "evaluation")
+
+
+def test_json_value_of_kind_float_gives_a_float_and_rejects_one_too_large():
+    assert type(json_value(3, float, "'alpha'")) is float
+    assert type(json_value(3, (str, float), "'value'")) is int  # a tuple of kinds keeps the value
+    message = "^'alpha' must be a number that fits in a float, not 1000"
+    with pytest.raises(ValueError, match=message):
+        json_value(10**400, float, "'alpha'")

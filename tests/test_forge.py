@@ -18,6 +18,7 @@ from tempoguard.events import (
 )
 from tempoguard.forge import (
     augment_normals,
+    make_anomalies,
     make_anomaly_seq,
     make_anomaly_ti,
     smote_midpoint,
@@ -206,3 +207,44 @@ def test_stretching_an_interval_past_any_log_span_is_an_error_naming_the_instanc
     ).replace("+", r"\+")
     with pytest.raises(ValueError, match=message):
         make_anomaly_ti(source, RunConfig(ti_multiplier=multiplier), _rng_choosing(1))
+
+
+def _pick_then_make(kind, pool, count, cfg, rng):
+    """The draw make_anomalies replaced, copied as it was: pick every source, then forge each."""
+    if count <= len(pool):
+        sources = rng.sample(pool, count)
+    else:
+        sources = [pool[rng.randrange(len(pool))] for _ in range(count)]
+    out = []
+    for src in sources:
+        if kind == "seq":
+            out.append(make_anomaly_seq(src, rng))
+        else:
+            out.append(make_anomaly_ti(src, cfg, rng))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["seq", "ti"])
+@pytest.mark.parametrize("count", [0, 3, 5, 12], ids=lambda n: f"count={n}")
+def test_make_anomalies_draws_as_the_pick_then_make_loop(kind, count):
+    # A pool of 5: counts up to 5 are distinct draws, 12 draws with replacement.
+    pool = [
+        make_instance("ABCD", [1000 + i, 2000, 3000 * i + 1], source_id=f"p{i}") for i in range(5)
+    ]
+    cfg = RunConfig(ti_multiplier=7.5)
+    for seed in range(20):
+        ours, reference = random.Random(seed), random.Random(seed)
+        forged = make_anomalies(kind, pool, count, cfg, ours)
+        assert forged == _pick_then_make(kind, pool, count, cfg, reference)
+        assert ours.getstate() == reference.getstate()
+    assert len(forged) == count
+    if 0 < count <= len(pool):
+        assert len({inst.source_id for inst in forged}) == count
+
+
+def test_make_anomalies_rejects_an_unknown_kind_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^unknown anomaly kind 'both'$"):
+        make_anomalies("both", [make_instance("AB")], 1, RunConfig(), rng)
+    assert rng.getstate() == state

@@ -16,7 +16,7 @@ def test_library_use_example_runs_on_a_small_log(tmp_path, monkeypatch, capsys):
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     (example,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
     events = generate(builtin_specs(), RunConfig(instances_per_activity=5))
-    (tmp_path / "log.csv").write_text(serialize_log(events), encoding="utf-8")
+    (tmp_path / "log.csv").write_text(serialize_log(events, "csv"), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     exec(compile(example, str(README), "exec"), {})
     completeness, timing, total = map(float, capsys.readouterr().out.split())

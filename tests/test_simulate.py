@@ -111,13 +111,13 @@ def test_zero_noise_reproduces_base_intervals_exactly():
 def test_same_seed_gives_identical_logs():
     one = generate(builtin_specs(), RunConfig(seed=7, instances_per_activity=3))
     two = generate(builtin_specs(), RunConfig(seed=7, instances_per_activity=3))
-    assert serialize_log(one) == serialize_log(two)
+    assert serialize_log(one, "csv") == serialize_log(two, "csv")
 
 
 def test_different_seeds_give_different_timing():
     one = generate(builtin_specs(), RunConfig(seed=1, instances_per_activity=3))
     two = generate(builtin_specs(), RunConfig(seed=2, instances_per_activity=3))
-    assert serialize_log(one) != serialize_log(two)
+    assert serialize_log(one, "csv") != serialize_log(two, "csv")
 
 
 def test_generated_log_round_trips_through_the_parser():
@@ -168,3 +168,18 @@ def test_simulate_with_a_huge_noise_sigma_is_a_short_data_error(capsys, sigma):
     assert captured.err.startswith(f"error: activity 'Come back home': noise_sigma {float(sigma)}")
     assert len(captured.err) < 200  # no timestamp of hundreds of digits
     assert captured.out == ""
+
+
+def test_generate_rejects_a_log_ending_past_year_9999_naming_the_gap_setting():
+    specs, cfg = builtin_specs(), RunConfig(instances_per_activity=1)
+    last = generate(specs, cfg)[-1].timestamp_ms
+    # Two inter-instance gaps come before the last event, and the jitter does not depend on them.
+    gap = cfg.inter_instance_gap_ms + (MAX_TIMESTAMP_MS - last) // 2
+    fits = generate(specs, cfg._replace(inter_instance_gap_ms=gap))
+    assert fits[-1].timestamp_ms <= MAX_TIMESTAMP_MS
+    message = (
+        rf"^inter_instance_gap_ms \({gap + 1} ms\) puts the last event at \d+ ms, "
+        rf"after 9999-12-31T23:59:59\.999Z \({MAX_TIMESTAMP_MS} ms\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        generate(specs, cfg._replace(inter_instance_gap_ms=gap + 1))

@@ -26,6 +26,7 @@ from tempoguard.training import (
 )
 
 N, S, T = LABEL_NORMAL, LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI
+EPSILON = RunConfig().boundary_epsilon
 
 
 def score_table(pattern, labeled, alpha):
@@ -111,7 +112,7 @@ def test_sweep_rejects_empty_input():
 
 def test_best_interval_separates_separable_scores():
     rows = [(N, 3.0), (N, 3.05), (T, 2.0), (T, 4.5)]
-    lo, hi, accuracy = best_interval(rows)
+    lo, hi, accuracy = best_interval(rows, EPSILON)
     assert accuracy == 1.0
     assert lo <= 3.0 and 3.05 <= hi
     assert not (lo <= 2.0 <= hi) and not (lo <= 4.5 <= hi)
@@ -119,20 +120,20 @@ def test_best_interval_separates_separable_scores():
 
 def test_best_interval_with_identical_scores_keeps_the_majority():
     rows = [(N, 3.0), (N, 3.0), (N, 3.0), (S, 3.0)]
-    lo, hi, accuracy = best_interval(rows)
+    lo, hi, accuracy = best_interval(rows, EPSILON)
     assert accuracy == 0.75
     assert lo <= 3.0 <= hi
 
 
 def test_best_interval_with_an_embedded_anomaly():
     rows = [(N, 1.0), (N, 2.0), (N, 3.0), (S, 2.0)]
-    _, _, accuracy = best_interval(rows)
+    _, _, accuracy = best_interval(rows, EPSILON)
     assert accuracy == 0.75
 
 
 def test_best_interval_without_anomalies_covers_everything():
     rows = [(N, 1.0), (N, 2.0), (N, 5.0)]
-    lo, hi, accuracy = best_interval(rows)
+    lo, hi, accuracy = best_interval(rows, EPSILON)
     assert accuracy == 1.0
     assert lo <= 1.0 and hi >= 5.0
 
@@ -140,14 +141,14 @@ def test_best_interval_without_anomalies_covers_everything():
 def test_best_interval_prefers_the_widest_tie():
     # Either endpoint alone scores 0.5; the widest winning interval spans both.
     rows = [(N, 1.0), (N, 5.0)]
-    lo, hi, accuracy = best_interval(rows)
+    lo, hi, accuracy = best_interval(rows, EPSILON)
     assert accuracy == 1.0
     assert hi - lo == pytest.approx(4.0, abs=1e-6)
 
 
 def test_best_interval_rejects_empty_rows():
     with pytest.raises(ValueError, match="non-empty"):
-        best_interval([])
+        best_interval([], EPSILON)
 
 
 def exhaustive_best_accuracy(rows, epsilon=1e-9):
@@ -174,7 +175,7 @@ def exhaustive_best_accuracy(rows, epsilon=1e-9):
     )
 )
 def test_best_interval_matches_exhaustive_scan(rows):
-    lo, hi, accuracy = best_interval(rows)
+    lo, hi, accuracy = best_interval(rows, EPSILON)
     assert accuracy == exhaustive_best_accuracy(rows)
     assert interval_accuracy(rows, lo, hi) == accuracy
 
@@ -190,7 +191,7 @@ def test_best_interval_matches_exhaustive_scan(rows):
     )
 )
 def test_best_interval_accuracy_is_reproducible_from_its_endpoints(rows):
-    lo, hi, accuracy = best_interval(rows)
+    lo, hi, accuracy = best_interval(rows, EPSILON)
     assert lo <= hi
     assert interval_accuracy(rows, lo, hi) == accuracy
 
@@ -291,7 +292,7 @@ _CLOSE_SCORES = [
     )
 )
 def test_best_interval_equals_the_quadratic_reference(rows):
-    assert best_interval(rows) == _quadratic_best_interval(rows)
+    assert best_interval(rows, EPSILON) == _quadratic_best_interval(rows, EPSILON)
 
 
 # best_interval builds the empty-interval candidates only when no run of
@@ -312,7 +313,7 @@ def test_best_interval_equals_the_quadratic_reference(rows):
     ],
 )
 def test_best_interval_without_a_positive_gain_equals_the_quadratic_reference(rows, expected):
-    assert best_interval(rows) == _quadratic_best_interval(rows) == expected
+    assert best_interval(rows, EPSILON) == _quadratic_best_interval(rows, EPSILON) == expected
 
 
 def _separable_training_set():
