@@ -221,9 +221,10 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     lines = []  # the --out file, written whole once the last verdict is made
     # (activity, classification) -> the encoded text between the source id and the total
     tails: dict[tuple[str, str], str] = {}
+    write = sys.stdout.write
     for inst, pattern, verdict in evaluation.judge(patterns, models, ingest.segment(events, cfg)):
         source_id, activity, classification = inst.source_id, pattern.name, verdict.classification
-        total = verdict.breakdown.total  # always finite, so repr is the text json.dumps writes
+        total = repr(verdict.breakdown.total)  # always finite, so the text json.dumps writes
         if args.out:
             tail = tails.get((activity, classification))
             if tail is None:
@@ -231,8 +232,8 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
                 tail = tails[activity, classification] = ", " + json.dumps(record)[1:-2]
             # encode_basestring_ascii is what json.dumps applies to a str by default.
             head = '{"source_id": ' + encode_basestring_ascii(source_id)
-            lines.append(head + tail + repr(total) + "}\n")
-        print(f"{source_id}\t{activity}\t{classification}\t{total}")
+            lines.append(head + tail + total + "}\n")
+        write(f"{source_id}\t{activity}\t{classification}\t{total}\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as out:
             out.writelines(lines)

@@ -4,8 +4,8 @@ SETTINGS is the one table of settings: name -> (type, default, help). The
 RunConfig named tuple takes its fields and defaults from it, and its CLI
 flags and config-file keys are read from it too. Each stage reads the fields
 it uses from one RunConfig. Every value is range-checked when the config is
-built (and again by `_replace`), so a bad setting stops a run before any
-artifact is written.
+built (and again by `_replace`), and a float setting is stored as a float, so
+a bad setting stops a run before any artifact is written.
 """
 
 from __future__ import annotations
@@ -55,10 +55,15 @@ class RunConfig(
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> RunConfig:
-        self = super().__new__(cls, *args, **kwargs)
-        for name, (kind, _, _) in SETTINGS.items():
-            if kind is float and not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
+        given = super().__new__(cls, *args, **kwargs)  # the defaults filled in
+        fields = []  # a float setting holds a float: an int becomes one, if a float can hold it
+        for (name, (kind, _, _)), value in zip(SETTINGS.items(), given):
+            if kind is float:
+                value = json_value(value, float, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be a finite number")
+            fields.append(value)
+        self = tuple.__new__(cls, fields)
         if not math.isfinite(self.gap_seconds * 1000) or self.gap_ms <= 0:
             raise ValueError("gap_seconds must be over 0.0005, a gap of 1 ms or more")
         for name in ("instances_per_activity", "min_segment_len", "min_support", "min_len"):

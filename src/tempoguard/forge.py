@@ -106,6 +106,8 @@ def make_anomalies(
     """
     if kind not in ("seq", "ti"):
         raise ValueError(f"unknown anomaly kind {kind!r}")
+    if not pool:
+        raise ValueError(f"pool must be non-empty for {kind} anomalies")
     if count <= len(pool):
         sources = rng.sample(pool, count)
     else:

@@ -75,10 +75,15 @@ def parse_timestamp(token: str) -> int:
     """Parse one timestamp token to epoch milliseconds UTC.
 
     Accepted forms, all in ASCII: integer epoch milliseconds, ISO-8601
-    (naive assumed UTC, trailing Z accepted), and "M/D/YYYY HH:MM:SS"
+    (naive assumed UTC, trailing Z or z accepted), and "M/D/YYYY HH:MM:SS"
     interpreted as UTC. Sub-millisecond digits are floored. A time before
     1970-01-01T00:00:00Z or past MAX_TIMESTAMP_MS is rejected, whichever
     form it came in (an ISO offset can move a year-9999 time past it).
+
+    fromisoformat reads the token as it is first: it takes a trailing Z
+    itself, so a log's usual token costs one C call. Only when that raises
+    is a trailing Z or z rewritten to +00:00 and read again, and strptime
+    comes last.
     """
     token = token.strip()
     if not token.isascii():  # int() and strptime also read other scripts' digits
@@ -86,20 +91,29 @@ def parse_timestamp(token: str) -> int:
     if token.isdigit():
         ms = int(token)
     else:
-        iso = token[:-1] + "+00:00" if token.endswith(("Z", "z")) else token
         try:
-            dt = datetime.fromisoformat(iso)
+            dt = datetime.fromisoformat(token)
         except ValueError:
-            try:
-                dt = datetime.strptime(token, "%m/%d/%Y %H:%M:%S")
-            except ValueError:
-                raise ValueError(f"unparseable timestamp {token!r}") from None
+            dt = _parse_slow(token)
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         ms = (dt - EPOCH_UTC) // ONE_MS  # exact: timedelta // timedelta floors whole microseconds
     if not 0 <= ms <= MAX_TIMESTAMP_MS:
         raise ValueError(f"timestamp {token!r} is {_range_error(ms)}")
     return ms
+
+
+def _parse_slow(token: str) -> datetime:
+    """parse_timestamp's fallbacks for a stripped token that fromisoformat rejects."""
+    if token.endswith(("Z", "z")):
+        try:
+            return datetime.fromisoformat(token[:-1] + "+00:00")
+        except ValueError:
+            pass
+    try:
+        return datetime.strptime(token, "%m/%d/%Y %H:%M:%S")
+    except ValueError:
+        raise ValueError(f"unparseable timestamp {token!r}") from None
 
 
 # Distinct hours whose "YYYY-MM-DDTHH:" text _hour_prefix keeps: about 85 days,

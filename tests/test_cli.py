@@ -802,6 +802,26 @@ def test_detect_with_no_model_for_a_routed_activity_is_a_data_error(small_run, t
     assert not out.exists()
 
 
+def test_detect_prints_each_verdict_as_it_is_made(small_run, tmp_path, capsys):
+    argv = ["--patterns", str(small_run / PATTERNS), "--log", str(small_run / "sim_log.csv")]
+    assert run_cli("detect", "--models", str(small_run / MODELS), *argv) == 0
+    verdicts = capsys.readouterr().out.splitlines(keepends=True)
+    # The activity seen last for the first time: segments before it route elsewhere.
+    first_seen = {}
+    for n, line in enumerate(verdicts):
+        first_seen.setdefault(line.split("\t")[1], n)
+    missing, stop = max(first_seen.items(), key=lambda item: item[1])
+    assert stop > 0
+    models = [m for m in json.loads((small_run / MODELS).read_text()) if m["activity"] != missing]
+    (tmp_path / MODELS).write_text(json.dumps(models))
+    out = tmp_path / "verdicts.jsonl"
+    assert run_cli("detect", "--models", str(tmp_path / MODELS), *argv, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "".join(verdicts[:stop])
+    assert captured.err == f"error: no trained model for activity {missing!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["detect", "evaluate"])
 def test_output_into_a_missing_directory_is_a_usage_error_before_any_verdict(
     small_run, tmp_path, capsys, command

@@ -56,3 +56,17 @@ def test_a_config_file_integer_for_a_float_setting_is_read_as_a_float(tmp_path):
     assert {type(value) for value in (cfg.alpha_min, cfg.alpha_max, cfg.alpha_step)} == {float}
     assert type(cfg.seed) is int
 
+
+
+def test_a_python_integer_for_a_float_setting_is_held_as_a_float():
+    cfg = RunConfig(alpha_min=0, alpha_max=5, alpha_step=1)
+    assert [cfg.alpha_min, cfg.alpha_max, cfg.alpha_step] == [0.0, 5.0, 1.0]
+    assert {type(value) for value in (cfg.alpha_min, cfg.alpha_max, cfg.alpha_step)} == {float}
+    assert type(cfg._replace(alpha_step=2).alpha_step) is float
+    assert type(RunConfig(seed=7).seed) is int
+
+
+def test_a_python_integer_too_large_for_a_float_is_a_value_error_naming_its_setting():
+    message = "^gap_seconds must be a number that fits in a float, not 1000"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(gap_seconds=10**400)

@@ -248,3 +248,12 @@ def test_make_anomalies_rejects_an_unknown_kind_before_drawing():
     with pytest.raises(ValueError, match="^unknown anomaly kind 'both'$"):
         make_anomalies("both", [make_instance("AB")], 1, RunConfig(), rng)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("kind", ["seq", "ti"])
+def test_make_anomalies_rejects_an_empty_pool_naming_its_kind_before_drawing(kind):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^pool must be non-empty for {kind} anomalies$"):
+        make_anomalies(kind, [], 3, RunConfig(), rng)
+    assert rng.getstate() == state

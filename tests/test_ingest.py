@@ -11,7 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import key, make_instance
@@ -119,6 +119,128 @@ def test_epoch_milliseconds_stop_at_the_last_time_format_timestamp_can_write():
     assert parse_timestamp(str(MAX_TIMESTAMP_MS)) == MAX_TIMESTAMP_MS
     with pytest.raises(ValueError, match="'253402300800000' is after 9999-12-31T23:59:59.999Z"):
         parse_timestamp(str(MAX_TIMESTAMP_MS + 1))
+
+
+# The parser that rewrote a trailing Z or z before its one fromisoformat call,
+# kept unchanged as an exact reference for every token, accepted or not.
+def _rewrite_first_parse_timestamp(token: str) -> int:
+    token = token.strip()
+    if not token.isascii():  # int() and strptime also read other scripts' digits
+        raise ValueError(f"unparseable timestamp {token!r}")
+    if token.isdigit():
+        ms = int(token)
+    else:
+        iso = token[:-1] + "+00:00" if token.endswith(("Z", "z")) else token
+        try:
+            dt = datetime.fromisoformat(iso)
+        except ValueError:
+            try:
+                dt = datetime.strptime(token, "%m/%d/%Y %H:%M:%S")
+            except ValueError:
+                raise ValueError(f"unparseable timestamp {token!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        ms = (dt - ingest.EPOCH_UTC) // ingest.ONE_MS
+    if not 0 <= ms <= MAX_TIMESTAMP_MS:
+        raise ValueError(f"timestamp {token!r} is {ingest._range_error(ms)}")
+    return ms
+
+
+def _two(low: int, high: int) -> st.SearchStrategy[str]:
+    """A zero-padded two-digit field, a little past its valid range on both sides."""
+    return st.integers(low, high).map("{:02d}".format)
+
+
+_YEAR = st.one_of(st.integers(0, 9999).map("{:04d}".format), st.sampled_from(["1970", "9999"]))
+# Extended and basic calendar dates and week dates, some out of range.
+_DATE = st.one_of(
+    st.tuples(_YEAR, _two(0, 13), _two(0, 32)).map("-".join),
+    st.tuples(_YEAR, _two(0, 13), _two(0, 32)).map("".join),
+    st.builds("{}-W{}-{}".format, _YEAR, _two(0, 54), st.integers(0, 8)),
+    st.builds("{}W{}{}".format, _YEAR, _two(0, 54), st.integers(0, 8)),
+)
+_FRACTION = st.one_of(
+    st.just(""),
+    st.builds("{}{}".format, st.sampled_from(".,"), st.text("0123456789", max_size=9)),
+)
+_CLOCK = st.one_of(
+    _two(0, 25),
+    st.tuples(_two(0, 25), _two(0, 61)).map(":".join),
+    st.tuples(_two(0, 25), _two(0, 61), _two(0, 61)).map(":".join),
+    st.tuples(_two(0, 25), _two(0, 61), _two(0, 61)).map("".join),
+)
+_ZONE = st.one_of(
+    st.sampled_from(["Z", "z"]),
+    st.sampled_from(["", "+00:00", "-00:00", "ZZ", "Zz", "zZ"]),
+    st.builds(
+        "{}{}{}{}".format,
+        st.sampled_from("+-"),
+        _two(0, 25),
+        st.sampled_from(["", ":"]),
+        st.one_of(st.just(""), _two(0, 61)),
+    ),
+    st.builds("{}{}:{}Z".format, st.sampled_from("+-"), _two(0, 23), _two(0, 59)),
+)
+# A log's usual form: a date, a time and a zone.
+_DATE_TIME = st.builds(
+    "{}{}{}{}{}".format, _DATE, st.sampled_from("T "), _CLOCK, _FRACTION, _ZONE
+)
+_DATE_ONLY = st.builds("{}{}".format, _DATE, st.one_of(st.just(""), _ZONE))
+_SLASHED = st.builds(
+    "{}/{}/{} {}:{}:{}".format,
+    st.integers(0, 13),
+    st.integers(0, 32),
+    _YEAR,
+    _two(0, 25),
+    _two(0, 61),
+    _two(0, 61),
+)
+_TOKEN = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", " ", "\t", "  "]),
+    st.one_of(
+        _DATE_TIME,
+        _DATE_ONLY,
+        _SLASHED,
+        st.integers(0, 10**8 - 1).map("{:08d}".format),  # all digits: epoch ms, not a date
+        st.integers(0, 10**16).map(str),
+        st.text("0123456789-:+.,/TWZz ", max_size=30),
+        # Digits of other scripts: Arabic-Indic, fullwidth and Devanagari.
+        st.builds(
+            "{}{}".format,
+            st.sampled_from(["٢٠٢١", "２０２１", "२०२१", "2021"]),
+            st.sampled_from(["-10-01T13:00:01Z", "١٠", "-10-01", ""]),
+        ),
+    ),
+    st.sampled_from(["", " ", "\n", "\r\n"]),
+)
+
+
+def _outcome(parse, token: str):
+    """parse(token), or the message of the ValueError it raises."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=1000)
+@given(token=_TOKEN)
+@example(token="2021-10-01T13:00:01Z")
+@example(token="2021-10-01T13:00:01z")
+@example(token="2021-10-01T13:00:01.123456789Z")
+@example(token="2021-10-01Z")
+@example(token="20211101T000000Z")
+@example(token="20211101")
+@example(token="2021-W01-1T00:00:00Z")
+@example(token="2021-10-01T13:00:01+01:00Z")
+@example(token="10/1/2021 13:00:01")
+@example(token="10/1/2021 13:00:01Z")
+@example(token=" 1969-12-31T23:59:59.999Z ")
+@example(token="9999-12-31T23:59:59.999-00:01")
+@example(token="٢٠٢١-10-01T13:00:01Z")
+def test_parse_timestamp_equals_the_rewrite_first_reference(token):
+    assert _outcome(parse_timestamp, token) == _outcome(_rewrite_first_parse_timestamp, token)
 
 
 # The strftime writer that format_timestamp replaced, kept verbatim as an
