@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from json.encoder import encode_basestring_ascii
@@ -204,12 +205,13 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if not 0 <= args.alpha < math.inf:
+        raise ValueError(f"alpha must be a finite number >= 0, not {args.alpha!r}")
     patterns = _load_records(mining.patterns_from_json, args.pattern)
     events = _load_log(args.log)
     for inst in ingest.segment(events, cfg):
         pattern = evaluation.select_pattern(patterns, inst)
-        breakdown = scoring.score(pattern, inst, args.alpha)
-        print(breakdown.total)
+        print(scoring.score(pattern, inst).blend(args.alpha))
     return 0
 
 
@@ -224,7 +226,7 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
     write = sys.stdout.write
     for inst, pattern, verdict in evaluation.judge(patterns, models, ingest.segment(events, cfg)):
         source_id, activity, classification = inst.source_id, pattern.name, verdict.classification
-        total = repr(verdict.breakdown.total)  # always finite, so the text json.dumps writes
+        total = repr(verdict.total)  # always finite, so the text json.dumps writes
         if args.out:
             tail = tails.get((activity, classification))
             if tail is None:

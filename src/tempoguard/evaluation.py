@@ -59,8 +59,8 @@ class ConfusionMatrix(namedtuple("ConfusionMatrix", "tp fn fp tn")):
         return (self.tp + self.tn) / self.total
 
 
-class Verdict(namedtuple("Verdict", "classification breakdown")):
-    """One classification outcome: the call and the score it rests on."""
+class Verdict(namedtuple("Verdict", "classification total breakdown")):
+    """One classification outcome: the call, the total it rests on and that total's parts."""
 
     __slots__ = ()
 
@@ -69,9 +69,10 @@ def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInst
     """Normal iff the total score at the model's weight lands inside [lo, hi]."""
     if model.activity != pattern.name:
         raise ValueError(f"model is for {model.activity!r}, pattern is {pattern.name!r}")
-    breakdown = score(pattern, instance, model.alpha)
-    inside = model.lo <= breakdown.total <= model.hi
-    return Verdict(CLASS_NORMAL if inside else CLASS_ANOMALY, breakdown)
+    breakdown = score(pattern, instance)
+    total = breakdown.blend(model.alpha)
+    inside = model.lo <= total <= model.hi
+    return Verdict(CLASS_NORMAL if inside else CLASS_ANOMALY, total, breakdown)
 
 
 def select_pattern(
@@ -91,8 +92,8 @@ def select_pattern(
     def rank(pattern: ActivityPattern) -> tuple[float, float, str]:
         model = (models or {}).get(pattern.name)
         alpha = model.alpha if model is not None else 1.0
-        b = score(pattern, instance, alpha)
-        return (-b.completeness, -b.total, pattern.name)
+        b = score(pattern, instance)
+        return (-b.completeness, -b.blend(alpha), pattern.name)
 
     return min(patterns, key=rank)
 

@@ -4,9 +4,10 @@ The score has two parts: a completeness fraction (how many pattern events the
 instance matched, in order) and a timing similarity derived from the angle
 between two interval vectors — the instance's elapsed times between its
 matched events, and the pattern's mean intervals with the spans covering any
-missing events summed up. A weight blends the parts:
-
-    total = completeness + weight * timing_similarity
+missing events summed up. `score` returns both parts with the alignment they
+rest on. The total at a timing weight is completeness plus the weight times
+the timing similarity, and `ScoreBreakdown.blend(weight)` is the one place
+that computes it.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ from operator import mul
 from tempoguard.events import ActivityInstance, ActivityPattern, Event
 
 
-class ScoreBreakdown(
-    namedtuple(
-        "ScoreBreakdown",
-        "completeness timing_similarity angle_rad total matched unmatched_test_events",
-    )
-):
-    """Everything score() computes for one (pattern, instance) pair."""
+class ScoreBreakdown(namedtuple("ScoreBreakdown", "completeness timing_similarity pairs")):
+    """What score() computes for one (pattern, instance) pair: the two parts and align's pairs."""
 
     __slots__ = ()
+
+    def blend(self, weight: float) -> float:
+        """The total score at timing weight `weight`."""
+        return self.completeness + weight * self.timing_similarity
 
 
 def align(pattern: ActivityPattern, instance: ActivityInstance) -> tuple[tuple[int, int], ...]:
@@ -104,24 +104,6 @@ def _align_codes(
     return tuple(pairs)
 
 
-def merged_intervals(
-    pattern: ActivityPattern, instance: ActivityInstance, pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Interval vectors between consecutive matched events, given align's pairs.
-
-    Returns (test_intervals, reference_intervals), each of length matched-1.
-    The test side is the instance's elapsed milliseconds between the matched
-    events; the reference side sums the pattern's mean intervals across the
-    span, so an interval bridging a missing pattern event absorbs its means.
-    """
-    if len(pairs) < 2:
-        return (), ()
-    steps, at = zip(*pairs)
-    return tuple(_elapsed_ms(instance.events, at)), tuple(
-        _reference_intervals(pattern.mean_intervals_ms, steps)
-    )
-
-
 def _elapsed_ms(events: tuple[Event, ...], at: tuple[int, ...]) -> list[float]:
     """The milliseconds between consecutive events at the (two or more) indices `at`."""
     test: list[float] = []
@@ -133,25 +115,19 @@ def _elapsed_ms(events: tuple[Event, ...], at: tuple[int, ...]) -> list[float]:
     return test
 
 
-def _reference_intervals(means: tuple[float, ...], steps: tuple[int, ...]) -> list[float]:
-    """The mean intervals summed between consecutive matched pattern steps."""
-    ref: list[float] = []
-    for p0, p1 in zip(steps, steps[1:]):
-        ref.append(float(sum(means[p0:p1])))
-    return ref
-
-
 @lru_cache(maxsize=ALIGN_CACHE_SIZE)
 def _reference_side(
     means: tuple[float, ...], steps: tuple[int, ...]
 ) -> tuple[float, tuple[float, ...]]:
     """The reference intervals between matched `steps` as `_angle_to` takes them.
 
-    That is their norm and, when the norm is not 0, each interval divided by
-    it. They depend on nothing but the pattern's means and the matched steps,
-    so a repeated alignment of one pattern reuses them.
+    Each interval sums the pattern's means between two consecutive matched
+    steps, so one that bridges a missing step absorbs its means. Returned are
+    their norm and, when the norm is not 0, each interval divided by it. They
+    depend on nothing but the means and the steps, so a repeated alignment of
+    one pattern reuses them.
     """
-    ref = _reference_intervals(means, steps)
+    ref = [float(sum(means[p0:p1])) for p0, p1 in zip(steps, steps[1:])]
     norm = math.sqrt(math.fsum(map(mul, ref, ref)))
     return norm, tuple([y / norm for y in ref]) if norm else ()
 
@@ -188,25 +164,18 @@ def _angle_to(u: Sequence[float], v_norm: float, v_unit: Sequence[float]) -> flo
     return 2.0 * math.atan2(math.sqrt(math.fsum(diffs)), math.sqrt(math.fsum(sums)))
 
 
-def score(pattern: ActivityPattern, instance: ActivityInstance, alpha: float) -> ScoreBreakdown:
-    """Score one instance against one pattern with timing weight alpha."""
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be a finite number >= 0, not {alpha!r}")
+def score(pattern: ActivityPattern, instance: ActivityInstance) -> ScoreBreakdown:
+    """Score one instance against one pattern: completeness, timing similarity and pairs."""
     n = len(pattern.keys)  # ActivityPattern has at least one key
     pairs = align(pattern, instance)
     matched = len(pairs)
-    completeness = matched / n
-    theta = 0.0
     if n >= 2 and matched >= 2:
         steps, at = zip(*pairs)
         v_norm, v_unit = _reference_side(pattern.mean_intervals_ms, steps)
-        theta = _angle_to(_elapsed_ms(instance.events, at), v_norm, v_unit)
-        timing = 1.0 - theta / math.pi
+        timing = 1.0 - _angle_to(_elapsed_ms(instance.events, at), v_norm, v_unit) / math.pi
     elif n >= 2:
         timing = 0.0  # fewer than two matches leaves no interval to compare
     else:
         timing = 1.0 if matched == 1 else 0.0
-    total = completeness + alpha * timing
-    unmatched = len(instance.events) - matched
     # ScoreBreakdown checks no field, so tuple.__new__ skips only its generated __new__.
-    return tuple.__new__(ScoreBreakdown, (completeness, timing, theta, total, matched, unmatched))
+    return tuple.__new__(ScoreBreakdown, (matched / n, timing, pairs))

@@ -126,15 +126,15 @@ def sweep(
 ) -> list[tuple[float, float, float, float]]:
     """One (alpha, lo, hi, accuracy) row per weight on the grid, ascending.
 
-    Each instance is scored once; the totals at every weight are blended from
-    that one breakdown with the same expression as scoring.score.
+    Each instance is scored once; its total at every weight is that one
+    breakdown's ScoreBreakdown.blend.
     """
     cfg = cfg or RunConfig()
     require_labeled(labeled, "training")
-    parts = [(inst.label, score(pattern, inst, 0.0)) for inst in labeled]
+    parts = [(inst.label, score(pattern, inst)) for inst in labeled]
     rows = []
     for alpha in alpha_grid(cfg):
-        table = [(label, b.completeness + alpha * b.timing_similarity) for label, b in parts]
+        table = [(label, b.blend(alpha)) for label, b in parts]
         rows.append((alpha, *best_interval(table, cfg.boundary_epsilon)))
     return rows
 
@@ -149,17 +149,14 @@ def curve(
 
     A test instance is right when a normal's total lands inside [lo, hi] or an
     anomaly's outside it, as evaluation.classify judges it. Each is scored
-    once and blended at every weight as sweep blends.
+    once and blended at every weight, as sweep blends.
     """
     if test:
         require_labeled(test, "test")
-    parts = [(inst.label == LABEL_NORMAL, score(pattern, inst, 0.0)) for inst in test]
+    parts = [(inst.label == LABEL_NORMAL, score(pattern, inst)) for inst in test]
     rows = []
     for alpha, lo, hi, accuracy in sweep(pattern, labeled, cfg):
-        right = sum(
-            (lo <= b.completeness + alpha * b.timing_similarity <= hi) == normal
-            for normal, b in parts
-        )
+        right = sum((lo <= b.blend(alpha) <= hi) == normal for normal, b in parts)
         rows.append((alpha, lo, hi, accuracy, right / len(parts) if parts else None))
     return rows
 

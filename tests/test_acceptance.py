@@ -96,7 +96,7 @@ def test_perfect_match_scores_one_plus_alpha(checklist):
             pattern = make_pattern(letters, [float(g) for g in gaps])
             instance = make_instance(letters, gaps)
             for alpha in (0.0, 1.0, 3.0, 5.0):
-                assert abs(score(pattern, instance, alpha).total - (1.0 + alpha)) <= 1e-12
+                assert abs(score(pattern, instance).blend(alpha) - (1.0 + alpha)) <= 1e-12
 
 
 def test_totals_ignore_uniform_time_scaling(checklist):
@@ -107,10 +107,10 @@ def test_totals_ignore_uniform_time_scaling(checklist):
             letters = "ABCDEFGH"[:n]
             gaps = [2 * rng.randint(1, 500_000) for _ in range(n - 1)]  # even, so 0.5x is whole
             pattern = make_pattern(letters, [float(g) for g in gaps])
-            baseline = score(pattern, make_instance(letters, gaps), 3.0).total
+            baseline = score(pattern, make_instance(letters, gaps)).blend(3.0)
             for c in (0.5, 2, 50):
                 scaled = make_instance(letters, [int(g * c) for g in gaps])
-                assert abs(score(pattern, scaled, 3.0).total - baseline) < 1e-9
+                assert abs(score(pattern, scaled).blend(3.0) - baseline) < 1e-9
 
 
 def test_alignment_equals_exhaustive_search(checklist):

@@ -201,9 +201,13 @@ def _seed42_digests() -> dict[str, str]:
     return recorded
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _digests(workdir: Path) -> dict[str, str]:
     """The digest of every file in `workdir`, by name."""
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in workdir.iterdir()}
+    return {path.name: _sha256(path.read_bytes()) for path in workdir.iterdir()}
 
 
 def test_seed42_artifacts_match_the_recorded_digests(tmp_path, capsys, monkeypatch):
@@ -216,6 +220,31 @@ def test_seed42_artifacts_match_the_recorded_digests(tmp_path, capsys, monkeypat
     bench_digests = importlib.import_module("workloads").REFERENCE_DIGESTS
     for name in ("models.json", "report.json"):
         assert recorded[name] == bench_digests[name]
+
+
+# Digests of the seed-42 outputs that are not workdir files, so not in seed42.sha256 (which
+# CI checks against the workdir with `sha256sum --check --strict`): detect's stdout and
+# --out on the run's own log and models, score --alpha 3's stdout and the --stats file.
+SEED42_DETECT_STDOUT = "9d8a77c3bf174261fe845bffe3e8401db96db86567ec41ba930377fded7c7cdf"
+SEED42_DETECT_OUT = "8567b49bf3aeefdb0c2c41d1cb739df5a37d9adaae197e766dc3e98e53290836"
+SEED42_SCORE_ALPHA_3 = "cbfd69322f1d80c5f9e05a707913efcf2eab12461f783ecb2d340ce779e94dab"
+SEED42_STATS = "71af978d1958090448864cc926f1994524ada78b86a77f454b4f8032d975b565"
+
+
+def test_seed42_detect_score_and_stats_outputs_match_their_digests(tmp_path, capsys):
+    workdir, stats, out = tmp_path / "run", tmp_path / "stats.json", tmp_path / "verdicts.jsonl"
+    assert run_cli("pipeline", "--workdir", str(workdir), "--stats", str(stats)) == 0
+    capsys.readouterr()
+    log, patterns = str(workdir / "sim_log.csv"), str(workdir / "patterns.json")
+    argv = ["--log", log, "--models", str(workdir / "models.json"), "--patterns", patterns]
+    assert run_cli("detect", *argv, "--out", str(out)) == 0
+    detected = capsys.readouterr().out
+    assert run_cli("score", "--alpha", "3", "--log", log, "--pattern", patterns) == 0
+    scored = capsys.readouterr().out
+    assert _sha256(detected.encode("utf-8")) == SEED42_DETECT_STDOUT
+    assert _sha256(out.read_bytes()) == SEED42_DETECT_OUT
+    assert _sha256(scored.encode("utf-8")) == SEED42_SCORE_ALPHA_3
+    assert _sha256(stats.read_bytes()) == SEED42_STATS
 
 
 def _alpha_curve_file(path: Path) -> list[dict]:
@@ -437,7 +466,7 @@ def test_detect_lines_equal_json_dumps_and_a_tab_joined_print(no_segments, activ
         (
             make_instance("A", source_id=source_id),
             make_pattern("A", name=activities[k % len(activities)]),
-            evaluation.Verdict(classification, ScoreBreakdown(1.0, 1.0, 0.0, total, 1, 0)),
+            evaluation.Verdict(classification, total, ScoreBreakdown(1.0, 1.0, ((0, 0),))),
         )
         for source_id, k, classification, total in verdicts
     ]
@@ -447,7 +476,7 @@ def test_detect_lines_equal_json_dumps_and_a_tab_joined_print(no_segments, activ
             "source_id": inst.source_id,
             "activity": pattern.name,
             "classification": verdict.classification,
-            "total": verdict.breakdown.total,
+            "total": verdict.total,
         }
         expected_lines.append(json.dumps(record) + "\n")
         print(*record.values(), sep="\t", file=expected_out)
@@ -782,8 +811,8 @@ def test_pattern_longer_than_any_log_is_a_data_error_not_a_nan_total(small_run, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf"])
-def test_score_with_a_non_finite_alpha_is_a_data_error(small_run, capsys, alpha):
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-0.1"])
+def test_score_with_a_negative_or_non_finite_alpha_is_a_data_error(small_run, capsys, alpha):
     argv = ["--pattern", str(small_run / PATTERNS), "--log", str(small_run / "sim_log.csv")]
     assert run_cli("score", *argv, "--alpha", alpha) == 2
     captured = capsys.readouterr()

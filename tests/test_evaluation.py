@@ -67,7 +67,7 @@ def test_classify_boundary_score_counts_as_normal():
     model = model_for(pattern, alpha=0.0, lo=1.0, hi=1.0)  # total is exactly lo
     verdict = classify(model, pattern, make_instance("AB", [1000]))
     assert verdict.classification == CLASS_NORMAL
-    assert verdict.breakdown.total == 1.0
+    assert verdict.total == 1.0
 
 
 def test_classify_below_the_interval_is_anomaly():
@@ -262,10 +262,10 @@ def test_build_report_keeps_counts_not_verdicts(monkeypatch):
     verdicts = []
 
     class Watched:
-        """A verdict's two fields in an object that, unlike a tuple, can be weakly referenced."""
+        """A verdict's fields in an object that, unlike a tuple, can be weakly referenced."""
 
         def __init__(self, verdict):
-            self.classification, self.breakdown = verdict
+            self.classification, self.total, self.breakdown = verdict
 
     def judge_watched(*args):
         for inst, routed, verdict in judge(*args):

@@ -63,15 +63,18 @@ def test_a_replaced_pattern_numbers_its_own_keys():
 
 
 def test_verdict_is_read_only_and_compared_by_its_fields():
-    breakdown = score(make_pattern("AB"), make_instance("AB"), 1.0)
-    verdict = Verdict("normal", breakdown)
-    assert verdict == Verdict("normal", breakdown)
-    assert hash(verdict) == hash(Verdict("normal", breakdown))
-    assert verdict != Verdict("anomaly", breakdown)
-    assert isinstance(verdict, tuple) and Verdict._fields == ("classification", "breakdown")
-    for name in ("classification", "breakdown", "other"):
+    breakdown = score(make_pattern("AB"), make_instance("AB"))
+    verdict = Verdict("normal", 2.0, breakdown)
+    assert verdict == Verdict("normal", 2.0, breakdown)
+    assert hash(verdict) == hash(Verdict("normal", 2.0, breakdown))
+    assert verdict != Verdict("anomaly", 2.0, breakdown)
+    assert isinstance(verdict, tuple)
+    assert Verdict._fields == ("classification", "total", "breakdown")
+    for name in ("classification", "total", "breakdown", "other"):
         with pytest.raises(AttributeError):
             setattr(verdict, name, None)
         with pytest.raises(AttributeError):
             delattr(verdict, name)
-    assert repr(verdict).startswith("Verdict(classification='normal', breakdown=ScoreBreakdown(")
+    assert repr(verdict).startswith(
+        "Verdict(classification='normal', total=2.0, breakdown=ScoreBreakdown("
+    )

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_longest_match, make_instance, make_pattern
 from tempoguard import scoring
-from tempoguard.scoring import align, angle, merged_intervals, score
+from tempoguard.scoring import align, angle, score
 
 # ------------------------------------------------------------------ alignment
 
@@ -124,29 +124,33 @@ def test_align_cache_stays_within_its_bound():
 
 
 # ----------------------------------------------------------- merged intervals
+# score compares the instance's gaps between matched events with the pattern's
+# mean intervals summed across the same steps.
 
 
 def test_merged_intervals_sum_across_a_deleted_event():
     pattern = make_pattern("ABCD", [10, 20, 30])
-    instance = make_instance("ABD", [10, 50])  # C missing; timing consistent
-    test, ref = merged_intervals(pattern, instance, align(pattern, instance))
-    assert test == (10.0, 50.0)
-    assert ref == (10.0, 50.0)
+    instance = make_instance("ABD", [10, 50])  # C missing; its span absorbs 20 + 30
+    b = score(pattern, instance)
+    assert b.pairs == ((0, 0), (1, 1), (3, 2))
+    assert b.completeness == 0.75
+    assert b.timing_similarity == 1.0
 
 
 def test_merged_intervals_on_full_match_are_the_raw_vectors():
     pattern = make_pattern("ABC", [10, 20])
     instance = make_instance("ABC", [11, 19])
-    test, ref = merged_intervals(pattern, instance, align(pattern, instance))
-    assert test == (11.0, 19.0)
-    assert ref == (10.0, 20.0)
+    b = score(pattern, instance)
+    assert b.pairs == ((0, 0), (1, 1), (2, 2))
+    assert b.timing_similarity == 1.0 - angle((11.0, 19.0), (10.0, 20.0)) / math.pi
 
 
 def test_merged_intervals_with_one_match_are_empty():
     pattern = make_pattern("AB", [10])
     instance = make_instance("AX", [10])
-    test, ref = merged_intervals(pattern, instance, align(pattern, instance))
-    assert test == () and ref == ()
+    b = score(pattern, instance)
+    assert b.pairs == ((0, 0),)
+    assert b.timing_similarity == 0.0  # no interval to compare
 
 
 @given(
@@ -171,7 +175,7 @@ def test_merge_conserves_elapsed_time(letters, data):
     pattern = make_pattern(letters, means)
     instance = make_instance(letters[::-1], gaps)  # arbitrary overlap
     pairs = align(pattern, instance)
-    test, ref = merged_intervals(pattern, instance, pairs)
+    test, ref = _reference_merged_intervals(pattern, instance, pairs)
     if len(pairs) >= 2:
         first, last = pairs[0], pairs[-1]
         span = instance.events[last[1]].timestamp_ms - instance.events[first[1]].timestamp_ms
@@ -235,72 +239,61 @@ def test_angle_is_symmetric_and_bounded_for_nonnegative_vectors(u, data):
 def test_score_of_identical_instance_is_one_plus_alpha():
     pattern = make_pattern("ABC", [1000, 58000])
     instance = make_instance("ABC", [1000, 58000])
-    b = score(pattern, instance, 3.0)
+    b = score(pattern, instance)
     assert b.completeness == 1.0
-    assert b.angle_rad == 0.0
     assert b.timing_similarity == 1.0
-    assert b.total == 4.0
+    assert b.blend(3.0) == 4.0
 
 
 def test_score_counts_matched_fraction():
     pattern = make_pattern("ABCDE")
     instance = make_instance("ABCE", [1000, 1000, 2000])
-    b = score(pattern, instance, 0.0)
+    b = score(pattern, instance)
     assert b.completeness == pytest.approx(0.8)
-    assert b.total == pytest.approx(0.8)
+    assert b.blend(0.0) == pytest.approx(0.8)
 
 
 def test_score_of_known_divergent_timing():
     # Frozen alongside the angle reference above: 1 + 3 * (1 - theta/pi).
     pattern = make_pattern("ABC", [10, 20])
     instance = make_instance("ABC", [500, 20])
-    b = score(pattern, instance, 3.0)
-    assert b.total == pytest.approx(2.9809276869952753, abs=1e-12)
+    b = score(pattern, instance)
+    assert b.blend(3.0) == pytest.approx(2.9809276869952753, abs=1e-12)
 
 
 def test_score_single_key_pattern_matched_gets_full_timing_credit():
     pattern = make_pattern("A", [])
-    b = score(pattern, make_instance("A", []), 3.0)
-    assert b.completeness == 1.0 and b.timing_similarity == 1.0 and b.total == 4.0
+    b = score(pattern, make_instance("A", []))
+    assert b.completeness == 1.0 and b.timing_similarity == 1.0 and b.blend(3.0) == 4.0
 
 
 def test_score_single_key_pattern_unmatched_gets_nothing():
     pattern = make_pattern("A", [])
-    b = score(pattern, make_instance("X", []), 3.0)
-    assert b.completeness == 0.0 and b.timing_similarity == 0.0 and b.total == 0.0
+    b = score(pattern, make_instance("X", []))
+    assert b.completeness == 0.0 and b.timing_similarity == 0.0 and b.blend(3.0) == 0.0
 
 
 def test_score_with_fewer_than_two_matches_has_no_timing_evidence():
     pattern = make_pattern("ABC")
-    b = score(pattern, make_instance("AXY"), 5.0)
-    assert b.matched == 1
+    b = score(pattern, make_instance("AXY"))
+    assert len(b.pairs) == 1
     assert b.timing_similarity == 0.0
-    assert b.angle_rad == 0.0
-    assert b.total == pytest.approx(1 / 3)
+    assert b.blend(5.0) == pytest.approx(1 / 3)
 
 
 def test_score_counts_unmatched_test_events():
     pattern = make_pattern("AB")
-    b = score(pattern, make_instance("AXB", [10, 10]), 0.0)
-    assert b.unmatched_test_events == 1
-
-
-def test_score_rejects_negative_alpha():
-    with pytest.raises(ValueError, match="alpha"):
-        score(make_pattern("AB"), make_instance("AB"), -0.1)
-
-
-@pytest.mark.parametrize("alpha", [math.nan, math.inf])
-def test_score_rejects_a_non_finite_alpha(alpha):
-    with pytest.raises(ValueError, match=f"^alpha must be a finite number >= 0, not {alpha}$"):
-        score(make_pattern("AB"), make_instance("AB"), alpha)
+    instance = make_instance("AXB", [10, 10])
+    b = score(pattern, instance)
+    assert b.pairs == ((0, 0), (1, 2))  # X, at index 1, is left out
+    assert len(instance.events) - len(b.pairs) == 1
 
 
 def test_deleting_one_matched_event_costs_exactly_one_nth():
     pattern = make_pattern("ABCDE")
     full = make_instance("ABCDE")
     partial = make_instance("ABDE", [1000, 2000, 1000])
-    drop = score(pattern, full, 0.0).completeness - score(pattern, partial, 0.0).completeness
+    drop = score(pattern, full).completeness - score(pattern, partial).completeness
     assert drop == pytest.approx(1 / 5)
 
 
@@ -311,15 +304,17 @@ def test_deleting_one_matched_event_costs_exactly_one_nth():
 def test_score_total_is_exactly_completeness_plus_weighted_timing(alpha, gaps):
     letters = "ABCDEFG"[: len(gaps) + 1]
     pattern = make_pattern(letters, [g + 1 for g in gaps])
-    b = score(pattern, make_instance(letters, gaps), alpha)
-    assert b.total == b.completeness + alpha * b.timing_similarity
+    b = score(pattern, make_instance(letters, gaps))
+    assert b.blend(alpha) == b.completeness + alpha * b.timing_similarity
     assert 0.0 <= b.completeness <= 1.0
     assert 0.0 <= b.timing_similarity <= 1.0
 
 
-# score, merged_intervals and angle as they were before their loops were
+# score's interval vectors and angle as they were before their loops were
 # tightened, kept verbatim as the reference that every float of the current code
-# must equal bit for bit. The reference score aligns with _reference_align.
+# must equal bit for bit. The reference score aligns with _reference_align and
+# returns (completeness, timing, pairs); its total at a weight alpha is
+# completeness + alpha * timing.
 
 
 def _reference_merged_intervals(pattern, instance, pairs):
@@ -347,30 +342,19 @@ def _reference_angle(u, v):
     return 2.0 * math.atan2(diff, summ)
 
 
-def _reference_score(pattern, instance, alpha):
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be a finite number >= 0, not {alpha!r}")
+def _reference_score(pattern, instance):
     n = len(pattern.keys)  # ActivityPattern has at least one key
     pairs = _reference_align(pattern, instance)
     matched = len(pairs)
     completeness = matched / n
-    theta = 0.0
     if n >= 2 and matched >= 2:
         test, ref = _reference_merged_intervals(pattern, instance, pairs)
-        theta = _reference_angle(test, ref)
-        timing = 1.0 - theta / math.pi
+        timing = 1.0 - _reference_angle(test, ref) / math.pi
     elif n >= 2:
         timing = 0.0  # fewer than two matches leaves no interval to compare
     else:
         timing = 1.0 if matched == 1 else 0.0
-    return scoring.ScoreBreakdown(
-        completeness=completeness,
-        timing_similarity=timing,
-        angle_rad=theta,
-        total=completeness + alpha * timing,
-        matched=matched,
-        unmatched_test_events=len(instance.events) - matched,
-    )
+    return completeness, timing, pairs
 
 
 @st.composite
@@ -396,14 +380,15 @@ def _scored_pair(draw):
 @given(pair=_scored_pair(), alpha=st.floats(min_value=0, max_value=1e6))
 def test_score_equals_the_reference_bit_for_bit(pair, alpha):
     pattern, instance = pair
-    got, expected = score(pattern, instance, alpha), _reference_score(pattern, instance, alpha)
+    got = score(pattern, instance)
+    completeness, timing, pairs = _reference_score(pattern, instance)
     assert type(got) is scoring.ScoreBreakdown
-    assert [repr(field) for field in got] == [repr(field) for field in expected]
-    pairs = align(pattern, instance)
-    assert pairs == _reference_align(pattern, instance)
-    got_vectors = merged_intervals(pattern, instance, pairs)
-    assert repr(got_vectors) == repr(_reference_merged_intervals(pattern, instance, pairs))
-    assert repr(angle(*got_vectors)) == repr(_reference_angle(*got_vectors))
+    assert [repr(field) for field in got] == [repr(completeness), repr(timing), repr(pairs)]
+    assert repr(got.blend(alpha)) == repr(completeness + alpha * timing)
+    assert got.pairs == align(pattern, instance)
+    assert got.completeness == len(got.pairs) / len(pattern.keys)
+    vectors = _reference_merged_intervals(pattern, instance, pairs)
+    assert repr(angle(*vectors)) == repr(_reference_angle(*vectors))
 
 
 @given(
@@ -424,7 +409,7 @@ def test_reference_memo_tells_apart_patterns_whose_key_codes_are_equal():
     for _ in range(2):
         for pattern, letters in ((abc, "ABC"), (xyz, "XYZ"), (abc, "AQC"), (xyz, "XQZ")):
             instance = make_instance(letters, [2000, 3000])
-            got, expected = score(pattern, instance, 1.0), _reference_score(pattern, instance, 1.0)
+            got, expected = score(pattern, instance), _reference_score(pattern, instance)
             assert [repr(field) for field in got] == [repr(field) for field in expected]
     assert scoring._reference_side.cache_info().hits > 0
 
@@ -433,7 +418,7 @@ def test_reference_cache_stays_within_its_bound():
     scoring._reference_side.cache_clear()
     extra = scoring.ALIGN_CACHE_SIZE + 50
     for n in range(extra):  # distinct means: a distinct reference side each time
-        score(make_pattern("AB", [n + 1]), make_instance("AB"), 1.0)
+        score(make_pattern("AB", [n + 1]), make_instance("AB"))
     info = scoring._reference_side.cache_info()
     assert info.misses == extra
     assert info.currsize == info.maxsize == scoring.ALIGN_CACHE_SIZE

@@ -31,7 +31,7 @@ EPSILON = RunConfig().boundary_epsilon
 
 def score_table(pattern, labeled, alpha):
     """One (label, total score) row per instance, in input order: the recount reference."""
-    return [(inst.label, score(pattern, inst, alpha).total) for inst in labeled]
+    return [(inst.label, score(pattern, inst).blend(alpha)) for inst in labeled]
 
 
 def interval_accuracy(rows, lo, hi):
@@ -365,14 +365,14 @@ def test_sweep_scores_each_instance_once(monkeypatch):
     calls = Counter()
     original = training_module.score
 
-    def counting_score(pattern, instance, alpha):
-        calls[alpha] += 1
-        return original(pattern, instance, alpha)
+    def counting_score(pattern, instance):
+        calls[instance] += 1
+        return original(pattern, instance)
 
     monkeypatch.setattr(training_module, "score", counting_score)
     labeled = _separable_training_set()
     sweep(make_pattern("ABC", [10_000, 20_000]), labeled)
-    assert calls == {0.0: len(labeled)}
+    assert calls == Counter(labeled)
 
 
 def test_curve_is_each_sweep_row_with_its_test_accuracy_as_classify_judges_it():
@@ -396,14 +396,14 @@ def test_curve_scores_each_instance_once(monkeypatch):
     calls = Counter()
     original = training_module.score
 
-    def counting_score(pattern, instance, alpha):
-        calls[alpha] += 1
-        return original(pattern, instance, alpha)
+    def counting_score(pattern, instance):
+        calls[instance] += 1
+        return original(pattern, instance)
 
     monkeypatch.setattr(training_module, "score", counting_score)
     labeled = _separable_training_set()
     curve(make_pattern("ABC", [10_000, 20_000]), labeled, labeled[:3])
-    assert calls == {0.0: len(labeled) + 3}
+    assert calls == Counter(labeled + labeled[:3])
 
 
 def test_curve_with_no_test_instances_has_no_test_accuracy():
