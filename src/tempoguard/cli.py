@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from tempoguard import evaluation, forge, ingest, mining, scoring, simulate, training
+from tempoguard import evaluation, forge, ingest, mining, simulate, training
 from tempoguard.config import SETTINGS, RunConfig, UsageError
 from tempoguard.events import ActivityInstance, LABEL_NORMAL, require_labeled
 
@@ -180,7 +180,11 @@ def _cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
 def train_models(
     patterns: list, labeled: list[ActivityInstance], cfg: RunConfig
 ) -> list[training.ScoreModel]:
-    """Route labeled instances to their best pattern and train each activity."""
+    """Route labeled instances to their best pattern and fit each activity's model.
+
+    Each instance is scored once per pattern, while it is routed; training
+    blends the breakdown of the pattern it routes to.
+    """
     groups = evaluation.route(patterns, labeled)
     models = []
     for pattern in patterns:
@@ -190,7 +194,7 @@ def train_models(
 
             logging.getLogger(__name__).warning("no training instances routed to %r", pattern.name)
             continue
-        models.append(training.train(pattern, group, cfg))
+        models.append(training.fit(pattern.name, group, cfg))
     return models
 
 
@@ -210,8 +214,8 @@ def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     patterns = _load_records(mining.patterns_from_json, args.pattern)
     events = _load_log(args.log)
     for inst in ingest.segment(events, cfg):
-        pattern = evaluation.select_pattern(patterns, inst)
-        print(scoring.score(pattern, inst).blend(args.alpha))
+        _, breakdown = evaluation.best_match(patterns, inst)
+        print(breakdown.blend(args.alpha))
     return 0
 
 
@@ -265,7 +269,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """simulate → ingest → mine → augment → forge → train → evaluate.
 
     Writes the PIPELINE_FILES under cfg.workdir, then returns the report
-    dict. The settings are checked, and the log made, before the workdir is.
+    dict. The settings are checked, and the log made, segmented, mined and
+    forged into the training and test sets, before the workdir is made. So a
+    run that one of those stages rejects, such as a ti_multiplier that
+    stretches an interval past any log span, leaves no workdir and no file.
     """
     if cfg.inter_instance_gap_ms <= cfg.gap_ms:
         raise ValueError(
@@ -278,17 +285,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         raise ValueError("test_normal + test_anomaly must be >= 1, or nothing is evaluated")
     specs = simulate.builtin_specs()
     events = simulate.generate(specs, cfg)
-    workdir = Path(cfg.workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    (workdir / "sim_log.csv").write_text(ingest.serialize_log(events, "csv"), encoding="utf-8")
-
     instances = ingest.segment(events, cfg)
-    (workdir / "instances.jsonl").write_text(
-        ingest.instances_to_jsonl(instances), encoding="utf-8"
-    )
-
     patterns = _mine(instances, cfg, simulate.spec_name_map(specs))
-    (workdir / "patterns.json").write_text(mining.patterns_to_json(patterns), encoding="utf-8")
 
     rng_augment = random.Random(cfg.seed + 1)
     rng_forge = random.Random(cfg.seed + 2)
@@ -321,6 +319,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
             + seq_anomalies[cfg.train_anomaly :]
             + ti_anomalies[cfg.train_anomaly :]
         )
+
+    workdir = Path(cfg.workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
+    (workdir / "sim_log.csv").write_text(ingest.serialize_log(events, "csv"), encoding="utf-8")
+    (workdir / "instances.jsonl").write_text(
+        ingest.instances_to_jsonl(instances), encoding="utf-8"
+    )
+    (workdir / "patterns.json").write_text(mining.patterns_to_json(patterns), encoding="utf-8")
     (workdir / "train_set.jsonl").write_text(
         ingest.instances_to_jsonl(train_set), encoding="utf-8"
     )
@@ -338,7 +344,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
 def alpha_curve(workdir: Path, cfg: RunConfig) -> list[dict]:
     """training.curve's rows for each activity with training instances, from a pipeline workdir.
 
-    The training and test sets are routed as train_models routes them.
+    The training and test sets are routed as train_models routes them, and
+    the curve blends the breakdowns that routing made.
     """
     patterns = _load_records(mining.patterns_from_json, workdir / "patterns.json")
     train, test = (
@@ -350,7 +357,7 @@ def alpha_curve(workdir: Path, cfg: RunConfig) -> list[dict]:
         {"activity": pattern.name, **dict(zip(fields, row))}
         for pattern in patterns
         if train[pattern.name]
-        for row in training.curve(pattern, train[pattern.name], test[pattern.name], cfg)
+        for row in training.curve(train[pattern.name], test[pattern.name], cfg)
     ]
 
 

@@ -21,7 +21,7 @@ from tempoguard.events import (
     LABEL_NORMAL,
     require_labeled,
 )
-from tempoguard.scoring import score
+from tempoguard.scoring import ScoreBreakdown, score
 from tempoguard.training import ScoreModel
 
 CLASS_ANOMALY = "anomaly"
@@ -75,40 +75,56 @@ def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInst
     return Verdict(CLASS_NORMAL if inside else CLASS_ANOMALY, total, breakdown)
 
 
+def best_match(
+    patterns: list[ActivityPattern],
+    instance: ActivityInstance,
+    models: dict[str, ScoreModel] | None = None,
+) -> tuple[ActivityPattern, ScoreBreakdown]:
+    """The pattern an instance matches best, with the instance's breakdown against it.
+
+    Highest matched fraction wins; ties go to the higher total score at that
+    pattern's trained weight (1.0 when untrained), then to the
+    lexicographically smallest name. Each pattern scores the instance once.
+    """
+    if not patterns:
+        raise ValueError("patterns must be non-empty")
+    models = models or {}
+    best = None
+    for pattern in patterns:
+        model = models.get(pattern.name)
+        alpha = model.alpha if model is not None else 1.0
+        b = score(pattern, instance)
+        rank = (-b.completeness, -b.blend(alpha), pattern.name)
+        if best is None or rank < best[0]:
+            best = rank, pattern, b
+    return best[1], best[2]
+
+
 def select_pattern(
     patterns: list[ActivityPattern],
     instance: ActivityInstance,
     models: dict[str, ScoreModel] | None = None,
 ) -> ActivityPattern:
-    """Route an instance to the pattern it matches best.
-
-    Highest matched fraction wins; ties go to the higher total score at that
-    pattern's trained weight (1.0 when untrained), then to the
-    lexicographically smallest name.
-    """
-    if not patterns:
-        raise ValueError("patterns must be non-empty")
-
-    def rank(pattern: ActivityPattern) -> tuple[float, float, str]:
-        model = (models or {}).get(pattern.name)
-        alpha = model.alpha if model is not None else 1.0
-        b = score(pattern, instance)
-        return (-b.completeness, -b.blend(alpha), pattern.name)
-
-    return min(patterns, key=rank)
+    """Route an instance to the pattern best_match picks."""
+    return best_match(patterns, instance, models)[0]
 
 
 def route(
     patterns: list[ActivityPattern], instances: list[ActivityInstance]
-) -> dict[str, list[ActivityInstance]]:
-    """Group instances by the pattern select_pattern picks untrained, keyed by pattern name.
+) -> dict[str, list[tuple[ActivityInstance, ScoreBreakdown]]]:
+    """Group instances by the pattern best_match picks untrained, keyed by pattern name.
 
-    Every pattern has a list, empty when nothing routes to it; each list keeps
+    Each instance comes with its ScoreBreakdown against that pattern, so
+    training and the alpha curve blend it without scoring again. Every
+    pattern has a list, empty when nothing routes to it; each list keeps
     input order.
     """
-    groups: dict[str, list[ActivityInstance]] = {p.name: [] for p in patterns}
+    groups: dict[str, list[tuple[ActivityInstance, ScoreBreakdown]]] = {
+        p.name: [] for p in patterns
+    }
     for inst in instances:
-        groups[select_pattern(patterns, inst).name].append(inst)
+        pattern, breakdown = best_match(patterns, inst)
+        groups[pattern.name].append((inst, breakdown))
     return groups
 
 

@@ -29,13 +29,20 @@ def _rebuild(
     label: str,
     source_id: str,
 ) -> ActivityInstance:
-    """New instance with source's keys but the given timing."""
+    """New instance with source's keys but the given timing.
+
+    Every caller passes an int first timestamp >= 0, one int interval >= 0
+    per step of source, a valid label and a str source_id, so the records are
+    built without running their checks again.
+    """
     ts = first_timestamp_ms
-    events = [Event(ts, source.events[0].key)]
+    # Event.__new__'s checks hold: each ts is an int >= 0, and each key is source's EventKey.
+    events = [tuple.__new__(Event, (ts, source.events[0].key))]
     for step, src in zip(new_intervals, source.events[1:]):
         ts += step
-        events.append(Event(ts, src.key))
-    return ActivityInstance(events=tuple(events), label=label, source_id=source_id)
+        events.append(tuple.__new__(Event, (ts, src.key)))
+    # ActivityInstance.__new__'s checks hold: no interval is negative, so time never goes back.
+    return tuple.__new__(ActivityInstance, (tuple(events), label, source_id))
 
 
 def smote_midpoint(p_i: ActivityInstance, p_j: ActivityInstance) -> ActivityInstance:
@@ -46,6 +53,11 @@ def smote_midpoint(p_i: ActivityInstance, p_j: ActivityInstance) -> ActivityInst
     """
     if p_i.key_sequence() != p_j.key_sequence():
         raise ValueError("instances must share one event-key sequence")
+    return _midpoint(p_i, p_j)
+
+
+def _midpoint(p_i: ActivityInstance, p_j: ActivityInstance) -> ActivityInstance:
+    """smote_midpoint without its check, for augment_normals, which checks its whole pool once."""
     mids = [round((a + b) / 2) for a, b in zip(intervals(p_i), intervals(p_j))]
     return _rebuild(
         p_i,
@@ -132,5 +144,5 @@ def augment_normals(
     out: list[ActivityInstance] = []
     for _ in range(target_count):
         i, j = rng.sample(range(len(pool)), 2)
-        out.append(smote_midpoint(pool[i], pool[j]))
+        out.append(_midpoint(pool[i], pool[j]))
     return out

@@ -8,6 +8,8 @@ vector is the component-wise arithmetic mean over the group.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
+from functools import cache
 
 from tempoguard.config import RunConfig
 from tempoguard.events import (
@@ -41,9 +43,11 @@ def build_pattern(name: str, group: list[ActivityInstance]) -> ActivityPattern:
     return ActivityPattern(name=name, keys=keys, mean_intervals_ms=means, support=len(group))
 
 
-def _discrete_events(instance: ActivityInstance) -> ActivityInstance | None:
-    """Drop numeric-valued events; None if nothing discrete remains."""
-    kept = tuple(e for e in instance.events if not is_numeric_value(e.key.state))
+def _discrete_events(
+    instance: ActivityInstance, numeric: Callable[[str], bool]
+) -> ActivityInstance | None:
+    """Drop the events whose state `numeric` holds to be a number; None if none is left."""
+    kept = tuple(e for e in instance.events if not numeric(e.key.state))
     if not kept:
         return None
     if len(kept) == len(instance.events):
@@ -64,10 +68,11 @@ def mine_patterns(
     "pattern-2", ... unless `names` maps a key sequence to a better one.
     """
     cfg = cfg or RunConfig()
+    numeric = cache(is_numeric_value)  # each distinct state is tested once per call
     dropped = 0
     groups: dict[tuple[EventKey, ...], list[ActivityInstance]] = {}
     for inst in instances:
-        cleaned = _discrete_events(inst)
+        cleaned = _discrete_events(inst, numeric)
         dropped += len(inst.events) - (len(cleaned.events) if cleaned else 0)
         if cleaned is None:
             continue

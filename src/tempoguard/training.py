@@ -1,9 +1,13 @@
 """Threshold training: sweep the timing weight and pick the accepted interval.
 
-Every labeled training instance is scored once against the activity's
-pattern. For each weight on a grid, the closed interval of blended scores
-that best separates normal from anomalous rows becomes that activity's
-acceptance band. The weight with the highest training accuracy wins.
+Training blends score breakdowns and scores nothing itself, except in
+`train`. Each labeled training instance comes paired with its
+ScoreBreakdown against the activity's pattern: the one evaluation.route
+made while it grouped the instance (cli.train_models and the alpha curve),
+or the one `train` scores for a caller that holds an activity's instances.
+For each weight on a grid, the closed interval of blended scores that best
+separates normal from anomalous rows becomes that activity's acceptance
+band. The weight with the highest training accuracy wins (`fit`).
 """
 
 from __future__ import annotations
@@ -11,13 +15,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, namedtuple
-from itertools import accumulate
-from operator import sub
 
 from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL
 from tempoguard.events import json_field, json_records, require_labeled
-from tempoguard.scoring import score
+from tempoguard.scoring import ScoreBreakdown, score
 
 
 class ScoreModel(namedtuple("ScoreModel", "activity alpha lo hi training_accuracy")):
@@ -58,24 +60,23 @@ def best_interval(rows: list[tuple[str, float]], epsilon: float) -> tuple[float,
     Accuracy counts normals inside plus anomalies outside. Ties prefer the
     widest interval, then the smallest lo. Returns (lo, hi, accuracy).
 
-    Costs O(m log m) for m rows. Two comprehensions split the rows by label;
-    the rest is C-level calls: a Counter of normals minus anomalies per
-    distinct score, a sort, the prefix sums and their running minimum by
-    itertools.accumulate, and by one map the gain of the best interval ending
-    at each score j (Kadane's maximum-sum run, +1 per normal, -1 per
-    anomaly). For a fixed j the accuracy is best at the start i with the
-    smallest prefix sum below it, and lo_including grows strictly with i, so
-    the earliest such i (the first index of that running minimum) also has
-    the widest interval and the smallest lo. Only the ends j with the best
-    gain become candidates, in ascending order, and max keeps the first of
-    any tied candidates, as a scan of every (i, j) pair would.
+    Costs O(m log m) for m rows. Two Counters count the normals and the
+    anomalies at each distinct score, and a sort orders those scores. One
+    loop then runs Kadane's maximum-sum run over them (+1 per normal, -1 per
+    anomaly): it keeps the prefix sum, its running minimum and the first
+    index that reached that minimum, and the gain of the best interval
+    ending at each score j. For a fixed j the accuracy is best at the start i
+    with the smallest prefix sum below it, and lo_including grows strictly
+    with i, so the earliest such i also has the widest interval and the
+    smallest lo. Only the ends j with the best gain become candidates, in
+    ascending order, and max keeps the first of any tied candidates, as a
+    scan of every (i, j) pair would.
     """
     if not rows:
         raise ValueError("rows must be non-empty")
-    anomalies = [s for label, s in rows if label != LABEL_NORMAL]
-    net_at = Counter([s for label, s in rows if label == LABEL_NORMAL])
-    net_at.subtract(anomalies)
-    scores = sorted(net_at)
+    normals = Counter([s for label, s in rows if label == LABEL_NORMAL])
+    anomalies = Counter([s for label, s in rows if label != LABEL_NORMAL])
+    scores = sorted(normals.keys() | anomalies.keys())
     m = len(scores)
 
     def lo_including(i: int) -> float:
@@ -99,21 +100,26 @@ def best_interval(rows: list[tuple[str, float]], epsilon: float) -> tuple[float,
     # Maximize (gain, width, -lo), where gain is normals minus anomalies
     # inside; every achievable selection is a contiguous run of distinct
     # scores, or no scores at all (gain 0).
-    upto = list(accumulate(map(net_at.__getitem__, scores), initial=0))
-    lows = list(accumulate(upto[:-1], min))  # lows[j]: smallest of upto[:j + 1]
-    gains = list(map(sub, upto[1:], lows))
-    best_gain = max(gains)
-    candidates = [
-        (best_gain, *_span(lo_including(lows.index(lows[j])), hi_including(j)))
-        for j, gain in enumerate(gains)
-        if gain == best_gain
-    ]
+    normals_at, anomalies_at = normals.get, anomalies.get
+    upto = low = low_at = 0  # prefix sum through scores[j]; min of those before; its first index
+    best_gain = -math.inf
+    ends: list[tuple[int, int]] = []  # (start, end) of each run with the best gain so far
+    for j, s in enumerate(scores):
+        upto += normals_at(s, 0) - anomalies_at(s, 0)
+        gain = upto - low
+        if gain > best_gain:
+            best_gain, ends = gain, [(low_at, j)]
+        elif gain == best_gain:
+            ends.append((low_at, j))
+        if upto < low:
+            low, low_at = upto, j + 1
+    candidates = [(best_gain, *_span(lo_including(i), hi_including(j))) for i, j in ends]
     if best_gain <= 0:  # only then can rejecting every row tie or win
         empty = [(scores[0] - epsilon,) * 2, (scores[-1] + epsilon,) * 2]
         empty += [(a + epsilon, b - epsilon) for a, b in zip(scores, scores[1:])]
         candidates += [(0, *_span(lo, hi)) for lo, hi in empty if lo <= hi]
     gain, _, _, lo, hi = max(candidates, key=lambda cand: cand[:3])
-    return lo, hi, (len(anomalies) + gain) / len(rows)
+    return lo, hi, (anomalies.total() + gain) / len(rows)
 
 
 def _span(lo: float, hi: float) -> tuple[float, float, float, float]:
@@ -122,55 +128,64 @@ def _span(lo: float, hi: float) -> tuple[float, float, float, float]:
 
 
 def sweep(
-    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: RunConfig | None = None
+    scored: list[tuple[ActivityInstance, ScoreBreakdown]], cfg: RunConfig | None = None
 ) -> list[tuple[float, float, float, float]]:
     """One (alpha, lo, hi, accuracy) row per weight on the grid, ascending.
 
-    Each instance is scored once; its total at every weight is that one
-    breakdown's ScoreBreakdown.blend.
+    `scored` pairs each labeled instance with its breakdown against one
+    pattern, as evaluation.route pairs them; an instance's total at every
+    weight is its breakdown's ScoreBreakdown.blend.
     """
     cfg = cfg or RunConfig()
-    require_labeled(labeled, "training")
-    parts = [(inst.label, score(pattern, inst)) for inst in labeled]
+    require_labeled([inst for inst, _ in scored], "training")
     rows = []
     for alpha in alpha_grid(cfg):
-        table = [(label, b.blend(alpha)) for label, b in parts]
+        table = [(inst.label, b.blend(alpha)) for inst, b in scored]
         rows.append((alpha, *best_interval(table, cfg.boundary_epsilon)))
     return rows
 
 
 def curve(
-    pattern: ActivityPattern,
-    labeled: list[ActivityInstance],
-    test: list[ActivityInstance],
+    scored: list[tuple[ActivityInstance, ScoreBreakdown]],
+    test: list[tuple[ActivityInstance, ScoreBreakdown]],
     cfg: RunConfig | None = None,
 ) -> list[tuple[float, float, float, float, float | None]]:
     """sweep's rows, each with its accuracy on `test` appended (None when `test` is empty).
 
-    A test instance is right when a normal's total lands inside [lo, hi] or an
-    anomaly's outside it, as evaluation.classify judges it. Each is scored
-    once and blended at every weight, as sweep blends.
+    `test` pairs instances with breakdowns as `scored` does. A test instance
+    is right when a normal's total lands inside [lo, hi] or an anomaly's
+    outside it, as evaluation.classify judges it; each breakdown is blended
+    at every weight, as sweep blends.
     """
     if test:
-        require_labeled(test, "test")
-    parts = [(inst.label == LABEL_NORMAL, score(pattern, inst)) for inst in test]
+        require_labeled([inst for inst, _ in test], "test")
+    parts = [(inst.label == LABEL_NORMAL, b) for inst, b in test]
     rows = []
-    for alpha, lo, hi, accuracy in sweep(pattern, labeled, cfg):
+    for alpha, lo, hi, accuracy in sweep(scored, cfg):
         right = sum((lo <= b.blend(alpha) <= hi) == normal for normal, b in parts)
         rows.append((alpha, lo, hi, accuracy, right / len(parts) if parts else None))
     return rows
 
 
-def train(
-    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: RunConfig | None = None
+def fit(
+    activity: str,
+    scored: list[tuple[ActivityInstance, ScoreBreakdown]],
+    cfg: RunConfig | None = None,
 ) -> ScoreModel:
-    """Pick the sweep weight (and its interval) with the best training accuracy.
+    """The sweep row with the best training accuracy, as `activity`'s model.
 
     Ties resolve to the smallest weight: the first sweep row with the highest
     accuracy wins.
     """
-    alpha, lo, hi, acc = max(sweep(pattern, labeled, cfg), key=lambda row: row[3])
-    return ScoreModel(activity=pattern.name, alpha=alpha, lo=lo, hi=hi, training_accuracy=acc)
+    alpha, lo, hi, acc = max(sweep(scored, cfg), key=lambda row: row[3])
+    return ScoreModel(activity=activity, alpha=alpha, lo=lo, hi=hi, training_accuracy=acc)
+
+
+def train(
+    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: RunConfig | None = None
+) -> ScoreModel:
+    """Score each labeled instance once against `pattern`, then fit the pattern's model."""
+    return fit(pattern.name, [(inst, score(pattern, inst)) for inst in labeled], cfg)
 
 
 def models_to_json(models: list[ScoreModel]) -> str:

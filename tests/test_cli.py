@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
-from tempoguard import evaluation
+from tempoguard import evaluation, scoring, training
 from tempoguard.cli import (
     PIPELINE_FILES,
     RunConfig,
@@ -286,7 +287,7 @@ def test_pipeline_stats_test_accuracy_is_classify_over_the_routed_test_set(tmp_p
     patterns = patterns_from_json((workdir / "patterns.json").read_text(encoding="utf-8"))
     test_set = instances_from_jsonl((workdir / "test_set.jsonl").read_text(encoding="utf-8"))
     pattern = patterns[0]
-    group = evaluation.route(patterns, test_set)[pattern.name]
+    group = [inst for inst, _ in evaluation.route(patterns, test_set)[pattern.name]]
     rows = [row for row in _alpha_curve_file(stats) if row["activity"] == pattern.name]
     assert len(rows) == len(alpha_grid(RunConfig()))
     assert len({row["test_accuracy"] for row in rows}) > 1
@@ -304,13 +305,45 @@ def test_alpha_curve_skips_an_untrained_activity_and_has_no_accuracy_without_tes
     for name, keep in (("train_set.jsonl", 2), ("test_set.jsonl", 1)):
         labeled = instances_from_jsonl((small_run / name).read_text(encoding="utf-8"))
         groups = evaluation.route(patterns, labeled)
-        kept = [inst for p in patterns[:keep] for inst in groups[p.name]]
+        kept = [inst for p in patterns[:keep] for inst, _ in groups[p.name]]
         (tmp_path / name).write_text(instances_to_jsonl(kept), encoding="utf-8")
     rows = alpha_curve(tmp_path, RunConfig())
     tested, untested = (p.name for p in patterns[:2])
     assert {row["activity"] for row in rows} == {tested, untested}
     for row in rows:
         assert (row["test_accuracy"] is None) == (row["activity"] == untested)
+
+
+def _count_scores(monkeypatch) -> Counter:
+    """Count score calls per instance through every module that scores."""
+    calls = Counter()
+
+    def counting_score(pattern, instance):
+        calls[instance] += 1
+        return scoring.score(pattern, instance)
+
+    for module in (evaluation, training):
+        monkeypatch.setattr(module, "score", counting_score)
+    return calls
+
+
+def test_alpha_curve_scores_each_instance_once_per_pattern(small_run, monkeypatch):
+    patterns = patterns_from_json((small_run / "patterns.json").read_text(encoding="utf-8"))
+    labeled = [
+        instances_from_jsonl((small_run / name).read_text(encoding="utf-8"))
+        for name in ("train_set.jsonl", "test_set.jsonl")
+    ]
+    calls = _count_scores(monkeypatch)
+    assert alpha_curve(small_run, RunConfig())
+    assert calls == Counter((labeled[0] + labeled[1]) * len(patterns))
+
+
+def test_train_models_scores_each_instance_once_per_pattern(small_run, monkeypatch):
+    patterns = patterns_from_json((small_run / "patterns.json").read_text(encoding="utf-8"))
+    labeled = instances_from_jsonl((small_run / "train_set.jsonl").read_text(encoding="utf-8"))
+    calls = _count_scores(monkeypatch)
+    assert len(train_models(patterns, labeled, RunConfig())) == len(patterns)
+    assert calls == Counter(labeled * len(patterns))
 
 
 def test_pipeline_config_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
@@ -586,11 +619,14 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
         ("--inter-instance-gap-ms=1000000000000000",
          "inter_instance_gap_ms (1000000000000000 ms) puts the last event at 149001633050006363 "
          "ms, after 9999-12-31T23:59:59.999Z (253402300799999 ms)"),
+        ("--ti-multiplier=1.2e10",
+         "instance 'seg-0069': ti_multiplier 12000000000.0 stretches a 23939 ms interval past "
+         "253402300799999 ms"),
     ],
     ids=[
         "gap_seconds=0", "alpha_step=0", "gap_seconds=700", "train_normal=-5", "test_anomaly=-3",
         "alpha_min=-1", "train_normal=0,train_anomaly=0", "test_normal=0,test_anomaly=0",
-        "inter_instance_gap_ms=1e15",
+        "inter_instance_gap_ms=1e15", "ti_multiplier=1.2e10",
     ],
 )
 def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, flags, message):

@@ -13,6 +13,7 @@ from tempoguard.evaluation import (
     CLASS_ANOMALY,
     CLASS_NORMAL,
     ConfusionMatrix,
+    best_match,
     build_report,
     classify,
     judge,
@@ -20,6 +21,7 @@ from tempoguard.evaluation import (
     route,
     select_pattern,
 )
+from tempoguard.scoring import score
 from tempoguard.training import ScoreModel
 
 N, S, T = LABEL_NORMAL, LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI
@@ -115,9 +117,27 @@ def test_route_groups_every_instance_under_its_selected_pattern():
     patterns = [make_pattern(letters, name=letters.lower()) for letters in ("AB", "CD", "EF")]
     cd, ab, abx, c = (make_instance(letters) for letters in ("CD", "AB", "ABX", "C"))
     groups = route(patterns, [cd, ab, abx, c])
-    assert groups == {"ab": [ab, abx], "cd": [cd, c], "ef": []}
+    by_name = {p.name: p for p in patterns}
+    assert {name: [inst for inst, _ in group] for name, group in groups.items()} == {
+        "ab": [ab, abx], "cd": [cd, c], "ef": []
+    }
     for name, group in groups.items():
-        assert all(select_pattern(patterns, inst).name == name for inst in group)
+        assert all(select_pattern(patterns, inst).name == name for inst, _ in group)
+        assert all(b == score(by_name[name], inst) for inst, b in group)
+
+
+def test_best_match_is_select_patterns_pick_with_its_breakdown():
+    slow = make_pattern("AB", [1000], name="slow")
+    fast = make_pattern("AB", [100_000], name="fast")
+    models = {
+        "slow": model_for(slow, alpha=5.0, lo=0.0, hi=9.0),
+        "fast": model_for(fast, alpha=0.0, lo=0.0, hi=9.0),
+    }
+    inst = make_instance("AB", [1000])
+    for trained in (None, models):
+        pattern, breakdown = best_match([fast, slow], inst, trained)
+        assert pattern is select_pattern([fast, slow], inst, trained)
+        assert breakdown == score(pattern, inst)
 
 
 def test_select_pattern_rejects_empty_pattern_list():

@@ -34,6 +34,11 @@ def score_table(pattern, labeled, alpha):
     return [(inst.label, score(pattern, inst).blend(alpha)) for inst in labeled]
 
 
+def scored(pattern, labeled):
+    """Each instance with its breakdown against `pattern`, as evaluation.route pairs them."""
+    return [(inst, score(pattern, inst)) for inst in labeled]
+
+
 def interval_accuracy(rows, lo, hi):
     """Recount accuracy for a closed interval, straight from the definition."""
     correct = 0
@@ -102,12 +107,12 @@ def test_score_table_has_one_row_per_instance_in_order():
 def test_sweep_rejects_unlabeled_instances():
     pattern = make_pattern("AB", [10])
     with pytest.raises(ValueError, match="unlabeled"):
-        sweep(pattern, [make_instance("AB", [10])])
+        sweep(scored(pattern, [make_instance("AB", [10])]))
 
 
 def test_sweep_rejects_empty_input():
     with pytest.raises(ValueError, match="empty"):
-        sweep(make_pattern("AB", [10]), [])
+        sweep([])
 
 
 def test_best_interval_separates_separable_scores():
@@ -358,10 +363,10 @@ def test_sweep_has_one_row_per_grid_weight_refit_from_a_score_table():
         (alpha, *best_interval(score_table(pattern, labeled, alpha), cfg.boundary_epsilon))
         for alpha in alpha_grid(cfg)
     ]
-    assert sweep(pattern, labeled, cfg) == expected
+    assert sweep(scored(pattern, labeled), cfg) == expected
 
 
-def test_sweep_scores_each_instance_once(monkeypatch):
+def test_train_scores_each_instance_once(monkeypatch):
     calls = Counter()
     original = training_module.score
 
@@ -371,7 +376,7 @@ def test_sweep_scores_each_instance_once(monkeypatch):
 
     monkeypatch.setattr(training_module, "score", counting_score)
     labeled = _separable_training_set()
-    sweep(make_pattern("ABC", [10_000, 20_000]), labeled)
+    train(make_pattern("ABC", [10_000, 20_000]), labeled)
     assert calls == Counter(labeled)
 
 
@@ -385,30 +390,16 @@ def test_curve_is_each_sweep_row_with_its_test_accuracy_as_classify_judges_it():
         make_instance("ABC", [12_000, 18_000], label=N),
     ]
     cfg = RunConfig(alpha_max=2.0, alpha_step=0.25, boundary_epsilon=1e-6)
-    rows = curve(pattern, labeled, test, cfg)
-    assert [row[:4] for row in rows] == sweep(pattern, labeled, cfg)
+    rows = curve(scored(pattern, labeled), scored(pattern, test), cfg)
+    assert [row[:4] for row in rows] == sweep(scored(pattern, labeled), cfg)
     for alpha, lo, hi, train_acc, test_acc in rows:
         model = ScoreModel("p", alpha, lo, hi, train_acc)
         assert test_acc == build_report([pattern], {"p": model}, test)["overall"]["accuracy"]
 
 
-def test_curve_scores_each_instance_once(monkeypatch):
-    calls = Counter()
-    original = training_module.score
-
-    def counting_score(pattern, instance):
-        calls[instance] += 1
-        return original(pattern, instance)
-
-    monkeypatch.setattr(training_module, "score", counting_score)
-    labeled = _separable_training_set()
-    curve(make_pattern("ABC", [10_000, 20_000]), labeled, labeled[:3])
-    assert calls == Counter(labeled + labeled[:3])
-
-
 def test_curve_with_no_test_instances_has_no_test_accuracy():
     pattern = make_pattern("ABC", [10_000, 20_000])
-    rows = curve(pattern, _separable_training_set(), [])
+    rows = curve(scored(pattern, _separable_training_set()), [])
     assert rows and all(row[4] is None for row in rows)
 
 
@@ -416,13 +407,13 @@ def test_curve_rejects_an_unlabeled_test_instance():
     pattern = make_pattern("AB", [10])
     test = [make_instance("AB", [10], source_id="seg-0003")]
     with pytest.raises(ValueError, match="^unlabeled instance 'seg-0003' in test set$"):
-        curve(pattern, [make_instance("AB", [10], label=N)], test)
+        curve(scored(pattern, [make_instance("AB", [10], label=N)]), scored(pattern, test))
 
 
 def test_train_takes_the_first_sweep_row_with_the_best_accuracy():
     pattern = make_pattern("ABC", [10_000, 20_000])
     labeled = _separable_training_set()
-    rows = sweep(pattern, labeled)
+    rows = sweep(scored(pattern, labeled))
     best = max(acc for _, _, _, acc in rows)
     alpha, lo, hi, acc = next(row for row in rows if row[3] == best)
     assert train(pattern, labeled) == ScoreModel("p", alpha, lo, hi, acc)
