@@ -139,22 +139,11 @@ def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _mine(instances: list[ActivityInstance], cfg: RunConfig, names: dict | None = None) -> list:
-    """mine_patterns at cfg's thresholds; mining no pattern at all is a data error."""
-    patterns = mining.mine_patterns(instances, cfg, names)
-    if not patterns:
-        distinct = len({inst.key_sequence() for inst in instances})
-        raise ValueError(
-            f"no pattern mined (segments: {len(instances)}, distinct key sequences: "
-            f"{distinct}); lower min_support or min_len, or add data"
-        )
-    return patterns
-
-
 def _cmd_mine(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.out])
     instances = _parse_file(ingest.instances_from_jsonl, args.instances)
-    _write_or_print(mining.patterns_to_json(_mine(instances, cfg)), args.out)
+    patterns = [pattern for pattern, _ in mining.mine_patterns(instances, cfg)]
+    _write_or_print(mining.patterns_to_json(patterns), args.out)
     return 0
 
 
@@ -286,7 +275,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     specs = simulate.builtin_specs()
     events = simulate.generate(specs, cfg)
     instances = ingest.segment(events, cfg)
-    patterns = _mine(instances, cfg, simulate.spec_name_map(specs))
+    mined = mining.mine_patterns(instances, cfg, simulate.spec_name_map(specs))
+    patterns = [pattern for pattern, _ in mined]
 
     rng_augment = random.Random(cfg.seed + 1)
     rng_forge = random.Random(cfg.seed + 2)
@@ -295,12 +285,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     anomalies_per_type = cfg.train_anomaly + cfg.test_anomaly
     train_set: list[ActivityInstance] = []
     test_set: list[ActivityInstance] = []
-    for pattern in patterns:
-        originals = [
-            inst._replace(label=LABEL_NORMAL)
-            for inst in instances
-            if inst.key_sequence() == pattern.keys
-        ]
+    for _, segments in mined:
+        originals = [inst._replace(label=LABEL_NORMAL) for inst in segments]
         synthetic = forge.augment_normals(
             originals, max(0, normal_target - len(originals)), rng_augment
         )

@@ -2,7 +2,9 @@
 
 Instances are grouped by their exact event-key sequence; every group that is
 frequent enough (and long enough) becomes one pattern whose reference interval
-vector is the component-wise arithmetic mean over the group.
+vector is the component-wise arithmetic mean over the group. Mining is the one
+place that decides which segments make each pattern: callers take them from the
+(pattern, segments) pairs that `mine_patterns` returns.
 """
 
 from __future__ import annotations
@@ -24,25 +26,6 @@ from tempoguard.events import (
 )
 
 
-def build_pattern(name: str, group: list[ActivityInstance]) -> ActivityPattern:
-    """Average a group of identically-sequenced instances into one pattern."""
-    if not group:
-        raise ValueError("group must be non-empty")
-    keys = group[0].key_sequence()
-    for inst in group[1:]:
-        other = inst.key_sequence()
-        if other != keys:
-            limit = min(len(keys), len(other))
-            pos = next(
-                (k for k in range(limit) if keys[k] != other[k]),
-                limit,
-            )
-            raise ValueError(f"mismatch at {pos}")
-    vectors = [intervals(inst) for inst in group]
-    means = tuple(sum(col) / len(group) for col in zip(*vectors))
-    return ActivityPattern(name=name, keys=keys, mean_intervals_ms=means, support=len(group))
-
-
 def _discrete_events(
     instance: ActivityInstance, numeric: Callable[[str], bool]
 ) -> ActivityInstance | None:
@@ -59,13 +42,17 @@ def mine_patterns(
     instances: list[ActivityInstance],
     cfg: RunConfig | None = None,
     names: dict[tuple[EventKey, ...], str] | None = None,
-) -> list[ActivityPattern]:
-    """Group instances by exact key sequence and keep the frequent ones.
+) -> list[tuple[ActivityPattern, list[ActivityInstance]]]:
+    """Group instances by exact key sequence; each frequent group becomes a pattern.
 
+    Returns (pattern, segments) pairs, where segments are the numeric-free
+    copies of the instances the pattern was averaged from, in input order.
     Numeric-valued events are ignored (a warning reports how many). Patterns
     come back sorted by support descending, then by key sequence as strings,
-    so the result is independent of input order; names are "pattern-1",
+    so the patterns do not depend on input order; names are "pattern-1",
     "pattern-2", ... unless `names` maps a key sequence to a better one.
+    Mining no pattern at all is a ValueError that counts the segments and
+    the distinct key sequences left once numeric events are dropped.
     """
     cfg = cfg or RunConfig()
     numeric = cache(is_numeric_value)  # each distinct state is tested once per call
@@ -83,13 +70,19 @@ def mine_patterns(
         logger = logging.getLogger(__name__)
         logger.warning("ignored %d numeric-valued events during mining", dropped)
 
-    patterns: list[ActivityPattern] = []
+    mined: list[tuple[ActivityPattern, list[ActivityInstance]]] = []
     for keys, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
         if len(group) < cfg.min_support or len(keys) < cfg.min_len:
             continue
-        name = (names or {}).get(keys, f"pattern-{len(patterns) + 1}")
-        patterns.append(build_pattern(name, group))
-    return patterns
+        means = tuple(sum(col) / len(group) for col in zip(*map(intervals, group)))
+        name = (names or {}).get(keys, f"pattern-{len(mined) + 1}")
+        mined.append((ActivityPattern(name, keys, means, len(group)), group))
+    if not mined:
+        raise ValueError(
+            f"no pattern mined (segments: {len(instances)}, distinct key sequences: "
+            f"{len(groups)}); lower min_support or min_len, or add data"
+        )
+    return mined
 
 
 def patterns_to_json(patterns: list[ActivityPattern]) -> str:

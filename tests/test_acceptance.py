@@ -217,7 +217,7 @@ def test_everything_survives_serialization(checklist):
         assert parse_log(serialize_log(events, "csv")) == events
         assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
         instances = [make_instance("ABC", [10, 20]) for _ in range(5)]
-        patterns = mine_patterns(instances)
+        patterns = [pattern for pattern, _ in mine_patterns(instances)]
         assert patterns_from_json(patterns_to_json(patterns)) == patterns
         models = [
             ScoreModel(activity="a", alpha=0.3, lo=1.1, hi=2.2, training_accuracy=0.98),

@@ -27,7 +27,7 @@ from tempoguard.cli import (
     run_pipeline,
     train_models,
 )
-from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL, MAX_TIMESTAMP_MS
+from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL, MAX_TIMESTAMP_MS, ActivityInstance
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
 from tempoguard.scoring import ScoreBreakdown
 from tempoguard.mining import patterns_from_json
@@ -344,6 +344,24 @@ def test_train_models_scores_each_instance_once_per_pattern(small_run, monkeypat
     calls = _count_scores(monkeypatch)
     assert len(train_models(patterns, labeled, RunConfig())) == len(patterns)
     assert calls == Counter(labeled * len(patterns))
+
+
+def test_pipeline_builds_each_key_sequence_once_in_mining_and_once_in_augment(
+    tmp_path, monkeypatch
+):
+    calls = 0
+    key_sequence = ActivityInstance.key_sequence
+
+    def counting_key_sequence(self):
+        nonlocal calls
+        calls += 1
+        return key_sequence(self)
+
+    monkeypatch.setattr(ActivityInstance, "key_sequence", counting_key_sequence)
+    run_pipeline(RunConfig(workdir=str(tmp_path / "run")))
+    segments = (tmp_path / "run" / "instances.jsonl").read_text(encoding="utf-8").count("\n")
+    # One per segment as mining groups it, one per pool member as augment_normals checks its pool.
+    assert (segments, calls) == (150, 2 * segments)
 
 
 def test_pipeline_config_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
@@ -1117,6 +1135,25 @@ def test_mining_no_pattern_is_a_data_error(tmp_path, capsys):
     workdir = tmp_path / "run"
     assert run_cli("pipeline", "--workdir", str(workdir), "--min-support", "1000") == 2
     assert "no pattern mined (segments: 150, distinct key sequences: 3)" in capsys.readouterr().err
+
+
+def test_no_pattern_error_counts_the_key_sequences_left_once_numeric_events_are_dropped(
+    tmp_path, capsys
+):
+    # Three bursts, each with its own temperature: 3 raw key sequences, 1 once readings go.
+    rows = [
+        f"{start},A,contact,open\n{start + 1000},T1,temperature,{reading}\n"
+        f"{start + 2000},B,switch,on\n"
+        for start, reading in zip((3_600_000, 7_200_000, 10_800_000), ("21", "21.5", "22"))
+    ]
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,device,attribute,value\n" + "".join(rows), encoding="utf-8")
+    inst = tmp_path / "instances.jsonl"
+    assert run_cli("ingest", str(log), "--out", str(inst)) == 0
+    assert len(instances_from_jsonl(inst.read_text(encoding="utf-8"))) == 3
+    capsys.readouterr()
+    assert run_cli("mine", str(inst), "--min-support", "5") == 2
+    assert "no pattern mined (segments: 3, distinct key sequences: 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", ["１０００", "²"])

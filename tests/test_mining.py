@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -11,17 +12,17 @@ from conftest import key, make_instance
 from tempoguard.cli import run
 from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, Event, EventKey
-from tempoguard.mining import (
-    build_pattern,
-    mine_patterns,
-    patterns_from_json,
-    patterns_to_json,
-)
+from tempoguard.mining import mine_patterns, patterns_from_json, patterns_to_json
+
+
+def _patterns(instances, cfg=None, names=None) -> list:
+    """The patterns of mine_patterns' (pattern, segments) pairs."""
+    return [pattern for pattern, _ in mine_patterns(instances, cfg, names)]
 
 
 def test_identical_sequences_average_into_one_pattern():
     instances = [make_instance("ABC", g) for g in ([10, 20], [12, 22], [14, 24])]
-    patterns = mine_patterns(instances, RunConfig(min_support=3))
+    patterns = _patterns(instances, RunConfig(min_support=3))
     assert len(patterns) == 1
     assert patterns[0].mean_intervals_ms == (12.0, 22.0)
     assert patterns[0].support == 3
@@ -29,12 +30,14 @@ def test_identical_sequences_average_into_one_pattern():
 
 def test_support_threshold_filters_small_groups():
     instances = [make_instance("ABC") for _ in range(4)] + [make_instance("XYZ")]
-    assert mine_patterns(instances, RunConfig(min_support=5)) == []
+    with pytest.raises(ValueError, match="no pattern mined") as exc:
+        mine_patterns(instances, RunConfig(min_support=5))
+    assert "(segments: 5, distinct key sequences: 2)" in str(exc.value)
 
 
 def test_five_identical_sequences_reach_default_support():
     instances = [make_instance("ABC") for _ in range(5)]
-    patterns = mine_patterns(instances)
+    patterns = _patterns(instances)
     assert len(patterns) == 1
     assert patterns[0].keys == (key("A"), key("B"), key("C"))
     assert patterns[0].support == 5
@@ -42,11 +45,14 @@ def test_five_identical_sequences_reach_default_support():
 
 def test_min_len_filters_short_sequences():
     instances = [make_instance("A", []) for _ in range(6)]
-    assert mine_patterns(instances, RunConfig(min_support=5, min_len=2)) == []
+    with pytest.raises(ValueError, match="no pattern mined"):
+        mine_patterns(instances, RunConfig(min_support=5, min_len=2))
 
 
-def test_empty_input_yields_empty_list():
-    assert mine_patterns([]) == []
+def test_empty_input_mines_no_pattern():
+    with pytest.raises(ValueError, match="no pattern mined") as exc:
+        mine_patterns([])
+    assert "(segments: 0, distinct key sequences: 0)" in str(exc.value)
 
 
 def test_numeric_valued_events_are_ignored_with_a_warning(caplog):
@@ -57,7 +63,7 @@ def test_numeric_valued_events_are_ignored_with_a_warning(caplog):
     )
     instances = [ActivityInstance(events=events) for _ in range(5)]
     with caplog.at_level(logging.WARNING):
-        patterns = mine_patterns(instances)
+        patterns = _patterns(instances)
     assert len(patterns) == 1
     assert patterns[0].keys == (key("A"), key("B"))
     assert patterns[0].mean_intervals_ms == (2000.0,)
@@ -73,7 +79,7 @@ def test_an_instance_of_only_numeric_events_is_left_out_of_mining(caplog):
     )
     instances = [make_instance("AB") for _ in range(5)] + [readings] * 5
     with caplog.at_level(logging.WARNING):
-        patterns = mine_patterns(instances)
+        patterns = _patterns(instances)
     assert [p.keys for p in patterns] == [(key("A"), key("B"))]
     assert patterns[0].support == 5
     assert "ignored 10 numeric-valued events during mining" in caplog.text
@@ -122,7 +128,7 @@ def test_patterns_come_back_sorted_by_support():
     instances = [make_instance("AB") for _ in range(5)] + [
         make_instance("CD") for _ in range(7)
     ]
-    patterns = mine_patterns(instances)
+    patterns = _patterns(instances)
     assert [p.support for p in patterns] == [7, 5]
 
 
@@ -130,13 +136,13 @@ def test_auto_names_number_patterns_in_output_order():
     instances = [make_instance("AB") for _ in range(5)] + [
         make_instance("CD") for _ in range(7)
     ]
-    assert [p.name for p in mine_patterns(instances)] == ["pattern-1", "pattern-2"]
+    assert [p.name for p in _patterns(instances)] == ["pattern-1", "pattern-2"]
 
 
 def test_label_map_overrides_auto_names():
     instances = [make_instance("AB") for _ in range(5)]
     names = {(key("A"), key("B")): "Come back home"}
-    assert mine_patterns(instances, names=names)[0].name == "Come back home"
+    assert _patterns(instances, names=names)[0].name == "Come back home"
 
 
 # Each key's device, attribute and state rank it differently among the others.
@@ -157,7 +163,7 @@ def test_equal_support_patterns_sort_by_device_before_attribute():
     by_attribute_first, by_device_first = _CROSSED_KEYS[1], _CROSSED_KEYS[0]
     tail = key("T")
     instances = _runs((by_attribute_first, tail), 5) + _runs((by_device_first, tail), 5)
-    patterns = mine_patterns(instances)
+    patterns = _patterns(instances)
     assert [p.keys for p in patterns] == [(by_device_first, tail), (by_attribute_first, tail)]
     assert [p.name for p in patterns] == ["pattern-1", "pattern-2"]
 
@@ -178,7 +184,7 @@ def test_pattern_order_equals_the_string_triple_order(groups, seed):
         groups,
         key=lambda keys: (-groups[keys], [(k.device, k.attribute, k.state) for k in keys]),
     )
-    assert [p.keys for p in mine_patterns(instances)] == expected
+    assert [p.keys for p in _patterns(instances)] == expected
 
 
 @given(seed=st.randoms(use_true_random=False))
@@ -190,29 +196,40 @@ def test_mining_is_insensitive_to_input_order(seed):
     )
     shuffled = instances[:]
     seed.shuffle(shuffled)
-    assert mine_patterns(shuffled) == mine_patterns(instances)
+    mined, reference = mine_patterns(shuffled), mine_patterns(instances)
+    assert [p for p, _ in mined] == [p for p, _ in reference]
+    assert [Counter(segments) for _, segments in mined] == [
+        Counter(segments) for _, segments in reference
+    ]
 
 
-def test_build_pattern_of_single_instance_copies_its_intervals():
-    pattern = build_pattern("solo", [make_instance("AB", [1234])])
+def test_segments_are_the_inputs_with_the_patterns_keys_and_no_numeric_events():
+    a, b = Event(1000, key("A")), Event(3000, key("B"))
+    reading = Event(2000, EventKey("T", "temperature", "21.5"))
+    with_reading = [ActivityInstance(events=(a, reading, b), source_id=f"r{n}") for n in range(3)]
+    plain = [ActivityInstance(events=(a, b), source_id=f"p{n}") for n in range(3)]
+    other = [make_instance("CD", source_id=f"c{n}") for n in range(5)]
+    instances = [inst for trio in zip(with_reading, other, plain) for inst in trio] + other[3:]
+    discrete = [
+        inst._replace(events=tuple(e for e in inst.events if e != reading)) for inst in instances
+    ]
+    mined = mine_patterns(instances)
+    assert [p.keys for p, _ in mined] == [(a.key, b.key), (key("C"), key("D"))]
+    for pattern, segments in mined:
+        assert segments == [inst for inst in discrete if inst.key_sequence() == pattern.keys]
+
+
+def test_a_single_instance_pattern_copies_its_intervals():
+    solo = make_instance("AB", [1234])
+    ((pattern, segments),) = mine_patterns([solo], RunConfig(min_support=1))
     assert pattern.mean_intervals_ms == (1234.0,)
     assert pattern.support == 1
+    assert segments == [solo]
 
 
-def test_build_pattern_averages_component_wise():
+def test_means_average_component_wise():
     group = [make_instance("AB", [0]), make_instance("AB", [10])]
-    assert build_pattern("p", group).mean_intervals_ms == (5.0,)
-
-
-def test_build_pattern_reports_first_mismatch_position():
-    group = [make_instance("ABC"), make_instance("ABX")]
-    with pytest.raises(ValueError, match="mismatch at 2"):
-        build_pattern("p", group)
-
-
-def test_build_pattern_rejects_empty_group():
-    with pytest.raises(ValueError, match="non-empty"):
-        build_pattern("p", [])
+    assert _patterns(group, RunConfig(min_support=1))[0].mean_intervals_ms == (5.0,)
 
 
 @given(
@@ -224,7 +241,7 @@ def test_build_pattern_rejects_empty_group():
 )
 def test_means_lie_between_group_extremes(gap_lists):
     group = [make_instance("ABC", gaps) for gaps in gap_lists]
-    pattern = build_pattern("p", group)
+    (pattern,) = _patterns(group, RunConfig(min_support=1))
     for k, mean in enumerate(pattern.mean_intervals_ms):
         column = [gaps[k] for gaps in gap_lists]
         assert min(column) <= mean <= max(column)
@@ -238,5 +255,5 @@ def test_miner_config_validates_fields(capsys):
 
 def test_patterns_json_round_trip():
     instances = [make_instance("ABC", [10, 20]) for _ in range(5)]
-    patterns = mine_patterns(instances)
+    patterns = _patterns(instances)
     assert patterns_from_json(patterns_to_json(patterns)) == patterns
