@@ -34,7 +34,7 @@ def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
             "--" + name.replace("_", "-"),
             type=kind,
             metavar=kind.__name__.upper(),
-            help=f"{text} (default: {default})".lstrip(),
+            help=f"{text} (default: {default})",
         )
 
 

@@ -19,23 +19,23 @@ from tempoguard.events import json_document, json_value
 # name -> (type, default, help for its flag); the order is RunConfig's field order.
 # The type reads both flag and config-file values.
 SETTINGS = {
-    "seed": (int, 42, ""),
+    "seed": (int, 42, "seed of every random draw: simulate, augment, forge and the split"),
     "instances_per_activity": (int, 50, "instances per activity"),
     "noise_sigma": (float, 0.1, "relative std-dev of interval jitter"),
-    "inter_instance_gap_ms": (int, 600_000, ""),
+    "inter_instance_gap_ms": (int, 600_000, "idle ms between simulated runs (over gap_seconds)"),
     "gap_seconds": (float, 120.0, "idle gap that separates activity instances"),
-    "min_segment_len": (int, 2, "drop segments shorter than this"),
-    "min_support": (int, 5, ""),
-    "min_len": (int, 2, ""),
-    "alpha_min": (float, 0.0, ""),
-    "alpha_max": (float, 5.0, ""),
-    "alpha_step": (float, 0.1, ""),
-    "boundary_epsilon": (float, 1e-9, ""),
-    "ti_multiplier": (float, 50.0, ""),
-    "train_normal": (int, 40, ""),
-    "test_normal": (int, 60, ""),
-    "train_anomaly": (int, 10, ""),
-    "test_anomaly": (int, 20, ""),
+    "min_segment_len": (int, 2, "drop segments of fewer discrete events (readings not counted)"),
+    "min_support": (int, 5, "fewest segments of one key sequence that make a pattern"),
+    "min_len": (int, 2, "fewest keys in a pattern"),
+    "alpha_min": (float, 0.0, "smallest timing weight the alpha sweep tries"),
+    "alpha_max": (float, 5.0, "largest timing weight the alpha sweep tries"),
+    "alpha_step": (float, 0.1, "step between the weights the alpha sweep tries"),
+    "boundary_epsilon": (float, 1e-9, "margin between a band edge and the score it excludes"),
+    "ti_multiplier": (float, 50.0, "factor that a forged timing anomaly stretches one gap by"),
+    "train_normal": (int, 40, "normal training instances per activity"),
+    "test_normal": (int, 60, "normal test instances per activity"),
+    "train_anomaly": (int, 10, "training anomalies per activity and kind (seq, ti)"),
+    "test_anomaly": (int, 20, "test anomalies per activity and kind (seq, ti)"),
     "workdir": (str, "tempoguard_run", "artifact directory"),
 }
 

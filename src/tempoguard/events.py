@@ -63,7 +63,7 @@ class EventKey(namedtuple("EventKey", "device attribute state")):
 class Event(namedtuple("Event", "timestamp_ms key")):
     """One timestamped device state change, logged with the value key.state.
 
-    A numeric reading ("21.5") is a key state too; mining drops such events.
+    A numeric reading ("21.5") is not an event: the readers in ingest drop it.
     """
 
     __slots__ = ()

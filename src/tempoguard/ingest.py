@@ -12,10 +12,14 @@ attribute, state) and hands that same object to every event that carries
 it, so a large log holds a few dozen keys and strings, not one per row.
 Timestamps become epoch milliseconds by exact integer arithmetic, no float.
 
+A numeric state ("21.5", any JSON number) is a sensor reading, not an event:
+each reader checks one in full, drops it (and an instance of readings alone)
+and warns once with the count. It is decided once per key, at interning.
+
 The log readers work as the writers do: each call maps the text after a
-line's timestamp, its tail, to the key that tail gave, so a line with a
-tail seen before costs one timestamp parse (see parse_log and
-parse_log_jsonl for when a tail may be kept).
+line's timestamp, its tail, to the key that tail gave (None for a reading),
+so a line with a tail seen before costs one timestamp parse (see parse_log
+and parse_log_jsonl for when a tail may be kept).
 
 The writers encode the fields of each distinct key once per call, with
 json.dumps or csv.writer, and append that text to every event that
@@ -49,6 +53,7 @@ from tempoguard.events import (
     EventKey,
     LABEL_UNLABELED,
     MAX_TIMESTAMP_MS,
+    is_numeric_value,
     json_document,
     json_value,
 )
@@ -59,6 +64,7 @@ LEGACY_HEADER = ("timestamp", "device", "value")
 EPOCH_UTC = datetime(1970, 1, 1, tzinfo=timezone.utc)
 ONE_MS = timedelta(milliseconds=1)
 EPOCH_NAIVE = datetime(1970, 1, 1)  # _hour_prefix's base: naive, so no tz work per call
+_UNSEEN = object()  # what a tail dict gives for a tail it lacks; a reading's tail holds None
 
 # Attribute inferred for the 3-column legacy form, keyed by the state value.
 ATTRIBUTE_FOR_VALUE = {
@@ -156,24 +162,33 @@ def _range_error(ms: int) -> str:
     return "before 1970-01-01T00:00:00Z" if ms < 0 else "after 9999-12-31T23:59:59.999Z"
 
 
-def _interned(keys: dict, device, attribute, state: str) -> EventKey:
-    """The parse's one EventKey for (device, attribute, state), built on first sight.
+def _interned(keys: dict, device, attribute, state: str) -> EventKey | None:
+    """The parse's one EventKey for (device, attribute, state), or None for a numeric reading.
 
-    Only then are device and attribute checked to be strings: every key in
-    `keys` passed that check, and no other JSON value equals a string.
+    Decided on first sight, when device and attribute are checked to be strings
+    and the key is built, a reading's too: every entry in `keys` passed those
+    checks, and no other JSON value equals a string.
     """
     ident = (device, attribute, state)
     try:
-        key = keys.get(ident)
-    except TypeError:  # a JSON array or object, unhashable; rejected below
-        key = None
-    if key is None:
-        device = json_value(device, str, "'device'")
-        key = keys[ident] = EventKey(device, json_value(attribute, str, "'attribute'"), state)
-    return key
+        return keys[ident]
+    except (KeyError, TypeError):  # unseen, or a JSON array or object: rejected below
+        pass
+    device = json_value(device, str, "'device'")
+    key = EventKey(device, json_value(attribute, str, "'attribute'"), state)
+    keys[ident] = None if is_numeric_value(state) else key
+    return keys[ident]
 
 
-def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> Event:
+def _warned(parsed: list, readings: int) -> list:
+    """What a reader parsed, once one warning has counted the readings it dropped, if any."""
+    if readings:
+        import logging  # here, not at the top: only a warning needs it (README "Startup")
+        logging.getLogger(__name__).warning("dropped %d numeric readings", readings)
+    return parsed
+
+
+def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> Event | None:
     expected = 3 if legacy else 4
     if len(fields) != expected or "" in fields:
         raise ValueError(f"line {lineno}: expected {expected} non-empty columns, got {fields!r}")
@@ -186,7 +201,7 @@ def _row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> E
         attribute = ATTRIBUTE_FOR_VALUE.get(value, "state")
     else:
         _, device, attribute, value = fields
-    return Event(ts, _interned(keys, device, attribute, value))
+    return (key := _interned(keys, device, attribute, value)) and Event(ts, key)
 
 
 def _lines(source: str | Iterable[str]) -> Iterable[str]:
@@ -208,8 +223,9 @@ def parse_log(source: str | Iterable[str]) -> list[Event]:
     """
     lines = iter(_lines(source))
     events: list[Event] = []
-    keys: dict[tuple[str, str, str], EventKey] = {}
-    tails: dict[str, EventKey] = {}  # the tail of a one-line row that made an event -> its key
+    keys: dict[tuple[str, str, str], EventKey | None] = {}
+    tails: dict[str, EventKey | None] = {}  # a checked one-line row's tail -> its key
+    readings = 0
     limit = csv.field_size_limit()
     header: tuple[str, ...] | None = None
     legacy = False
@@ -225,11 +241,13 @@ def parse_log(source: str | Iterable[str]) -> list[Event]:
             and "\n" not in ts_text
             and len(ts_text) <= limit
         )
-        if plain and (key := tails.get(tail)) is not None:
+        if plain and (key := tails.get(tail, _UNSEEN)) is not _UNSEEN:
             try:
-                # Event.__new__'s checks hold: parse_timestamp gives an int >= 0, and key is an
-                # EventKey.
-                events.append(tuple.__new__(Event, (parse_timestamp(ts_text), key)))
+                ts = parse_timestamp(ts_text)
+                if key is not None:  # Event.__new__'s checks hold: ts is an int >= 0
+                    events.append(tuple.__new__(Event, (ts, key)))
+                else:  # a reading, checked and dropped
+                    readings += 1
                 continue
             except ValueError:
                 pass  # csv.reader's path below names the error
@@ -257,14 +275,16 @@ def parse_log(source: str | Iterable[str]) -> list[Event]:
                     f"(or legacy {','.join(LEGACY_HEADER)}), got {','.join(header)}"
                 )
             continue
-        event = _row_to_event(fields, legacy, lineno, keys)
-        events.append(event)
+        if event := _row_to_event(fields, legacy, lineno, keys):
+            events.append(event)
+        else:
+            readings += 1
         if plain and reader.line_num == 1:
-            tails[tail] = event.key
+            tails[tail] = event and event.key  # None for a reading
     if header is None:
         raise ValueError("empty log: header row required")
     events.sort(key=itemgetter(0))  # stable: ties keep file order
-    return events
+    return _warned(events, readings)
 
 
 # How the writers begin each JSON-lines log line: 15 characters, up to the timestamp's text.
@@ -294,8 +314,9 @@ def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
     "\n", and a line of only whitespace is skipped.
     """
     events: list[Event] = []
-    keys: dict[tuple[str, str, str], EventKey] = {}
-    tails: dict[str, EventKey] = {}  # the tail of a line that made an event -> its key
+    keys: dict[tuple[str, str, str], EventKey | None] = {}
+    tails: dict[str, EventKey | None] = {}  # a checked line's tail -> its key
+    readings = 0
     for lineno, line in enumerate(_lines(source), start=1):
         # With only printable characters and no backslash, the timestamp string ends at the
         # next quote, and json.loads reads it as written.
@@ -304,11 +325,13 @@ def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
             end = line.find('"', 15)  # with none, the tail is one character: never kept
             ts_text, tail = line[15:end], line[end:]
             plain = "\\" not in ts_text and ts_text.isprintable()
-            if plain and (key := tails.get(tail)) is not None:
+            if plain and (key := tails.get(tail, _UNSEEN)) is not _UNSEEN:
                 try:
-                    # Event.__new__'s checks hold: parse_timestamp gives an int >= 0, and key
-                    # is an EventKey.
-                    events.append(tuple.__new__(Event, (parse_timestamp(ts_text), key)))
+                    ts = parse_timestamp(ts_text)
+                    if key is not None:  # Event.__new__'s checks hold: ts is an int >= 0
+                        events.append(tuple.__new__(Event, (ts, key)))
+                    else:  # a reading, checked and dropped
+                        readings += 1
                     continue
                 except ValueError:
                     pass  # json.loads below names the error
@@ -319,11 +342,14 @@ def parse_log_jsonl(source: str | Iterable[str]) -> list[Event]:
             event = _event_from_obj(obj, keys)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        events.append(event)
+        if event:
+            events.append(event)
+        else:
+            readings += 1
         if plain and tail[1:2] == "," and _no_timestamp_member(tail):
-            tails[tail] = event.key
+            tails[tail] = event and event.key  # None for a reading
     events.sort(key=itemgetter(0))
-    return events
+    return _warned(events, readings)
 
 
 def _no_timestamp_member(tail: str) -> bool:
@@ -347,7 +373,7 @@ def _json_time(number: int | float) -> int:
     return ms
 
 
-def _event_from_obj(obj: dict, keys: dict) -> Event:
+def _event_from_obj(obj: dict, keys: dict) -> Event | None:
     if type(obj) is not dict:
         json_value(obj, dict, "an event")
     ts = obj.get("timestamp")
@@ -356,11 +382,11 @@ def _event_from_obj(obj: dict, keys: dict) -> Event:
     else:  # a bool is rejected, not read as 1 ms
         ts_ms = _json_time(json_value(ts, (str, float), "timestamp"))
     value = obj.get("value")
-    if type(value) is not str:  # a number becomes its str(): 21 -> "21", 21.5 -> "21.5"
+    if type(value) is not str:  # a number's str() ("21", "nan", "inf") makes it a reading
         value = str(json_value(value, (str, float), "'value'"))
     key = _interned(keys, obj.get("device"), obj.get("attribute"), value)
     # Event.__new__'s checks hold: ts_ms is an int >= 0, and key is an EventKey.
-    return tuple.__new__(Event, (ts_ms, key))
+    return key and tuple.__new__(Event, (ts_ms, key))
 
 
 def _events_json(events: Iterable[Event], tails: dict[EventKey, str]) -> list[str]:
@@ -454,18 +480,18 @@ def instances_to_jsonl(instances: list[ActivityInstance]) -> str:
 def instances_from_jsonl(source: str | Iterable[str]) -> list[ActivityInstance]:
     """Parse an instance file (text, or its lines such as an open file) in file order."""
     instances: list[ActivityInstance] = []
-    keys: dict[tuple[str, str, str], EventKey] = {}
+    keys: dict[tuple[str, str, str], EventKey | None] = {}
+    readings = 0
     for lineno, obj in _json_lines(source):
         try:
             obj = json_value(obj, dict, "an instance")
-            events = json_value(obj.get("events"), list, "'events'")
-            instances.append(
-                ActivityInstance(
-                    events=tuple(_event_from_obj(e, keys) for e in events),
-                    label=json_value(obj.get("label", LABEL_UNLABELED), str, "'label'"),
-                    source_id=json_value(obj.get("source_id", ""), str, "'source_id'"),
-                )
-            )
+            logged = json_value(obj.get("events"), list, "'events'")
+            events = [e for raw in logged if (e := _event_from_obj(raw, keys)) is not None]
+            label = json_value(obj.get("label", LABEL_UNLABELED), str, "'label'")
+            source_id = json_value(obj.get("source_id", ""), str, "'source_id'")
+            readings += len(logged) - len(events)
+            if events or not logged:  # an empty "events" is still an error
+                instances.append(ActivityInstance(tuple(events), label, source_id))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return instances
+    return _warned(instances, readings)

@@ -1,17 +1,16 @@
 """Mining frequent event-key sequences into timing patterns.
 
-Instances are grouped by their exact event-key sequence; every group that is
-frequent enough (and long enough) becomes one pattern whose reference interval
-vector is the component-wise arithmetic mean over the group. Mining is the one
-place that decides which segments make each pattern: callers take them from the
+Instances, free of numeric readings since the readers drop those, are grouped
+by their exact event-key sequence; every group that is frequent enough (and
+long enough) becomes one pattern whose reference interval vector is the
+component-wise arithmetic mean over the group. Mining is the one place that
+decides which segments make each pattern: callers take them from the
 (pattern, segments) pairs that `mine_patterns` returns.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
-from functools import cache
 
 from tempoguard.config import RunConfig
 from tempoguard.events import (
@@ -19,23 +18,10 @@ from tempoguard.events import (
     ActivityPattern,
     EventKey,
     intervals,
-    is_numeric_value,
     json_field,
     json_records,
     json_value,
 )
-
-
-def _discrete_events(
-    instance: ActivityInstance, numeric: Callable[[str], bool]
-) -> ActivityInstance | None:
-    """Drop the events whose state `numeric` holds to be a number; None if none is left."""
-    kept = tuple(e for e in instance.events if not numeric(e.key.state))
-    if not kept:
-        return None
-    if len(kept) == len(instance.events):
-        return instance
-    return ActivityInstance(events=kept, label=instance.label, source_id=instance.source_id)
 
 
 def mine_patterns(
@@ -45,30 +31,17 @@ def mine_patterns(
 ) -> list[tuple[ActivityPattern, list[ActivityInstance]]]:
     """Group instances by exact key sequence; each frequent group becomes a pattern.
 
-    Returns (pattern, segments) pairs, where segments are the numeric-free
-    copies of the instances the pattern was averaged from, in input order.
-    Numeric-valued events are ignored (a warning reports how many). Patterns
-    come back sorted by support descending, then by key sequence as strings,
-    so the patterns do not depend on input order; names are "pattern-1",
-    "pattern-2", ... unless `names` maps a key sequence to a better one.
-    Mining no pattern at all is a ValueError that counts the segments and
-    the distinct key sequences left once numeric events are dropped.
+    Returns (pattern, segments) pairs, where segments are the instances the
+    pattern was averaged from, in input order. Patterns come back sorted by
+    support descending, then by key sequence as strings, so they do not
+    depend on input order; names are "pattern-1", "pattern-2", ... unless
+    `names` maps a key sequence to a better one. Mining no pattern at all is
+    a ValueError that counts the segments and the distinct key sequences.
     """
     cfg = cfg or RunConfig()
-    numeric = cache(is_numeric_value)  # each distinct state is tested once per call
-    dropped = 0
     groups: dict[tuple[EventKey, ...], list[ActivityInstance]] = {}
     for inst in instances:
-        cleaned = _discrete_events(inst, numeric)
-        dropped += len(inst.events) - (len(cleaned.events) if cleaned else 0)
-        if cleaned is None:
-            continue
-        groups.setdefault(cleaned.key_sequence(), []).append(cleaned)
-    if dropped:
-        import logging  # here, not at the top: only a warning needs it (README "Startup")
-
-        logger = logging.getLogger(__name__)
-        logger.warning("ignored %d numeric-valued events during mining", dropped)
+        groups.setdefault(inst.key_sequence(), []).append(inst)
 
     mined: list[tuple[ActivityPattern, list[ActivityInstance]]] = []
     for keys, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):

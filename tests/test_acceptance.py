@@ -18,11 +18,11 @@ import mpmath
 import pytest
 
 from conftest import brute_force_longest_match, make_instance, make_pattern
-from tempoguard.cli import RunConfig, run_pipeline
+from tempoguard.cli import RunConfig, run, run_pipeline
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL, intervals
 from tempoguard.evaluation import ConfusionMatrix
 from tempoguard.forge import smote_midpoint
-from tempoguard.ingest import parse_log, parse_log_jsonl, serialize_log
+from tempoguard.ingest import format_timestamp, parse_log, parse_log_jsonl, serialize_log
 from tempoguard.mining import mine_patterns, patterns_from_json, patterns_to_json
 from tempoguard.scoring import align, angle, score
 from tempoguard.simulate import builtin_specs, generate
@@ -209,6 +209,31 @@ def test_identical_seeds_give_identical_reports(checklist, tmp_path):
             "report.txt",
         ):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+def test_telemetry_between_bursts_changes_no_verdict(checklist, tmp_path):
+    with checklist("a temperature reading every 60 s leaves the 150 seed-42 verdicts as they are"):
+        workdir = tmp_path / "run"
+        run_pipeline(RunConfig(workdir=str(workdir)))
+        header, *rows = (workdir / "sim_log.csv").read_text(encoding="utf-8").splitlines(True)
+        times = [event.timestamp_ms for event in parse_log([header, *rows])]  # rows in time order
+        readings = [
+            (ms, f"{format_timestamp(ms)},T1,temperature,{20 + n % 50 / 10}\n")
+            for n, ms in enumerate(range(times[0], times[-1] + 1, 60_000))
+        ]
+        merged = sorted([*zip(times, rows), *readings], key=lambda row: row[0])
+        telemetry = tmp_path / "telemetry.csv"
+        telemetry.write_text(header + "".join(row for _, row in merged), encoding="utf-8")
+        verdicts = []
+        for log in (workdir / "sim_log.csv", telemetry):
+            out = tmp_path / f"{log.stem}.jsonl"
+            models, patterns = workdir / "models.json", workdir / "patterns.json"
+            argv = ["--log", str(log), "--models", str(models), "--patterns", str(patterns)]
+            assert run(["detect", *argv, "--out", str(out)]) == 0
+            verdicts.append(out.read_bytes())
+        assert len(readings) > 1500
+        assert len(verdicts[0].splitlines()) == 150
+        assert verdicts[1] == verdicts[0]
 
 
 def test_everything_survives_serialization(checklist):

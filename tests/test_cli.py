@@ -1090,6 +1090,44 @@ def test_epoch_milliseconds_past_year_9999_is_a_data_error_naming_its_line(
     assert "line 2: timestamp '99999999999999999999' is after 9999-12-31T23:59:59.999Z" in err
 
 
+_READING = '{"timestamp": "%s", "device": "T1", "attribute": "temperature", "value": 21.5}\n'
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "log.csv",
+            "timestamp,device,attribute,value\n1000,T1,temperature,21.5\n"
+            "yesterday,T1,temperature,21.5\n",
+            "line 3: unparseable timestamp 'yesterday'",
+        ),
+        (
+            "log.csv",
+            "timestamp,device,attribute,value\n1000,T1,temperature,21.5,x\n",
+            "line 2: expected 4 non-empty columns, got ['1000', 'T1', 'temperature', '21.5', 'x']",
+        ),
+        (
+            "log.jsonl",
+            _READING % "1970-01-01T00:00:01Z" + _READING % "1969-12-31T23:59:59Z",
+            "line 2: timestamp '1969-12-31T23:59:59Z' is before 1970-01-01T00:00:00Z",
+        ),
+        (
+            "log.jsonl",
+            _READING % "1970-01-01T00:00:01Z"
+            + '{"timestamp": 2000, "device": ["T1"], "attribute": "t", "value": 21.5}\n',
+            "line 2: 'device' must be a string, not [\"T1\"]",
+        ),
+    ],
+    ids=["csv-time", "csv-columns", "jsonl-time", "jsonl-device"],
+)
+def test_a_bad_reading_is_a_data_error_naming_its_line(tmp_path, capsys, name, text, message):
+    log = tmp_path / name
+    log.write_text(text, encoding="utf-8")
+    assert run_cli("ingest", str(log)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_train_writes_an_array_when_one_model_is_trained(small_run, tmp_path):
     one = tmp_path / "one_pattern.json"
     one.write_text(json.dumps(json.loads((small_run / PATTERNS).read_text())[:1]))

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from tempoguard.config import RunConfig
+from tempoguard.config import SETTINGS, RunConfig
 
 
 @pytest.mark.parametrize(
@@ -70,3 +70,7 @@ def test_a_python_integer_too_large_for_a_float_is_a_value_error_naming_its_sett
     message = "^gap_seconds must be a number that fits in a float, not 1000"
     with pytest.raises(ValueError, match=message):
         RunConfig(gap_seconds=10**400)
+
+
+def test_every_setting_has_a_help_text():
+    assert [name for name, (_, _, text) in SETTINGS.items() if not text.strip()] == []

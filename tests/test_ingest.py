@@ -24,6 +24,7 @@ from tempoguard.events import (
     LABEL_ANOMALY_TI,
     LABEL_UNLABELED,
     VALID_LABELS,
+    is_numeric_value,
 )
 from tempoguard import ingest
 from tempoguard.ingest import (
@@ -357,10 +358,11 @@ def test_parse_log_infers_attribute_for_legacy_three_columns():
         "2021-10-01T13:00:01Z,M1,active\n"
         "2021-10-01T13:00:02Z,C1,closed\n"
         "2021-10-01T13:00:03Z,L1,on\n"
-        "2021-10-01T13:00:04Z,X9,74\n"
+        "2021-10-01T13:00:04Z,X9,idle\n"
     )
     events = parse_log(text)
     assert [e.key.attribute for e in events] == ["motion", "contact", "switch", "state"]
+    assert parse_log(text + "2021-10-01T13:00:05Z,X9,74\n") == events  # a reading is dropped
 
 
 def test_parse_log_requires_a_header():
@@ -463,14 +465,21 @@ _LOGS = st.lists(
 ).map(lambda events: sorted(events, key=lambda e: e.timestamp_ms))
 
 
+def _discrete(events: list[Event]) -> list[Event]:
+    """The events that are not numeric readings, which the readers drop."""
+    return [e for e in events if not is_numeric_value(e.key.state)]
+
+
 @given(events=_LOGS)
+@example(events=[Event(1000, EventKey("M1", "motion", "0"))])
 def test_csv_round_trip_keeps_awkward_names(events):
-    assert parse_log(serialize_log(events, "csv")) == events
+    assert parse_log(serialize_log(events, "csv")) == _discrete(events)
 
 
 @given(events=_LOGS)
+@example(events=[Event(1000, EventKey("M1", "motion", "0"))])
 def test_jsonl_round_trip_keeps_awkward_names(events):
-    assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
+    assert parse_log_jsonl(serialize_log(events, "jsonl")) == _discrete(events)
 
 
 # The writers as they were before they reused each key's encoded text, kept as
@@ -703,6 +712,53 @@ def test_segment_builds_each_instance_as_its_constructor_would(start, gaps, gap_
     assert segment([], cfg) == []
 
 
+_BURST_KEYS = [key("A"), key("B"), EventKey("M1", "motion", "active")]
+# A reading's value as the log writes it: CSV text, or JSON (a number, or a numeric string).
+_CSV_READINGS = st.sampled_from(["21.5", "74", "-0", "nan", "1e400", "-inf", " 1_000 "])
+_JSON_READINGS = st.sampled_from(
+    ["21", "21.5", "-0", "1e400", "NaN", "-Infinity", '"-0"', '"nan"', '"21.5"']
+)
+
+
+def _reading_line(fmt: str, ms: int, value: str) -> str:
+    if fmt == "csv":
+        return f"{format_timestamp(ms)},T1,temperature,{value}\n"
+    head = '{"timestamp": "%s", "device": "T1", "attribute": "temperature", "value": ' % (
+        format_timestamp(ms)
+    )
+    return head + value + "}\n"
+
+
+@given(
+    times=st.lists(st.integers(min_value=0, max_value=900_000), min_size=1, max_size=12),
+    steps=st.lists(st.sampled_from(_BURST_KEYS), min_size=12, max_size=12),
+    fmt=st.sampled_from(["csv", "jsonl"]),
+    readings=st.data(),
+)
+def test_inserting_numeric_readings_leaves_the_segments_as_they_are(times, steps, fmt, readings):
+    clean = [Event(ms, k) for ms, k in zip(sorted(times), steps)]
+    lines = serialize_log(clean, fmt).splitlines(keepends=True)
+    values = _CSV_READINGS if fmt == "csv" else _JSON_READINGS
+    for _ in range(readings.draw(st.integers(min_value=1, max_value=12))):
+        ms = readings.draw(st.integers(min_value=0, max_value=900_000))
+        at = readings.draw(st.integers(min_value=fmt == "csv", max_value=len(lines)))
+        lines.insert(at, _reading_line(fmt, ms, readings.draw(values)))
+    parse = parse_log if fmt == "csv" else parse_log_jsonl
+    cfg = RunConfig(gap_seconds=120)
+    assert parse("".join(lines)) == clean
+    assert segment(parse("".join(lines)), cfg) == segment(clean, cfg)
+
+
+def test_one_event_among_readings_is_below_the_minimum_segment_length():
+    text = (
+        "timestamp,device,attribute,value\n"
+        "1000,M1,motion,active\n2000,T1,temperature,21.5\n3000,T1,temperature,21.6\n"
+        "3600000,M1,motion,active\n3601000,L1,switch,on\n"
+    )
+    (only,) = segment(parse_log(text), RunConfig(min_segment_len=2))
+    assert [e.timestamp_ms for e in only.events] == [3_600_000, 3_601_000]
+
+
 # 23:30 at -01:30 is 01:00 UTC on 10000-01-01.
 _PAST_9999 = "9999-12-31T23:30:00-01:30"
 
@@ -793,12 +849,15 @@ def test_jsonl_boolean_timestamp_is_rejected_not_read_as_one_ms():
         parse_log_jsonl(line)
 
 
-def test_jsonl_numeric_value_becomes_a_string():
-    lines = [
-        '{"timestamp": 1000, "device": "T1", "attribute": "temperature", "value": 21}',
-        '{"timestamp": 2000, "device": "T1", "attribute": "temperature", "value": 21.5}',
-    ]
-    assert [e.key.state for e in parse_log_jsonl("\n".join(lines))] == ["21", "21.5"]
+def test_jsonl_number_value_is_a_reading_and_is_dropped():
+    line = '{"timestamp": %d, "device": "T1", "attribute": "temperature", "value": %s}'
+    numbers = ["21", "21.5", "-0", "1e400", "NaN", "-Infinity"]
+    lines = [line % (1000 * n, number) for n, number in enumerate(numbers, start=1)]
+    lines.append(line % (9000, '"on"'))
+    assert parse_log_jsonl("\n".join(lines)) == [Event(9000, EventKey("T1", "temperature", "on"))]
+    message = "^line 1: 'value' must be a string or a number, not true$"
+    with pytest.raises(ValueError, match=message):
+        parse_log_jsonl(line % (1000, "true"))
 
 
 def test_jsonl_integer_timestamp_is_still_epoch_milliseconds():
@@ -963,8 +1022,9 @@ def test_json_lines_reader_matches_json_loads_line_by_line(lines):
 
 
 # The readers as they were before they looked up each row's tail: every row through
-# csv.reader or _json_lines, then the same checks. Kept verbatim, with Event's checked
-# constructor, as the reference the tail lookups must equal.
+# csv.reader or _json_lines, then the same checks. Kept verbatim but for dropping a
+# numeric reading, with Event's checked constructor, as the reference the tail lookups
+# must equal.
 def _reference_row_to_event(fields: list[str], legacy: bool, lineno: int, keys: dict) -> Event:
     expected = 3 if legacy else 4
     if len(fields) != expected or "" in fields:
@@ -981,7 +1041,7 @@ def _reference_row_to_event(fields: list[str], legacy: bool, lineno: int, keys: 
     key = keys.get((device, attribute, value))
     if key is None:
         key = ingest._interned(keys, device, attribute, value)
-    return Event(ts, key)
+    return None if key is None else Event(ts, key)  # a numeric reading is dropped
 
 
 def _reference_parse_log(source) -> list[Event]:
@@ -1008,7 +1068,8 @@ def _reference_parse_log(source) -> list[Event]:
                         f"(or legacy {','.join(ingest.LEGACY_HEADER)}), got {','.join(header)}"
                     )
                 continue
-            events.append(_reference_row_to_event(fields, legacy, lineno, keys))
+            if (event := _reference_row_to_event(fields, legacy, lineno, keys)) is not None:
+                events.append(event)
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
     if header is None:
@@ -1022,9 +1083,11 @@ def _reference_parse_log_jsonl(source) -> list[Event]:
     keys: dict = {}
     for lineno, obj in _json_lines(source):
         try:
-            events.append(Event(*ingest._event_from_obj(obj, keys)))
+            event = ingest._event_from_obj(obj, keys)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if event is not None:  # a numeric reading is dropped
+            events.append(Event(*event))
     events.sort(key=lambda e: e.timestamp_ms)
     return events
 
@@ -1071,7 +1134,8 @@ _CSV_TIMES = st.one_of(
 _CSV_GOOD_TAILS = st.sampled_from(
     ["M1,motion,active\n", "M1,motion,active\r\n", "L1,switch,on\n", " M1 , motion,active \n",
      '"M1",motion,active\n', 'M1,"mo,tion","act""ive"\n', '"M\n1",motion,active\n',
-     'M1,motion,"act\nive"\n', '250Z",M1,motion,active\n']
+     'M1,motion,"act\nive"\n', '250Z",M1,motion,active\n', "T1,temperature,21.5\n",
+     "T1,-0\n"]
 )  # fmt: skip
 _CSV_TAILS = st.one_of(
     _CSV_GOOD_TAILS,
@@ -1219,12 +1283,15 @@ def _counting(monkeypatch, name: str) -> list[int]:
                             ("jsonl", parse_log_jsonl, "_event_from_obj")]
 )  # fmt: skip
 def test_a_repeated_tail_skips_the_general_path(monkeypatch, fmt, parse, general):
-    """Only the first row of each distinct tail goes through csv or JSON decoding."""
-    keys = [key("A"), key("B"), key("C")]
+    """Only the first row of each distinct tail goes through csv or JSON decoding.
+
+    A numeric reading's tail is kept too, so a repeated reading skips it as well.
+    """
+    keys = [key("A"), key("B"), EventKey("T1", "temperature", "21.5")]
     events = [Event(1000 * n, keys[n % 3]) for n in range(1000)]
     text = serialize_log(events, fmt)
     calls = _counting(monkeypatch, general)
-    assert parse(text) == events
+    assert parse(text) == _discrete(events)
     assert calls[0] == 3
 
 

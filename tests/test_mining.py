@@ -12,6 +12,14 @@ from conftest import key, make_instance
 from tempoguard.cli import run
 from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, Event, EventKey
+from tempoguard.ingest import (
+    instances_from_jsonl,
+    instances_to_jsonl,
+    parse_log,
+    parse_log_jsonl,
+    segment,
+    serialize_log,
+)
 from tempoguard.mining import mine_patterns, patterns_from_json, patterns_to_json
 
 
@@ -55,34 +63,39 @@ def test_empty_input_mines_no_pattern():
     assert "(segments: 0, distinct key sequences: 0)" in str(exc.value)
 
 
+READING = EventKey("T", "temperature", "21.5")  # a numeric state: a reading, not an event
+
+
+def _read_back(instances: list[ActivityInstance]) -> list[ActivityInstance]:
+    """The instances as the instance-file reader gives them: numeric readings dropped."""
+    return instances_from_jsonl(instances_to_jsonl(instances))
+
+
 def test_numeric_valued_events_are_ignored_with_a_warning(caplog):
-    events = (
-        Event(1000, key("A")),
-        Event(2000, EventKey("T", "temperature", "21.5")),  # a reading, not a state
-        Event(3000, key("B")),
-    )
-    instances = [ActivityInstance(events=events) for _ in range(5)]
-    with caplog.at_level(logging.WARNING):
-        patterns = _patterns(instances)
-    assert len(patterns) == 1
-    assert patterns[0].keys == (key("A"), key("B"))
-    assert patterns[0].mean_intervals_ms == (2000.0,)
-    assert "5 numeric-valued events" in caplog.text
+    bursts = [(Event(t, key("A")), Event(t + 1000, READING), Event(t + 3000, key("B")))
+              for t in range(0, 5 * 3_600_000, 3_600_000)]  # fmt: skip
+    for fmt, parse in (("csv", parse_log), ("jsonl", parse_log_jsonl)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            events = parse(serialize_log([e for burst in bursts for e in burst], fmt))
+        patterns = _patterns(segment(events))
+        assert len(patterns) == 1
+        assert patterns[0].keys == (key("A"), key("B"))
+        assert patterns[0].mean_intervals_ms == (3000.0,)
+        assert caplog.messages == ["dropped 5 numeric readings"]
 
 
 def test_an_instance_of_only_numeric_events_is_left_out_of_mining(caplog):
     readings = ActivityInstance(
-        events=(
-            Event(1000, EventKey("T", "temperature", "21.5")),
-            Event(2000, EventKey("H", "humidity", "40")),
-        )
+        events=(Event(1000, READING), Event(2000, EventKey("H", "humidity", "40")))
     )
-    instances = [make_instance("AB") for _ in range(5)] + [readings] * 5
     with caplog.at_level(logging.WARNING):
-        patterns = _patterns(instances)
+        instances = _read_back([make_instance("AB") for _ in range(5)] + [readings] * 5)
+    assert len(instances) == 5
+    patterns = _patterns(instances)
     assert [p.keys for p in patterns] == [(key("A"), key("B"))]
     assert patterns[0].support == 5
-    assert "ignored 10 numeric-valued events during mining" in caplog.text
+    assert caplog.messages == ["dropped 10 numeric readings"]
 
 
 def _burst_lines(start_ms: int, gaps: tuple[int, int], reading: float | None) -> list[str]:
@@ -121,7 +134,7 @@ def test_numeric_readings_from_a_log_are_dropped_before_mining(tmp_path, caplog)
         (p.keys, p.mean_intervals_ms) for p in expected
     ]
     assert len(mined) == 1 and mined[0].mean_intervals_ms == (1025.0, 2950.0)
-    assert "ignored 6 numeric-valued events during mining" in caplog.text
+    assert caplog.messages == ["dropped 6 numeric readings"]  # by ingest; mine reads none
 
 
 def test_patterns_come_back_sorted_by_support():
@@ -205,7 +218,7 @@ def test_mining_is_insensitive_to_input_order(seed):
 
 def test_segments_are_the_inputs_with_the_patterns_keys_and_no_numeric_events():
     a, b = Event(1000, key("A")), Event(3000, key("B"))
-    reading = Event(2000, EventKey("T", "temperature", "21.5"))
+    reading = Event(2000, READING)
     with_reading = [ActivityInstance(events=(a, reading, b), source_id=f"r{n}") for n in range(3)]
     plain = [ActivityInstance(events=(a, b), source_id=f"p{n}") for n in range(3)]
     other = [make_instance("CD", source_id=f"c{n}") for n in range(5)]
@@ -213,7 +226,7 @@ def test_segments_are_the_inputs_with_the_patterns_keys_and_no_numeric_events():
     discrete = [
         inst._replace(events=tuple(e for e in inst.events if e != reading)) for inst in instances
     ]
-    mined = mine_patterns(instances)
+    mined = mine_patterns(_read_back(instances))
     assert [p.keys for p, _ in mined] == [(a.key, b.key), (key("C"), key("D"))]
     for pattern, segments in mined:
         assert segments == [inst for inst in discrete if inst.key_sequence() == pattern.keys]
