@@ -203,7 +203,7 @@ def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     patterns = _load_records(mining.patterns_from_json, args.pattern)
     events = _load_log(args.log)
     for inst in ingest.segment(events, cfg):
-        _, breakdown = evaluation.best_match(patterns, inst)
+        _, breakdown = evaluation.select_pattern(patterns, inst)
         print(breakdown.blend(args.alpha))
     return 0
 

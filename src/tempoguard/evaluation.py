@@ -75,7 +75,7 @@ def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInst
     return Verdict(CLASS_NORMAL if inside else CLASS_ANOMALY, total, breakdown)
 
 
-def best_match(
+def select_pattern(
     patterns: list[ActivityPattern],
     instance: ActivityInstance,
     models: dict[str, ScoreModel] | None = None,
@@ -100,19 +100,10 @@ def best_match(
     return best[1], best[2]
 
 
-def select_pattern(
-    patterns: list[ActivityPattern],
-    instance: ActivityInstance,
-    models: dict[str, ScoreModel] | None = None,
-) -> ActivityPattern:
-    """Route an instance to the pattern best_match picks."""
-    return best_match(patterns, instance, models)[0]
-
-
 def route(
     patterns: list[ActivityPattern], instances: list[ActivityInstance]
 ) -> dict[str, list[tuple[ActivityInstance, ScoreBreakdown]]]:
-    """Group instances by the pattern best_match picks untrained, keyed by pattern name.
+    """Group instances by the pattern select_pattern picks untrained, keyed by pattern name.
 
     Each instance comes with its ScoreBreakdown against that pattern, so
     training and the alpha curve blend it without scoring again. Every
@@ -123,7 +114,7 @@ def route(
         p.name: [] for p in patterns
     }
     for inst in instances:
-        pattern, breakdown = best_match(patterns, inst)
+        pattern, breakdown = select_pattern(patterns, inst)
         groups[pattern.name].append((inst, breakdown))
     return groups
 
@@ -139,7 +130,7 @@ def judge(
     a pattern with no model is a ValueError naming the activity.
     """
     for inst in instances:
-        pattern = select_pattern(patterns, inst, models)
+        pattern, _ = select_pattern(patterns, inst, models)
         model = models.get(pattern.name)
         if model is None:
             raise ValueError(f"no trained model for activity {pattern.name!r}")

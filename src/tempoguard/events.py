@@ -78,6 +78,14 @@ class Event(namedtuple("Event", "timestamp_ms key")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
 
+def check_tags(label: str, source_id: str) -> None:
+    """The checks an ActivityInstance makes of its label and source_id."""
+    if label not in VALID_LABELS:
+        raise ValueError(f"unknown label {label!r}")
+    if not isinstance(source_id, str):
+        raise ValueError(f"source_id must be a string, not {type(source_id).__name__}")
+
+
 class ActivityInstance(namedtuple("ActivityInstance", "events label source_id")):
     """An ordered, contiguous run of events produced by one user activity.
 
@@ -92,10 +100,7 @@ class ActivityInstance(namedtuple("ActivityInstance", "events label source_id"))
         events = tuple(events)
         if not events:
             raise ValueError("ActivityInstance.events must be non-empty")
-        if label not in VALID_LABELS:
-            raise ValueError(f"unknown label {label!r}")
-        if not isinstance(source_id, str):
-            raise ValueError(f"source_id must be a string, not {type(source_id).__name__}")
+        check_tags(label, source_id)
         for a, b in zip(events, events[1:]):
             if b.timestamp_ms < a.timestamp_ms:
                 raise ValueError("ActivityInstance timestamps must be non-decreasing")

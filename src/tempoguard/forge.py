@@ -23,21 +23,18 @@ from tempoguard.events import (
 
 
 def _rebuild(
-    source: ActivityInstance,
-    first_timestamp_ms: int,
-    new_intervals: list[int],
-    label: str,
-    source_id: str,
+    source: ActivityInstance, new_intervals: list[int], label: str, source_id: str
 ) -> ActivityInstance:
-    """New instance with source's keys but the given timing.
+    """New instance with source's keys and first time but the given intervals.
 
-    Every caller passes an int first timestamp >= 0, one int interval >= 0
-    per step of source, a valid label and a str source_id, so the records are
-    built without running their checks again.
+    Every caller passes one int interval >= 0 per step of source, a valid
+    label and a str source_id, so the records are built without running their
+    checks again.
     """
-    ts = first_timestamp_ms
+    first = source.events[0]
+    ts = first.timestamp_ms
     # Event.__new__'s checks hold: each ts is an int >= 0, and each key is source's EventKey.
-    events = [tuple.__new__(Event, (ts, source.events[0].key))]
+    events = [first]
     for step, src in zip(new_intervals, source.events[1:]):
         ts += step
         events.append(tuple.__new__(Event, (ts, src.key)))
@@ -59,13 +56,7 @@ def smote_midpoint(p_i: ActivityInstance, p_j: ActivityInstance) -> ActivityInst
 def _midpoint(p_i: ActivityInstance, p_j: ActivityInstance) -> ActivityInstance:
     """smote_midpoint without its check, for augment_normals, which checks its whole pool once."""
     mids = [round((a + b) / 2) for a, b in zip(intervals(p_i), intervals(p_j))]
-    return _rebuild(
-        p_i,
-        p_i.events[0].timestamp_ms,
-        mids,
-        LABEL_NORMAL,
-        source_id=f"smote:{p_i.source_id}+{p_j.source_id}",
-    )
+    return _rebuild(p_i, mids, LABEL_NORMAL, f"smote:{p_i.source_id}+{p_j.source_id}")
 
 
 def make_anomaly_seq(x: ActivityInstance, rng: random.Random) -> ActivityInstance:
@@ -99,13 +90,7 @@ def make_anomaly_ti(
             f"{stretched[idx]} ms interval past {MAX_TIMESTAMP_MS} ms"
         )
     stretched[idx] = int(round(gap))
-    return _rebuild(
-        x,
-        x.events[0].timestamp_ms,
-        stretched,
-        LABEL_ANOMALY_TI,
-        source_id=f"ti:{x.source_id}",
-    )
+    return _rebuild(x, stretched, LABEL_ANOMALY_TI, f"ti:{x.source_id}")
 
 
 def make_anomalies(

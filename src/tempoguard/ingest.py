@@ -53,6 +53,7 @@ from tempoguard.events import (
     EventKey,
     LABEL_UNLABELED,
     MAX_TIMESTAMP_MS,
+    check_tags,
     is_numeric_value,
     json_document,
     json_value,
@@ -492,6 +493,8 @@ def instances_from_jsonl(source: str | Iterable[str]) -> list[ActivityInstance]:
             readings += len(logged) - len(events)
             if events or not logged:  # an empty "events" is still an error
                 instances.append(ActivityInstance(tuple(events), label, source_id))
+            else:  # only readings: the instance is dropped, but its tags are still checked
+                check_tags(label, source_id)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return _warned(instances, readings)

@@ -346,6 +346,33 @@ def test_train_models_scores_each_instance_once_per_pattern(small_run, monkeypat
     assert calls == Counter(labeled * len(patterns))
 
 
+def test_select_pattern_routes_each_instance_and_segment_once(small_run, monkeypatch, capsys):
+    patterns = patterns_from_json((small_run / "patterns.json").read_text(encoding="utf-8"))
+    train_set, test_set = (
+        instances_from_jsonl((small_run / name).read_text(encoding="utf-8"))
+        for name in ("train_set.jsonl", "test_set.jsonl")
+    )
+    calls = Counter()
+    select_pattern = evaluation.select_pattern
+
+    def counting_select_pattern(patterns, instance, models=None):
+        calls[instance] += 1
+        return select_pattern(patterns, instance, models)
+
+    monkeypatch.setattr(evaluation, "select_pattern", counting_select_pattern)
+    models = train_models(patterns, train_set, RunConfig())
+    assert calls == Counter(train_set)
+    calls.clear()
+    evaluation.build_report(patterns, {m.activity: m for m in models}, test_set)
+    assert calls == Counter(test_set)
+    calls.clear()
+    log, pattern_file = small_run / "sim_log.csv", small_run / "patterns.json"
+    assert run_cli("score", "--alpha", "1", "--log", str(log), "--pattern", str(pattern_file)) == 0
+    segments = (small_run / "instances.jsonl").read_text(encoding="utf-8").count("\n")
+    assert len(capsys.readouterr().out.splitlines()) == segments
+    assert sorted(calls.values()) == [1] * segments
+
+
 def test_pipeline_builds_each_key_sequence_once_in_mining_and_once_in_augment(
     tmp_path, monkeypatch
 ):
@@ -1126,6 +1153,18 @@ def test_a_bad_reading_is_a_data_error_naming_its_line(tmp_path, capsys, name, t
     log.write_text(text, encoding="utf-8")
     assert run_cli("ingest", str(log)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["forge", "--kind", "ti", "--count", "1"], ["mine"]], ids=["forge", "mine"]
+)
+def test_an_instance_of_readings_alone_with_an_unknown_label_is_a_data_error(
+    tmp_path, capsys, argv
+):
+    instances = tmp_path / "instances.jsonl"
+    instances.write_text('{"label": "bogus", "events": [%s]}\n' % _READING.strip() % "1000")
+    assert run_cli(*argv[:1], str(instances), *argv[1:]) == 2
+    assert capsys.readouterr().err == "error: line 1: unknown label 'bogus'\n"
 
 
 def test_train_writes_an_array_when_one_model_is_trained(small_run, tmp_path):

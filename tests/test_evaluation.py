@@ -13,7 +13,6 @@ from tempoguard.evaluation import (
     CLASS_ANOMALY,
     CLASS_NORMAL,
     ConfusionMatrix,
-    best_match,
     build_report,
     classify,
     judge,
@@ -88,17 +87,17 @@ def test_classify_rejects_mismatched_model_and_pattern():
 
 def test_select_pattern_picks_the_exact_match():
     patterns = [make_pattern("ABC", name="abc"), make_pattern("XYZ", name="xyz")]
-    assert select_pattern(patterns, make_instance("ABC")).name == "abc"
+    assert select_pattern(patterns, make_instance("ABC"))[0].name == "abc"
 
 
 def test_select_pattern_prefers_fuller_matches():
     patterns = [make_pattern("ABCD", name="full"), make_pattern("ABXY", name="half")]
-    assert select_pattern(patterns, make_instance("ABCD")).name == "full"
+    assert select_pattern(patterns, make_instance("ABCD"))[0].name == "full"
 
 
 def test_select_pattern_breaks_total_disjoint_ties_by_name():
     patterns = [make_pattern("AB", name="beta"), make_pattern("CD", name="alpha")]
-    assert select_pattern(patterns, make_instance("XY")).name == "alpha"
+    assert select_pattern(patterns, make_instance("XY"))[0].name == "alpha"
 
 
 def test_select_pattern_uses_trained_weights_for_ties():
@@ -109,7 +108,7 @@ def test_select_pattern_uses_trained_weights_for_ties():
         "slow": model_for(slow, alpha=5.0, lo=0.0, hi=9.0),
         "fast": model_for(fast, alpha=0.0, lo=0.0, hi=9.0),
     }
-    chosen = select_pattern([fast, slow], make_instance("AB", [1000]), models)
+    chosen, _ = select_pattern([fast, slow], make_instance("AB", [1000]), models)
     assert chosen.name == "slow"
 
 
@@ -122,11 +121,11 @@ def test_route_groups_every_instance_under_its_selected_pattern():
         "ab": [ab, abx], "cd": [cd, c], "ef": []
     }
     for name, group in groups.items():
-        assert all(select_pattern(patterns, inst).name == name for inst, _ in group)
+        assert all(select_pattern(patterns, inst)[0].name == name for inst, _ in group)
         assert all(b == score(by_name[name], inst) for inst, b in group)
 
 
-def test_best_match_is_select_patterns_pick_with_its_breakdown():
+def test_select_pattern_returns_its_pick_with_that_pairs_score():
     slow = make_pattern("AB", [1000], name="slow")
     fast = make_pattern("AB", [100_000], name="fast")
     models = {
@@ -135,8 +134,8 @@ def test_best_match_is_select_patterns_pick_with_its_breakdown():
     }
     inst = make_instance("AB", [1000])
     for trained in (None, models):
-        pattern, breakdown = best_match([fast, slow], inst, trained)
-        assert pattern is select_pattern([fast, slow], inst, trained)
+        pattern, breakdown = select_pattern([fast, slow], inst, trained)
+        assert pattern is (fast if trained is None else slow)
         assert breakdown == score(pattern, inst)
 
 
@@ -348,7 +347,7 @@ def test_judge_routes_at_the_trained_weights_then_classifies_each_instance_in_or
     instances = [make_instance(s, source_id=str(n)) for n, s in enumerate(("AB", "CD", "C", "ABX"))]
     expected = []
     for inst in instances:
-        pattern = select_pattern(patterns, inst, models)
+        pattern, _ = select_pattern(patterns, inst, models)
         expected.append((inst, pattern, classify(models[pattern.name], pattern, inst)))
     triples = list(judge(patterns, models, iter(instances)))
     assert triples == expected
@@ -356,4 +355,4 @@ def test_judge_routes_at_the_trained_weights_then_classifies_each_instance_in_or
     assert [v.classification for *_, v in triples] == [
         CLASS_NORMAL, CLASS_NORMAL, CLASS_ANOMALY, CLASS_NORMAL
     ]
-    assert select_pattern(patterns, instances[0]) is fast
+    assert select_pattern(patterns, instances[0])[0] is fast

@@ -817,6 +817,15 @@ def test_instance_file_fields_are_type_checked(line, message):
     assert str(info.value).startswith(f"line 2: {message}")
 
 
+def test_an_instance_of_readings_alone_is_dropped_but_its_label_is_checked():
+    reading = '{"timestamp": 1000, "device": "T1", "attribute": "temperature", "value": 21.5}'
+    line = '{"label": "%s", "events": [%s]}\n'
+    assert instances_from_jsonl(line % ("normal", reading)) == []
+    for events in (reading, _EVENT):
+        with pytest.raises(ValueError, match="^line 1: unknown label 'bogus'$"):
+            instances_from_jsonl(line % ("bogus", events))
+
+
 @pytest.mark.parametrize(
     "flag, message",
     [
