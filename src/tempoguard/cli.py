@@ -90,7 +90,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _guard_clobber(inputs: list, outputs: list[str | None], makes: Path | None = None) -> None:
-    """Reject an output path that is an input or another output, or is in no directory.
+    """Reject an output path that is a directory, an input or another output, or in no directory.
 
     `makes` is a directory that the run creates, with its parents, before it
     writes an output.
@@ -98,7 +98,9 @@ def _guard_clobber(inputs: list, outputs: list[str | None], makes: Path | None =
     taken = {Path(p).resolve() for p in inputs if p}
     made = makes.resolve() if makes else None
     for out in filter(None, outputs):
-        if (path := Path(out).resolve()) in taken:
+        if (path := Path(out).resolve()).is_dir() or path == made:
+            raise UsageError(f"output path {out!r} is a directory")
+        if path in taken:
             raise UsageError(f"output path {out!r} would overwrite a file this run reads or writes")
         if not (path.parent.is_dir() or made and made.is_relative_to(path.parent)):
             raise UsageError(f"output path {out!r} is in a directory that does not exist")

@@ -76,25 +76,20 @@ def classify(model: ScoreModel, pattern: ActivityPattern, instance: ActivityInst
 
 
 def select_pattern(
-    patterns: list[ActivityPattern],
-    instance: ActivityInstance,
-    models: dict[str, ScoreModel] | None = None,
+    patterns: list[ActivityPattern], instance: ActivityInstance
 ) -> tuple[ActivityPattern, ScoreBreakdown]:
     """The pattern an instance matches best, with the instance's breakdown against it.
 
-    Highest matched fraction wins; ties go to the higher total score at that
-    pattern's trained weight (1.0 when untrained), then to the
+    The one routing rule, and it reads no model: highest matched fraction
+    wins; ties go to the higher total score at weight 1.0, then to the
     lexicographically smallest name. Each pattern scores the instance once.
     """
     if not patterns:
         raise ValueError("patterns must be non-empty")
-    models = models or {}
     best = None
     for pattern in patterns:
-        model = models.get(pattern.name)
-        alpha = model.alpha if model is not None else 1.0
         b = score(pattern, instance)
-        rank = (-b.completeness, -b.blend(alpha), pattern.name)
+        rank = (-b.completeness, -b.blend(1.0), pattern.name)
         if best is None or rank < best[0]:
             best = rank, pattern, b
     return best[1], best[2]
@@ -103,7 +98,7 @@ def select_pattern(
 def route(
     patterns: list[ActivityPattern], instances: list[ActivityInstance]
 ) -> dict[str, list[tuple[ActivityInstance, ScoreBreakdown]]]:
-    """Group instances by the pattern select_pattern picks untrained, keyed by pattern name.
+    """Group instances by the pattern select_pattern picks, keyed by pattern name.
 
     Each instance comes with its ScoreBreakdown against that pattern, so
     training and the alpha curve blend it without scoring again. Every
@@ -124,13 +119,13 @@ def judge(
     models: dict[str, ScoreModel],
     instances: Iterable[ActivityInstance],
 ) -> Iterator[tuple[ActivityInstance, ActivityPattern, Verdict]]:
-    """Route each instance at the trained weights and classify it against that pattern.
+    """Route each instance by select_pattern, as route does, and classify it against that pattern.
 
     Yields (instance, pattern, verdict) in input order; an instance routed to
     a pattern with no model is a ValueError naming the activity.
     """
     for inst in instances:
-        pattern, _ = select_pattern(patterns, inst, models)
+        pattern, _ = select_pattern(patterns, inst)
         model = models.get(pattern.name)
         if model is None:
             raise ValueError(f"no trained model for activity {pattern.name!r}")

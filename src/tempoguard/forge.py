@@ -62,7 +62,7 @@ def _midpoint(p_i: ActivityInstance, p_j: ActivityInstance) -> ActivityInstance:
 def make_anomaly_seq(x: ActivityInstance, rng: random.Random) -> ActivityInstance:
     """Delete one uniformly random event; the other timestamps stay put."""
     if len(x.events) < 2:
-        raise ValueError("need at least 2 events to delete one")
+        raise ValueError(f"instance {x.source_id!r}: need at least 2 events to delete one")
     drop = rng.randrange(len(x.events))
     events = x.events[:drop] + x.events[drop + 1 :]
     return ActivityInstance(
@@ -80,7 +80,7 @@ def make_anomaly_ti(
     is an error.
     """
     if len(x.events) < 2:
-        raise ValueError("need at least 2 events to stretch an interval")
+        raise ValueError(f"instance {x.source_id!r}: need at least 2 events to stretch an interval")
     stretched = list(intervals(x))
     idx = rng.randrange(len(stretched))
     gap = stretched[idx] * cfg.ti_multiplier
@@ -123,7 +123,8 @@ def augment_normals(
     reference = pool[0].key_sequence()
     for inst in pool[1:]:
         if inst.key_sequence() != reference:
-            raise ValueError("pool instances must share one event-key sequence")
+            first = pool[0].source_id
+            raise ValueError(f"instance {inst.source_id!r}: key sequence differs from {first!r}'s")
     if target_count > 0 and len(pool) < 2:
         raise ValueError("need at least 2 pool instances to draw a distinct pair")
     out: list[ActivityInstance] = []

@@ -88,6 +88,15 @@ def test_output_clobbering_an_input_is_a_usage_error(tmp_path, capsys):
     assert "overwrite" in capsys.readouterr().err
 
 
+def test_ingest_output_onto_a_directory_is_a_usage_error(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("timestamp,device,attribute,value\n1000,M1,motion,active\n2000,L1,switch,on\n")
+    assert run_cli("ingest", str(log), "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: output path {str(tmp_path)!r} is a directory\n"
+    assert captured.out == ""
+
+
 def test_simulate_writes_a_parseable_log(tmp_path):
     out = tmp_path / "log.csv"
     assert run_cli("simulate", "--seed", "7", "--instances", "2", "--out", str(out)) == 0
@@ -146,6 +155,25 @@ def test_forge_alias_and_kinds(tmp_path):
     )
     ti = instances_from_jsonl(out.read_text())
     assert len(ti) == 4 and all(i.label == "anomaly_ti" for i in ti)
+
+
+@pytest.mark.parametrize(
+    "command, pool, message",
+    [
+        (["forge", "--kind", "seq"], ["A"], "instance 'one': need at least 2 events to delete one"),
+        (["forge", "--kind", "ti"], ["A"], "instance 'one': need at least 2 events to stretch an"),
+        (["augment"], ["AB", "AC"], "instance 'one': key sequence differs from 'zero''s"),
+    ],
+    ids=["seq", "ti", "augment"],
+)
+def test_forge_and_augment_errors_name_the_instance(tmp_path, capsys, command, pool, message):
+    inst = tmp_path / "instances.jsonl"
+    ids = ["zero", "one"][-len(pool) :]
+    inst.write_text(instances_to_jsonl([make_instance(s, source_id=i) for s, i in zip(pool, ids)]))
+    assert run_cli(*command, str(inst), "--count", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -274,10 +302,14 @@ def test_pipeline_stats_row_at_each_model_alpha_is_that_model(tmp_path, capsys):
     rows = _alpha_curve_file(stats)
     models = models_from_json((workdir / "models.json").read_text(encoding="utf-8"))
     assert len(models) == 3
+    report = json.loads((workdir / "report.json").read_text(encoding="utf-8"))
+    accuracy = {entry["activity"]: entry["accuracy"] for entry in report["activities"]}
     for model in models:
         (row,) = [r for r in rows if r["activity"] == model.activity and r["alpha"] == model.alpha]
         assert (row["lo"], row["hi"]) == (model.lo, model.hi)
         assert row["train_accuracy"] == model.training_accuracy
+        # One routing rule: the curve groups the test set as the report does.
+        assert row["test_accuracy"] == accuracy[model.activity]
 
 
 def test_pipeline_stats_test_accuracy_is_classify_over_the_routed_test_set(tmp_path, capsys):
@@ -355,9 +387,9 @@ def test_select_pattern_routes_each_instance_and_segment_once(small_run, monkeyp
     calls = Counter()
     select_pattern = evaluation.select_pattern
 
-    def counting_select_pattern(patterns, instance, models=None):
+    def counting_select_pattern(patterns, instance):
         calls[instance] += 1
-        return select_pattern(patterns, instance, models)
+        return select_pattern(patterns, instance)
 
     monkeypatch.setattr(evaluation, "select_pattern", counting_select_pattern)
     models = train_models(patterns, train_set, RunConfig())
@@ -440,6 +472,19 @@ def test_pipeline_stats_into_a_missing_directory_is_a_usage_error(tmp_path, caps
     captured = capsys.readouterr()
     message = f"usage error: output path {str(stats)!r} is in a directory that does not exist\n"
     assert captured.err == message
+    assert captured.out == ""
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--stats"])
+@pytest.mark.parametrize("target", ["existing directory", "workdir"])
+def test_pipeline_output_onto_a_directory_is_a_usage_error(tmp_path, capsys, flag, target):
+    workdir = tmp_path / "run"
+    path = tmp_path if target == "existing directory" else workdir
+    argv = ["--workdir", str(workdir), "--instances-per-activity", "10"]
+    assert run_cli("pipeline", *argv, flag, str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: output path {str(path)!r} is a directory\n"
     assert captured.out == ""
     assert not workdir.exists()
 
@@ -942,6 +987,16 @@ def test_output_into_a_missing_directory_is_a_usage_error_before_any_verdict(
     captured = capsys.readouterr()
     message = f"usage error: output path {str(out)!r} is in a directory that does not exist\n"
     assert captured.err == message
+    assert captured.out == ""
+
+
+def test_detect_output_onto_a_directory_is_a_usage_error_before_any_verdict(
+    small_run, tmp_path, capsys
+):
+    argv = _judge_argv("detect", small_run, small_run / MODELS, small_run / PATTERNS)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: output path {str(tmp_path)!r} is a directory\n"
     assert captured.out == ""
 
 

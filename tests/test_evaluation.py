@@ -100,18 +100,6 @@ def test_select_pattern_breaks_total_disjoint_ties_by_name():
     assert select_pattern(patterns, make_instance("XY"))[0].name == "alpha"
 
 
-def test_select_pattern_uses_trained_weights_for_ties():
-    # Same completeness; the higher-alpha model amplifies good timing.
-    slow = make_pattern("AB", [1000], name="slow")
-    fast = make_pattern("AB", [100_000], name="fast")
-    models = {
-        "slow": model_for(slow, alpha=5.0, lo=0.0, hi=9.0),
-        "fast": model_for(fast, alpha=0.0, lo=0.0, hi=9.0),
-    }
-    chosen, _ = select_pattern([fast, slow], make_instance("AB", [1000]), models)
-    assert chosen.name == "slow"
-
-
 def test_route_groups_every_instance_under_its_selected_pattern():
     patterns = [make_pattern(letters, name=letters.lower()) for letters in ("AB", "CD", "EF")]
     cd, ab, abx, c = (make_instance(letters) for letters in ("CD", "AB", "ABX", "C"))
@@ -128,15 +116,10 @@ def test_route_groups_every_instance_under_its_selected_pattern():
 def test_select_pattern_returns_its_pick_with_that_pairs_score():
     slow = make_pattern("AB", [1000], name="slow")
     fast = make_pattern("AB", [100_000], name="fast")
-    models = {
-        "slow": model_for(slow, alpha=5.0, lo=0.0, hi=9.0),
-        "fast": model_for(fast, alpha=0.0, lo=0.0, hi=9.0),
-    }
     inst = make_instance("AB", [1000])
-    for trained in (None, models):
-        pattern, breakdown = select_pattern([fast, slow], inst, trained)
-        assert pattern is (fast if trained is None else slow)
-        assert breakdown == score(pattern, inst)
+    pattern, breakdown = select_pattern([slow, fast], inst)
+    assert pattern is fast
+    assert breakdown == score(pattern, inst)
 
 
 def test_select_pattern_rejects_empty_pattern_list():
@@ -333,26 +316,29 @@ def test_build_report_names_the_first_unlabeled_instance_in_file_order_before_ju
         build_report([ab, cd], {"ab": models["ab"]}, labeled)
 
 
-def test_judge_routes_at_the_trained_weights_then_classifies_each_instance_in_order():
-    # Untrained, "fast" wins the tie on name; at the trained weights "slow" wins it.
-    slow = make_pattern("AB", [1000], name="slow")
-    fast = make_pattern("AB", [100_000], name="fast")
-    other = make_pattern("CD", [1000], name="other")
-    patterns = [fast, slow, other]
+def test_judge_routes_as_route_does_then_classifies_each_instance_in_order():
+    # ABC ties "close" and "far" on completeness; its timing fits "close" exactly. Each at its
+    # own trained weight, "far" totals more, yet that weight must not pull the instance to it.
+    close = make_pattern("ABCE", [1000, 1000, 1000], name="close")
+    far = make_pattern("ABCF", [1000, 5000, 1000], name="far")
+    other = make_pattern("XY", [1000], name="other")
+    patterns = [far, close, other]
     models = {
-        "slow": model_for(slow, alpha=5.0, lo=5.5, hi=9.0),
-        "fast": model_for(fast, alpha=0.0, lo=0.0, hi=9.0),
+        "close": model_for(close, alpha=0.0, lo=0.5, hi=1.0),
+        "far": model_for(far, alpha=5.0, lo=0.0, hi=9.0),
         "other": model_for(other, alpha=1.0, lo=1.5, hi=2.0),
     }
-    instances = [make_instance(s, source_id=str(n)) for n, s in enumerate(("AB", "CD", "C", "ABX"))]
-    expected = []
-    for inst in instances:
-        pattern, _ = select_pattern(patterns, inst, models)
-        expected.append((inst, pattern, classify(models[pattern.name], pattern, inst)))
+    abc = make_instance("ABC", [1000, 1000], source_id="abc")
+    assert score(close, abc).completeness == score(far, abc).completeness == 0.75
+    assert score(close, abc).blend(0.0) < score(far, abc).blend(5.0)
+    instances = [abc, make_instance("XY", source_id="xy"), make_instance("X", source_id="x")]
     triples = list(judge(patterns, models, iter(instances)))
-    assert triples == expected
-    assert [p.name for _, p, _ in triples] == ["slow", "other", "other", "slow"]
-    assert [v.classification for *_, v in triples] == [
-        CLASS_NORMAL, CLASS_NORMAL, CLASS_ANOMALY, CLASS_NORMAL
-    ]
-    assert select_pattern(patterns, instances[0])[0] is fast
+    groups = route(patterns, instances)
+    for inst, pattern, verdict in triples:
+        assert select_pattern(patterns, inst)[0] is pattern
+        assert [i for i, _ in groups[pattern.name]].count(inst) == 1
+        assert verdict == classify(models[pattern.name], pattern, inst)
+    assert [(i, p.name) for i, p, _ in triples] == list(
+        zip(instances, ["close", "other", "other"])
+    )
+    assert [v.classification for *_, v in triples] == [CLASS_NORMAL, CLASS_NORMAL, CLASS_ANOMALY]
