@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
+from operator import itemgetter
 
 from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL
@@ -59,24 +60,52 @@ def best_interval(rows: list[tuple[str, float]], epsilon: float) -> tuple[float,
     Candidate boundaries are the sorted distinct scores nudged by ±epsilon.
     Accuracy counts normals inside plus anomalies outside. Ties prefer the
     widest interval, then the smallest lo. Returns (lo, hi, accuracy).
+    epsilon must be a finite number above 0.
 
-    Costs O(m log m) for m rows. Two Counters count the normals and the
-    anomalies at each distinct score, and a sort orders those scores. One
-    loop then runs Kadane's maximum-sum run over them (+1 per normal, -1 per
-    anomaly): it keeps the prefix sum, its running minimum and the first
-    index that reached that minimum, and the gain of the best interval
-    ending at each score j. For a fixed j the accuracy is best at the start i
-    with the smallest prefix sum below it, and lo_including grows strictly
-    with i, so the earliest such i also has the widest interval and the
-    smallest lo. Only the ends j with the best gain become candidates, in
-    ascending order, and max keeps the first of any tied candidates, as a
-    scan of every (i, j) pair would.
+    Costs O(m log m) for m rows, and hashes no score. One stable sort orders
+    the rows by score, and one pass over them runs Kadane's maximum-sum run
+    (+1 per normal, -1 per anomaly): it keeps the prefix sum and counts the
+    anomalies row by row. At the last row of each run of equal scores, that
+    score becomes scores[j], and the pass checks the gain of the best
+    interval ending at j against the running minimum of the prefix sums
+    before it, whose first index it keeps. For a fixed j the accuracy is best
+    at the start i with the smallest prefix sum below it, and lo_including
+    grows strictly with i, so the earliest such i also has the widest
+    interval and the smallest lo. Only the ends j with the best gain become
+    candidates, in ascending order, and max keeps the first of any tied
+    candidates, as a scan of every (i, j) pair would.
     """
     if not rows:
         raise ValueError("rows must be non-empty")
-    normals = Counter([s for label, s in rows if label == LABEL_NORMAL])
-    anomalies = Counter([s for label, s in rows if label != LABEL_NORMAL])
-    scores = sorted(normals.keys() | anomalies.keys())
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be a finite number above 0")
+    # Maximize (gain, width, -lo), where gain is normals minus anomalies
+    # inside; every achievable selection is a contiguous run of distinct
+    # scores, or no scores at all (gain 0).
+    ordered = sorted(rows, key=itemgetter(1))
+    last = len(ordered) - 1
+    scores: list[float] = []  # the distinct scores, ascending
+    upto = low = low_at = 0  # prefix sum through scores[j]; min of those before; its first index
+    anomalies = 0  # rows not labeled normal
+    best_gain = -math.inf
+    ends: list[tuple[int, int]] = []  # (start, end) of each run with the best gain so far
+    for k, (label, s) in enumerate(ordered):
+        if label == LABEL_NORMAL:
+            upto += 1
+        else:
+            upto -= 1
+            anomalies += 1
+        if k < last and ordered[k + 1][1] == s:
+            continue  # a score's prefix sum is complete only at its last row
+        j = len(scores)
+        scores.append(s)
+        gain = upto - low
+        if gain > best_gain:
+            best_gain, ends = gain, [(low_at, j)]
+        elif gain == best_gain:
+            ends.append((low_at, j))
+        if upto < low:
+            low, low_at = upto, j + 1
     m = len(scores)
 
     def lo_including(i: int) -> float:
@@ -97,29 +126,13 @@ def best_interval(rows: list[tuple[str, float]], epsilon: float) -> tuple[float,
             return nxt - epsilon
         return cur + epsilon if cur + epsilon < nxt else cur
 
-    # Maximize (gain, width, -lo), where gain is normals minus anomalies
-    # inside; every achievable selection is a contiguous run of distinct
-    # scores, or no scores at all (gain 0).
-    normals_at, anomalies_at = normals.get, anomalies.get
-    upto = low = low_at = 0  # prefix sum through scores[j]; min of those before; its first index
-    best_gain = -math.inf
-    ends: list[tuple[int, int]] = []  # (start, end) of each run with the best gain so far
-    for j, s in enumerate(scores):
-        upto += normals_at(s, 0) - anomalies_at(s, 0)
-        gain = upto - low
-        if gain > best_gain:
-            best_gain, ends = gain, [(low_at, j)]
-        elif gain == best_gain:
-            ends.append((low_at, j))
-        if upto < low:
-            low, low_at = upto, j + 1
     candidates = [(best_gain, *_span(lo_including(i), hi_including(j))) for i, j in ends]
     if best_gain <= 0:  # only then can rejecting every row tie or win
         empty = [(scores[0] - epsilon,) * 2, (scores[-1] + epsilon,) * 2]
         empty += [(a + epsilon, b - epsilon) for a, b in zip(scores, scores[1:])]
         candidates += [(0, *_span(lo, hi)) for lo, hi in empty if lo <= hi]
     gain, _, _, lo, hi = max(candidates, key=lambda cand: cand[:3])
-    return lo, hi, (anomalies.total() + gain) / len(rows)
+    return lo, hi, (anomalies + gain) / len(rows)
 
 
 def _span(lo: float, hi: float) -> tuple[float, float, float, float]:

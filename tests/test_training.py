@@ -156,6 +156,15 @@ def test_best_interval_rejects_empty_rows():
         best_interval([], EPSILON)
 
 
+# With epsilon 0 the two anomalies below came back inside a band reported as
+# 100% accurate, (1.0, 2.0, 1.0); a negative epsilon widened it, and nan gave
+# lo = nan.
+@pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan, math.inf])
+def test_best_interval_rejects_an_epsilon_that_is_not_finite_and_above_0(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be a finite number above 0"):
+        best_interval([(T, 1.0), (T, 2.0)], epsilon)
+
+
 def exhaustive_best_accuracy(rows, epsilon=1e-9):
     """Oracle: try every candidate boundary pair."""
     scores = sorted({s for _, s in rows})
@@ -298,6 +307,22 @@ _CLOSE_SCORES = [
 )
 def test_best_interval_equals_the_quadratic_reference(rows):
     assert best_interval(rows, EPSILON) == _quadratic_best_interval(rows, EPSILON)
+
+
+# Rows drawn from _CLOSE_SCORES alone share scores often, with mixed labels at
+# one score, so the end of each equal-score run must come from the sorted rows
+# and not from the order the caller gave.
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from([N, S, T]), st.sampled_from(_CLOSE_SCORES)),
+        min_size=1,
+        max_size=40,
+    ),
+    data=st.data(),
+)
+def test_best_interval_ignores_the_order_of_its_rows(rows, data):
+    shuffled = data.draw(st.permutations(rows))
+    assert best_interval(shuffled, EPSILON) == best_interval(rows, EPSILON)
 
 
 # best_interval builds the empty-interval candidates only when no run of
