@@ -7,7 +7,9 @@ made while it grouped the instance (cli.train_models and the alpha curve),
 or the one `train` scores for a caller that holds an activity's instances.
 For each weight on a grid, the closed interval of blended scores that best
 separates normal from anomalous rows becomes that activity's acceptance
-band. The weight with the highest training accuracy wins (`fit`).
+band. The weight with the highest training accuracy wins (`fit`). `fit`
+stops at the first weight whose training accuracy is 1.0, since no later
+weight can beat it; `sweep` and `curve` compute every weight.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from operator import itemgetter
 
 from tempoguard.config import RunConfig
@@ -149,13 +152,22 @@ def sweep(
     pattern, as evaluation.route pairs them; an instance's total at every
     weight is its breakdown's ScoreBreakdown.blend.
     """
+    return list(_sweep_rows(scored, cfg))
+
+
+def _sweep_rows(
+    scored: list[tuple[ActivityInstance, ScoreBreakdown]], cfg: RunConfig | None
+) -> Iterator[tuple[float, float, float, float]]:
+    """sweep's rows, each computed when it is drawn; `scored` is checked at once."""
     cfg = cfg or RunConfig()
     require_labeled([inst for inst, _ in scored], "training")
-    rows = []
-    for alpha in alpha_grid(cfg):
-        table = [(inst.label, b.blend(alpha)) for inst, b in scored]
-        rows.append((alpha, *best_interval(table, cfg.boundary_epsilon)))
-    return rows
+
+    def rows() -> Iterator[tuple[float, float, float, float]]:
+        for alpha in alpha_grid(cfg):
+            table = [(inst.label, b.blend(alpha)) for inst, b in scored]
+            yield (alpha, *best_interval(table, cfg.boundary_epsilon))
+
+    return rows()
 
 
 def curve(
@@ -188,9 +200,16 @@ def fit(
     """The sweep row with the best training accuracy, as `activity`'s model.
 
     Ties resolve to the smallest weight: the first sweep row with the highest
-    accuracy wins.
+    accuracy wins. No accuracy exceeds 1.0, so the rows stop at the first
+    weight that reaches it; the weights after it are never computed.
     """
-    alpha, lo, hi, acc = max(sweep(scored, cfg), key=lambda row: row[3])
+    best = None
+    for row in _sweep_rows(scored, cfg):
+        if best is None or row[3] > best[3]:
+            best = row
+            if row[3] == 1.0:
+                break
+    alpha, lo, hi, acc = best
     return ScoreModel(activity=activity, alpha=alpha, lo=lo, hi=hi, training_accuracy=acc)
 
 

@@ -13,12 +13,13 @@ from tempoguard.cli import run
 from tempoguard.config import MAX_ALPHA_WEIGHTS, RunConfig
 from tempoguard.evaluation import build_report
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
-from tempoguard.scoring import score
+from tempoguard.scoring import ScoreBreakdown, score
 from tempoguard.training import (
     ScoreModel,
     alpha_grid,
     best_interval,
     curve,
+    fit,
     models_from_json,
     models_to_json,
     sweep,
@@ -442,6 +443,86 @@ def test_train_takes_the_first_sweep_row_with_the_best_accuracy():
     best = max(acc for _, _, _, acc in rows)
     alpha, lo, hi, acc = next(row for row in rows if row[3] == best)
     assert train(pattern, labeled) == ScoreModel("p", alpha, lo, hi, acc)
+
+
+def _first_best_row(rows):
+    """The first sweep row with the highest accuracy: the row fit's model is made of."""
+    best = max(acc for _, _, _, acc in rows)
+    return next(row for row in rows if row[3] == best)
+
+
+def _count_best_interval_calls(monkeypatch):
+    """Wrap training.best_interval; returns the list of each call's row count."""
+    calls = []
+    original = training_module.best_interval
+
+    def counting(rows, epsilon):
+        calls.append(len(rows))
+        return original(rows, epsilon)
+
+    monkeypatch.setattr(training_module, "best_interval", counting)
+    return calls
+
+
+def test_fit_stops_at_the_first_sweep_row_with_full_accuracy(monkeypatch):
+    pattern = make_pattern("ABC", [10_000, 20_000])
+    pairs = scored(pattern, _separable_training_set())
+    rows = sweep(pairs)
+    first = next(k for k, row in enumerate(rows) if row[3] == 1.0)
+    assert first + 1 < len(rows)  # an exit that leaves weights uncomputed
+    calls = _count_best_interval_calls(monkeypatch)
+    model = fit("p", pairs)
+    assert calls == [len(pairs)] * (first + 1)
+    assert model == ScoreModel("p", *rows[first])
+
+
+def test_fit_computes_every_weight_when_no_weight_separates(monkeypatch):
+    # A normal and an anomaly with the same events score alike at every weight.
+    pattern = make_pattern("ABC", [10_000, 20_000])
+    pairs = scored(
+        pattern,
+        [make_instance("ABC", [10_000, 20_000], label=lbl) for lbl in (N, T)]
+        + [make_instance("AC", [30_000], label=S)],
+    )
+    rows = sweep(pairs)
+    assert max(acc for _, _, _, acc in rows) < 1.0
+    calls = _count_best_interval_calls(monkeypatch)
+    model = fit("p", pairs)
+    assert len(calls) == len(alpha_grid(RunConfig())) == len(rows)
+    assert model == ScoreModel("p", *_first_best_row(rows))
+
+
+def test_fit_rejects_an_unlabeled_instance_before_any_interval(monkeypatch):
+    pattern = make_pattern("AB", [10])
+    labeled = [make_instance("AB", [10], label=N), make_instance("AB", [10], source_id="seg-0001")]
+    calls = _count_best_interval_calls(monkeypatch)
+    with pytest.raises(ValueError, match="^unlabeled instance 'seg-0001' in training set$"):
+        fit("p", scored(pattern, labeled))
+    assert calls == []
+
+
+# Breakdowns drawn from a few completeness and timing values: rows often reach
+# full accuracy, at the first weight or a later one. A normal and an anomaly
+# given the same breakdown (clash) keep every weight below full accuracy.
+_BREAKDOWNS = st.builds(
+    ScoreBreakdown,
+    st.sampled_from([1.0, 0.75, 0.5]),
+    st.sampled_from([1.0, 0.9, 0.5, 0.0, -0.2]),
+    st.just(()),
+)
+
+
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([N, S, T]), _BREAKDOWNS), min_size=1, max_size=12),
+    clash=st.one_of(st.none(), _BREAKDOWNS),
+    grid=st.sampled_from([(5.0, 0.1), (2.0, 0.25), (0.0, 0.1)]),
+)
+def test_fit_equals_the_first_best_sweep_row(rows, clash, grid):
+    if clash is not None:
+        rows = rows + [(N, clash), (T, clash)]
+    pairs = [(make_instance("AB", [10], label=lbl), b) for lbl, b in rows]
+    cfg = RunConfig(alpha_max=grid[0], alpha_step=grid[1])
+    assert fit("p", pairs, cfg) == ScoreModel("p", *_first_best_row(sweep(pairs, cfg)))
 
 
 def test_score_model_validates_interval_order():
