@@ -129,7 +129,7 @@ def _count(text: str) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([], [args.out])
-    events = simulate.generate(simulate.builtin_specs(), cfg)
+    events = simulate.generate(cfg)
     _write_or_print(ingest.serialize_log(events, args.format), args.out)
     return 0
 
@@ -202,7 +202,7 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     if not 0 <= args.alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 0, not {args.alpha!r}")
-    patterns = _load_records(mining.patterns_from_json, args.pattern)
+    patterns = _load_records(mining.patterns_from_json, args.patterns)
     events = _load_log(args.log)
     for inst in ingest.segment(events, cfg):
         _, breakdown = evaluation.select_pattern(patterns, inst)
@@ -274,10 +274,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
         raise ValueError("train_normal + train_anomaly must be >= 1, or no model can be trained")
     if cfg.test_normal + cfg.test_anomaly == 0:
         raise ValueError("test_normal + test_anomaly must be >= 1, or nothing is evaluated")
-    specs = simulate.builtin_specs()
-    events = simulate.generate(specs, cfg)
+    events = simulate.generate(cfg)
     instances = ingest.segment(events, cfg)
-    mined = mining.mine_patterns(instances, cfg, simulate.spec_name_map(specs))
+    mined = mining.mine_patterns(instances, cfg)
     patterns = [pattern for pattern, _ in mined]
 
     rng_augment = random.Random(cfg.seed + 1)
@@ -399,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="synthetic instances JSONL path (default: stdout)")
     p.set_defaults(handler=_cmd_augment)
 
-    p = sub.add_parser(
-        "forge", aliases=["forge-anomalies"], help="synthesize anomalous instances"
-    )
+    p = sub.add_parser("forge", help="synthesize anomalous instances")
     p.add_argument("instances", help="normal instances JSONL")
     p.add_argument("--kind", choices=("seq", "ti"), required=True,
                    help="seq: delete one event; ti: stretch one interval")
@@ -418,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("score", help="print total scores for each log segment")
-    p.add_argument("--pattern", required=True, help="patterns JSON")
+    p.add_argument("--patterns", required=True, help="patterns JSON")
     p.add_argument("--log", required=True, help="CSV or JSONL device log")
     p.add_argument("--alpha", type=float, required=True, help="timing weight")
     add_config_flags(p, "gap_seconds", "min_segment_len")

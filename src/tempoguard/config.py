@@ -86,6 +86,8 @@ class RunConfig(
             raise ValueError("boundary_epsilon must be > 0")
         if self.ti_multiplier <= 1:
             raise ValueError("ti_multiplier must be > 1")
+        if not self.workdir:
+            raise ValueError("workdir must be a non-empty path")
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too

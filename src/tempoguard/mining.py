@@ -22,23 +22,25 @@ from tempoguard.events import (
     json_records,
     json_value,
 )
+from tempoguard.simulate import builtin_specs
 
 
 def mine_patterns(
     instances: list[ActivityInstance],
     cfg: RunConfig | None = None,
-    names: dict[tuple[EventKey, ...], str] | None = None,
 ) -> list[tuple[ActivityPattern, list[ActivityInstance]]]:
     """Group instances by exact key sequence; each frequent group becomes a pattern.
 
     Returns (pattern, segments) pairs, where segments are the instances the
     pattern was averaged from, in input order. Patterns come back sorted by
     support descending, then by key sequence as strings, so they do not
-    depend on input order; names are "pattern-1", "pattern-2", ... unless
-    `names` maps a key sequence to a better one. Mining no pattern at all is
-    a ValueError that counts the segments and the distinct key sequences.
+    depend on input order. A pattern with a built-in activity's key sequence
+    takes that activity's name; any other is "pattern-N", N its place in the
+    output. Mining no pattern at all is a ValueError that counts the
+    segments and the distinct key sequences.
     """
     cfg = cfg or RunConfig()
+    builtin = {spec.key_sequence(): spec.name for spec in builtin_specs()}
     groups: dict[tuple[EventKey, ...], list[ActivityInstance]] = {}
     for inst in instances:
         groups.setdefault(inst.key_sequence(), []).append(inst)
@@ -48,7 +50,7 @@ def mine_patterns(
         if len(group) < cfg.min_support or len(keys) < cfg.min_len:
             continue
         means = tuple(sum(col) / len(group) for col in zip(*map(intervals, group)))
-        name = (names or {}).get(keys, f"pattern-{len(mined) + 1}")
+        name = builtin.get(keys, f"pattern-{len(mined) + 1}")
         mined.append((ActivityPattern(name, keys, means, len(group)), group))
     if not mined:
         raise ValueError(
@@ -65,8 +67,11 @@ def patterns_to_json(patterns: list[ActivityPattern]) -> str:
 
 
 def patterns_from_json(text: str) -> list[ActivityPattern]:
-    """Load a pattern file: a JSON array of pattern objects, no two of one name."""
-    return json_records(text, "pattern", _pattern_from_obj, "name")
+    """Load a pattern file: a non-empty JSON array of pattern objects, no two of one name."""
+    patterns = json_records(text, "pattern", _pattern_from_obj, "name")
+    if not patterns:
+        raise ValueError("a pattern file must hold at least one pattern")
+    return patterns
 
 
 def _pattern_from_obj(obj: dict) -> ActivityPattern:

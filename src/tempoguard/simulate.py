@@ -27,25 +27,10 @@ class ActivitySpec(namedtuple("ActivitySpec", "name steps")):
     """One scripted activity: events plus the base gap preceding each.
 
     steps[k] = (key, base_interval_ms before this event); the first step's
-    interval must be None, every later one a positive int.
+    interval is None, every later one a positive int.
     """
 
     __slots__ = ()
-
-    def __new__(cls, name: str, steps: tuple[tuple[EventKey, int | None], ...]) -> ActivitySpec:
-        steps = tuple(steps)
-        if not name:
-            raise ValueError("name must be non-empty")
-        if not steps:
-            raise ValueError("steps must be non-empty")
-        if steps[0][1] is not None:
-            raise ValueError("first step must have no preceding interval")
-        for key, gap in steps[1:]:
-            if gap is None or gap <= 0:
-                raise ValueError(f"step for {key} needs a positive base interval")
-        return tuple.__new__(cls, (name, steps))
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
 
     def key_sequence(self) -> tuple[EventKey, ...]:
         return tuple(key for key, _ in self.steps)
@@ -101,13 +86,8 @@ def builtin_specs() -> list[ActivitySpec]:
     ]
 
 
-def spec_name_map(specs: list[ActivitySpec]) -> dict[tuple[EventKey, ...], str]:
-    """Key-sequence → activity-name lookup, for naming mined patterns."""
-    return {spec.key_sequence(): spec.name for spec in specs}
-
-
-def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Event]:
-    """Emit a full log: every activity repeated instances_per_activity times.
+def generate(cfg: RunConfig | None = None) -> list[Event]:
+    """Emit a full log: every built-in activity repeated instances_per_activity times.
 
     Each gap is base * (1 + gauss(0, cfg.noise_sigma)), rounded to whole ms and clamped
     to >= 1; a gap that is not finite or is longer than MAX_TIMESTAMP_MS is an
@@ -118,7 +98,7 @@ def generate(specs: list[ActivitySpec], cfg: RunConfig | None = None) -> list[Ev
     rng = random.Random(cfg.seed)
     events: list[Event] = []
     now = START_EPOCH_MS
-    for spec in specs:
+    for spec in builtin_specs():
         for _ in range(cfg.instances_per_activity):
             for key, base in spec.steps:
                 if base is not None:

@@ -25,7 +25,7 @@ from tempoguard.forge import smote_midpoint
 from tempoguard.ingest import format_timestamp, parse_log, parse_log_jsonl, serialize_log
 from tempoguard.mining import mine_patterns, patterns_from_json, patterns_to_json
 from tempoguard.scoring import align, angle, score
-from tempoguard.simulate import builtin_specs, generate
+from tempoguard.simulate import generate
 from tempoguard.training import (
     ScoreModel,
     best_interval,
@@ -238,7 +238,7 @@ def test_telemetry_between_bursts_changes_no_verdict(checklist, tmp_path):
 
 def test_everything_survives_serialization(checklist):
     with checklist("logs, patterns, and models reload to equal values"):
-        events = generate(builtin_specs(), RunConfig(instances_per_activity=5))
+        events = generate(RunConfig(instances_per_activity=5))
         assert parse_log(serialize_log(events, "csv")) == events
         assert parse_log_jsonl(serialize_log(events, "jsonl")) == events
         instances = [make_instance("ABC", [10, 20]) for _ in range(5)]

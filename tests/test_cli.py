@@ -30,7 +30,7 @@ from tempoguard.cli import (
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL, MAX_TIMESTAMP_MS, ActivityInstance
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
 from tempoguard.scoring import ScoreBreakdown
-from tempoguard.mining import patterns_from_json
+from tempoguard.mining import patterns_from_json, patterns_to_json
 from tempoguard.training import ScoreModel, alpha_grid, models_from_json
 
 
@@ -127,6 +127,18 @@ def test_score_prints_the_perfect_match_total(tmp_path, capsys):
     assert lines == ["4.0"] * 15
 
 
+def test_score_takes_patterns_like_the_other_commands_and_its_prefix(tmp_path, capsys):
+    log, pats = tmp_path / "log.csv", tmp_path / "patterns.json"
+    run_cli("simulate", "--instances", "5", "--out", str(log))
+    pats.write_text(patterns_to_json([make_pattern("AB")]))
+    printed = []
+    for flag in ("--patterns", "--pattern"):
+        capsys.readouterr()
+        assert run_cli("score", flag, str(pats), "--log", str(log), "--alpha", "3") == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and len(printed[0].splitlines()) == 15
+
+
 def test_augment_writes_the_requested_count(tmp_path):
     inst = tmp_path / "instances.jsonl"
     out = tmp_path / "synthetic.jsonl"
@@ -140,7 +152,7 @@ def test_augment_writes_the_requested_count(tmp_path):
     assert len(instances_from_jsonl(out.read_text())) == 10
 
 
-def test_forge_alias_and_kinds(tmp_path):
+def test_forge_writes_seq_and_ti_anomalies(tmp_path):
     log = tmp_path / "log.csv"
     inst = tmp_path / "instances.jsonl"
     out = tmp_path / "anomalies.jsonl"
@@ -149,10 +161,7 @@ def test_forge_alias_and_kinds(tmp_path):
     assert run_cli("forge", str(inst), "--kind", "seq", "--count", "5", "--out", str(out)) == 0
     seq = instances_from_jsonl(out.read_text())
     assert len(seq) == 5 and all(i.label == "anomaly_seq" for i in seq)
-    assert (
-        run_cli("forge-anomalies", str(inst), "--kind", "ti", "--count", "4", "--out", str(out))
-        == 0
-    )
+    assert run_cli("forge", str(inst), "--kind", "ti", "--count", "4", "--out", str(out)) == 0
     ti = instances_from_jsonl(out.read_text())
     assert len(ti) == 4 and all(i.label == "anomaly_ti" for i in ti)
 
@@ -274,6 +283,16 @@ def test_seed42_detect_score_and_stats_outputs_match_their_digests(tmp_path, cap
     assert _sha256(out.read_bytes()) == SEED42_DETECT_OUT
     assert _sha256(scored.encode("utf-8")) == SEED42_SCORE_ALPHA_3
     assert _sha256(stats.read_bytes()) == SEED42_STATS
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["--seed", "7", "--instances-per-activity", "120"]], ids=["seed42", "seed7x120"]
+)
+def test_mine_on_a_runs_instances_writes_that_runs_patterns_file(tmp_path, capsys, argv):
+    workdir, mined = tmp_path / "run", tmp_path / "mined.json"
+    assert run_cli("pipeline", "--workdir", str(workdir), *argv) == 0
+    assert run_cli("mine", str(workdir / "instances.jsonl"), "--out", str(mined)) == 0
+    assert mined.read_bytes() == (workdir / "patterns.json").read_bytes()
 
 
 def _alpha_curve_file(path: Path) -> list[dict]:
@@ -423,6 +442,15 @@ def test_pipeline_builds_each_key_sequence_once_in_mining_and_once_in_augment(
     assert (segments, calls) == (150, 2 * segments)
 
 
+def test_pipeline_with_an_empty_workdir_is_a_data_error_that_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("pipeline", "--workdir", "", "--instances-per-activity", "10") == 2
+    assert capsys.readouterr().err == "error: workdir must be a non-empty path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pipeline_config_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"bogus": 1}), encoding="utf-8")
@@ -559,7 +587,7 @@ def test_detect_reports_one_verdict_per_segment(tmp_path, capsys):
 def no_segments(tmp_path_factory):
     """Patterns, models and a log that detect loads and that hold no segment."""
     folder = tmp_path_factory.mktemp("empty")
-    (folder / "patterns.json").write_text("[]")
+    (folder / "patterns.json").write_text(patterns_to_json([make_pattern("A")]))
     (folder / "models.json").write_text("[]")
     (folder / "log.csv").write_text("timestamp,device,attribute,value\n")
     return folder
@@ -1053,6 +1081,22 @@ def test_train_on_an_empty_train_set_is_a_data_error(small_run, tmp_path, capsys
     assert run_cli("train", *argv) == 2
     assert capsys.readouterr().err == "error: training set is empty\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "score", "detect", "evaluate"])
+def test_an_empty_pattern_file_is_a_data_error_before_any_other_file_is_read(
+    small_run, tmp_path, capsys, command
+):
+    empty, missing = tmp_path / "patterns.json", str(tmp_path / "missing")
+    empty.write_text("[]")
+    argv = {
+        "train": ["--train-set", missing],
+        "score": ["--log", missing, "--alpha", "1"],
+        "detect": ["--log", missing, "--models", str(small_run / MODELS)],
+        "evaluate": ["--test-set", missing, "--models", str(small_run / MODELS)],
+    }[command]
+    assert run_cli(command, "--patterns", str(empty), *argv) == 2
+    assert capsys.readouterr().err == "error: a pattern file must hold at least one pattern\n"
 
 
 def test_forge_on_an_empty_instance_file_is_a_data_error(tmp_path, capsys):

@@ -35,6 +35,7 @@ from tempoguard.config import SETTINGS, RunConfig
         {"test_normal": -1},
         {"train_anomaly": -1},
         {"test_anomaly": -3},
+        {"workdir": ""},
     ],
     ids=lambda settings: ",".join(f"{name}={value}" for name, value in settings.items()),
 )

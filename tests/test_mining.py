@@ -21,11 +21,12 @@ from tempoguard.ingest import (
     serialize_log,
 )
 from tempoguard.mining import mine_patterns, patterns_from_json, patterns_to_json
+from tempoguard.simulate import builtin_specs
 
 
-def _patterns(instances, cfg=None, names=None) -> list:
+def _patterns(instances, cfg=None) -> list:
     """The patterns of mine_patterns' (pattern, segments) pairs."""
-    return [pattern for pattern, _ in mine_patterns(instances, cfg, names)]
+    return [pattern for pattern, _ in mine_patterns(instances, cfg)]
 
 
 def test_identical_sequences_average_into_one_pattern():
@@ -153,9 +154,14 @@ def test_auto_names_number_patterns_in_output_order():
 
 
 def test_label_map_overrides_auto_names():
-    instances = [make_instance("AB") for _ in range(5)]
-    names = {(key("A"), key("B")): "Come back home"}
-    assert _patterns(instances, names=names)[0].name == "Come back home"
+    # The built-in activity table is the label map: its key sequences take their names.
+    instances = (
+        [make_instance("AB") for _ in range(7)]
+        + _runs(builtin_specs()[1].key_sequence(), 6)  # Use toilet
+        + [make_instance("CD") for _ in range(5)]
+    )
+    names = [p.name for p in _patterns(instances)]
+    assert names == ["pattern-1", "Use toilet", "pattern-3"]
 
 
 # Each key's device, attribute and state rank it differently among the others.

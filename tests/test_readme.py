@@ -9,7 +9,7 @@ from pathlib import Path
 from tempoguard.cli import run
 from tempoguard.config import RunConfig
 from tempoguard.ingest import serialize_log
-from tempoguard.simulate import builtin_specs, generate
+from tempoguard.simulate import generate
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,7 +17,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_library_use_example_runs_on_a_small_log(tmp_path, monkeypatch, capsys):
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     (example,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
-    events = generate(builtin_specs(), RunConfig(instances_per_activity=5))
+    events = generate(RunConfig(instances_per_activity=5))
     (tmp_path / "log.csv").write_text(serialize_log(events, "csv"), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     exec(compile(example, str(README), "exec"), {})

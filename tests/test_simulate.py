@@ -6,15 +6,10 @@ from hypothesis import strategies as st
 
 from tempoguard.cli import run, run_pipeline
 from tempoguard.config import RunConfig
-from tempoguard.events import MAX_TIMESTAMP_MS, EventKey, intervals
+from tempoguard.events import MAX_TIMESTAMP_MS, intervals
 from tempoguard.ingest import parse_log, segment, serialize_log
-from tempoguard.simulate import (
-    AUTOMATION_LATENCY_MS,
-    ActivitySpec,
-    builtin_specs,
-    generate,
-    spec_name_map,
-)
+from tempoguard.mining import mine_patterns
+from tempoguard.simulate import AUTOMATION_LATENCY_MS, builtin_specs, generate
 
 
 def test_there_are_three_builtin_activities():
@@ -61,25 +56,6 @@ def test_automation_steps_use_the_fixed_latency():
                 assert gaps[device] == AUTOMATION_LATENCY_MS
 
 
-def test_spec_rejects_interval_on_the_first_step():
-    with pytest.raises(ValueError, match="first step"):
-        ActivitySpec(
-            name="x",
-            steps=((EventKey("A", "motion", "active"), 5),),
-        )
-
-
-def test_spec_rejects_missing_interval_on_later_steps():
-    with pytest.raises(ValueError, match="positive base interval"):
-        ActivitySpec(
-            name="x",
-            steps=(
-                (EventKey("A", "motion", "active"), None),
-                (EventKey("B", "motion", "active"), None),
-            ),
-        )
-
-
 def test_simulate_rejects_negative_noise(capsys):
     with pytest.raises(ValueError, match="^noise_sigma must be >= 0$"):
         RunConfig(noise_sigma=-0.1)
@@ -98,7 +74,7 @@ def test_sim_config_requires_gap_beyond_segmentation_threshold(tmp_path, capsys)
 
 def test_zero_noise_reproduces_base_intervals_exactly():
     specs = builtin_specs()
-    events = generate(specs, RunConfig(instances_per_activity=2, noise_sigma=0.0))
+    events = generate(RunConfig(instances_per_activity=2, noise_sigma=0.0))
     segments = segment(events)
     assert len(segments) == 6
     for spec, chunk in zip(specs, [segments[0:2], segments[2:4], segments[4:6]]):
@@ -109,25 +85,25 @@ def test_zero_noise_reproduces_base_intervals_exactly():
 
 
 def test_same_seed_gives_identical_logs():
-    one = generate(builtin_specs(), RunConfig(seed=7, instances_per_activity=3))
-    two = generate(builtin_specs(), RunConfig(seed=7, instances_per_activity=3))
+    one = generate(RunConfig(seed=7, instances_per_activity=3))
+    two = generate(RunConfig(seed=7, instances_per_activity=3))
     assert serialize_log(one, "csv") == serialize_log(two, "csv")
 
 
 def test_different_seeds_give_different_timing():
-    one = generate(builtin_specs(), RunConfig(seed=1, instances_per_activity=3))
-    two = generate(builtin_specs(), RunConfig(seed=2, instances_per_activity=3))
+    one = generate(RunConfig(seed=1, instances_per_activity=3))
+    two = generate(RunConfig(seed=2, instances_per_activity=3))
     assert serialize_log(one, "csv") != serialize_log(two, "csv")
 
 
 def test_generated_log_round_trips_through_the_parser():
-    events = generate(builtin_specs(), RunConfig(instances_per_activity=3))
+    events = generate(RunConfig(instances_per_activity=3))
     assert parse_log(serialize_log(events, "csv")) == events
 
 
 def test_segmentation_recovers_every_scripted_instance():
     specs = builtin_specs()
-    events = generate(specs, RunConfig(instances_per_activity=4))
+    events = generate(RunConfig(instances_per_activity=4))
     segments = segment(events)
     assert len(segments) == 12
     wanted = {spec.key_sequence(): 0 for spec in specs}
@@ -137,17 +113,18 @@ def test_segmentation_recovers_every_scripted_instance():
 
 
 def test_name_map_indexes_specs_by_key_sequence():
-    specs = builtin_specs()
-    mapping = spec_name_map(specs)
-    assert mapping[specs[0].key_sequence()] == "Come back home"
-    assert len(mapping) == 3
+    cfg = RunConfig(instances_per_activity=5)
+    mined = {p.keys: p.name for p, _ in mine_patterns(segment(generate(cfg)), cfg)}
+    assert mined == {spec.key_sequence(): spec.name for spec in builtin_specs()}
+    assert mined[builtin_specs()[0].key_sequence()] == "Come back home"
+    assert len(mined) == 3
 
 
 @settings(deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_generated_intervals_are_strictly_positive(seed):
     cfg = RunConfig(seed=seed, instances_per_activity=1, noise_sigma=0.5)
-    events = generate(builtin_specs(), cfg)
+    events = generate(cfg)
     for before, after in zip(events, events[1:]):
         assert after.timestamp_ms - before.timestamp_ms >= 1
 
@@ -158,7 +135,7 @@ def test_a_jittered_gap_past_any_log_span_is_an_error_naming_the_activity():
         rf"not a finite gap of at most {MAX_TIMESTAMP_MS} ms$"
     )
     with pytest.raises(ValueError, match=message):
-        generate(builtin_specs(), RunConfig(noise_sigma=1e300))
+        generate(RunConfig(noise_sigma=1e300))
 
 
 @pytest.mark.parametrize("sigma", ["1e300", "1e308"])
@@ -171,15 +148,15 @@ def test_simulate_with_a_huge_noise_sigma_is_a_short_data_error(capsys, sigma):
 
 
 def test_generate_rejects_a_log_ending_past_year_9999_naming_the_gap_setting():
-    specs, cfg = builtin_specs(), RunConfig(instances_per_activity=1)
-    last = generate(specs, cfg)[-1].timestamp_ms
+    cfg = RunConfig(instances_per_activity=1)
+    last = generate(cfg)[-1].timestamp_ms
     # Two inter-instance gaps come before the last event, and the jitter does not depend on them.
     gap = cfg.inter_instance_gap_ms + (MAX_TIMESTAMP_MS - last) // 2
-    fits = generate(specs, cfg._replace(inter_instance_gap_ms=gap))
+    fits = generate(cfg._replace(inter_instance_gap_ms=gap))
     assert fits[-1].timestamp_ms <= MAX_TIMESTAMP_MS
     message = (
         rf"^inter_instance_gap_ms \({gap + 1} ms\) puts the last event at \d+ ms, "
         rf"after 9999-12-31T23:59:59\.999Z \({MAX_TIMESTAMP_MS} ms\)$"
     )
     with pytest.raises(ValueError, match=message):
-        generate(specs, cfg._replace(inter_instance_gap_ms=gap + 1))
+        generate(cfg._replace(inter_instance_gap_ms=gap + 1))
