@@ -265,11 +265,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
     run that one of those stages rejects, such as a ti_multiplier that
     stretches an interval past any log span, leaves no workdir and no file.
     """
-    if cfg.inter_instance_gap_ms <= cfg.gap_ms:
-        raise ValueError(
-            f"inter_instance_gap_ms ({cfg.inter_instance_gap_ms} ms) must exceed the "
-            f"segmentation gap, gap_seconds ({cfg.gap_ms} ms)"
-        )
     if cfg.train_normal + cfg.train_anomaly == 0:
         raise ValueError("train_normal + train_anomaly must be >= 1, or no model can be trained")
     if cfg.test_normal + cfg.test_anomaly == 0:
@@ -410,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="sweep the timing weight and fit score intervals")
     p.add_argument("--patterns", required=True, help="patterns JSON")
     p.add_argument("--train-set", required=True, help="labeled instances JSONL")
-    add_config_flags(p, "alpha_min", "alpha_max", "alpha_step", "boundary_epsilon")
+    add_config_flags(p, "alpha_min", "alpha_max", "alpha_step")
     p.add_argument("--out", help="model JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_train)
 

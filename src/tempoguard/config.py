@@ -22,7 +22,6 @@ SETTINGS = {
     "seed": (int, 42, "seed of every random draw: simulate, augment, forge and the split"),
     "instances_per_activity": (int, 50, "instances per activity"),
     "noise_sigma": (float, 0.1, "relative std-dev of interval jitter"),
-    "inter_instance_gap_ms": (int, 600_000, "idle ms between simulated runs (over gap_seconds)"),
     "gap_seconds": (float, 120.0, "idle gap that separates activity instances"),
     "min_segment_len": (int, 2, "drop segments of fewer discrete events (readings not counted)"),
     "min_support": (int, 5, "fewest segments of one key sequence that make a pattern"),
@@ -30,7 +29,6 @@ SETTINGS = {
     "alpha_min": (float, 0.0, "smallest timing weight the alpha sweep tries"),
     "alpha_max": (float, 5.0, "largest timing weight the alpha sweep tries"),
     "alpha_step": (float, 0.1, "step between the weights the alpha sweep tries"),
-    "boundary_epsilon": (float, 1e-9, "margin between a band edge and the score it excludes"),
     "ti_multiplier": (float, 50.0, "factor that a forged timing anomaly stretches one gap by"),
     "train_normal": (int, 40, "normal training instances per activity"),
     "test_normal": (int, 60, "normal test instances per activity"),
@@ -82,8 +80,6 @@ class RunConfig(
                 f"alpha_step must be at least (alpha_max - alpha_min) / {MAX_ALPHA_WEIGHTS - 1}, "
                 f"so that the alpha grid holds at most {MAX_ALPHA_WEIGHTS} weights"
             )
-        if self.boundary_epsilon <= 0:
-            raise ValueError("boundary_epsilon must be > 0")
         if self.ti_multiplier <= 1:
             raise ValueError("ti_multiplier must be > 1")
         if not self.workdir:

@@ -221,13 +221,15 @@ def json_document(text: str, what: str):
 
 
 def json_records(text: str, what: str, build: Callable[[dict], object], unique: str) -> list:
-    """build(obj) per object of a JSON array; errors name the entry by number.
+    """build(obj) per object of a non-empty JSON array; errors name the entry by number.
 
     No two records may share the value of their attribute `unique`.
     """
     out = []
     seen = set()
     records = json_value(json_document(text, f"{what} file"), list, f"a {what} file")
+    if not records:
+        raise ValueError(f"a {what} file must hold at least one {what}")
     for n, obj in enumerate(records, start=1):
         try:
             record = build(json_value(obj, dict, "the entry"))

@@ -68,10 +68,7 @@ def patterns_to_json(patterns: list[ActivityPattern]) -> str:
 
 def patterns_from_json(text: str) -> list[ActivityPattern]:
     """Load a pattern file: a non-empty JSON array of pattern objects, no two of one name."""
-    patterns = json_records(text, "pattern", _pattern_from_obj, "name")
-    if not patterns:
-        raise ValueError("a pattern file must hold at least one pattern")
-    return patterns
+    return json_records(text, "pattern", _pattern_from_obj, "name")
 
 
 def _pattern_from_obj(obj: dict) -> ActivityPattern:

@@ -22,6 +22,11 @@ START_EPOCH_MS = 1_633_046_400_000
 # Automation platforms fire rules quickly; one fixed latency keeps runs comparable.
 AUTOMATION_LATENCY_MS = 1_000
 
+# A run starts this many segmentation gaps (gap_seconds) after the last one
+# ends, so no two runs share a segment whatever the gap, and the spacing moves
+# timestamps only. At the default 120 s gap, runs are 600 s apart.
+RUN_SPACING_GAPS = 5
+
 
 class ActivitySpec(namedtuple("ActivitySpec", "name steps")):
     """One scripted activity: events plus the base gap preceding each.
@@ -91,11 +96,13 @@ def generate(cfg: RunConfig | None = None) -> list[Event]:
 
     Each gap is base * (1 + gauss(0, cfg.noise_sigma)), rounded to whole ms and clamped
     to >= 1; a gap that is not finite or is longer than MAX_TIMESTAMP_MS is an
-    error, and so is a log that ends after MAX_TIMESTAMP_MS. One RNG stream
-    drawn in a fixed order makes the log a pure function of the seed.
+    error, and so is a log that ends after MAX_TIMESTAMP_MS. Runs are
+    RUN_SPACING_GAPS segmentation gaps apart. One RNG stream drawn in a fixed
+    order makes the log a pure function of the seed.
     """
     cfg = cfg or RunConfig()
     rng = random.Random(cfg.seed)
+    spacing = RUN_SPACING_GAPS * cfg.gap_ms
     events: list[Event] = []
     now = START_EPOCH_MS
     for spec in builtin_specs():
@@ -111,10 +118,10 @@ def generate(cfg: RunConfig | None = None) -> list[Event]:
                         )
                     now += max(1, round(gap))
                 events.append(Event(now, key))
-            now += cfg.inter_instance_gap_ms
+            now += spacing
     if events and (end := events[-1].timestamp_ms) > MAX_TIMESTAMP_MS:
         raise ValueError(
-            f"inter_instance_gap_ms ({cfg.inter_instance_gap_ms} ms) puts the last event at "
-            f"{end} ms, after 9999-12-31T23:59:59.999Z ({MAX_TIMESTAMP_MS} ms)"
+            f"gap_seconds ({cfg.gap_seconds}) spaces runs {spacing} ms apart, which puts the "
+            f"last event at {end} ms, after 9999-12-31T23:59:59.999Z ({MAX_TIMESTAMP_MS} ms)"
         )
     return events

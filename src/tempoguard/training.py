@@ -9,7 +9,7 @@ For each weight on a grid, the closed interval of blended scores that best
 separates normal from anomalous rows becomes that activity's acceptance
 band. The weight with the highest training accuracy wins (`fit`). `fit`
 stops at the first weight whose training accuracy is 1.0, since no later
-weight can beat it; `sweep` and `curve` compute every weight.
+weight can beat it; `curve` computes every weight.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL
 from tempoguard.events import json_field, json_records, require_labeled
 from tempoguard.scoring import ScoreBreakdown, score
+
+# The margin between each edge of an accepted band and the nearest score it excludes.
+BOUNDARY_EPSILON = 1e-9
 
 
 class ScoreModel(namedtuple("ScoreModel", "activity alpha lo hi training_accuracy")):
@@ -57,13 +60,13 @@ def alpha_grid(cfg: RunConfig) -> list[float]:
     return [cfg.alpha_min + k * cfg.alpha_step for k in range(steps + 1)]
 
 
-def best_interval(rows: list[tuple[str, float]], epsilon: float) -> tuple[float, float, float]:
+def best_interval(rows: list[tuple[str, float]]) -> tuple[float, float, float]:
     """Closed score interval [lo, hi] that best separates normal from anomaly.
 
-    Candidate boundaries are the sorted distinct scores nudged by ±epsilon.
-    Accuracy counts normals inside plus anomalies outside. Ties prefer the
-    widest interval, then the smallest lo. Returns (lo, hi, accuracy).
-    epsilon must be a finite number above 0.
+    Candidate boundaries are the sorted distinct scores nudged by
+    ±BOUNDARY_EPSILON. Accuracy counts normals inside plus anomalies outside.
+    Ties prefer the widest interval, then the smallest lo. Returns
+    (lo, hi, accuracy).
 
     Costs O(m log m) for m rows, and hashes no score. One stable sort orders
     the rows by score, and one pass over them runs Kadane's maximum-sum run
@@ -80,8 +83,7 @@ def best_interval(rows: list[tuple[str, float]], epsilon: float) -> tuple[float,
     """
     if not rows:
         raise ValueError("rows must be non-empty")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be a finite number above 0")
+    epsilon = BOUNDARY_EPSILON
     # Maximize (gain, width, -lo), where gain is normals minus anomalies
     # inside; every achievable selection is a contiguous run of distinct
     # scores, or no scores at all (gain 0).
@@ -145,27 +147,21 @@ def _span(lo: float, hi: float) -> tuple[float, float, float, float]:
 
 def sweep(
     scored: list[tuple[ActivityInstance, ScoreBreakdown]], cfg: RunConfig | None = None
-) -> list[tuple[float, float, float, float]]:
+) -> Iterator[tuple[float, float, float, float]]:
     """One (alpha, lo, hi, accuracy) row per weight on the grid, ascending.
 
     `scored` pairs each labeled instance with its breakdown against one
     pattern, as evaluation.route pairs them; an instance's total at every
-    weight is its breakdown's ScoreBreakdown.blend.
+    weight is its breakdown's ScoreBreakdown.blend. `scored` is checked when
+    sweep is called; each row is computed when it is drawn.
     """
-    return list(_sweep_rows(scored, cfg))
-
-
-def _sweep_rows(
-    scored: list[tuple[ActivityInstance, ScoreBreakdown]], cfg: RunConfig | None
-) -> Iterator[tuple[float, float, float, float]]:
-    """sweep's rows, each computed when it is drawn; `scored` is checked at once."""
     cfg = cfg or RunConfig()
     require_labeled([inst for inst, _ in scored], "training")
 
     def rows() -> Iterator[tuple[float, float, float, float]]:
         for alpha in alpha_grid(cfg):
             table = [(inst.label, b.blend(alpha)) for inst, b in scored]
-            yield (alpha, *best_interval(table, cfg.boundary_epsilon))
+            yield (alpha, *best_interval(table))
 
     return rows()
 
@@ -204,7 +200,7 @@ def fit(
     weight that reaches it; the weights after it are never computed.
     """
     best = None
-    for row in _sweep_rows(scored, cfg):
+    for row in sweep(scored, cfg):
         if best is None or row[3] > best[3]:
             best = row
             if row[3] == 1.0:
@@ -226,7 +222,7 @@ def models_to_json(models: list[ScoreModel]) -> str:
 
 
 def models_from_json(text: str) -> list[ScoreModel]:
-    """Load a model file: a JSON array of model objects, no two for one activity."""
+    """Load a model file: a non-empty JSON array of model objects, no two for one activity."""
     return json_records(text, "model", _model_from_obj, "activity")
 
 

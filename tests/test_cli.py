@@ -31,7 +31,7 @@ from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL, MAX_TIMESTAMP_MS,
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
 from tempoguard.scoring import ScoreBreakdown
 from tempoguard.mining import patterns_from_json, patterns_to_json
-from tempoguard.training import ScoreModel, alpha_grid, models_from_json
+from tempoguard.training import ScoreModel, alpha_grid, models_from_json, models_to_json
 
 
 HUGE = 10**400  # JSON reads this integer, but no float can hold it
@@ -314,7 +314,7 @@ def test_pipeline_stats_leaves_the_seed42_artifacts_as_they_are(tmp_path, capsys
 
 def test_pipeline_stats_row_at_each_model_alpha_is_that_model(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"boundary_epsilon": 0.001}), encoding="utf-8")
+    config.write_text(json.dumps({"alpha_step": 0.25}), encoding="utf-8")
     workdir, stats = tmp_path / "run", tmp_path / "stats.json"
     argv = ["--config", str(config), "--workdir", str(workdir), "--stats", str(stats)]
     assert run_cli("pipeline", *argv) == 0
@@ -588,7 +588,7 @@ def no_segments(tmp_path_factory):
     """Patterns, models and a log that detect loads and that hold no segment."""
     folder = tmp_path_factory.mktemp("empty")
     (folder / "patterns.json").write_text(patterns_to_json([make_pattern("A")]))
-    (folder / "models.json").write_text("[]")
+    (folder / "models.json").write_text(models_to_json([ScoreModel("A", 1.0, 0.0, 1.0, 1.0)]))
     (folder / "log.csv").write_text("timestamp,device,attribute,value\n")
     return folder
 
@@ -725,8 +725,6 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
     [
         ("--gap-seconds=0", "gap_seconds must be over 0.0005, a gap of 1 ms or more"),
         ("--alpha-step=0", "alpha_step must be > 0"),
-        ("--gap-seconds=700", "inter_instance_gap_ms (600000 ms) must exceed the segmentation "
-         "gap, gap_seconds (700000 ms)"),
         ("--train-normal=-5", "train_normal must be >= 0"),
         ("--test-anomaly=-3", "test_anomaly must be >= 0"),
         ("--alpha-min=-1", "alpha_min must be >= 0"),
@@ -734,17 +732,17 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
          "train_normal + train_anomaly must be >= 1, or no model can be trained"),
         ("--test-normal=0 --test-anomaly=0",
          "test_normal + test_anomaly must be >= 1, or nothing is evaluated"),
-        ("--inter-instance-gap-ms=1000000000000000",
-         "inter_instance_gap_ms (1000000000000000 ms) puts the last event at 149001633050006363 "
-         "ms, after 9999-12-31T23:59:59.999Z (253402300799999 ms)"),
+        ("--gap-seconds=1e12",
+         "gap_seconds (1000000000000.0) spaces runs 5000000000000000 ms apart, which puts the "
+         "last event at 745001633050006363 ms, after 9999-12-31T23:59:59.999Z (253402300799999 ms)"),
         ("--ti-multiplier=1.2e10",
          "instance 'seg-0069': ti_multiplier 12000000000.0 stretches a 23939 ms interval past "
          "253402300799999 ms"),
     ],
     ids=[
-        "gap_seconds=0", "alpha_step=0", "gap_seconds=700", "train_normal=-5", "test_anomaly=-3",
-        "alpha_min=-1", "train_normal=0,train_anomaly=0", "test_normal=0,test_anomaly=0",
-        "inter_instance_gap_ms=1e15", "ti_multiplier=1.2e10",
+        "gap_seconds=0", "alpha_step=0", "train_normal=-5", "test_anomaly=-3", "alpha_min=-1",
+        "train_normal=0,train_anomaly=0", "test_normal=0,test_anomaly=0", "gap_seconds=1e12",
+        "ti_multiplier=1.2e10",
     ],
 )
 def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, flags, message):
@@ -755,10 +753,15 @@ def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, 
 
 
 def test_pipeline_spaces_instances_past_its_own_segmentation_gap(tmp_path):
-    argv = ["--gap-seconds=60", "--inter-instance-gap-ms=100000", "--instances=10"]
-    assert run_cli("pipeline", *argv, "--workdir", str(tmp_path / "run")) == 0
-    instances = instances_from_jsonl((tmp_path / "run" / "instances.jsonl").read_text())
-    assert len(instances) == 30
+    # Runs are a fixed number of segmentation gaps apart, so at any gap that keeps each run
+    # whole, the segments and every result are the default run's; only timestamps move.
+    seed42 = _seed42_digests()
+    for gap in ("700", "60", "30"):
+        workdir = tmp_path / gap
+        assert run_cli("pipeline", "--gap-seconds", gap, "--workdir", str(workdir)) == 0, gap
+        digests = _digests(workdir)
+        for name in (PATTERNS, MODELS, "report.json"):
+            assert digests[name] == seed42[name], (gap, name)
 
 
 def test_train_models_logs_a_pattern_without_training_instances(caplog):
@@ -1097,6 +1100,18 @@ def test_an_empty_pattern_file_is_a_data_error_before_any_other_file_is_read(
     }[command]
     assert run_cli(command, "--patterns", str(empty), *argv) == 2
     assert capsys.readouterr().err == "error: a pattern file must hold at least one pattern\n"
+
+
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_an_empty_model_file_is_a_data_error_before_the_log_or_test_set_is_read(
+    small_run, tmp_path, capsys, command
+):
+    empty, missing = tmp_path / MODELS, str(tmp_path / "missing")
+    empty.write_text("[]")
+    data = {"detect": "--log", "evaluate": "--test-set"}[command]
+    argv = ["--models", str(empty), "--patterns", str(small_run / PATTERNS), data, missing]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == "error: a model file must hold at least one model\n"
 
 
 def test_forge_on_an_empty_instance_file_is_a_data_error(tmp_path, capsys):

@@ -27,7 +27,6 @@ from tempoguard.config import SETTINGS, RunConfig
         {"alpha_step": 0.0},
         {"alpha_step": 1e-9},  # 5e9 weights: rejected before any grid is built
         {"alpha_step": 5e-324},
-        {"boundary_epsilon": 0.0},
         {"ti_multiplier": 1.0},
         {"ti_multiplier": math.inf},
         {"instances_per_activity": 0},

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempoguard.cli import run, run_pipeline
+from tempoguard.cli import run
 from tempoguard.config import RunConfig
 from tempoguard.events import MAX_TIMESTAMP_MS, intervals
 from tempoguard.ingest import parse_log, segment, serialize_log
 from tempoguard.mining import mine_patterns
-from tempoguard.simulate import AUTOMATION_LATENCY_MS, builtin_specs, generate
+from tempoguard.simulate import AUTOMATION_LATENCY_MS, RUN_SPACING_GAPS, builtin_specs, generate
 
 
 def test_there_are_three_builtin_activities():
@@ -63,11 +65,7 @@ def test_simulate_rejects_negative_noise(capsys):
     assert capsys.readouterr().err == "error: noise_sigma must be >= 0\n"
 
 
-def test_sim_config_requires_gap_beyond_segmentation_threshold(tmp_path, capsys):
-    workdir = tmp_path / "run"
-    with pytest.raises(ValueError, match="segmentation gap"):
-        run_pipeline(RunConfig(inter_instance_gap_ms=120_000, workdir=str(workdir)))
-    assert not workdir.exists()
+def test_simulate_rejects_zero_instances(capsys):
     assert run(["simulate", "--instances-per-activity=0"]) == 2
     assert "error: instances_per_activity must be >= 1" in capsys.readouterr().err
 
@@ -150,13 +148,15 @@ def test_simulate_with_a_huge_noise_sigma_is_a_short_data_error(capsys, sigma):
 def test_generate_rejects_a_log_ending_past_year_9999_naming_the_gap_setting():
     cfg = RunConfig(instances_per_activity=1)
     last = generate(cfg)[-1].timestamp_ms
-    # Two inter-instance gaps come before the last event, and the jitter does not depend on them.
-    gap = cfg.inter_instance_gap_ms + (MAX_TIMESTAMP_MS - last) // 2
-    fits = generate(cfg._replace(inter_instance_gap_ms=gap))
-    assert fits[-1].timestamp_ms <= MAX_TIMESTAMP_MS
+    # Two run spacings come before the last event, and the jitter does not depend on them.
+    gap_ms = cfg.gap_ms + (MAX_TIMESTAMP_MS - last) // (2 * RUN_SPACING_GAPS)
+    fits, past = (cfg._replace(gap_seconds=ms / 1000) for ms in (gap_ms, gap_ms + 1))
+    assert (fits.gap_ms, past.gap_ms) == (gap_ms, gap_ms + 1)
+    assert generate(fits)[-1].timestamp_ms <= MAX_TIMESTAMP_MS
     message = (
-        rf"^inter_instance_gap_ms \({gap + 1} ms\) puts the last event at \d+ ms, "
+        rf"^gap_seconds \({re.escape(str(past.gap_seconds))}\) spaces runs "
+        rf"{RUN_SPACING_GAPS * (gap_ms + 1)} ms apart, which puts the last event at \d+ ms, "
         rf"after 9999-12-31T23:59:59\.999Z \({MAX_TIMESTAMP_MS} ms\)$"
     )
     with pytest.raises(ValueError, match=message):
-        generate(cfg._replace(inter_instance_gap_ms=gap + 1))
+        generate(past)

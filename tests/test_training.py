@@ -15,6 +15,7 @@ from tempoguard.evaluation import build_report
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.scoring import ScoreBreakdown, score
 from tempoguard.training import (
+    BOUNDARY_EPSILON,
     ScoreModel,
     alpha_grid,
     best_interval,
@@ -27,7 +28,6 @@ from tempoguard.training import (
 )
 
 N, S, T = LABEL_NORMAL, LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI
-EPSILON = RunConfig().boundary_epsilon
 
 
 def score_table(pattern, labeled, alpha):
@@ -80,10 +80,9 @@ def test_alpha_grid_holds_at_most_its_bound_of_weights():
     [
         (["--alpha-min=3", "--alpha-max=2"], "alpha_min must be <= alpha_max"),
         (["--alpha-step=0"], "alpha_step must be > 0"),
-        (["--boundary-epsilon=0"], "boundary_epsilon must be > 0"),
         (["--alpha-step=5e-324"], "alpha_step must be at least (alpha_max - alpha_min) / 10000"),
     ],
-    ids=["alpha_min", "alpha_step", "boundary_epsilon", "alpha_step_tiny"],
+    ids=["alpha_min", "alpha_step", "alpha_step_tiny"],
 )
 def test_train_settings_are_checked_before_any_file_is_read(capsys, flags, message):
     assert run(["train", "--patterns=missing.json", "--train-set=missing.jsonl", *flags]) == 2
@@ -118,7 +117,7 @@ def test_sweep_rejects_empty_input():
 
 def test_best_interval_separates_separable_scores():
     rows = [(N, 3.0), (N, 3.05), (T, 2.0), (T, 4.5)]
-    lo, hi, accuracy = best_interval(rows, EPSILON)
+    lo, hi, accuracy = best_interval(rows)
     assert accuracy == 1.0
     assert lo <= 3.0 and 3.05 <= hi
     assert not (lo <= 2.0 <= hi) and not (lo <= 4.5 <= hi)
@@ -126,20 +125,20 @@ def test_best_interval_separates_separable_scores():
 
 def test_best_interval_with_identical_scores_keeps_the_majority():
     rows = [(N, 3.0), (N, 3.0), (N, 3.0), (S, 3.0)]
-    lo, hi, accuracy = best_interval(rows, EPSILON)
+    lo, hi, accuracy = best_interval(rows)
     assert accuracy == 0.75
     assert lo <= 3.0 <= hi
 
 
 def test_best_interval_with_an_embedded_anomaly():
     rows = [(N, 1.0), (N, 2.0), (N, 3.0), (S, 2.0)]
-    _, _, accuracy = best_interval(rows, EPSILON)
+    _, _, accuracy = best_interval(rows)
     assert accuracy == 0.75
 
 
 def test_best_interval_without_anomalies_covers_everything():
     rows = [(N, 1.0), (N, 2.0), (N, 5.0)]
-    lo, hi, accuracy = best_interval(rows, EPSILON)
+    lo, hi, accuracy = best_interval(rows)
     assert accuracy == 1.0
     assert lo <= 1.0 and hi >= 5.0
 
@@ -147,23 +146,14 @@ def test_best_interval_without_anomalies_covers_everything():
 def test_best_interval_prefers_the_widest_tie():
     # Either endpoint alone scores 0.5; the widest winning interval spans both.
     rows = [(N, 1.0), (N, 5.0)]
-    lo, hi, accuracy = best_interval(rows, EPSILON)
+    lo, hi, accuracy = best_interval(rows)
     assert accuracy == 1.0
     assert hi - lo == pytest.approx(4.0, abs=1e-6)
 
 
 def test_best_interval_rejects_empty_rows():
     with pytest.raises(ValueError, match="non-empty"):
-        best_interval([], EPSILON)
-
-
-# With epsilon 0 the two anomalies below came back inside a band reported as
-# 100% accurate, (1.0, 2.0, 1.0); a negative epsilon widened it, and nan gave
-# lo = nan.
-@pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan, math.inf])
-def test_best_interval_rejects_an_epsilon_that_is_not_finite_and_above_0(epsilon):
-    with pytest.raises(ValueError, match="epsilon must be a finite number above 0"):
-        best_interval([(T, 1.0), (T, 2.0)], epsilon)
+        best_interval([])
 
 
 def exhaustive_best_accuracy(rows, epsilon=1e-9):
@@ -190,7 +180,7 @@ def exhaustive_best_accuracy(rows, epsilon=1e-9):
     )
 )
 def test_best_interval_matches_exhaustive_scan(rows):
-    lo, hi, accuracy = best_interval(rows, EPSILON)
+    lo, hi, accuracy = best_interval(rows)
     assert accuracy == exhaustive_best_accuracy(rows)
     assert interval_accuracy(rows, lo, hi) == accuracy
 
@@ -206,7 +196,7 @@ def test_best_interval_matches_exhaustive_scan(rows):
     )
 )
 def test_best_interval_accuracy_is_reproducible_from_its_endpoints(rows):
-    lo, hi, accuracy = best_interval(rows, EPSILON)
+    lo, hi, accuracy = best_interval(rows)
     assert lo <= hi
     assert interval_accuracy(rows, lo, hi) == accuracy
 
@@ -307,7 +297,7 @@ _CLOSE_SCORES = [
     )
 )
 def test_best_interval_equals_the_quadratic_reference(rows):
-    assert best_interval(rows, EPSILON) == _quadratic_best_interval(rows, EPSILON)
+    assert best_interval(rows) == _quadratic_best_interval(rows, BOUNDARY_EPSILON)
 
 
 # Rows drawn from _CLOSE_SCORES alone share scores often, with mixed labels at
@@ -323,7 +313,7 @@ def test_best_interval_equals_the_quadratic_reference(rows):
 )
 def test_best_interval_ignores_the_order_of_its_rows(rows, data):
     shuffled = data.draw(st.permutations(rows))
-    assert best_interval(shuffled, EPSILON) == best_interval(rows, EPSILON)
+    assert best_interval(shuffled) == best_interval(rows)
 
 
 # best_interval builds the empty-interval candidates only when no run of
@@ -344,7 +334,7 @@ def test_best_interval_ignores_the_order_of_its_rows(rows, data):
     ],
 )
 def test_best_interval_without_a_positive_gain_equals_the_quadratic_reference(rows, expected):
-    assert best_interval(rows, EPSILON) == _quadratic_best_interval(rows, EPSILON) == expected
+    assert best_interval(rows) == _quadratic_best_interval(rows, BOUNDARY_EPSILON) == expected
 
 
 def _separable_training_set():
@@ -384,12 +374,11 @@ def test_train_picks_a_grid_alpha():
 def test_sweep_has_one_row_per_grid_weight_refit_from_a_score_table():
     pattern = make_pattern("ABC", [10_000, 20_000])
     labeled = _separable_training_set()
-    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25, boundary_epsilon=1e-6)
+    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25)
     expected = [
-        (alpha, *best_interval(score_table(pattern, labeled, alpha), cfg.boundary_epsilon))
-        for alpha in alpha_grid(cfg)
+        (alpha, *best_interval(score_table(pattern, labeled, alpha))) for alpha in alpha_grid(cfg)
     ]
-    assert sweep(scored(pattern, labeled), cfg) == expected
+    assert list(sweep(scored(pattern, labeled), cfg)) == expected
 
 
 def test_train_scores_each_instance_once(monkeypatch):
@@ -415,9 +404,9 @@ def test_curve_is_each_sweep_row_with_its_test_accuracy_as_classify_judges_it():
         make_instance("AC", [31_000], label=S),
         make_instance("ABC", [12_000, 18_000], label=N),
     ]
-    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25, boundary_epsilon=1e-6)
+    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25)
     rows = curve(scored(pattern, labeled), scored(pattern, test), cfg)
-    assert [row[:4] for row in rows] == sweep(scored(pattern, labeled), cfg)
+    assert [row[:4] for row in rows] == list(sweep(scored(pattern, labeled), cfg))
     for alpha, lo, hi, train_acc, test_acc in rows:
         model = ScoreModel("p", alpha, lo, hi, train_acc)
         assert test_acc == build_report([pattern], {"p": model}, test)["overall"]["accuracy"]
@@ -439,7 +428,7 @@ def test_curve_rejects_an_unlabeled_test_instance():
 def test_train_takes_the_first_sweep_row_with_the_best_accuracy():
     pattern = make_pattern("ABC", [10_000, 20_000])
     labeled = _separable_training_set()
-    rows = sweep(scored(pattern, labeled))
+    rows = list(sweep(scored(pattern, labeled)))
     best = max(acc for _, _, _, acc in rows)
     alpha, lo, hi, acc = next(row for row in rows if row[3] == best)
     assert train(pattern, labeled) == ScoreModel("p", alpha, lo, hi, acc)
@@ -456,9 +445,9 @@ def _count_best_interval_calls(monkeypatch):
     calls = []
     original = training_module.best_interval
 
-    def counting(rows, epsilon):
+    def counting(rows):
         calls.append(len(rows))
-        return original(rows, epsilon)
+        return original(rows)
 
     monkeypatch.setattr(training_module, "best_interval", counting)
     return calls
@@ -467,7 +456,7 @@ def _count_best_interval_calls(monkeypatch):
 def test_fit_stops_at_the_first_sweep_row_with_full_accuracy(monkeypatch):
     pattern = make_pattern("ABC", [10_000, 20_000])
     pairs = scored(pattern, _separable_training_set())
-    rows = sweep(pairs)
+    rows = list(sweep(pairs))
     first = next(k for k, row in enumerate(rows) if row[3] == 1.0)
     assert first + 1 < len(rows)  # an exit that leaves weights uncomputed
     calls = _count_best_interval_calls(monkeypatch)
@@ -484,12 +473,22 @@ def test_fit_computes_every_weight_when_no_weight_separates(monkeypatch):
         [make_instance("ABC", [10_000, 20_000], label=lbl) for lbl in (N, T)]
         + [make_instance("AC", [30_000], label=S)],
     )
-    rows = sweep(pairs)
+    rows = list(sweep(pairs))
     assert max(acc for _, _, _, acc in rows) < 1.0
     calls = _count_best_interval_calls(monkeypatch)
     model = fit("p", pairs)
     assert len(calls) == len(alpha_grid(RunConfig())) == len(rows)
     assert model == ScoreModel("p", *_first_best_row(rows))
+
+
+def test_sweep_computes_each_row_when_it_is_drawn(monkeypatch):
+    pattern = make_pattern("ABC", [10_000, 20_000])
+    pairs = scored(pattern, _separable_training_set())
+    calls = _count_best_interval_calls(monkeypatch)
+    rows = sweep(pairs)
+    assert calls == []
+    assert next(rows)[0] == 0.0
+    assert calls == [len(pairs)]
 
 
 def test_fit_rejects_an_unlabeled_instance_before_any_interval(monkeypatch):
@@ -522,7 +521,7 @@ def test_fit_equals_the_first_best_sweep_row(rows, clash, grid):
         rows = rows + [(N, clash), (T, clash)]
     pairs = [(make_instance("AB", [10], label=lbl), b) for lbl, b in rows]
     cfg = RunConfig(alpha_max=grid[0], alpha_step=grid[1])
-    assert fit("p", pairs, cfg) == ScoreModel("p", *_first_best_row(sweep(pairs, cfg)))
+    assert fit("p", pairs, cfg) == ScoreModel("p", *_first_best_row(list(sweep(pairs, cfg))))
 
 
 def test_score_model_validates_interval_order():
