@@ -1,9 +1,9 @@
 """Command-line front end: run any stage alone, or the whole pipeline.
 
-Subcommands mirror the processing stages — simulate, ingest, mine, augment,
-forge, train, score, detect, evaluate — plus `pipeline`, which chains them
-and leaves every intermediate artifact in a working directory so any stage
-can be re-run standalone with identical results.
+Subcommands mirror the processing stages — simulate, ingest, mine, split,
+train, score, detect, evaluate — plus `pipeline`, which chains them and
+leaves every intermediate artifact in a working directory; each of those
+files is what one stage writes when re-run standalone with the same settings.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, simulate, training
 from tempoguard.config import SETTINGS, RunConfig, UsageError
-from tempoguard.events import ActivityInstance, LABEL_NORMAL, require_labeled
+from tempoguard.events import ActivityInstance, require_labeled
 
 
 def add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -117,13 +116,6 @@ def _load_records(from_json, path: str | Path) -> list:
     return _parse_file(lambda lines: from_json(lines.read()), path)
 
 
-def _count(text: str) -> int:
-    """The --count of augment and forge: an integer >= 0, or argparse's usage error."""
-    if (count := int(text)) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {count}")
-    return count
-
-
 # ---------------------------------------------------------------- subcommands
 
 
@@ -149,22 +141,14 @@ def _cmd_mine(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_augment(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _guard_clobber([args.instances], [args.out])
-    pool = _parse_file(ingest.instances_from_jsonl, args.instances)
-    rng = random.Random(cfg.seed)
-    synthetic = forge.augment_normals(pool, args.count, rng)
-    _write_or_print(ingest.instances_to_jsonl(synthetic), args.out)
-    return 0
-
-
-def _cmd_forge(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _guard_clobber([args.instances], [args.out])
-    pool = _parse_file(ingest.instances_from_jsonl, args.instances)
-    if not pool:
-        raise ValueError(f"no instances in {args.instances}")
-    out = forge.make_anomalies(args.kind, pool, args.count, cfg, random.Random(cfg.seed))
-    _write_or_print(ingest.instances_to_jsonl(out), args.out)
+def _cmd_split(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _guard_clobber([args.instances], [args.train_out, args.test_out])
+    instances = _parse_file(ingest.instances_from_jsonl, args.instances)
+    train_set, test_set = forge.split_sets(mining.mine_patterns(instances, cfg), cfg)
+    # Both are encoded before either is written: one that cannot be leaves neither file.
+    train_text, test_text = map(ingest.instances_to_jsonl, (train_set, test_set))
+    Path(args.train_out).write_text(train_text, encoding="utf-8")
+    Path(args.test_out).write_text(test_text, encoding="utf-8")
     return 0
 
 
@@ -257,50 +241,20 @@ PIPELINE_FILES = (
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
-    """simulate → ingest → mine → augment → forge → train → evaluate.
+    """simulate → ingest → mine → split → train → evaluate.
 
     Writes the PIPELINE_FILES under cfg.workdir, then returns the report
-    dict. The settings are checked, and the log made, segmented, mined and
-    forged into the training and test sets, before the workdir is made. So a
-    run that one of those stages rejects, such as a ti_multiplier that
-    stretches an interval past any log span, leaves no workdir and no file.
+    dict. The log is made, segmented, mined and split into the training and
+    test sets (forge.split_sets) before the workdir is made. So a run that
+    one of those stages rejects, such as a ti_multiplier that stretches an
+    interval past any log span, or settings that leave a set empty, leaves
+    no workdir and no file.
     """
-    if cfg.train_normal + cfg.train_anomaly == 0:
-        raise ValueError("train_normal + train_anomaly must be >= 1, or no model can be trained")
-    if cfg.test_normal + cfg.test_anomaly == 0:
-        raise ValueError("test_normal + test_anomaly must be >= 1, or nothing is evaluated")
     events = simulate.generate(cfg)
     instances = ingest.segment(events, cfg)
     mined = mining.mine_patterns(instances, cfg)
     patterns = [pattern for pattern, _ in mined]
-
-    rng_augment = random.Random(cfg.seed + 1)
-    rng_forge = random.Random(cfg.seed + 2)
-    rng_split = random.Random(cfg.seed + 3)
-    normal_target = cfg.train_normal + cfg.test_normal
-    anomalies_per_type = cfg.train_anomaly + cfg.test_anomaly
-    train_set: list[ActivityInstance] = []
-    test_set: list[ActivityInstance] = []
-    for _, segments in mined:
-        originals = [inst._replace(label=LABEL_NORMAL) for inst in segments]
-        synthetic = forge.augment_normals(
-            originals, max(0, normal_target - len(originals)), rng_augment
-        )
-        normals = originals + synthetic
-        rng_split.shuffle(normals)
-        normals = normals[:normal_target]
-        seq_anomalies = forge.make_anomalies("seq", originals, anomalies_per_type, cfg, rng_forge)
-        ti_anomalies = forge.make_anomalies("ti", originals, anomalies_per_type, cfg, rng_forge)
-        train_set += (
-            normals[: cfg.train_normal]
-            + seq_anomalies[: cfg.train_anomaly]
-            + ti_anomalies[: cfg.train_anomaly]
-        )
-        test_set += (
-            normals[cfg.train_normal :]
-            + seq_anomalies[cfg.train_anomaly :]
-            + ti_anomalies[cfg.train_anomaly :]
-        )
+    train_set, test_set = forge.split_sets(mined, cfg)
 
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -369,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic device log")
-    add_config_flags(p, "seed", "instances_per_activity", "noise_sigma")
+    add_config_flags(p, "seed", "instances_per_activity", "noise_sigma", "gap_seconds")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_simulate)
@@ -386,21 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="patterns JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_mine)
 
-    p = sub.add_parser("augment", help="oversample normals by interval midpoints")
-    p.add_argument("instances", help="instances JSONL (one shared key sequence)")
-    p.add_argument("--count", type=_count, required=True, help="synthetic instances to forge")
-    add_config_flags(p, "seed")
-    p.add_argument("--out", help="synthetic instances JSONL path (default: stdout)")
-    p.set_defaults(handler=_cmd_augment)
-
-    p = sub.add_parser("forge", help="synthesize anomalous instances")
-    p.add_argument("instances", help="normal instances JSONL")
-    p.add_argument("--kind", choices=("seq", "ti"), required=True,
-                   help="seq: delete one event; ti: stretch one interval")
-    p.add_argument("--count", type=_count, required=True)
-    add_config_flags(p, "ti_multiplier", "seed")
-    p.add_argument("--out", help="anomalies JSONL path (default: stdout)")
-    p.set_defaults(handler=_cmd_forge)
+    p = sub.add_parser("split", help="forge labeled training and test sets from instances")
+    p.add_argument("instances", help="instances JSONL, mined as `mine` mines it")
+    add_config_flags(p, "min_support", "min_len", "seed", "ti_multiplier", "train_normal",
+                     "test_normal", "train_anomaly", "test_anomaly")
+    p.add_argument("--train-out", required=True, help="training set JSONL path")
+    p.add_argument("--test-out", required=True, help="test set JSONL path")
+    p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("train", help="sweep the timing weight and fit score intervals")
     p.add_argument("--patterns", required=True, help="patterns JSON")

@@ -19,7 +19,7 @@ from tempoguard.events import json_document, json_value
 # name -> (type, default, help for its flag); the order is RunConfig's field order.
 # The type reads both flag and config-file values.
 SETTINGS = {
-    "seed": (int, 42, "seed of every random draw: simulate, augment, forge and the split"),
+    "seed": (int, 42, "seed of every random draw: simulate and split"),
     "instances_per_activity": (int, 50, "instances per activity"),
     "noise_sigma": (float, 0.1, "relative std-dev of interval jitter"),
     "gap_seconds": (float, 120.0, "idle gap that separates activity instances"),

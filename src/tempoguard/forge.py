@@ -3,7 +3,9 @@
 Normal data is expanded by drawing two real instances with the same key
 sequence and taking the component-wise midpoint of their interval vectors.
 Anomalies come in two flavors: delete one event (sequence anomaly) or stretch
-one inter-event interval by a large factor (timing anomaly).
+one inter-event interval by a large factor (timing anomaly). `split_sets`
+does both for each mined activity and deals the results into the labeled
+training and test sets.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 from tempoguard.config import RunConfig
 from tempoguard.events import (
     ActivityInstance,
+    ActivityPattern,
     Event,
     LABEL_ANOMALY_SEQ,
     LABEL_ANOMALY_TI,
@@ -132,3 +135,42 @@ def augment_normals(
         i, j = rng.sample(range(len(pool)), 2)
         out.append(_midpoint(pool[i], pool[j]))
     return out
+
+
+def split_sets(
+    mined: list[tuple[ActivityPattern, list[ActivityInstance]]], cfg: RunConfig
+) -> tuple[list[ActivityInstance], list[ActivityInstance]]:
+    """The labeled (training set, test set) forged from each mined pattern's segments.
+
+    Per activity, the segments become normals, topped up by augment_normals
+    to train_normal + test_normal and shuffled, and train_anomaly +
+    test_anomaly anomalies of each kind are forged from them; the first
+    train_normal normals and train_anomaly anomalies of each kind go to the
+    training set, the rest to the test set. Three RNG streams, seeded
+    cfg.seed + 1 (augment), + 2 (forge) and + 3 (shuffle), run across the
+    activities in mining's order. Settings that leave either set empty are a
+    ValueError before any draw.
+    """
+    if cfg.train_normal + cfg.train_anomaly == 0:
+        raise ValueError("train_normal + train_anomaly must be >= 1, or no model can be trained")
+    if cfg.test_normal + cfg.test_anomaly == 0:
+        raise ValueError("test_normal + test_anomaly must be >= 1, or nothing is evaluated")
+    rng_augment = random.Random(cfg.seed + 1)
+    rng_forge = random.Random(cfg.seed + 2)
+    rng_split = random.Random(cfg.seed + 3)
+    normal_target = cfg.train_normal + cfg.test_normal
+    anomalies_per_type = cfg.train_anomaly + cfg.test_anomaly
+    cut, anomaly_cut = cfg.train_normal, cfg.train_anomaly
+    train_set: list[ActivityInstance] = []
+    test_set: list[ActivityInstance] = []
+    for _, segments in mined:
+        originals = [inst._replace(label=LABEL_NORMAL) for inst in segments]
+        synthetic = augment_normals(originals, max(0, normal_target - len(originals)), rng_augment)
+        normals = originals + synthetic
+        rng_split.shuffle(normals)
+        normals = normals[:normal_target]
+        seq = make_anomalies("seq", originals, anomalies_per_type, cfg, rng_forge)
+        ti = make_anomalies("ti", originals, anomalies_per_type, cfg, rng_forge)
+        train_set += normals[:cut] + seq[:anomaly_cut] + ti[:anomaly_cut]
+        test_set += normals[cut:] + seq[anomaly_cut:] + ti[anomaly_cut:]
+    return train_set, test_set

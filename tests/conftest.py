@@ -1,6 +1,9 @@
-"""Shared builders for tests: compact ways to spell instances and patterns."""
+"""Shared builders for tests: compact ways to spell instances and patterns, and file digests."""
 
 from __future__ import annotations
+
+import hashlib
+from pathlib import Path
 
 from tempoguard.events import (
     ActivityInstance,
@@ -61,3 +64,24 @@ def brute_force_longest_match(pattern: str, instance: str) -> int:
         if pos == len(candidate):
             best = max(best, len(candidate))
     return best
+
+
+# `sha256sum --check` input: the digest of every file the default (seed-42) pipeline writes.
+SEED42_DIGESTS = Path(__file__).resolve().parent / "seed42.sha256"
+
+
+def seed42_digests() -> dict[str, str]:
+    """The recorded digest of each seed-42 pipeline file, by name."""
+    recorded = {}
+    for line in SEED42_DIGESTS.read_text(encoding="ascii").splitlines():
+        digest, name = line.split("  ")
+        recorded[name] = digest
+    return recorded
+
+
+def digests(directory: Path) -> dict[str, str]:
+    """The SHA-256 digest of every file in `directory`, by name."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.iterdir()
+    }

@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import math
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_instance, make_pattern
-from tempoguard import evaluation, scoring, training
+from conftest import digests, make_instance, make_pattern, seed42_digests
+from tempoguard import evaluation, forge, scoring, training
 from tempoguard.cli import (
     PIPELINE_FILES,
     RunConfig,
@@ -139,64 +140,168 @@ def test_score_takes_patterns_like_the_other_commands_and_its_prefix(tmp_path, c
     assert printed[0] == printed[1] and len(printed[0].splitlines()) == 15
 
 
+def _split(instances: Path, *flags: str) -> int:
+    """`split` of `instances` into train.jsonl and test.jsonl beside it."""
+    outs = ["--train-out", str(instances.parent / "train.jsonl")]
+    outs += ["--test-out", str(instances.parent / "test.jsonl")]
+    return run_cli("split", str(instances), *flags, *outs)
+
+
+def _split_sets(instances: Path) -> list[list[ActivityInstance]]:
+    return [
+        instances_from_jsonl((instances.parent / name).read_text(encoding="utf-8"))
+        for name in ("train.jsonl", "test.jsonl")
+    ]
+
+
+def _wrote_no_set(instances: Path) -> bool:
+    return not any((instances.parent / name).exists() for name in ("train.jsonl", "test.jsonl"))
+
+
+def _simulated_instances(tmp_path: Path, count: str) -> Path:
+    log, inst = tmp_path / "log.csv", tmp_path / "instances.jsonl"
+    assert run_cli("simulate", "--instances", count, "--out", str(log)) == 0
+    assert run_cli("ingest", str(log), "--out", str(inst)) == 0
+    return inst
+
+
 def test_augment_writes_the_requested_count(tmp_path):
-    inst = tmp_path / "instances.jsonl"
-    out = tmp_path / "synthetic.jsonl"
-    log = tmp_path / "log.csv"
-    run_cli("simulate", "--instances", "4", "--out", str(log))
-    run_cli("ingest", str(log), "--out", str(inst))
-    pool = instances_from_jsonl(inst.read_text())
-    one_activity = tmp_path / "one.jsonl"
-    one_activity.write_text(instances_to_jsonl(pool[:4]))
-    assert run_cli("augment", str(one_activity), "--count", "10", "--out", str(out)) == 0
-    assert len(instances_from_jsonl(out.read_text())) == 10
+    inst = _simulated_instances(tmp_path, "4")
+    sizes = ["--train-normal", "3", "--test-normal", "7", "--train-anomaly", "0"]
+    assert _split(inst, "--min-support", "4", *sizes, "--test-anomaly", "0") == 0
+    train, test = _split_sets(inst)
+    assert (len(train), len(test)) == (3 * 3, 3 * 7)
+    assert {i.label for i in train + test} == {LABEL_NORMAL}
+    # 4 segments of each activity and 6 midpoints of two of them make its 10 normals.
+    assert sum(i.source_id.startswith("smote:") for i in train + test) == 3 * 6
 
 
 def test_forge_writes_seq_and_ti_anomalies(tmp_path):
-    log = tmp_path / "log.csv"
-    inst = tmp_path / "instances.jsonl"
-    out = tmp_path / "anomalies.jsonl"
-    run_cli("simulate", "--instances", "3", "--out", str(log))
-    run_cli("ingest", str(log), "--out", str(inst))
-    assert run_cli("forge", str(inst), "--kind", "seq", "--count", "5", "--out", str(out)) == 0
-    seq = instances_from_jsonl(out.read_text())
-    assert len(seq) == 5 and all(i.label == "anomaly_seq" for i in seq)
-    assert run_cli("forge", str(inst), "--kind", "ti", "--count", "4", "--out", str(out)) == 0
-    ti = instances_from_jsonl(out.read_text())
-    assert len(ti) == 4 and all(i.label == "anomaly_ti" for i in ti)
+    inst = _simulated_instances(tmp_path, "3")
+    sizes = ["--train-normal", "0", "--test-normal", "0", "--train-anomaly", "5"]
+    assert _split(inst, "--min-support", "3", *sizes, "--test-anomaly", "4") == 0
+    train, test = _split_sets(inst)
+    for labeled, count in ((train, 5), (test, 4)):
+        labels = Counter(i.label for i in labeled)
+        assert labels == {"anomaly_seq": 3 * count, "anomaly_ti": 3 * count}
 
 
 @pytest.mark.parametrize(
-    "command, pool, message",
+    "argv", [[], ["--seed", "7", "--instances-per-activity", "120"]], ids=["seed42", "seed7x120"]
+)
+def test_split_on_a_runs_instances_writes_that_runs_sets(tmp_path, capsys, argv):
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--workdir", str(workdir), *argv) == 0
+    inst = tmp_path / "instances.jsonl"
+    inst.write_bytes((workdir / "instances.jsonl").read_bytes())
+    assert _split(inst, *argv[:2]) == 0
+    assert (tmp_path / "train.jsonl").read_bytes() == (workdir / "train_set.jsonl").read_bytes()
+    assert (tmp_path / "test.jsonl").read_bytes() == (workdir / "test_set.jsonl").read_bytes()
+
+
+def test_simulate_ingest_mine_split_train_evaluate_rewrite_a_run_at_another_gap(tmp_path, capsys):
+    workdir, gap = tmp_path / "run", ["--gap-seconds", "700"]
+    assert run_cli("pipeline", "--workdir", str(workdir), *gap) == 0
+    stages = tmp_path / "stages"
+    stages.mkdir()
+    paths = {name: str(stages / name) for name in PIPELINE_FILES}
+    assert run_cli("simulate", *gap, "--out", paths["sim_log.csv"]) == 0
+    assert run_cli("ingest", paths["sim_log.csv"], *gap, "--out", paths["instances.jsonl"]) == 0
+    assert run_cli("mine", paths["instances.jsonl"], "--out", paths["patterns.json"]) == 0
+    outs = ["--train-out", paths["train_set.jsonl"], "--test-out", paths["test_set.jsonl"]]
+    assert run_cli("split", paths["instances.jsonl"], *outs) == 0
+    trained = ["--patterns", paths["patterns.json"], "--train-set", paths["train_set.jsonl"]]
+    assert run_cli("train", *trained, "--out", paths["models.json"]) == 0
+    capsys.readouterr()
+    judged = ["--models", paths["models.json"], "--patterns", paths["patterns.json"]]
+    argv = [*judged, "--test-set", paths["test_set.jsonl"], "--out", paths["report.json"]]
+    assert run_cli("evaluate", *argv) == 0
+    Path(paths["report.txt"]).write_text(capsys.readouterr().out, encoding="utf-8")
+    assert digests(stages) == digests(workdir)
+    assert digests(workdir)["sim_log.csv"] != seed42_digests()["sim_log.csv"]
+
+
+def test_forge_on_an_empty_instance_file_is_a_data_error(tmp_path, capsys):
+    # split mines its instances first, so an empty file is mine's error.
+    empty = tmp_path / "instances.jsonl"
+    empty.write_text("")
+    assert run_cli("mine", str(empty)) == 2
+    mined = capsys.readouterr().err
+    assert mined.startswith("error: no pattern mined (segments: 0, distinct key sequences: 0)")
+    assert _split(empty) == 2
+    assert capsys.readouterr() == ("", mined)
+    assert _wrote_no_set(empty)
+
+
+def test_forge_ti_multiplier_past_any_log_span_is_a_data_error(small_run, tmp_path, capsys):
+    inst = tmp_path / "instances.jsonl"
+    inst.write_bytes((small_run / "instances.jsonl").read_bytes())
+    assert _split(inst, "--ti-multiplier", "1e308") == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"error: instance '[^']+': ti_multiplier 1e\+308 stretches a \d+ ms interval past "
+        rf"{MAX_TIMESTAMP_MS} ms\n",
+        captured.err,
+    )
+    assert captured.out == ""
+    assert _wrote_no_set(inst)
+
+
+@pytest.mark.parametrize(
+    "kind, pool, message",
     [
-        (["forge", "--kind", "seq"], ["A"], "instance 'one': need at least 2 events to delete one"),
-        (["forge", "--kind", "ti"], ["A"], "instance 'one': need at least 2 events to stretch an"),
-        (["augment"], ["AB", "AC"], "instance 'one': key sequence differs from 'zero''s"),
+        ("seq", ["A"], "instance 'one': need at least 2 events to delete one"),
+        ("ti", ["A"], "instance 'one': need at least 2 events to stretch an interval"),
+        ("augment", ["AB", "AC"], "instance 'one': key sequence differs from 'zero''s"),
     ],
     ids=["seq", "ti", "augment"],
 )
-def test_forge_and_augment_errors_name_the_instance(tmp_path, capsys, command, pool, message):
-    inst = tmp_path / "instances.jsonl"
+def test_forge_and_augment_errors_name_the_instance(tmp_path, capsys, kind, pool, message):
     ids = ["zero", "one"][-len(pool) :]
-    inst.write_text(instances_to_jsonl([make_instance(s, source_id=i) for s, i in zip(pool, ids)]))
-    assert run_cli(*command, str(inst), "--count", "1") == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {message}")
-    assert captured.out == ""
+    instances = [make_instance(keys, source_id=i) for keys, i in zip(pool, ids)]
+    rng = random.Random(0)
+    if kind == "seq":  # split forges seq anomalies first, so only theirs is reached through it
+        inst = tmp_path / "instances.jsonl"
+        inst.write_text(instances_to_jsonl(instances))
+        sizes = ["--train-normal", "1", "--test-normal", "0", "--train-anomaly", "0"]
+        flags = ["--min-support", "1", "--min-len", "1", *sizes, "--test-anomaly", "1"]
+        assert _split(inst, *flags) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert _wrote_no_set(inst)
+        return
+    with pytest.raises(ValueError) as raised:
+        if kind == "ti":
+            forge.make_anomalies("ti", instances, 1, RunConfig(), rng)
+        else:  # split pools each mined key sequence apart, so only a library call mixes two
+            forge.augment_normals(instances, 1, rng)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
-    "command", [["augment"], ["forge", "--kind", "seq"]], ids=["augment", "forge"]
+    "flags, message",
+    [
+        ("--train-normal=0 --train-anomaly=0",
+         "train_normal + train_anomaly must be >= 1, or no model can be trained"),
+        ("--test-normal=0 --test-anomaly=0",
+         "test_normal + test_anomaly must be >= 1, or nothing is evaluated"),
+    ],
+    ids=["train", "test"],
 )
-def test_a_negative_count_is_a_usage_error_that_names_the_flag(tmp_path, capsys, command):
+def test_split_rejects_an_empty_set_as_pipeline_does(small_run, tmp_path, capsys, flags, message):
     inst = tmp_path / "instances.jsonl"
-    inst.write_text(instances_to_jsonl([make_instance("AB"), make_instance("AB", [2000])]))
-    out = tmp_path / "out.jsonl"
-    assert run_cli(*command, str(inst), "--count", "-1", "--out", str(out)) == 1
-    assert "argument --count: must be >= 0, not -1" in capsys.readouterr().err
-    assert not out.exists()
-    assert run_cli(*command, str(inst), "--count", "0", "--out", str(out)) == 0
-    assert out.read_text() == ""
+    inst.write_bytes((small_run / "instances.jsonl").read_bytes())
+    assert _split(inst, *flags.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _wrote_no_set(inst)
+
+
+def test_split_onto_one_path_twice_is_a_usage_error(small_run, tmp_path, capsys):
+    inst, out = tmp_path / "instances.jsonl", str(tmp_path / "sets.jsonl")
+    inst.write_bytes((small_run / "instances.jsonl").read_bytes())
+    assert run_cli("split", str(inst), "--train-out", out, "--test-out", out) == 1
+    message = f"output path {out!r} would overwrite a file this run reads or writes"
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    assert list(tmp_path.iterdir()) == [inst]
 
 
 def test_pipeline_writes_all_artifacts_and_report(tmp_path, capsys):
@@ -226,34 +331,19 @@ def test_pipeline_writes_all_artifacts_and_report(tmp_path, capsys):
     assert len(models) == 3
 
 
-# `sha256sum --check` input: the digest of every file the default (seed-42) pipeline writes.
-SEED42_DIGESTS = Path(__file__).resolve().parent / "seed42.sha256"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _seed42_digests() -> dict[str, str]:
-    recorded = {}
-    for line in SEED42_DIGESTS.read_text(encoding="ascii").splitlines():
-        digest, name = line.split("  ")
-        recorded[name] = digest
-    return recorded
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(workdir: Path) -> dict[str, str]:
-    """The digest of every file in `workdir`, by name."""
-    return {path.name: _sha256(path.read_bytes()) for path in workdir.iterdir()}
-
-
 def test_seed42_artifacts_match_the_recorded_digests(tmp_path, capsys, monkeypatch):
     workdir = tmp_path / "run"
     assert run_cli("pipeline", "--workdir", str(workdir)) == 0
     capsys.readouterr()
-    recorded = _seed42_digests()
-    assert _digests(workdir) == recorded
+    recorded = seed42_digests()
+    assert digests(workdir) == recorded
     monkeypatch.syspath_prepend(str(BENCH))
     bench_digests = importlib.import_module("workloads").REFERENCE_DIGESTS
     for name in ("models.json", "report.json"):
@@ -303,7 +393,7 @@ def test_pipeline_stats_leaves_the_seed42_artifacts_as_they_are(tmp_path, capsys
     workdir, stats = tmp_path / "run", tmp_path / "stats.json"
     assert run_cli("pipeline", "--workdir", str(workdir), "--stats", str(stats)) == 0
     capsys.readouterr()
-    assert _digests(workdir) == _seed42_digests()
+    assert digests(workdir) == seed42_digests()
     rows = _alpha_curve_file(stats)
     assert len(rows) == 3 * len(alpha_grid(RunConfig()))
     assert all(
@@ -755,13 +845,13 @@ def test_pipeline_checks_its_settings_before_writing_anything(tmp_path, capsys, 
 def test_pipeline_spaces_instances_past_its_own_segmentation_gap(tmp_path):
     # Runs are a fixed number of segmentation gaps apart, so at any gap that keeps each run
     # whole, the segments and every result are the default run's; only timestamps move.
-    seed42 = _seed42_digests()
+    seed42 = seed42_digests()
     for gap in ("700", "60", "30"):
         workdir = tmp_path / gap
         assert run_cli("pipeline", "--gap-seconds", gap, "--workdir", str(workdir)) == 0, gap
-        digests = _digests(workdir)
+        written = digests(workdir)
         for name in (PATTERNS, MODELS, "report.json"):
-            assert digests[name] == seed42[name], (gap, name)
+            assert written[name] == seed42[name], (gap, name)
 
 
 def test_train_models_logs_a_pattern_without_training_instances(caplog):
@@ -1114,25 +1204,6 @@ def test_an_empty_model_file_is_a_data_error_before_the_log_or_test_set_is_read(
     assert capsys.readouterr().err == "error: a model file must hold at least one model\n"
 
 
-def test_forge_on_an_empty_instance_file_is_a_data_error(tmp_path, capsys):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    assert run_cli("forge", str(empty), "--kind", "seq", "--count", "1") == 2
-    assert capsys.readouterr().err == f"error: no instances in {empty}\n"
-
-
-def test_forge_ti_multiplier_past_any_log_span_is_a_data_error(small_run, capsys):
-    argv = ["--kind", "ti", "--count", "2", "--ti-multiplier", "1e308"]
-    assert run_cli("forge", str(small_run / "instances.jsonl"), *argv) == 2
-    captured = capsys.readouterr()
-    assert re.fullmatch(
-        r"error: instance '[^']+': ti_multiplier 1e\+308 stretches a \d+ ms interval past "
-        rf"{MAX_TIMESTAMP_MS} ms\n",
-        captured.err,
-    )
-    assert captured.out == ""
-
-
 def _judge_argv(command: str, run_dir, models, patterns) -> list[str]:
     data = ["--log", str(run_dir / "sim_log.csv")]
     if command == "evaluate":
@@ -1269,16 +1340,16 @@ def test_a_bad_reading_is_a_data_error_naming_its_line(tmp_path, capsys, name, t
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv", [["forge", "--kind", "ti", "--count", "1"], ["mine"]], ids=["forge", "mine"]
-)
+@pytest.mark.parametrize("command", ["split", "mine"])
 def test_an_instance_of_readings_alone_with_an_unknown_label_is_a_data_error(
-    tmp_path, capsys, argv
+    tmp_path, capsys, command
 ):
     instances = tmp_path / "instances.jsonl"
     instances.write_text('{"label": "bogus", "events": [%s]}\n' % _READING.strip() % "1000")
-    assert run_cli(*argv[:1], str(instances), *argv[1:]) == 2
+    code = _split(instances) if command == "split" else run_cli("mine", str(instances))
+    assert code == 2
     assert capsys.readouterr().err == "error: line 1: unknown label 'bogus'\n"
+    assert _wrote_no_set(instances)
 
 
 def test_train_writes_an_array_when_one_model_is_trained(small_run, tmp_path):
@@ -1323,6 +1394,9 @@ def test_mining_no_pattern_is_a_data_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "no pattern mined (segments: 1, distinct key sequences: 1)" in err
+    assert _split(inst) == 2
+    assert capsys.readouterr() == ("", err)
+    assert _wrote_no_set(inst)
     workdir = tmp_path / "run"
     assert run_cli("pipeline", "--workdir", str(workdir), "--min-support", "1000") == 2
     assert "no pattern mined (segments: 150, distinct key sequences: 3)" in capsys.readouterr().err
@@ -1386,12 +1460,13 @@ def test_writing_a_time_past_year_9999_is_a_data_error_naming_the_instance(tmp_p
         '{"timestamp": "9999-12-31T23:59:50Z", "device": "L1", "attribute": "switch", "value": "on"}'
         "]}\n"
     )
-    out = tmp_path / "ti.jsonl"
-    assert run_cli("forge", str(late), "--kind", "ti", "--count", "1", "--out", str(out)) == 2
+    # One normal and one anomaly of each kind: the stretched one ends past year 9999.
+    sizes = ["--train-normal", "1", "--test-normal", "0", "--train-anomaly", "0"]
+    assert _split(late, "--min-support", "1", *sizes, "--test-anomaly", "1") == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert re.search(r"instance 'ti:late-1': timestamp \d+ ms is after 9999-12-31T23:59:59\.999Z", err)
-    assert not out.exists()
+    assert _wrote_no_set(late)
 
 
 @pytest.mark.parametrize(

@@ -142,7 +142,7 @@ def test_stretching_rejects_single_event_instances():
 
 
 def test_forge_config_rejects_multiplier_of_one_or_less(capsys):
-    argv = ["forge", "missing.jsonl", "--kind=ti", "--count=1", "--ti-multiplier=1"]
+    argv = ["split", "missing.jsonl", "--train-out=a", "--test-out=b", "--ti-multiplier=1"]
     assert run(argv) == 2
     assert "error: ti_multiplier must be > 1" in capsys.readouterr().err
 
