@@ -152,9 +152,7 @@ def _cmd_split(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def train_models(
-    patterns: list, labeled: list[ActivityInstance], cfg: RunConfig
-) -> list[training.ScoreModel]:
+def train_models(patterns: list, labeled: list[ActivityInstance]) -> list[training.ScoreModel]:
     """Route labeled instances to their best pattern and fit each activity's model.
 
     Each instance is scored once per pattern, while it is routed; training
@@ -169,7 +167,7 @@ def train_models(
 
             logging.getLogger(__name__).warning("no training instances routed to %r", pattern.name)
             continue
-        models.append(training.fit(pattern.name, group, cfg))
+        models.append(training.fit(pattern.name, group))
     return models
 
 
@@ -178,7 +176,7 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     patterns = _load_records(mining.patterns_from_json, args.patterns)
     labeled = _parse_file(ingest.instances_from_jsonl, args.train_set)
     require_labeled(labeled, "training")
-    models = train_models(patterns, labeled, cfg)
+    models = train_models(patterns, labeled)
     _write_or_print(training.models_to_json(models), args.out)
     return 0
 
@@ -268,7 +266,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     )
     (workdir / "test_set.jsonl").write_text(ingest.instances_to_jsonl(test_set), encoding="utf-8")
 
-    models = train_models(patterns, train_set, cfg)
+    models = train_models(patterns, train_set)
     (workdir / "models.json").write_text(training.models_to_json(models), encoding="utf-8")
 
     report = evaluation.build_report(patterns, {m.activity: m for m in models}, test_set)
@@ -277,7 +275,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return report
 
 
-def alpha_curve(workdir: Path, cfg: RunConfig) -> list[dict]:
+def alpha_curve(workdir: Path) -> list[dict]:
     """training.curve's rows for each activity with training instances, from a pipeline workdir.
 
     The training and test sets are routed as train_models routes them, and
@@ -293,7 +291,7 @@ def alpha_curve(workdir: Path, cfg: RunConfig) -> list[dict]:
         {"activity": pattern.name, **dict(zip(fields, row))}
         for pattern in patterns
         if train[pattern.name]
-        for row in training.curve(train[pattern.name], test[pattern.name], cfg)
+        for row in training.curve(train[pattern.name], test[pattern.name])
     ]
 
 
@@ -307,7 +305,7 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.out:
         Path(args.out).write_text(evaluation.report_to_json(report), encoding="utf-8")
     if args.stats:
-        stats = {"alpha_curve": alpha_curve(workdir, cfg)}
+        stats = {"alpha_curve": alpha_curve(workdir)}
         Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
     return 0
 
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="sweep the timing weight and fit score intervals")
     p.add_argument("--patterns", required=True, help="patterns JSON")
     p.add_argument("--train-set", required=True, help="labeled instances JSONL")
-    add_config_flags(p, "alpha_min", "alpha_max", "alpha_step")
     p.add_argument("--out", help="model JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_train)
 

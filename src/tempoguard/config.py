@@ -3,9 +3,10 @@
 SETTINGS is the one table of settings: name -> (type, default, help). The
 RunConfig named tuple takes its fields and defaults from it, and its CLI
 flags and config-file keys are read from it too. Each stage reads the fields
-it uses from one RunConfig. Every value is range-checked when the config is
-built (and again by `_replace`), and a float setting is stored as a float, so
-a bad setting stops a run before any artifact is written.
+it uses from one RunConfig; training reads none, since the weights it sweeps
+are the constant training.ALPHA_GRID. Every value is range-checked when the
+config is built (and again by `_replace`), and a float setting is stored as
+a float, so a bad setting stops a run before any artifact is written.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ SETTINGS = {
     "min_segment_len": (int, 2, "drop segments of fewer discrete events (readings not counted)"),
     "min_support": (int, 5, "fewest segments of one key sequence that make a pattern"),
     "min_len": (int, 2, "fewest keys in a pattern"),
-    "alpha_min": (float, 0.0, "smallest timing weight the alpha sweep tries"),
-    "alpha_max": (float, 5.0, "largest timing weight the alpha sweep tries"),
-    "alpha_step": (float, 0.1, "step between the weights the alpha sweep tries"),
     "ti_multiplier": (float, 50.0, "factor that a forged timing anomaly stretches one gap by"),
     "train_normal": (int, 40, "normal training instances per activity"),
     "test_normal": (int, 60, "normal test instances per activity"),
@@ -36,9 +34,6 @@ SETTINGS = {
     "test_anomaly": (int, 20, "test anomalies per activity and kind (seq, ti)"),
     "workdir": (str, "tempoguard_run", "artifact directory"),
 }
-
-# The most weights the alpha sweep may try: 200 times the default grid's 51.
-MAX_ALPHA_WEIGHTS = 10_001
 
 
 class UsageError(Exception):
@@ -68,18 +63,9 @@ class RunConfig(
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         split_sizes = ("train_normal", "test_normal", "train_anomaly", "test_anomaly")
-        for name in ("noise_sigma", "alpha_min", *split_sizes):
+        for name in ("noise_sigma", *split_sizes):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.alpha_min > self.alpha_max:
-            raise ValueError("alpha_min must be <= alpha_max")
-        if self.alpha_step <= 0:
-            raise ValueError("alpha_step must be > 0")
-        if not self.alpha_max - self.alpha_min <= self.alpha_step * (MAX_ALPHA_WEIGHTS - 1):
-            raise ValueError(
-                f"alpha_step must be at least (alpha_max - alpha_min) / {MAX_ALPHA_WEIGHTS - 1}, "
-                f"so that the alpha grid holds at most {MAX_ALPHA_WEIGHTS} weights"
-            )
         if self.ti_multiplier <= 1:
             raise ValueError("ti_multiplier must be > 1")
         if not self.workdir:

@@ -129,7 +129,10 @@ def augment_normals(
             first = pool[0].source_id
             raise ValueError(f"instance {inst.source_id!r}: key sequence differs from {first!r}'s")
     if target_count > 0 and len(pool) < 2:
-        raise ValueError("need at least 2 pool instances to draw a distinct pair")
+        raise ValueError(
+            f"instance {pool[0].source_id!r}: the only pool instance; "
+            "need at least 2 pool instances to draw a distinct pair"
+        )
     out: list[ActivityInstance] = []
     for _ in range(target_count):
         i, j = rng.sample(range(len(pool)), 2)

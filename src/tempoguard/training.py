@@ -7,9 +7,10 @@ made while it grouped the instance (cli.train_models and the alpha curve),
 or the one `train` scores for a caller that holds an activity's instances.
 For each weight on a grid, the closed interval of blended scores that best
 separates normal from anomalous rows becomes that activity's acceptance
-band. The weight with the highest training accuracy wins (`fit`). `fit`
-stops at the first weight whose training accuracy is 1.0, since no later
-weight can beat it; `curve` computes every weight.
+band. The grid is the constant ALPHA_GRID, so training takes no settings.
+The weight with the highest training accuracy wins (`fit`). `fit` stops at
+the first weight whose training accuracy is 1.0, since no later weight can
+beat it; `curve` computes every weight.
 """
 
 from __future__ import annotations
@@ -20,13 +21,17 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import itemgetter
 
-from tempoguard.config import RunConfig
 from tempoguard.events import ActivityInstance, ActivityPattern, LABEL_NORMAL
 from tempoguard.events import json_field, json_records, require_labeled
 from tempoguard.scoring import ScoreBreakdown, score
 
 # The margin between each edge of an accepted band and the nearest score it excludes.
 BOUNDARY_EPSILON = 1e-9
+
+# The timing weights the sweep tries, ascending: 0.0, 0.1, ..., 5.0. Each is
+# k * 0.1, not k / 10, so ALPHA_GRID[3] is 0.30000000000000004: `pipeline
+# --stats` writes each weight as it is held, and its pinned bytes hold these.
+ALPHA_GRID = tuple(k * 0.1 for k in range(51))
 
 
 class ScoreModel(namedtuple("ScoreModel", "activity alpha lo hi training_accuracy")):
@@ -49,15 +54,6 @@ class ScoreModel(namedtuple("ScoreModel", "activity alpha lo hi training_accurac
         return tuple.__new__(cls, (activity, alpha, lo, hi, training_accuracy))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace validates too
-
-
-def alpha_grid(cfg: RunConfig) -> list[float]:
-    """Sweep points alpha_min, alpha_min+step, ... up to alpha_max inclusive."""
-    span = cfg.alpha_max - cfg.alpha_min
-    steps = int(round(span / cfg.alpha_step))
-    while steps > 0 and cfg.alpha_min + steps * cfg.alpha_step > cfg.alpha_max + cfg.alpha_step * 1e-9:
-        steps -= 1
-    return [cfg.alpha_min + k * cfg.alpha_step for k in range(steps + 1)]
 
 
 def best_interval(rows: list[tuple[str, float]]) -> tuple[float, float, float]:
@@ -146,20 +142,19 @@ def _span(lo: float, hi: float) -> tuple[float, float, float, float]:
 
 
 def sweep(
-    scored: list[tuple[ActivityInstance, ScoreBreakdown]], cfg: RunConfig | None = None
+    scored: list[tuple[ActivityInstance, ScoreBreakdown]],
 ) -> Iterator[tuple[float, float, float, float]]:
-    """One (alpha, lo, hi, accuracy) row per weight on the grid, ascending.
+    """One (alpha, lo, hi, accuracy) row per weight of ALPHA_GRID, ascending.
 
     `scored` pairs each labeled instance with its breakdown against one
     pattern, as evaluation.route pairs them; an instance's total at every
     weight is its breakdown's ScoreBreakdown.blend. `scored` is checked when
     sweep is called; each row is computed when it is drawn.
     """
-    cfg = cfg or RunConfig()
     require_labeled([inst for inst, _ in scored], "training")
 
     def rows() -> Iterator[tuple[float, float, float, float]]:
-        for alpha in alpha_grid(cfg):
+        for alpha in ALPHA_GRID:
             table = [(inst.label, b.blend(alpha)) for inst, b in scored]
             yield (alpha, *best_interval(table))
 
@@ -169,7 +164,6 @@ def sweep(
 def curve(
     scored: list[tuple[ActivityInstance, ScoreBreakdown]],
     test: list[tuple[ActivityInstance, ScoreBreakdown]],
-    cfg: RunConfig | None = None,
 ) -> list[tuple[float, float, float, float, float | None]]:
     """sweep's rows, each with its accuracy on `test` appended (None when `test` is empty).
 
@@ -182,17 +176,13 @@ def curve(
         require_labeled([inst for inst, _ in test], "test")
     parts = [(inst.label == LABEL_NORMAL, b) for inst, b in test]
     rows = []
-    for alpha, lo, hi, accuracy in sweep(scored, cfg):
+    for alpha, lo, hi, accuracy in sweep(scored):
         right = sum((lo <= b.blend(alpha) <= hi) == normal for normal, b in parts)
         rows.append((alpha, lo, hi, accuracy, right / len(parts) if parts else None))
     return rows
 
 
-def fit(
-    activity: str,
-    scored: list[tuple[ActivityInstance, ScoreBreakdown]],
-    cfg: RunConfig | None = None,
-) -> ScoreModel:
+def fit(activity: str, scored: list[tuple[ActivityInstance, ScoreBreakdown]]) -> ScoreModel:
     """The sweep row with the best training accuracy, as `activity`'s model.
 
     Ties resolve to the smallest weight: the first sweep row with the highest
@@ -200,7 +190,7 @@ def fit(
     weight that reaches it; the weights after it are never computed.
     """
     best = None
-    for row in sweep(scored, cfg):
+    for row in sweep(scored):
         if best is None or row[3] > best[3]:
             best = row
             if row[3] == 1.0:
@@ -209,11 +199,9 @@ def fit(
     return ScoreModel(activity=activity, alpha=alpha, lo=lo, hi=hi, training_accuracy=acc)
 
 
-def train(
-    pattern: ActivityPattern, labeled: list[ActivityInstance], cfg: RunConfig | None = None
-) -> ScoreModel:
+def train(pattern: ActivityPattern, labeled: list[ActivityInstance]) -> ScoreModel:
     """Score each labeled instance once against `pattern`, then fit the pattern's model."""
-    return fit(pattern.name, [(inst, score(pattern, inst)) for inst in labeled], cfg)
+    return fit(pattern.name, [(inst, score(pattern, inst)) for inst in labeled])
 
 
 def models_to_json(models: list[ScoreModel]) -> str:

@@ -32,7 +32,7 @@ from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_NORMAL, MAX_TIMESTAMP_MS,
 from tempoguard.ingest import instances_from_jsonl, instances_to_jsonl
 from tempoguard.scoring import ScoreBreakdown
 from tempoguard.mining import patterns_from_json, patterns_to_json
-from tempoguard.training import ScoreModel, alpha_grid, models_from_json, models_to_json
+from tempoguard.training import ALPHA_GRID, ScoreModel, models_from_json, models_to_json
 
 
 HUGE = 10**400  # JSON reads this integer, but no float can hold it
@@ -253,18 +253,25 @@ def test_forge_ti_multiplier_past_any_log_span_is_a_data_error(small_run, tmp_pa
         ("seq", ["A"], "instance 'one': need at least 2 events to delete one"),
         ("ti", ["A"], "instance 'one': need at least 2 events to stretch an interval"),
         ("augment", ["AB", "AC"], "instance 'one': key sequence differs from 'zero''s"),
+        ("pair", ["AB"],
+         "instance 'one': the only pool instance; "
+         "need at least 2 pool instances to draw a distinct pair"),
     ],
-    ids=["seq", "ti", "augment"],
+    ids=["seq", "ti", "augment", "pair"],
 )
 def test_forge_and_augment_errors_name_the_instance(tmp_path, capsys, kind, pool, message):
     ids = ["zero", "one"][-len(pool) :]
     instances = [make_instance(keys, source_id=i) for keys, i in zip(pool, ids)]
     rng = random.Random(0)
-    if kind == "seq":  # split forges seq anomalies first, so only theirs is reached through it
+    # split tops up normals before it forges, and forges seq anomalies first, so only
+    # a lone segment's pair and seq errors are reached through it
+    if kind in ("seq", "pair"):
         inst = tmp_path / "instances.jsonl"
         inst.write_text(instances_to_jsonl(instances))
-        sizes = ["--train-normal", "1", "--test-normal", "0", "--train-anomaly", "0"]
-        flags = ["--min-support", "1", "--min-len", "1", *sizes, "--test-anomaly", "1"]
+        flags = ["--min-support", "1"]
+        if kind == "seq":
+            sizes = ["--train-normal", "1", "--test-normal", "0", "--train-anomaly", "0"]
+            flags += ["--min-len", "1", *sizes, "--test-anomaly", "1"]
         assert _split(inst, *flags) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert _wrote_no_set(inst)
@@ -395,7 +402,7 @@ def test_pipeline_stats_leaves_the_seed42_artifacts_as_they_are(tmp_path, capsys
     capsys.readouterr()
     assert digests(workdir) == seed42_digests()
     rows = _alpha_curve_file(stats)
-    assert len(rows) == 3 * len(alpha_grid(RunConfig()))
+    assert len(rows) == 3 * len(ALPHA_GRID)
     assert all(
         list(row) == ["activity", "alpha", "lo", "hi", "train_accuracy", "test_accuracy"]
         for row in rows
@@ -404,7 +411,7 @@ def test_pipeline_stats_leaves_the_seed42_artifacts_as_they_are(tmp_path, capsys
 
 def test_pipeline_stats_row_at_each_model_alpha_is_that_model(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"alpha_step": 0.25}), encoding="utf-8")
+    config.write_text(json.dumps({"ti_multiplier": 5}), encoding="utf-8")
     workdir, stats = tmp_path / "run", tmp_path / "stats.json"
     argv = ["--config", str(config), "--workdir", str(workdir), "--stats", str(stats)]
     assert run_cli("pipeline", *argv) == 0
@@ -430,7 +437,7 @@ def test_pipeline_stats_test_accuracy_is_classify_over_the_routed_test_set(tmp_p
     pattern = patterns[0]
     group = [inst for inst, _ in evaluation.route(patterns, test_set)[pattern.name]]
     rows = [row for row in _alpha_curve_file(stats) if row["activity"] == pattern.name]
-    assert len(rows) == len(alpha_grid(RunConfig()))
+    assert len(rows) == len(ALPHA_GRID)
     assert len({row["test_accuracy"] for row in rows}) > 1
     for row in rows:
         model = ScoreModel(pattern.name, row["alpha"], row["lo"], row["hi"], row["train_accuracy"])
@@ -448,7 +455,7 @@ def test_alpha_curve_skips_an_untrained_activity_and_has_no_accuracy_without_tes
         groups = evaluation.route(patterns, labeled)
         kept = [inst for p in patterns[:keep] for inst, _ in groups[p.name]]
         (tmp_path / name).write_text(instances_to_jsonl(kept), encoding="utf-8")
-    rows = alpha_curve(tmp_path, RunConfig())
+    rows = alpha_curve(tmp_path)
     tested, untested = (p.name for p in patterns[:2])
     assert {row["activity"] for row in rows} == {tested, untested}
     for row in rows:
@@ -475,7 +482,7 @@ def test_alpha_curve_scores_each_instance_once_per_pattern(small_run, monkeypatc
         for name in ("train_set.jsonl", "test_set.jsonl")
     ]
     calls = _count_scores(monkeypatch)
-    assert alpha_curve(small_run, RunConfig())
+    assert alpha_curve(small_run)
     assert calls == Counter((labeled[0] + labeled[1]) * len(patterns))
 
 
@@ -483,7 +490,7 @@ def test_train_models_scores_each_instance_once_per_pattern(small_run, monkeypat
     patterns = patterns_from_json((small_run / "patterns.json").read_text(encoding="utf-8"))
     labeled = instances_from_jsonl((small_run / "train_set.jsonl").read_text(encoding="utf-8"))
     calls = _count_scores(monkeypatch)
-    assert len(train_models(patterns, labeled, RunConfig())) == len(patterns)
+    assert len(train_models(patterns, labeled)) == len(patterns)
     assert calls == Counter(labeled * len(patterns))
 
 
@@ -501,7 +508,7 @@ def test_select_pattern_routes_each_instance_and_segment_once(small_run, monkeyp
         return select_pattern(patterns, instance)
 
     monkeypatch.setattr(evaluation, "select_pattern", counting_select_pattern)
-    models = train_models(patterns, train_set, RunConfig())
+    models = train_models(patterns, train_set)
     assert calls == Counter(train_set)
     calls.clear()
     evaluation.build_report(patterns, {m.activity: m for m in models}, test_set)
@@ -549,6 +556,34 @@ def test_pipeline_config_with_an_unknown_key_is_a_usage_error(tmp_path, capsys):
     assert run_cli("pipeline", *argv) == 1
     assert capsys.readouterr().err == "usage error: unknown config keys: bogus\n"
     assert not workdir.exists() and not stats.exists()
+
+
+@pytest.mark.parametrize(
+    "data, keys",
+    [
+        ({"alpha_step": 1}, "alpha_step"),
+        ({"alpha_max": 2, "alpha_min": 0}, "alpha_max, alpha_min"),
+    ],
+)
+def test_pipeline_config_with_an_alpha_grid_key_is_a_usage_error(tmp_path, capsys, data, keys):
+    # The weight grid is training.ALPHA_GRID; no setting reshapes it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--config", str(config), "--workdir", str(workdir)) == 1
+    assert capsys.readouterr().err == f"usage error: unknown config keys: {keys}\n"
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("pipeline", "--alpha-step"), ("train", "--alpha-max")])
+def test_an_alpha_grid_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    inputs = {
+        "pipeline": ["--workdir", str(tmp_path / "run")],
+        "train": ["--patterns=missing.json", "--train-set=missing.jsonl"],
+    }[command]
+    assert run_cli(command, *inputs, flag, "2", "--out", str(tmp_path / "out.json")) == 1
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, other", [("--out", "--stats"), ("--stats", "--out")])
@@ -769,7 +804,7 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         {"workdir": 7},
         {"min_support": None},
         {"gap_seconds": HUGE},
-        {"alpha_max": HUGE},
+        {"ti_multiplier": HUGE},
     ],
 )
 def test_config_file_value_of_the_wrong_type_is_a_data_error(tmp_path, capsys, data):
@@ -790,23 +825,25 @@ def test_config_file_float_fields_accept_integers(tmp_path):
     assert (cfg.gap_seconds, cfg.seed, cfg.workdir) == (300, 7, "w")
 
 
-def test_config_file_integer_alpha_grid_writes_what_the_flags_write(tmp_path, capsys):
+def test_config_file_integer_for_a_float_setting_runs_as_its_flag_does(tmp_path, capsys):
+    # The error prints the multiplier the run holds: 12000000000.0 only if the file's
+    # integer was read as a float.
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"alpha_min": 0, "alpha_max": 5, "alpha_step": 1}))
-    runs = {"file": ["--config", str(config)], "flags": ["--alpha-step", "1"]}
+    config.write_text(json.dumps({"ti_multiplier": 12_000_000_000}))
+    runs = {"file": ["--config", str(config)], "flag": ["--ti-multiplier", "1.2e10"]}
+    errors = []
     for name, argv in runs.items():
-        argv += ["--instances=10", "--workdir", str(tmp_path / name)]
-        assert run_cli("pipeline", *argv, "--stats", str(tmp_path / f"{name}.json")) == 0
-    for name in (MODELS, "report.json"):
-        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
-    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
-    assert '"alpha": 1.0' in (tmp_path / "file" / MODELS).read_text()
+        assert run_cli("pipeline", *argv, "--workdir", str(tmp_path / name)) == 2
+        errors.append(capsys.readouterr().err)
+        assert not (tmp_path / name).exists()
+    assert errors[0] == errors[1]
+    assert "ti_multiplier 12000000000.0 stretches a" in errors[0]
 
 
 def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"alpha_min": 6, "instances_per_activity": 10}))
-    argv = ["--config", str(config), "--alpha-max", "10", "--workdir", str(tmp_path / "run")]
+    config.write_text(json.dumps({"gap_seconds": 0, "instances_per_activity": 10}))
+    argv = ["--config", str(config), "--gap-seconds", "120", "--workdir", str(tmp_path / "run")]
     assert run_cli("pipeline", *argv) == 0
 
 
@@ -814,10 +851,10 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
     "flags, message",
     [
         ("--gap-seconds=0", "gap_seconds must be over 0.0005, a gap of 1 ms or more"),
-        ("--alpha-step=0", "alpha_step must be > 0"),
+        ("--noise-sigma=-1", "noise_sigma must be >= 0"),
         ("--train-normal=-5", "train_normal must be >= 0"),
         ("--test-anomaly=-3", "test_anomaly must be >= 0"),
-        ("--alpha-min=-1", "alpha_min must be >= 0"),
+        ("--ti-multiplier=1", "ti_multiplier must be > 1"),
         ("--train-normal=0 --train-anomaly=0",
          "train_normal + train_anomaly must be >= 1, or no model can be trained"),
         ("--test-normal=0 --test-anomaly=0",
@@ -830,7 +867,8 @@ def test_config_file_value_that_a_flag_replaces_is_not_checked_alone(tmp_path):
          "253402300799999 ms"),
     ],
     ids=[
-        "gap_seconds=0", "alpha_step=0", "train_normal=-5", "test_anomaly=-3", "alpha_min=-1",
+        "gap_seconds=0", "noise_sigma=-1", "train_normal=-5", "test_anomaly=-3",
+        "ti_multiplier=1",
         "train_normal=0,train_anomaly=0", "test_normal=0,test_anomaly=0", "gap_seconds=1e12",
         "ti_multiplier=1.2e10",
     ],
@@ -859,7 +897,7 @@ def test_train_models_logs_a_pattern_without_training_instances(caplog):
     labeled = [make_instance("AB", [1000], label=LABEL_NORMAL) for _ in range(3)]
     labeled.append(make_instance("A", [], label=LABEL_ANOMALY_SEQ))
     with caplog.at_level(logging.WARNING, logger="tempoguard.cli"):
-        models = train_models(patterns, labeled, RunConfig())
+        models = train_models(patterns, labeled)
     assert [m.activity for m in models] == ["ab"]
     assert "no training instances routed to 'xy'" in caplog.text
 

@@ -21,12 +21,6 @@ from tempoguard.config import SETTINGS, RunConfig
         {"min_segment_len": 0},
         {"min_support": 0},
         {"min_len": 0},
-        {"alpha_min": 3.0, "alpha_max": 2.0},
-        {"alpha_min": -1.0},
-        {"alpha_max": math.inf},
-        {"alpha_step": 0.0},
-        {"alpha_step": 1e-9},  # 5e9 weights: rejected before any grid is built
-        {"alpha_step": 5e-324},
         {"ti_multiplier": 1.0},
         {"ti_multiplier": math.inf},
         {"instances_per_activity": 0},
@@ -49,20 +43,24 @@ def test_gap_seconds_is_kept_whenever_it_rounds_to_a_millisecond_or_more():
     assert RunConfig(gap_seconds=90).gap_ms == 90_000
 
 
+# An integer for each float setting.
+INTEGER_FLOATS = {"gap_seconds": 300, "noise_sigma": 0, "ti_multiplier": 5}
+
+
 def test_a_config_file_integer_for_a_float_setting_is_read_as_a_float(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"alpha_min": 0, "alpha_max": 5, "alpha_step": 1, "seed": 7}))
+    config.write_text(json.dumps({**INTEGER_FLOATS, "seed": 7}))
     cfg = RunConfig.from_sources(str(config), {})
-    assert {type(value) for value in (cfg.alpha_min, cfg.alpha_max, cfg.alpha_step)} == {float}
+    assert [getattr(cfg, name) for name in INTEGER_FLOATS] == [300.0, 0.0, 5.0]
+    assert {type(getattr(cfg, name)) for name in INTEGER_FLOATS} == {float}
     assert type(cfg.seed) is int
 
 
-
 def test_a_python_integer_for_a_float_setting_is_held_as_a_float():
-    cfg = RunConfig(alpha_min=0, alpha_max=5, alpha_step=1)
-    assert [cfg.alpha_min, cfg.alpha_max, cfg.alpha_step] == [0.0, 5.0, 1.0]
-    assert {type(value) for value in (cfg.alpha_min, cfg.alpha_max, cfg.alpha_step)} == {float}
-    assert type(cfg._replace(alpha_step=2).alpha_step) is float
+    cfg = RunConfig(**INTEGER_FLOATS)
+    assert [getattr(cfg, name) for name in INTEGER_FLOATS] == [300.0, 0.0, 5.0]
+    assert {type(getattr(cfg, name)) for name in INTEGER_FLOATS} == {float}
+    assert type(cfg._replace(ti_multiplier=2).ti_multiplier) is float
     assert type(RunConfig(seed=7).seed) is int
 
 
@@ -74,3 +72,9 @@ def test_a_python_integer_too_large_for_a_float_is_a_value_error_naming_its_sett
 
 def test_every_setting_has_a_help_text():
     assert [name for name, (_, _, text) in SETTINGS.items() if not text.strip()] == []
+
+
+def test_run_config_has_no_alpha_grid_settings():
+    assert len(RunConfig._fields) == 13
+    assert not {"alpha_min", "alpha_max", "alpha_step"} & set(SETTINGS)
+

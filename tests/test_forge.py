@@ -163,8 +163,9 @@ def test_augment_rejects_empty_pool():
 
 
 def test_augment_rejects_lone_instance_when_asked_for_output():
-    with pytest.raises(ValueError, match="distinct pair"):
-        augment_normals([make_instance("AB")], 1, random.Random(0))
+    message = "^instance 'lone': the only pool instance; need at least 2 pool instances"
+    with pytest.raises(ValueError, match=message):
+        augment_normals([make_instance("AB", source_id="lone")], 1, random.Random(0))
 
 
 def test_augment_rejects_mixed_key_sequences():

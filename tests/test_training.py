@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import make_instance, make_pattern
 from tempoguard import training as training_module
-from tempoguard.cli import run
-from tempoguard.config import MAX_ALPHA_WEIGHTS, RunConfig
 from tempoguard.evaluation import build_report
 from tempoguard.events import LABEL_ANOMALY_SEQ, LABEL_ANOMALY_TI, LABEL_NORMAL
 from tempoguard.scoring import ScoreBreakdown, score
 from tempoguard.training import (
+    ALPHA_GRID,
     BOUNDARY_EPSILON,
     ScoreModel,
-    alpha_grid,
     best_interval,
     curve,
     fit,
@@ -50,43 +48,12 @@ def interval_accuracy(rows, lo, hi):
 
 
 def test_alpha_grid_has_51_points_by_default():
-    grid = alpha_grid(RunConfig())
-    assert len(grid) == 51
-    assert grid[0] == 0.0
-    assert grid[-1] == 5.0
-
-
-def test_alpha_grid_handles_a_degenerate_range():
-    assert alpha_grid(RunConfig(alpha_min=2.0, alpha_max=2.0)) == [2.0]
-
-
-def test_alpha_grid_never_oversteps_the_max():
-    grid = alpha_grid(RunConfig(alpha_min=0.0, alpha_max=1.0, alpha_step=0.3))
-    assert grid == pytest.approx([0.0, 0.3, 0.6, 0.9])
-
-
-def test_alpha_grid_drops_a_rounded_up_step_past_the_max():
-    assert alpha_grid(RunConfig(alpha_max=0.26, alpha_step=0.1)) == [0.0, 0.1, 0.2]
-
-
-def test_alpha_grid_holds_at_most_its_bound_of_weights():
-    assert len(alpha_grid(RunConfig(alpha_max=5.0, alpha_step=0.0005))) == MAX_ALPHA_WEIGHTS
-    with pytest.raises(ValueError, match=f"grid holds at most {MAX_ALPHA_WEIGHTS} weights"):
-        RunConfig(alpha_max=5.0, alpha_step=0.0004999)
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--alpha-min=3", "--alpha-max=2"], "alpha_min must be <= alpha_max"),
-        (["--alpha-step=0"], "alpha_step must be > 0"),
-        (["--alpha-step=5e-324"], "alpha_step must be at least (alpha_max - alpha_min) / 10000"),
-    ],
-    ids=["alpha_min", "alpha_step", "alpha_step_tiny"],
-)
-def test_train_settings_are_checked_before_any_file_is_read(capsys, flags, message):
-    assert run(["train", "--patterns=missing.json", "--train-set=missing.jsonl", *flags]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert len(ALPHA_GRID) == 51
+    assert ALPHA_GRID[0] == 0.0
+    assert ALPHA_GRID[-1] == 5.0
+    # k * 0.1, not k / 10: `pipeline --stats` writes each weight as it is held.
+    assert ALPHA_GRID[3] == 0.30000000000000004
+    assert ALPHA_GRID == tuple(k * 0.1 for k in range(51))
 
 
 def test_score_table_perfect_match_rows():
@@ -368,17 +335,16 @@ def test_trained_accuracy_matches_a_recount_on_the_training_set():
 
 def test_train_picks_a_grid_alpha():
     model = train(make_pattern("ABC", [10_000, 20_000]), _separable_training_set())
-    assert any(math.isclose(model.alpha, a) for a in alpha_grid(RunConfig()))
+    assert model.alpha in ALPHA_GRID
 
 
 def test_sweep_has_one_row_per_grid_weight_refit_from_a_score_table():
     pattern = make_pattern("ABC", [10_000, 20_000])
     labeled = _separable_training_set()
-    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25)
     expected = [
-        (alpha, *best_interval(score_table(pattern, labeled, alpha))) for alpha in alpha_grid(cfg)
+        (alpha, *best_interval(score_table(pattern, labeled, alpha))) for alpha in ALPHA_GRID
     ]
-    assert list(sweep(scored(pattern, labeled), cfg)) == expected
+    assert list(sweep(scored(pattern, labeled))) == expected
 
 
 def test_train_scores_each_instance_once(monkeypatch):
@@ -404,9 +370,8 @@ def test_curve_is_each_sweep_row_with_its_test_accuracy_as_classify_judges_it():
         make_instance("AC", [31_000], label=S),
         make_instance("ABC", [12_000, 18_000], label=N),
     ]
-    cfg = RunConfig(alpha_max=2.0, alpha_step=0.25)
-    rows = curve(scored(pattern, labeled), scored(pattern, test), cfg)
-    assert [row[:4] for row in rows] == list(sweep(scored(pattern, labeled), cfg))
+    rows = curve(scored(pattern, labeled), scored(pattern, test))
+    assert [row[:4] for row in rows] == list(sweep(scored(pattern, labeled)))
     for alpha, lo, hi, train_acc, test_acc in rows:
         model = ScoreModel("p", alpha, lo, hi, train_acc)
         assert test_acc == build_report([pattern], {"p": model}, test)["overall"]["accuracy"]
@@ -477,7 +442,7 @@ def test_fit_computes_every_weight_when_no_weight_separates(monkeypatch):
     assert max(acc for _, _, _, acc in rows) < 1.0
     calls = _count_best_interval_calls(monkeypatch)
     model = fit("p", pairs)
-    assert len(calls) == len(alpha_grid(RunConfig())) == len(rows)
+    assert len(calls) == len(ALPHA_GRID) == len(rows)
     assert model == ScoreModel("p", *_first_best_row(rows))
 
 
@@ -514,14 +479,12 @@ _BREAKDOWNS = st.builds(
 @given(
     rows=st.lists(st.tuples(st.sampled_from([N, S, T]), _BREAKDOWNS), min_size=1, max_size=12),
     clash=st.one_of(st.none(), _BREAKDOWNS),
-    grid=st.sampled_from([(5.0, 0.1), (2.0, 0.25), (0.0, 0.1)]),
 )
-def test_fit_equals_the_first_best_sweep_row(rows, clash, grid):
+def test_fit_equals_the_first_best_sweep_row(rows, clash):
     if clash is not None:
         rows = rows + [(N, clash), (T, clash)]
     pairs = [(make_instance("AB", [10], label=lbl), b) for lbl, b in rows]
-    cfg = RunConfig(alpha_max=grid[0], alpha_step=grid[1])
-    assert fit("p", pairs, cfg) == ScoreModel("p", *_first_best_row(list(sweep(pairs, cfg))))
+    assert fit("p", pairs) == ScoreModel("p", *_first_best_row(list(sweep(pairs))))
 
 
 def test_score_model_validates_interval_order():
