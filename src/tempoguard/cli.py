@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -88,6 +89,22 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+# The most instances one ingest.instances_to_jsonl call encodes for _write_instances.
+WRITE_SLICE = 256
+
+
+def _write_instances(instances: list[ActivityInstance], out: str | Path | None) -> None:
+    """Write instances as JSON lines to the file `out`, or to stdout when it is None.
+
+    They are encoded WRITE_SLICE at a time, and each slice's text is written
+    before the next slice is encoded, so no whole file's text is held. The
+    bytes are those of one instances_to_jsonl call over them all.
+    """
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as file:
+        for start in range(0, len(instances), WRITE_SLICE):
+            file.write(ingest.instances_to_jsonl(instances[start : start + WRITE_SLICE]))
+
+
 def _guard_clobber(inputs: list, outputs: list[str | None], makes: Path | None = None) -> None:
     """Reject an output path that is a directory, an input or another output, or in no directory.
 
@@ -128,8 +145,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.log], [args.out])
-    instances = ingest.segment(_load_log(args.log), cfg)
-    _write_or_print(ingest.instances_to_jsonl(instances), args.out)
+    _write_instances(ingest.segment(_load_log(args.log), cfg), args.out)
     return 0
 
 
@@ -145,10 +161,10 @@ def _cmd_split(args: argparse.Namespace, cfg: RunConfig) -> int:
     _guard_clobber([args.instances], [args.train_out, args.test_out])
     instances = _parse_file(ingest.instances_from_jsonl, args.instances)
     train_set, test_set = forge.split_sets(mining.mine_patterns(instances, cfg), cfg)
-    # Both are encoded before either is written: one that cannot be leaves neither file.
-    train_text, test_text = map(ingest.instances_to_jsonl, (train_set, test_set))
-    Path(args.train_out).write_text(train_text, encoding="utf-8")
-    Path(args.test_out).write_text(test_text, encoding="utf-8")
+    # forge refuses an instance that ends past year 9999, the one kind the writer cannot
+    # encode, so a set that cannot be written fails above, before either file is opened.
+    _write_instances(train_set, args.train_out)
+    _write_instances(test_set, args.test_out)
     return 0
 
 
@@ -257,14 +273,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     (workdir / "sim_log.csv").write_text(ingest.serialize_log(events, "csv"), encoding="utf-8")
-    (workdir / "instances.jsonl").write_text(
-        ingest.instances_to_jsonl(instances), encoding="utf-8"
-    )
+    _write_instances(instances, workdir / "instances.jsonl")
     (workdir / "patterns.json").write_text(mining.patterns_to_json(patterns), encoding="utf-8")
-    (workdir / "train_set.jsonl").write_text(
-        ingest.instances_to_jsonl(train_set), encoding="utf-8"
-    )
-    (workdir / "test_set.jsonl").write_text(ingest.instances_to_jsonl(test_set), encoding="utf-8")
+    _write_instances(train_set, workdir / "train_set.jsonl")
+    _write_instances(test_set, workdir / "test_set.jsonl")
 
     models = train_models(patterns, train_set)
     (workdir / "models.json").write_text(training.models_to_json(models), encoding="utf-8")

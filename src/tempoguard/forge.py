@@ -32,7 +32,8 @@ def _rebuild(
 
     Every caller passes one int interval >= 0 per step of source, a valid
     label and a str source_id, so the records are built without running their
-    checks again.
+    checks again. An instance that would end past MAX_TIMESTAMP_MS, which no
+    file can hold, is a ValueError naming source_id and its first such time.
     """
     first = source.events[0]
     ts = first.timestamp_ms
@@ -41,6 +42,11 @@ def _rebuild(
     for step, src in zip(new_intervals, source.events[1:]):
         ts += step
         events.append(tuple.__new__(Event, (ts, src.key)))
+    if ts > MAX_TIMESTAMP_MS:  # ts is the last time, so the latest
+        late = next(t for t, _ in events if t > MAX_TIMESTAMP_MS)
+        raise ValueError(
+            f"instance {source_id!r}: timestamp {late} ms is after 9999-12-31T23:59:59.999Z"
+        )
     # ActivityInstance.__new__'s checks hold: no interval is negative, so time never goes back.
     return tuple.__new__(ActivityInstance, (tuple(events), label, source_id))
 

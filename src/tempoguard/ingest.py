@@ -27,10 +27,12 @@ carries it, so only the timestamp is formatted per event.
 The bytes are those json.dumps and csv.writer give for each whole object or
 row. The CSV writer is given a CR LF row terminator, so that it quotes a
 field holding a CR, and each row then ends in LF instead. The encoded keys
-live as long as one call. A timestamp is built from integer fields and no
-datetime: its "YYYY-MM-DDTHH:" prefix comes from a cache keyed by the hour
-(at most HOUR_CACHE_SIZE hours), its minutes and seconds from a 60-entry
-table, and its ".mmmZ" tail from a cache of at most 1000 values.
+live as long as one call, and cli writes an instance file with one call per
+slice of at most cli.WRITE_SLICE instances. A timestamp is built from
+integer fields and no datetime: its "YYYY-MM-DDTHH:" prefix comes from a
+cache keyed by the hour (at most HOUR_CACHE_SIZE hours), its minutes and
+seconds from a 60-entry table, and its ".mmmZ" tail from a cache of at most
+1000 values.
 """
 
 from __future__ import annotations

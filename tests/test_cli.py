@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import digests, make_instance, make_pattern, seed42_digests
-from tempoguard import evaluation, forge, scoring, training
+from tempoguard import cli, evaluation, forge, ingest, scoring, training
 from tempoguard.cli import (
     PIPELINE_FILES,
     RunConfig,
@@ -355,6 +355,43 @@ def test_seed42_artifacts_match_the_recorded_digests(tmp_path, capsys, monkeypat
     bench_digests = importlib.import_module("workloads").REFERENCE_DIGESTS
     for name in ("models.json", "report.json"):
         assert recorded[name] == bench_digests[name]
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_writing_instances_in_slices_changes_no_byte(tmp_path, capsys, monkeypatch, size):
+    monkeypatch.setattr(cli, "WRITE_SLICE", size)
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--workdir", str(workdir)) == 0
+    capsys.readouterr()
+    assert digests(workdir) == seed42_digests()
+    # The seed-42 digests were recorded unsliced, so each standalone output must equal its file.
+    log, inst = workdir / "sim_log.csv", workdir / "instances.jsonl"
+    assert run_cli("ingest", str(log)) == 0
+    assert capsys.readouterr().out.encode() == inst.read_bytes()
+    assert run_cli("ingest", str(log), "--out", str(tmp_path / "instances.jsonl")) == 0
+    assert (tmp_path / "instances.jsonl").read_bytes() == inst.read_bytes()
+    assert _split(inst) == 0
+    assert (workdir / "train.jsonl").read_bytes() == (workdir / "train_set.jsonl").read_bytes()
+    assert (workdir / "test.jsonl").read_bytes() == (workdir / "test_set.jsonl").read_bytes()
+
+
+def test_pipeline_encodes_at_most_a_slice_of_instances_per_call(tmp_path, capsys, monkeypatch):
+    sizes = []
+    encode = ingest.instances_to_jsonl
+
+    def counting_encode(instances):
+        sizes.append(len(instances))
+        return encode(instances)
+
+    monkeypatch.setattr(ingest, "instances_to_jsonl", counting_encode)
+    workdir = tmp_path / "run"
+    assert run_cli("pipeline", "--workdir", str(workdir)) == 0
+    capsys.readouterr()
+    lines = [len((workdir / name).read_bytes().splitlines()) for name in PIPELINE_FILES
+             if name.endswith(".jsonl")]  # fmt: skip
+    assert max(lines) > cli.WRITE_SLICE  # so one file is written in more than one slice
+    assert max(sizes) <= cli.WRITE_SLICE
+    assert sum(sizes) == sum(lines)
 
 
 # Digests of the seed-42 outputs that are not workdir files, so not in seed42.sha256 (which
@@ -1505,6 +1542,29 @@ def test_writing_a_time_past_year_9999_is_a_data_error_naming_the_instance(tmp_p
     assert "Traceback" not in err
     assert re.search(r"instance 'ti:late-1': timestamp \d+ ms is after 9999-12-31T23:59:59\.999Z", err)
     assert _wrote_no_set(late)
+
+
+def test_a_midpoint_ending_past_year_9999_is_a_data_error_naming_it(tmp_path, capsys):
+    # Same keys: "limit" ends at the last time a file can hold and "long" spans more, so a
+    # midpoint that starts where "limit" starts ends past it.
+    instances = [
+        make_instance("AB", [1_000], t0=MAX_TIMESTAMP_MS - 1_000, source_id="limit"),
+        make_instance("AB", [5_000], t0=1_000_000, source_id="long"),
+    ]
+    message = (
+        f"instance 'smote:limit+long': timestamp {MAX_TIMESTAMP_MS + 2_000} ms is after "
+        "9999-12-31T23:59:59.999Z"
+    )
+    with pytest.raises(ValueError) as raised:
+        forge.smote_midpoint(*instances)
+    assert str(raised.value) == message
+    # Started where "long" starts, the midpoint ends well before year 9999.
+    assert forge.smote_midpoint(*instances[::-1]).events[-1].timestamp_ms == 1_003_000
+    inst = tmp_path / "instances.jsonl"
+    inst.write_text(instances_to_jsonl(instances))
+    assert _split(inst, "--min-support", "1") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _wrote_no_set(inst)
 
 
 @pytest.mark.parametrize(
