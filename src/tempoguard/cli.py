@@ -4,6 +4,7 @@ Subcommands mirror the processing stages — simulate, ingest, mine, split,
 train, score, detect, evaluate — plus `pipeline`, which chains them and
 leaves every intermediate artifact in a working directory; each of those
 files is what one stage writes when re-run standalone with the same settings.
+Every output goes through `_write`, which names a file it cannot write.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -14,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from contextlib import nullcontext
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -82,27 +83,38 @@ def _not_utf8(binary) -> str | None:
     return None
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-# The most instances one ingest.instances_to_jsonl call encodes for _write_instances.
 WRITE_SLICE = 256
 
 
-def _write_instances(instances: list[ActivityInstance], out: str | Path | None) -> None:
-    """Write instances as JSON lines to the file `out`, or to stdout when it is None.
+def _jsonl_slices(instances: list[ActivityInstance]) -> Iterator[str]:
+    """instances as JSON lines: one instances_to_jsonl call per WRITE_SLICE of them, when taken."""
+    for start in range(0, len(instances), WRITE_SLICE):
+        yield ingest.instances_to_jsonl(instances[start : start + WRITE_SLICE])
 
-    They are encoded WRITE_SLICE at a time, and each slice's text is written
-    before the next slice is encoded, so no whole file's text is held. The
-    bytes are those of one instances_to_jsonl call over them all.
+
+def _write(*outputs: tuple[str | Path | None, Iterable[str]]) -> None:
+    """Write each (path, texts) in turn, a text at a time, to its file or, for None, to stdout.
+
+    A failed write is an OSError naming its path. Any failure removes each regular file this
+    call opened, so a command leaves all its files or none; a device, pipe or link (such as
+    /dev/stdout) is never removed.
     """
-    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as file:
-        for start in range(0, len(instances), WRITE_SLICE):
-            file.write(ingest.instances_to_jsonl(instances[start : start + WRITE_SLICE]))
+    opened: list[Path] = []
+    for path, texts in outputs:
+        if path is None:
+            sys.stdout.writelines(texts)
+            continue
+        try:
+            with open(path, "w", encoding="utf-8") as file:
+                opened.append(Path(path))
+                file.writelines(texts)
+        except BaseException as exc:
+            for made in opened:
+                if made.is_file() and not made.is_symlink():
+                    made.unlink()
+            if isinstance(exc, OSError):
+                raise OSError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+            raise
 
 
 def _guard_clobber(inputs: list, outputs: list[str | None], makes: Path | None = None) -> None:
@@ -136,36 +148,29 @@ def _load_records(from_json, path: str | Path) -> list:
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([], [args.out])
     events = simulate.generate(cfg)
-    _write_or_print(ingest.serialize_log(events, args.format), args.out)
-    return 0
+    _write((args.out, [ingest.serialize_log(events, args.format)]))
 
 
-def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_ingest(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([args.log], [args.out])
-    _write_instances(ingest.segment(_load_log(args.log), cfg), args.out)
-    return 0
+    _write((args.out, _jsonl_slices(ingest.segment(_load_log(args.log), cfg))))
 
 
-def _cmd_mine(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_mine(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([args.instances], [args.out])
     instances = _parse_file(ingest.instances_from_jsonl, args.instances)
     patterns = [pattern for pattern, _ in mining.mine_patterns(instances, cfg)]
-    _write_or_print(mining.patterns_to_json(patterns), args.out)
-    return 0
+    _write((args.out, [mining.patterns_to_json(patterns)]))
 
 
-def _cmd_split(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_split(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([args.instances], [args.train_out, args.test_out])
     instances = _parse_file(ingest.instances_from_jsonl, args.instances)
     train_set, test_set = forge.split_sets(mining.mine_patterns(instances, cfg), cfg)
-    # forge refuses an instance that ends past year 9999, the one kind the writer cannot
-    # encode, so a set that cannot be written fails above, before either file is opened.
-    _write_instances(train_set, args.train_out)
-    _write_instances(test_set, args.test_out)
-    return 0
+    _write((args.train_out, _jsonl_slices(train_set)), (args.test_out, _jsonl_slices(test_set)))
 
 
 def train_models(patterns: list, labeled: list[ActivityInstance]) -> list[training.ScoreModel]:
@@ -187,17 +192,16 @@ def train_models(patterns: list, labeled: list[ActivityInstance]) -> list[traini
     return models
 
 
-def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_train(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([args.patterns, args.train_set], [args.out])
     patterns = _load_records(mining.patterns_from_json, args.patterns)
     labeled = _parse_file(ingest.instances_from_jsonl, args.train_set)
     require_labeled(labeled, "training")
     models = train_models(patterns, labeled)
-    _write_or_print(training.models_to_json(models), args.out)
-    return 0
+    _write((args.out, [training.models_to_json(models)]))
 
 
-def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     if not 0 <= args.alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 0, not {args.alpha!r}")
     patterns = _load_records(mining.patterns_from_json, args.patterns)
@@ -205,10 +209,9 @@ def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> int:
     for inst in ingest.segment(events, cfg):
         _, breakdown = evaluation.select_pattern(patterns, inst)
         print(breakdown.blend(args.alpha))
-    return 0
 
 
-def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([args.models, args.patterns, args.log], [args.out])
     patterns = _load_records(mining.patterns_from_json, args.patterns)
     models = {m.activity: m for m in _load_records(training.models_from_json, args.models)}
@@ -230,12 +233,10 @@ def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
             lines.append(head + tail + total + "}\n")
         write(f"{source_id}\t{activity}\t{classification}\t{total}\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.writelines(lines)
-    return 0
+        _write((args.out, lines))
 
 
-def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([args.models, args.patterns, args.test_set], [args.out])
     patterns = _load_records(mining.patterns_from_json, args.patterns)
     models = {m.activity: m for m in _load_records(training.models_from_json, args.models)}
@@ -243,8 +244,7 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> int:
     report = evaluation.build_report(patterns, models, labeled)
     sys.stdout.write(evaluation.render_report(report))
     if args.out:
-        Path(args.out).write_text(evaluation.report_to_json(report), encoding="utf-8")
-    return 0
+        _write((args.out, [evaluation.report_to_json(report)]))
 
 
 # The files run_pipeline writes under its workdir, in the order it writes them.
@@ -272,18 +272,18 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
     workdir = Path(cfg.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    (workdir / "sim_log.csv").write_text(ingest.serialize_log(events, "csv"), encoding="utf-8")
-    _write_instances(instances, workdir / "instances.jsonl")
-    (workdir / "patterns.json").write_text(mining.patterns_to_json(patterns), encoding="utf-8")
-    _write_instances(train_set, workdir / "train_set.jsonl")
-    _write_instances(test_set, workdir / "test_set.jsonl")
+    _write((workdir / "sim_log.csv", [ingest.serialize_log(events, "csv")]))
+    _write((workdir / "instances.jsonl", _jsonl_slices(instances)))
+    _write((workdir / "patterns.json", [mining.patterns_to_json(patterns)]))
+    _write((workdir / "train_set.jsonl", _jsonl_slices(train_set)))
+    _write((workdir / "test_set.jsonl", _jsonl_slices(test_set)))
 
     models = train_models(patterns, train_set)
-    (workdir / "models.json").write_text(training.models_to_json(models), encoding="utf-8")
+    _write((workdir / "models.json", [training.models_to_json(models)]))
 
     report = evaluation.build_report(patterns, {m.activity: m for m in models}, test_set)
-    (workdir / "report.json").write_text(evaluation.report_to_json(report), encoding="utf-8")
-    (workdir / "report.txt").write_text(evaluation.render_report(report), encoding="utf-8")
+    _write((workdir / "report.json", [evaluation.report_to_json(report)]))
+    _write((workdir / "report.txt", [evaluation.render_report(report)]))
     return report
 
 
@@ -307,19 +307,15 @@ def alpha_curve(workdir: Path) -> list[dict]:
     ]
 
 
-def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> None:
     workdir = Path(cfg.workdir)
-    if args.out or args.stats:  # a run that writes neither resolves no path
+    if args.stats:  # a run without it resolves no path
         artifacts = [workdir / name for name in PIPELINE_FILES]
-        _guard_clobber([args.config, *artifacts], [args.out, args.stats], makes=workdir)
+        _guard_clobber([args.config, *artifacts], [args.stats], makes=workdir)
     report = run_pipeline(cfg)
     sys.stdout.write(evaluation.render_report(report))
-    if args.out:
-        Path(args.out).write_text(evaluation.report_to_json(report), encoding="utf-8")
     if args.stats:
-        stats = {"alpha_curve": alpha_curve(workdir)}
-        Path(args.stats).write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
-    return 0
+        _write((args.stats, [json.dumps({"alpha_curve": alpha_curve(workdir)}, indent=2) + "\n"]))
 
 
 # -------------------------------------------------------------------- parser
@@ -346,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine frequent sequences into patterns")
     p.add_argument("instances", help="instances JSONL")
-    add_config_flags(p, "min_support", "min_len")
+    add_config_flags(p, "min_support")
     p.add_argument("--out", help="patterns JSON path (default: stdout)")
     p.set_defaults(handler=_cmd_mine)
 
     p = sub.add_parser("split", help="forge labeled training and test sets from instances")
     p.add_argument("instances", help="instances JSONL, mined as `mine` mines it")
-    add_config_flags(p, "min_support", "min_len", "seed", "ti_multiplier", "train_normal",
-                     "test_normal", "train_anomaly", "test_anomaly")
+    add_config_flags(p, "min_support", "seed", "ti_multiplier", "train_normal", "test_normal",
+                     "train_anomaly", "test_anomaly")
     p.add_argument("--train-out", required=True, help="training set JSONL path")
     p.add_argument("--test-out", required=True, help="test set JSONL path")
     p.set_defaults(handler=_cmd_split)
@@ -389,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--config", help="JSON config file (flags override it)")
     add_config_flags(p)
-    p.add_argument("--out", help="JSON report path (optional)")
     p.add_argument("--stats", help="JSON path for the alpha curve of each activity (optional)")
     p.set_defaults(handler=_cmd_pipeline)
 
@@ -403,7 +398,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args, RunConfig.from_sources(vars(args).get("config"), vars(args)))
+        args.handler(args, RunConfig.from_sources(vars(args).get("config"), vars(args)))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

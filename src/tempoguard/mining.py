@@ -1,9 +1,9 @@
 """Mining frequent event-key sequences into timing patterns.
 
 Instances, free of numeric readings since the readers drop those, are grouped
-by their exact event-key sequence; every group that is frequent enough (and
-long enough) becomes one pattern whose reference interval vector is the
-component-wise arithmetic mean over the group. Mining is the one place that
+by their exact event-key sequence; every group of min_support segments or more
+and MIN_PATTERN_KEYS keys or more becomes one pattern, whose reference interval
+vector is the component-wise mean over the group. Mining is the one place that
 decides which segments make each pattern: callers take them from the
 (pattern, segments) pairs that `mine_patterns` returns.
 """
@@ -23,6 +23,9 @@ from tempoguard.events import (
     json_value,
 )
 from tempoguard.simulate import builtin_specs
+
+# A pattern is learned from the intervals between its events: a shorter key sequence has none.
+MIN_PATTERN_KEYS = 2
 
 
 def mine_patterns(
@@ -47,7 +50,7 @@ def mine_patterns(
 
     mined: list[tuple[ActivityPattern, list[ActivityInstance]]] = []
     for keys, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-        if len(group) < cfg.min_support or len(keys) < cfg.min_len:
+        if len(group) < cfg.min_support or len(keys) < MIN_PATTERN_KEYS:
             continue
         means = tuple(sum(col) / len(group) for col in zip(*map(intervals, group)))
         name = builtin.get(keys, f"pattern-{len(mined) + 1}")
@@ -55,7 +58,7 @@ def mine_patterns(
     if not mined:
         raise ValueError(
             f"no pattern mined (segments: {len(instances)}, distinct key sequences: "
-            f"{len(groups)}); lower min_support or min_len, or add data"
+            f"{len(groups)}); lower min_support, or add data"
         )
     return mined
 

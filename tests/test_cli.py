@@ -263,22 +263,18 @@ def test_forge_and_augment_errors_name_the_instance(tmp_path, capsys, kind, pool
     ids = ["zero", "one"][-len(pool) :]
     instances = [make_instance(keys, source_id=i) for keys, i in zip(pool, ids)]
     rng = random.Random(0)
-    # split tops up normals before it forges, and forges seq anomalies first, so only
-    # a lone segment's pair and seq errors are reached through it
-    if kind in ("seq", "pair"):
+    # split tops up normals before it forges, so only a lone segment's pair error is reached
+    # through it; mining makes no pattern of one key, so no one-event source reaches forge.
+    if kind == "pair":
         inst = tmp_path / "instances.jsonl"
         inst.write_text(instances_to_jsonl(instances))
-        flags = ["--min-support", "1"]
-        if kind == "seq":
-            sizes = ["--train-normal", "1", "--test-normal", "0", "--train-anomaly", "0"]
-            flags += ["--min-len", "1", *sizes, "--test-anomaly", "1"]
-        assert _split(inst, *flags) == 2
+        assert _split(inst, "--min-support", "1") == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert _wrote_no_set(inst)
         return
     with pytest.raises(ValueError) as raised:
-        if kind == "ti":
-            forge.make_anomalies("ti", instances, 1, RunConfig(), rng)
+        if kind in ("seq", "ti"):
+            forge.make_anomalies(kind, instances, 1, RunConfig(), rng)
         else:  # split pools each mined key sequence apart, so only a library call mixes two
             forge.augment_normals(instances, 1, rng)
     assert str(raised.value) == message
@@ -311,13 +307,77 @@ def test_split_onto_one_path_twice_is_a_usage_error(small_run, tmp_path, capsys)
     assert list(tmp_path.iterdir()) == [inst]
 
 
+FULL = "/dev/full"  # a device on which every write fails with ENOSPC
+
+
+@pytest.mark.skipif(not Path(FULL).exists(), reason=f"no {FULL}")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--instances", "2", "--out", FULL],
+        ["ingest", "{run}/sim_log.csv", "--out", FULL],
+        ["mine", "{run}/instances.jsonl", "--out", FULL],
+        ["split", "{run}/instances.jsonl", "--train-out", FULL, "--test-out", "{tmp}/test.jsonl"],
+        ["split", "{run}/instances.jsonl", "--train-out", "{tmp}/train.jsonl", "--test-out", FULL],
+        ["train", "--patterns", "{run}/patterns.json", "--train-set", "{run}/train_set.jsonl",
+         "--out", FULL],
+        ["detect", "--models", "{run}/models.json", "--patterns", "{run}/patterns.json",
+         "--log", "{run}/sim_log.csv", "--out", FULL],
+        ["evaluate", "--models", "{run}/models.json", "--patterns", "{run}/patterns.json",
+         "--test-set", "{run}/test_set.jsonl", "--out", FULL],
+        ["pipeline", "--workdir", "{tmp}/run", "--instances", "10", "--stats", FULL],
+    ],
+    ids=["simulate", "ingest", "mine", "split-train", "split-test", "train", "detect", "evaluate",
+         "pipeline"],
+)  # fmt: skip
+def test_an_output_that_cannot_be_written_is_a_data_error_naming_it(
+    small_run, tmp_path, capsys, argv
+):
+    argv = [arg.format(run=small_run, tmp=tmp_path) for arg in argv]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {FULL!r}: ")
+    # No partial or lone file is left: split's written training set goes with its test set.
+    # pipeline's workdir files are whole, written before its --stats file.
+    left = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    workdir = [Path("run", name) for name in PIPELINE_FILES] if argv[0] == "pipeline" else []
+    assert left == sorted(workdir)
+    assert Path(FULL).is_char_device()
+
+
+@pytest.mark.skipif(not Path(FULL).exists(), reason=f"no {FULL}")
+def test_a_failed_split_leaves_a_link_and_its_target(small_run, tmp_path, capsys):
+    # A link (as /dev/stdout is) is never removed, nor the file it points to.
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("")
+    link.symlink_to(target)
+    argv = ["--train-out", str(link), "--test-out", FULL]
+    assert run_cli("split", str(small_run / "instances.jsonl"), *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {FULL!r}: ")
+    assert link.is_symlink()
+    assert target.read_bytes() == (small_run / "train_set.jsonl").read_bytes()
+
+
+def test_a_failed_write_removes_the_regular_file_it_began(tmp_path, capsys, monkeypatch):
+    log, out = tmp_path / "log.csv", tmp_path / "instances.jsonl"
+    assert run_cli("simulate", "--instances", "2", "--out", str(log)) == 0
+    encode, calls = ingest.instances_to_jsonl, []
+
+    def fail_after_the_first_slice(instances):
+        calls.append(len(instances))
+        if len(calls) > 1:
+            raise ValueError("encoding failed")
+        return encode(instances)
+
+    monkeypatch.setattr(cli, "WRITE_SLICE", 1)
+    monkeypatch.setattr(ingest, "instances_to_jsonl", fail_after_the_first_slice)
+    assert run_cli("ingest", str(log), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: encoding failed\n"
+    assert not out.exists()
+
+
 def test_pipeline_writes_all_artifacts_and_report(tmp_path, capsys):
     workdir = tmp_path / "run"
-    out = tmp_path / "report.json"
-    code = run_cli(
-        "pipeline", "--seed", "42", "--workdir", str(workdir), "--out", str(out)
-    )
-    assert code == 0
+    assert run_cli("pipeline", "--seed", "42", "--workdir", str(workdir)) == 0
     for name in (
         "sim_log.csv",
         "instances.jsonl",
@@ -329,7 +389,7 @@ def test_pipeline_writes_all_artifacts_and_report(tmp_path, capsys):
         "report.txt",
     ):
         assert (workdir / name).exists()
-    report = json.loads(out.read_text())
+    report = json.loads((workdir / "report.json").read_text())
     amounts = [r["amount"] for e in report["activities"] for r in e["rows"]]
     assert sum(amounts) == report["overall"]["amount"] == 300
     text = capsys.readouterr().out
@@ -623,33 +683,48 @@ def test_an_alpha_grid_flag_is_a_usage_error(tmp_path, capsys, command, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag, other", [("--out", "--stats"), ("--stats", "--out")])
-@pytest.mark.parametrize("target", [*PIPELINE_FILES, "config", "other output"])
-def test_pipeline_output_onto_a_file_of_the_run_is_a_usage_error(
-    tmp_path, capsys, flag, other, target
-):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mine", "instances.jsonl", "--min-len", "2"], "unrecognized arguments: --min-len 2"),
+        (["split", "i.jsonl", "--train-out=a", "--test-out=b", "--min-len", "2"],
+         "unrecognized arguments: --min-len 2"),
+        (["pipeline", "--workdir", "{tmp}/run", "--out", "{tmp}/report.json"],
+         "unrecognized arguments: --out"),
+        (["pipeline", "--workdir", "{tmp}/run", "--config", "{tmp}/config.json"],
+         "usage error: unknown config keys: min_len\n"),
+    ],
+    ids=["mine", "split", "pipeline-out", "config"],
+)  # fmt: skip
+def test_a_min_len_flag_or_key_and_pipeline_out_are_usage_errors(tmp_path, capsys, argv, message):
+    # Mining's floor of two keys is a constant, and the report is the workdir's report.json.
+    (tmp_path / "config.json").write_text(json.dumps({"min_len": 2}), encoding="utf-8")
+    assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize("target", [*PIPELINE_FILES, "config"])
+def test_pipeline_output_onto_a_file_of_the_run_is_a_usage_error(tmp_path, capsys, target):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"instances_per_activity": 10}), encoding="utf-8")
-    workdir, other_path = tmp_path / "run", tmp_path / "other.json"
-    path = {"config": config, "other output": other_path}.get(target, workdir / target)
-    argv = ["--config", str(config), "--workdir", str(workdir), other, str(other_path)]
-    assert run_cli("pipeline", *argv, flag, str(path)) == 1
+    workdir = tmp_path / "run"
+    path = config if target == "config" else workdir / target
+    argv = ["--config", str(config), "--workdir", str(workdir), "--stats", str(path)]
+    assert run_cli("pipeline", *argv) == 1
     captured = capsys.readouterr()
     message = f"usage error: output path {str(path)!r} would overwrite a file this run reads"
     assert captured.err.startswith(message)
     assert captured.out == ""
-    assert not workdir.exists() and not other_path.exists()
+    assert not workdir.exists()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--stats"])
-def test_pipeline_output_onto_a_trained_model_file_keeps_the_models(
-    small_run, tmp_path, capsys, flag
-):
+def test_pipeline_output_onto_a_trained_model_file_keeps_the_models(small_run, tmp_path, capsys):
     workdir = tmp_path / "run"
     workdir.mkdir()
     models = workdir / MODELS
     models.write_bytes((small_run / MODELS).read_bytes())
-    argv = ["--workdir", str(workdir), "--instances-per-activity", "10", flag, str(models)]
+    argv = ["--workdir", str(workdir), "--instances-per-activity", "10", "--stats", str(models)]
     assert run_cli("pipeline", *argv) == 1
     assert "would overwrite" in capsys.readouterr().err
     assert models.read_bytes() == (small_run / MODELS).read_bytes()
@@ -666,13 +741,12 @@ def test_pipeline_stats_into_a_missing_directory_is_a_usage_error(tmp_path, caps
     assert not workdir.exists()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--stats"])
 @pytest.mark.parametrize("target", ["existing directory", "workdir"])
-def test_pipeline_output_onto_a_directory_is_a_usage_error(tmp_path, capsys, flag, target):
+def test_pipeline_output_onto_a_directory_is_a_usage_error(tmp_path, capsys, target):
     workdir = tmp_path / "run"
     path = tmp_path if target == "existing directory" else workdir
     argv = ["--workdir", str(workdir), "--instances-per-activity", "10"]
-    assert run_cli("pipeline", *argv, flag, str(path)) == 1
+    assert run_cli("pipeline", *argv, "--stats", str(path)) == 1
     captured = capsys.readouterr()
     assert captured.err == f"usage error: output path {str(path)!r} is a directory\n"
     assert captured.out == ""
@@ -680,13 +754,12 @@ def test_pipeline_output_onto_a_directory_is_a_usage_error(tmp_path, capsys, fla
 
 
 def test_pipeline_output_may_go_into_the_workdir_it_creates(tmp_path, capsys):
-    workdir = tmp_path / "new" / "run"
-    stats, out = workdir / "stats.json", tmp_path / "new" / "report.json"
-    argv = ["--workdir", str(workdir), "--instances-per-activity", "10"]
-    assert run_cli("pipeline", *argv, "--stats", str(stats), "--out", str(out)) == 0
-    capsys.readouterr()
-    assert out.read_text() == (workdir / "report.json").read_text()
-    assert "alpha_curve" in json.loads(stats.read_text())
+    # The workdir and each of its parents that the run creates count as existing directories.
+    for workdir, stats in [("a/run", "a/run/stats.json"), ("b/run", "b/stats.json")]:
+        argv = ["--workdir", str(tmp_path / workdir), "--instances-per-activity", "10"]
+        assert run_cli("pipeline", *argv, "--stats", str(tmp_path / stats)) == 0
+        capsys.readouterr()
+        assert "alpha_curve" in json.loads((tmp_path / stats).read_text())
 
 
 def test_standalone_stages_reproduce_pipeline_artifacts(tmp_path, capsys):
@@ -970,6 +1043,19 @@ def test_every_run_config_field_has_a_pipeline_flag():
     expected, flags = _changed_settings()
     args = build_parser().parse_args(["pipeline", *flags])
     assert RunConfig.from_sources(args.config, vars(args)) == expected
+
+
+STANDALONE = ("simulate", "ingest", "mine", "split", "train", "score", "detect", "evaluate")
+
+
+def test_every_setting_but_the_workdir_is_a_flag_of_a_standalone_command(capsys):
+    # So every pipeline file has a standalone writer at any settings.
+    flags = set()
+    for command in STANDALONE:
+        assert run_cli(command, "--help") == 0
+        flags |= set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    missing = [name for name in RunConfig._fields if "--" + name.replace("_", "-") not in flags]
+    assert missing == ["workdir"]
 
 
 def test_help_shows_each_setting_default(capsys):

@@ -20,7 +20,6 @@ from tempoguard.config import SETTINGS, RunConfig
         {"gap_seconds": math.nan},
         {"min_segment_len": 0},
         {"min_support": 0},
-        {"min_len": 0},
         {"ti_multiplier": 1.0},
         {"ti_multiplier": math.inf},
         {"instances_per_activity": 0},
@@ -75,6 +74,6 @@ def test_every_setting_has_a_help_text():
 
 
 def test_run_config_has_no_alpha_grid_settings():
-    assert len(RunConfig._fields) == 13
-    assert not {"alpha_min", "alpha_max", "alpha_step"} & set(SETTINGS)
+    assert len(RunConfig._fields) == 12
+    assert not {"alpha_min", "alpha_max", "alpha_step", "min_len"} & set(SETTINGS)
 

@@ -52,10 +52,16 @@ def test_five_identical_sequences_reach_default_support():
     assert patterns[0].support == 5
 
 
-def test_min_len_filters_short_sequences():
+def test_one_event_instances_make_no_pattern(tmp_path, capsys):
+    # A pattern is learned from intervals, and one event has none; no setting changes that.
     instances = [make_instance("A", []) for _ in range(6)]
     with pytest.raises(ValueError, match="no pattern mined"):
-        mine_patterns(instances, RunConfig(min_support=5, min_len=2))
+        mine_patterns(instances)
+    path = tmp_path / "instances.jsonl"
+    path.write_text(instances_to_jsonl(instances), encoding="utf-8")
+    assert run(["mine", str(path)]) == 2
+    message = "no pattern mined (segments: 6, distinct key sequences: 1); lower min_support"
+    assert capsys.readouterr() == ("", f"error: {message}, or add data\n")
 
 
 def test_empty_input_mines_no_pattern():
@@ -267,9 +273,8 @@ def test_means_lie_between_group_extremes(gap_lists):
 
 
 def test_miner_config_validates_fields(capsys):
-    for setting in ("min_support", "min_len"):
-        assert run(["mine", "missing.jsonl", f"--{setting.replace('_', '-')}=0"]) == 2
-        assert f"error: {setting} must be >= 1" in capsys.readouterr().err
+    assert run(["mine", "missing.jsonl", "--min-support=0"]) == 2
+    assert "error: min_support must be >= 1" in capsys.readouterr().err
 
 
 def test_patterns_json_round_trip():
