@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as json_str  # json.dumps's text for a str
 from pathlib import Path
 
 from tempoguard import evaluation, forge, ingest, mining, simulate, training
@@ -95,16 +95,17 @@ def _jsonl_slices(instances: list[ActivityInstance]) -> Iterator[str]:
 def _write(*outputs: tuple[str | Path | None, Iterable[str]]) -> None:
     """Write each (path, texts) in turn, a text at a time, to its file or, for None, to stdout.
 
-    A failed write is an OSError naming its path. Any failure removes each regular file this
-    call opened, so a command leaves all its files or none; a device, pipe or link (such as
-    /dev/stdout) is never removed.
+    A failed write is an OSError naming its path, or stdout, which is flushed before the next
+    output so that its error surfaces here. Any failure removes each regular file this call
+    opened, so a command leaves all its files or none; a device, pipe or link is never removed.
     """
     opened: list[Path] = []
     for path, texts in outputs:
-        if path is None:
-            sys.stdout.writelines(texts)
-            continue
         try:
+            if path is None:
+                sys.stdout.writelines(texts)
+                sys.stdout.flush()
+                continue
             with open(path, "w", encoding="utf-8") as file:
                 opened.append(Path(path))
                 file.writelines(texts)
@@ -113,7 +114,8 @@ def _write(*outputs: tuple[str | Path | None, Iterable[str]]) -> None:
                 if made.is_file() and not made.is_symlink():
                     made.unlink()
             if isinstance(exc, OSError):
-                raise OSError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from None
+                name = "stdout" if path is None else repr(str(path))
+                raise OSError(f"cannot write {name}: {exc.strerror or exc}") from None
             raise
 
 
@@ -205,33 +207,29 @@ def _cmd_score(args: argparse.Namespace, cfg: RunConfig) -> None:
     if not 0 <= args.alpha < math.inf:
         raise ValueError(f"alpha must be a finite number >= 0, not {args.alpha!r}")
     patterns = _load_records(mining.patterns_from_json, args.patterns)
-    events = _load_log(args.log)
-    for inst in ingest.segment(events, cfg):
-        _, breakdown = evaluation.select_pattern(patterns, inst)
-        print(breakdown.blend(args.alpha))
+    segments = ingest.segment(_load_log(args.log), cfg)
+    routed = (evaluation.select_pattern(patterns, inst) for inst in segments)
+    _write((None, (f"{breakdown.blend(args.alpha)}\n" for _, breakdown in routed)))
 
 
 def _cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> None:
     _guard_clobber([args.models, args.patterns, args.log], [args.out])
     patterns = _load_records(mining.patterns_from_json, args.patterns)
     models = {m.activity: m for m in _load_records(training.models_from_json, args.models)}
-    events = _load_log(args.log)
-    lines = []  # the --out file, written whole once the last verdict is made
-    # (activity, classification) -> the encoded text between the source id and the total
-    tails: dict[tuple[str, str], str] = {}
-    write = sys.stdout.write
-    for inst, pattern, verdict in evaluation.judge(patterns, models, ingest.segment(events, cfg)):
-        source_id, activity, classification = inst.source_id, pattern.name, verdict.classification
-        total = repr(verdict.total)  # always finite, so the text json.dumps writes
-        if args.out:
-            tail = tails.get((activity, classification))
-            if tail is None:
-                record = {"activity": activity, "classification": classification, "total": 0}
-                tail = tails[activity, classification] = ", " + json.dumps(record)[1:-2]
-            # encode_basestring_ascii is what json.dumps applies to a str by default.
-            head = '{"source_id": ' + encode_basestring_ascii(source_id)
-            lines.append(head + tail + total + "}\n")
-        write(f"{source_id}\t{activity}\t{classification}\t{total}\n")
+    segments = ingest.segment(_load_log(args.log), cfg)
+    lines = []  # the --out file, written whole once the last verdict is printed
+
+    def verdicts() -> Iterator[str]:  # each verdict's stdout line, made as it is taken
+        for inst, pattern, verdict in evaluation.judge(patterns, models, segments):
+            source, activity, classification = inst.source_id, pattern.name, verdict.classification
+            total = repr(verdict.total)  # always finite, so the text json.dumps writes
+            if args.out:
+                lines.append(f'{{"source_id": {json_str(source)}, "activity": '
+                             f'{json_str(activity)}, "classification": '
+                             f'{json_str(classification)}, "total": {total}}}\n')
+            yield f"{source}\t{activity}\t{classification}\t{total}\n"
+
+    _write((None, verdicts()))
     if args.out:
         _write((args.out, lines))
 
@@ -242,7 +240,7 @@ def _cmd_evaluate(args: argparse.Namespace, cfg: RunConfig) -> None:
     models = {m.activity: m for m in _load_records(training.models_from_json, args.models)}
     labeled = _parse_file(ingest.instances_from_jsonl, args.test_set)
     report = evaluation.build_report(patterns, models, labeled)
-    sys.stdout.write(evaluation.render_report(report))
+    _write((None, [evaluation.render_report(report)]))
     if args.out:
         _write((args.out, [evaluation.report_to_json(report)]))
 
@@ -313,7 +311,7 @@ def _cmd_pipeline(args: argparse.Namespace, cfg: RunConfig) -> None:
         artifacts = [workdir / name for name in PIPELINE_FILES]
         _guard_clobber([args.config, *artifacts], [args.stats], makes=workdir)
     report = run_pipeline(cfg)
-    sys.stdout.write(evaluation.render_report(report))
+    _write((None, [evaluation.render_report(report)]))
     if args.stats:
         _write((args.stats, [json.dumps({"alpha_curve": alpha_curve(workdir)}, indent=2) + "\n"]))
 
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="segment a log into activity instances")
     p.add_argument("log", help="CSV or JSONL device log")
-    add_config_flags(p, "gap_seconds", "min_segment_len")
+    add_config_flags(p, "gap_seconds")
     p.add_argument("--out", help="instances JSONL path (default: stdout)")
     p.set_defaults(handler=_cmd_ingest)
 
@@ -364,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", required=True, help="patterns JSON")
     p.add_argument("--log", required=True, help="CSV or JSONL device log")
     p.add_argument("--alpha", type=float, required=True, help="timing weight")
-    add_config_flags(p, "gap_seconds", "min_segment_len")
+    add_config_flags(p, "gap_seconds")
     p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("detect", help="classify log segments as normal or anomaly")
     p.add_argument("--models", required=True, help="trained models JSON")
     p.add_argument("--patterns", required=True, help="patterns JSON")
     p.add_argument("--log", required=True, help="CSV or JSONL device log")
-    add_config_flags(p, "gap_seconds", "min_segment_len")
+    add_config_flags(p, "gap_seconds")
     p.add_argument("--out", help="verdicts JSONL path (optional)")
     p.set_defaults(handler=_cmd_detect)
 

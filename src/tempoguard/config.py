@@ -4,10 +4,10 @@ SETTINGS is the one table of settings: name -> (type, default, help). The
 RunConfig named tuple takes its fields and defaults from it, and its CLI
 flags and config-file keys are read from it too. Each stage reads the fields
 it uses from one RunConfig. What no caller varies is a constant instead: the
-weights training sweeps (training.ALPHA_GRID) and the fewest keys of a
-pattern (mining.MIN_PATTERN_KEYS). Every value is range-checked when the
-config is built (and again by `_replace`), and a float setting is stored as
-a float, so a bad setting stops a run before any artifact is written.
+weights training sweeps (training.ALPHA_GRID) and the fewest events of an activity
+(events.MIN_ACTIVITY_EVENTS, read by segmentation and mining). Every value is
+range-checked when the config is built (and again by `_replace`), and a float setting
+is stored as a float, so a bad setting stops a run before any artifact is written.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ SETTINGS = {
     "instances_per_activity": (int, 50, "instances per activity"),
     "noise_sigma": (float, 0.1, "relative std-dev of interval jitter"),
     "gap_seconds": (float, 120.0, "idle gap that separates activity instances"),
-    "min_segment_len": (int, 2, "drop segments of fewer discrete events (readings not counted)"),
     "min_support": (int, 5, "fewest segments of one key sequence that make a pattern"),
     "ti_multiplier": (float, 50.0, "factor that a forged timing anomaly stretches one gap by"),
     "train_normal": (int, 40, "normal training instances per activity"),
@@ -59,7 +58,7 @@ class RunConfig(
         self = tuple.__new__(cls, fields)
         if not math.isfinite(self.gap_seconds * 1000) or self.gap_ms <= 0:
             raise ValueError("gap_seconds must be over 0.0005, a gap of 1 ms or more")
-        for name in ("instances_per_activity", "min_segment_len", "min_support"):
+        for name in ("instances_per_activity", "min_support"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         split_sizes = ("train_normal", "test_normal", "train_anomaly", "test_anomaly")

@@ -55,6 +55,7 @@ from tempoguard.events import (
     EventKey,
     LABEL_UNLABELED,
     MAX_TIMESTAMP_MS,
+    MIN_ACTIVITY_EVENTS,
     check_tags,
     is_numeric_value,
     json_document,
@@ -433,17 +434,16 @@ def segment(events: list[Event], cfg: RunConfig | None = None) -> list[ActivityI
     """Split a time-ordered event list into activity instances at idle gaps.
 
     Consecutive events closer than cfg.gap_seconds share a segment; segments
-    with fewer than cfg.min_segment_len events are dropped.
+    with fewer than MIN_ACTIVITY_EVENTS events, too few to time, are dropped.
     """
-    cfg = cfg or RunConfig()
-    gap_ms, min_len = cfg.gap_ms, cfg.min_segment_len
+    gap_ms = (cfg or RunConfig()).gap_ms
     instances: list[ActivityInstance] = []
     run: list[Event] = []
     last = 0  # times are >= 0: the first event is in order, and closing the empty run adds nothing
 
     def flush() -> None:
-        if len(run) >= min_len:
-            # ActivityInstance.__new__'s checks hold: run holds min_len >= 1 events in
+        if len(run) >= MIN_ACTIVITY_EVENTS:
+            # ActivityInstance.__new__'s checks hold: run holds MIN_ACTIVITY_EVENTS >= 1 events in
             # time order (checked below), the label is valid and the source id a string.
             instances.append(
                 tuple.__new__(

@@ -1,11 +1,11 @@
 """Mining frequent event-key sequences into timing patterns.
 
-Instances, free of numeric readings since the readers drop those, are grouped
-by their exact event-key sequence; every group of min_support segments or more
-and MIN_PATTERN_KEYS keys or more becomes one pattern, whose reference interval
-vector is the component-wise mean over the group. Mining is the one place that
-decides which segments make each pattern: callers take them from the
-(pattern, segments) pairs that `mine_patterns` returns.
+Instances, free of numeric readings since the readers drop those, are grouped by their
+exact event-key sequence; every group of min_support segments or more and
+events.MIN_ACTIVITY_EVENTS keys or more (the floor segmentation applies too, which an
+instance file may still break) becomes one pattern, whose reference interval vector is
+the component-wise mean over the group. Mining is the one place that decides which
+segments make each pattern: callers take them from the pairs that `mine_patterns` returns.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 
 from tempoguard.config import RunConfig
 from tempoguard.events import (
+    MIN_ACTIVITY_EVENTS,
     ActivityInstance,
     ActivityPattern,
     EventKey,
@@ -23,9 +24,6 @@ from tempoguard.events import (
     json_value,
 )
 from tempoguard.simulate import builtin_specs
-
-# A pattern is learned from the intervals between its events: a shorter key sequence has none.
-MIN_PATTERN_KEYS = 2
 
 
 def mine_patterns(
@@ -50,7 +48,7 @@ def mine_patterns(
 
     mined: list[tuple[ActivityPattern, list[ActivityInstance]]] = []
     for keys, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-        if len(group) < cfg.min_support or len(keys) < MIN_PATTERN_KEYS:
+        if len(group) < cfg.min_support or len(keys) < MIN_ACTIVITY_EVENTS:
             continue
         means = tuple(sum(col) / len(group) for col in zip(*map(intervals, group)))
         name = builtin.get(keys, f"pattern-{len(mined) + 1}")

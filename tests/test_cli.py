@@ -9,6 +9,7 @@ import logging
 import math
 import random
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -342,6 +343,35 @@ def test_an_output_that_cannot_be_written_is_a_data_error_naming_it(
     workdir = [Path("run", name) for name in PIPELINE_FILES] if argv[0] == "pipeline" else []
     assert left == sorted(workdir)
     assert Path(FULL).is_char_device()
+
+
+@pytest.mark.skipif(not Path(FULL).exists(), reason=f"no {FULL}")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--instances-per-activity", "2"],
+        ["ingest", "{run}/sim_log.csv"],
+        ["mine", "{run}/instances.jsonl"],
+        ["train", "--patterns", "{run}/patterns.json", "--train-set", "{run}/train_set.jsonl"],
+        ["score", "--patterns", "{run}/patterns.json", "--log", "{run}/sim_log.csv", "--alpha", "1"],
+        ["detect", "--models", "{run}/models.json", "--patterns", "{run}/patterns.json",
+         "--log", "{run}/sim_log.csv"],
+        ["evaluate", "--models", "{run}/models.json", "--patterns", "{run}/patterns.json",
+         "--test-set", "{run}/test_set.jsonl"],
+        ["pipeline", "--workdir", "{tmp}/run", "--instances-per-activity", "10"],
+    ],
+    ids=lambda argv: argv[0],
+)  # fmt: skip
+def test_a_stdout_that_cannot_be_written_is_a_data_error_naming_stdout(
+    small_run, tmp_path, capsys, monkeypatch, argv
+):
+    # Each output here is under the buffer's size, so only the flush before returning fails.
+    with open(FULL, "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        assert run_cli(*[arg.format(run=small_run, tmp=tmp_path) for arg in argv]) == 2
+        with contextlib.suppress(OSError):  # what the failed flush left in the buffer
+            full.close()
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.skipif(not Path(FULL).exists(), reason=f"no {FULL}")
@@ -699,6 +729,29 @@ def test_an_alpha_grid_flag_is_a_usage_error(tmp_path, capsys, command, flag):
 def test_a_min_len_flag_or_key_and_pipeline_out_are_usage_errors(tmp_path, capsys, argv, message):
     # Mining's floor of two keys is a constant, and the report is the workdir's report.json.
     (tmp_path / "config.json").write_text(json.dumps({"min_len": 2}), encoding="utf-8")
+    assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ingest", "log.csv"], "unrecognized arguments: --min-segment-len 2"),
+        (["score", "--patterns=p.json", "--log=log.csv", "--alpha=1"],
+         "unrecognized arguments: --min-segment-len 2"),
+        (["detect", "--models=m.json", "--patterns=p.json", "--log=log.csv"],
+         "unrecognized arguments: --min-segment-len 2"),
+        (["pipeline", "--workdir", "{tmp}/run", "--config", "{tmp}/config.json"],
+         "usage error: unknown config keys: min_segment_len\n"),
+    ],
+    ids=["ingest", "score", "detect", "config"],
+)  # fmt: skip
+def test_a_min_segment_len_flag_or_key_is_a_usage_error(tmp_path, capsys, argv, message):
+    # An activity's floor of two events is events.MIN_ACTIVITY_EVENTS, not a setting.
+    (tmp_path / "config.json").write_text(json.dumps({"min_segment_len": 2}), encoding="utf-8")
+    if argv[0] != "pipeline":
+        argv = [*argv, "--min-segment-len", "2"]
     assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 1
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
@@ -1257,6 +1310,17 @@ def test_detect_prints_each_verdict_as_it_is_made(small_run, tmp_path, capsys):
     assert captured.out == "".join(verdicts[:stop])
     assert captured.err == f"error: no trained model for activity {missing!r}\n"
     assert not out.exists()
+
+
+def test_detect_never_judges_a_lone_event(small_run, tmp_path, capsys):
+    # One event has no interval to time: only the two-event burst after it gets a verdict.
+    header, first, second = (small_run / "sim_log.csv").read_text().splitlines()[:3]
+    log = tmp_path / "sim_log.csv"  # the log _judge_argv reads
+    log.write_text(f"{header}\n1970-01-01T00:00:01.000Z,M1,motion,active\n{first}\n{second}\n")
+    assert run_cli(*_judge_argv("detect", tmp_path, small_run / MODELS, small_run / PATTERNS)) == 0
+    captured = capsys.readouterr()
+    assert [line.split("\t")[0] for line in captured.out.splitlines()] == ["seg-0000"]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("command", ["detect", "evaluate"])

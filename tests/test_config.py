@@ -18,7 +18,6 @@ from tempoguard.config import SETTINGS, RunConfig
         {"gap_seconds": -1.0},
         {"gap_seconds": math.inf},
         {"gap_seconds": math.nan},
-        {"min_segment_len": 0},
         {"min_support": 0},
         {"ti_multiplier": 1.0},
         {"ti_multiplier": math.inf},
@@ -74,6 +73,7 @@ def test_every_setting_has_a_help_text():
 
 
 def test_run_config_has_no_alpha_grid_settings():
-    assert len(RunConfig._fields) == 12
-    assert not {"alpha_min", "alpha_max", "alpha_step", "min_len"} & set(SETTINGS)
+    assert len(RunConfig._fields) == 11
+    gone = {"alpha_min", "alpha_max", "alpha_step", "min_len", "min_segment_len"}
+    assert not gone & set(SETTINGS)
 

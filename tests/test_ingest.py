@@ -23,6 +23,7 @@ from tempoguard.events import (
     EventKey,
     LABEL_ANOMALY_TI,
     LABEL_UNLABELED,
+    MIN_ACTIVITY_EVENTS,
     VALID_LABELS,
     is_numeric_value,
 )
@@ -648,7 +649,7 @@ def test_segment_keeps_gaps_under_threshold_together():
 
 def test_segment_drops_short_segments():
     events = _events(200_000, 1000)  # lone first event, then a pair
-    parts = segment(events, RunConfig(gap_seconds=120, min_segment_len=2))
+    parts = segment(events, RunConfig(gap_seconds=120))
     assert [len(p.events) for p in parts] == [2]
 
 
@@ -691,20 +692,20 @@ def test_segment_rejects_a_late_step_back_in_time():
     start=st.integers(min_value=0, max_value=5000),
     gaps=st.lists(st.integers(min_value=0, max_value=3000), max_size=30),
     gap_seconds=st.sampled_from([0.001, 1.0, 2.5]),
-    min_len=st.integers(min_value=1, max_value=4),
 )
-def test_segment_builds_each_instance_as_its_constructor_would(start, gaps, gap_seconds, min_len):
+def test_segment_builds_each_instance_as_its_constructor_would(start, gaps, gap_seconds):
     events = [Event(start, key("A"))]
     for n, gap in enumerate(gaps):  # a gap of 0 gives two events one timestamp
         events.append(Event(events[-1].timestamp_ms + gap, key("AB"[n % 2])))
-    cfg = RunConfig(gap_seconds=gap_seconds, min_segment_len=min_len)
+    cfg = RunConfig(gap_seconds=gap_seconds)
     runs = [[events[0]]]
     for a, b in zip(events, events[1:]):
         if b.timestamp_ms - a.timestamp_ms >= cfg.gap_ms:
             runs.append([])
         runs[-1].append(b)
     parts = segment(events, cfg)
-    assert [inst.events for inst in parts] == [tuple(run) for run in runs if len(run) >= min_len]
+    expected = [tuple(run) for run in runs if len(run) >= MIN_ACTIVITY_EVENTS]
+    assert [inst.events for inst in parts] == expected
     for n, inst in enumerate(parts):
         assert type(inst) is ActivityInstance
         assert inst == ActivityInstance(*inst)
@@ -755,7 +756,7 @@ def test_one_event_among_readings_is_below_the_minimum_segment_length():
         "1000,M1,motion,active\n2000,T1,temperature,21.5\n3000,T1,temperature,21.6\n"
         "3600000,M1,motion,active\n3601000,L1,switch,on\n"
     )
-    (only,) = segment(parse_log(text), RunConfig(min_segment_len=2))
+    (only,) = segment(parse_log(text))
     assert [e.timestamp_ms for e in only.events] == [3_600_000, 3_601_000]
 
 
@@ -830,9 +831,8 @@ def test_an_instance_of_readings_alone_is_dropped_but_its_label_is_checked():
     "flag, message",
     [
         ("--gap-seconds=0", "gap_seconds must be over 0.0005"),
-        ("--min-segment-len=0", "min_segment_len must be >= 1"),
     ],
-    ids=["gap_seconds", "min_segment_len"],
+    ids=["gap_seconds"],
 )
 def test_ingest_settings_are_checked_before_the_log_is_read(capsys, flag, message):
     assert run(["ingest", "missing.csv", flag]) == 2
