@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as json_str  # json.dumps's text for a str
@@ -95,9 +96,9 @@ def _jsonl_slices(instances: list[ActivityInstance]) -> Iterator[str]:
 def _write(*outputs: tuple[str | Path | None, Iterable[str]]) -> None:
     """Write each (path, texts) in turn, a text at a time, to its file or, for None, to stdout.
 
-    A failed write is an OSError naming its path, or stdout, which is flushed before the next
-    output so that its error surfaces here. Any failure removes each regular file this call
-    opened, so a command leaves all its files or none; a device, pipe or link is never removed.
+    A failed write is an OSError naming its path or stdout (flushed here; on a failure, what it
+    still buffers is dropped). Any failure removes each regular file this call opened, so a
+    command leaves all its files or none; a device, pipe or link is never removed.
     """
     opened: list[Path] = []
     for path, texts in outputs:
@@ -114,6 +115,8 @@ def _write(*outputs: tuple[str | Path | None, Iterable[str]]) -> None:
                 if made.is_file() and not made.is_symlink():
                     made.unlink()
             if isinstance(exc, OSError):
+                if path is None:  # else the flush at exit fails on it again, and the status is 120
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 name = "stdout" if path is None else repr(str(path))
                 raise OSError(f"cannot write {name}: {exc.strerror or exc}") from None
             raise

@@ -27,8 +27,7 @@ LABEL_ANOMALY_SEQ = "anomaly_seq"
 LABEL_ANOMALY_TI = "anomaly_ti"
 LABEL_UNLABELED = "unlabeled"
 
-# An activity is timed by the intervals between its events: fewer events than this have none.
-MIN_ACTIVITY_EVENTS = 2
+MIN_ACTIVITY_EVENTS = 2  # an activity is timed by the intervals between its events
 
 # 9999-12-31T23:59:59.999Z: the latest time a log may hold, so no span is longer.
 MAX_TIMESTAMP_MS = 253_402_300_799_999

@@ -1,11 +1,10 @@
 """Mining frequent event-key sequences into timing patterns.
 
-Instances, free of numeric readings since the readers drop those, are grouped by their
-exact event-key sequence; every group of min_support segments or more and
-events.MIN_ACTIVITY_EVENTS keys or more (the floor segmentation applies too, which an
-instance file may still break) becomes one pattern, whose reference interval vector is
-the component-wise mean over the group. Mining is the one place that decides which
-segments make each pattern: callers take them from the pairs that `mine_patterns` returns.
+Instances, free of numeric readings since the readers drop those, are grouped by their exact
+event-key sequence; every group of min_support segments or more and events.MIN_ACTIVITY_EVENTS
+keys or more (segmentation's floor too) becomes one pattern, whose reference interval vector
+is the component-wise mean over the group. Mining alone decides which segments make each
+pattern: callers take them from the pairs that `mine_patterns` returns.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import logging
 import math
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -366,12 +367,29 @@ def test_a_stdout_that_cannot_be_written_is_a_data_error_naming_stdout(
     small_run, tmp_path, capsys, monkeypatch, argv
 ):
     # Each output here is under the buffer's size, so only the flush before returning fails.
+    # What that flush left in the buffer is dropped: closing the file does not fail again.
     with open(FULL, "w", encoding="utf-8") as full:
         monkeypatch.setattr(sys, "stdout", full)
         assert run_cli(*[arg.format(run=small_run, tmp=tmp_path) for arg in argv]) == 2
-        with contextlib.suppress(OSError):  # what the failed flush left in the buffer
-            full.close()
     assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not Path(FULL).exists(), reason=f"no {FULL}")
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_a_stdout_that_cannot_be_written_ends_the_console_script_with_exit_2(small_run, command):
+    # A fresh interpreter's stdout is buffered (-I ignores PYTHONUNBUFFERED). Were the bytes
+    # its failed flush left still there at exit, that flush would fail too: a second message
+    # on stderr, and exit status 120.
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = _judge_argv(command, small_run, small_run / MODELS, small_run / PATTERNS)
+    with open(FULL, "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", "import sys; sys.path.insert(0, sys.argv.pop(1)); "
+             "from tempoguard.cli import main; main()", str(src), *argv],
+            stdout=full, stderr=subprocess.PIPE, timeout=60,
+        )  # fmt: skip
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.skipif(not Path(FULL).exists(), reason=f"no {FULL}")
